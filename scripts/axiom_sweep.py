@@ -14,7 +14,6 @@ import itertools
 import random
 import sys
 import time
-from fractions import Fraction
 
 from jetva import (
     DiagAutomorphism,
@@ -25,6 +24,7 @@ from jetva import (
     check_va_axioms,
     eigen_index,
 )
+from jetva.cli import coset_indices, random_sources
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,30 +37,13 @@ class SweepConfig:
     seed: int
 
 
-def random_monomial(rng: random.Random, order: int, k: int) -> JetPoly:
-    p = JetPoly.one(order)
-    for _ in range(rng.randint(1, 3)):
-        p = p * JetPoly.var(order, rng.randint(1, k), -rng.randint(0, 2))
-    return p
-
-
-def coset_box(r: int, m: int, bound: int) -> list[Fraction]:
-    base = Fraction(r, m)
-    out = []
-    for t in range(-bound - 1, bound + 2):
-        q = base + t
-        if abs(q) <= bound:
-            out.append(q)
-    return out
-
-
 def run(cfg: SweepConfig) -> int:
     rng = random.Random(cfg.seed)
     k = len(cfg.exponents)
     g = DiagAutomorphism(cfg.order, cfg.exponents)
     alpha = list(cfg.exponents)
     sources = [JetPoly.var(cfg.order, i) for i in range(1, k + 1)]
-    sources += [random_monomial(rng, cfg.order, k) for _ in range(cfg.samples)]
+    sources += random_sources(rng, cfg.order, k, cfg.samples)
 
     failures = 0
     t0 = time.time()
@@ -101,8 +84,8 @@ def run(cfg: SweepConfig) -> int:
         ra = eigen_index(a, alpha)
         rb = eigen_index(b, alpha)
         for li in box:
-            for mi in coset_box(ra, cfg.order, cfg.index_bound):
-                for ni in coset_box(rb, cfg.order, cfg.index_bound):
+            for mi in coset_indices(ra, cfg.order, cfg.index_bound):
+                for ni in coset_indices(rb, cfg.order, cfg.index_bound):
                     n_tw += 1
                     c = check_twisted_borcherds(a, b, g, li, mi, ni, cfg.window)
                     if not c.passed:

@@ -11,7 +11,9 @@ and emits a report, as JSON or as text rendering the same content:
      "checks": [{"name": ..., "pass": ..., "witness"?: ...}]}
 
 Scalars are serialized as exact strings.  Exit status: 0 when every check
-passed, 1 when some check failed, 2 on invalid input.
+passed, 1 when some check failed, 2 on invalid input, 3 when a check needs
+a field coefficient beyond the truncation window (rerun with a larger
+window).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from .coinv import OrbiSetup, verify_fixed_ring
-from .jetpoly import JetPoly, eigen_index
+from .jetpoly import JetPoly, TruncationError, eigen_index
 from .jetscheme import (
     DiagAutomorphism,
     IdealNotPreservedError,
@@ -129,7 +131,9 @@ def _gen_records(pres) -> list[dict]:
     ]
 
 
-def _random_sources(rng: random.Random, order: int, k: int, count: int) -> list[JetPoly]:
+def random_sources(rng: random.Random, order: int, k: int, count: int) -> list[JetPoly]:
+    """``count`` random monomials of one to three factors x[i,-d], i in 1..k,
+    d in 0..2."""
     out = []
     for _ in range(count):
         p = JetPoly.one(order)
@@ -139,15 +143,10 @@ def _random_sources(rng: random.Random, order: int, k: int, count: int) -> list[
     return out
 
 
-def _coset_indices(r: int, m: int, bound: int) -> list[Fraction]:
+def coset_indices(r: int, m: int, bound: int) -> list[Fraction]:
+    """Mode indices in r/m + Z of absolute value at most the bound, rising."""
     base = Fraction(r, m)
-    out = []
-    t = -bound - 1
-    while base + t <= bound:
-        if abs(base + t) <= bound:
-            out.append(base + t)
-        t += 1
-    return out
+    return [base + t for t in range(-bound - 1, bound + 2) if abs(base + t) <= bound]
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +224,7 @@ def _sources(args, spec, g, names, require_eigen: bool):
             skipped.append(text)
             continue
         sources.append((text, p))
-    for p in _random_sources(rng, g.order, len(names), args.random_samples):
+    for p in random_sources(rng, g.order, len(names), args.random_samples):
         sources.append((str(p), p))
     return sources, skipped
 
@@ -278,8 +277,8 @@ def cmd_check_twisted(args):
         for lb, b in sources:
             rb = eigen_index(b, alpha)
             for li in range(-B, B + 1):
-                for mi in _coset_indices(ra, g.order, B):
-                    for ni in _coset_indices(rb, g.order, B):
+                for mi in coset_indices(ra, g.order, B):
+                    for ni in coset_indices(rb, g.order, B):
                         c = check_twisted_borcherds(a, b, g, li, mi, ni, W, spec)
                         checks.append(
                             CheckResult(
@@ -447,9 +446,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, checks = args.run(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except TruncationError as e:
+        print(f"window too small: {e}", file=sys.stderr)
+        return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

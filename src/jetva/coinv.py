@@ -115,13 +115,15 @@ def residue_relation(sec: OutSection, setup: OrbiSetup) -> JetPoly:
     minf = JetPoly.zero(spec.order)
     if winf >= 0:
         minf = twisted_vertex_op(p, g.inverse(), pad, spec).coefficient(winf)
-    if not m0.is_zero:
-        assert m0.homogeneous_weight() == w0
-    if not minf.is_zero:
-        assert minf.homogeneous_weight() == winf
+    if not m0.is_zero and m0.homogeneous_weight() != w0:
+        raise ValueError(f"field coefficient at z^{w0} is not of weight {w0}")
+    if not minf.is_zero and minf.homogeneous_weight() != winf:
+        raise ValueError(f"field coefficient at w^{winf} is not of weight {winf}")
     rel = m0 - retag_point(minf, 1)
-    if not rel.is_zero:
-        assert rel.homogeneous_weight() is not None
+    if not rel.is_zero and rel.homogeneous_weight() is None:
+        raise ValueError(
+            f"residue relation of {sec.poly} at j = {sec.j} is not weight-homogeneous"
+        )
     return rel
 
 

@@ -132,12 +132,6 @@ class CycScalar:
             return cls.from_rational(m, value)
         raise TypeError(f"cannot coerce {type(value).__name__} to CycScalar")
 
-    def _check(self, other: CycScalar) -> None:
-        if self.order != other.order:
-            raise FieldMismatchError(
-                f"mixed cyclotomic orders {self.order} and {other.order}"
-            )
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
@@ -280,16 +274,3 @@ def zeta_pow(m: int, k: int) -> CycScalar:
     coeffs = [Fraction(0)] * (k + 1)
     coeffs[k] = Fraction(1)
     return CycScalar(m, _reduce(coeffs, m))
-
-
-def cyc_arith(a: CycScalar, b: CycScalar, op: str) -> CycScalar:
-    """Named entry point for field arithmetic; thin wrapper over operators."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

@@ -193,9 +193,6 @@ class JetPoly:
     def max_degree(self) -> int:
         return max((mon.degree for mon, _ in self.terms), default=0)
 
-    def min_degree(self) -> int:
-        return min((mon.degree for mon, _ in self.terms), default=0)
-
     def is_level_zero(self) -> bool:
         return all(
             v.minus_level == 0 for mon, _ in self.terms for v, _ in mon.factors
@@ -427,10 +424,6 @@ class PuiseuxSeries:
             raise ValueError("series supported beyond its own window")
         return cls(order, items, t)
 
-    @classmethod
-    def constant(cls, p: JetPoly) -> PuiseuxSeries:
-        return cls.from_dict(p.order, {Fraction(0): p}, None)
-
     def support(self) -> tuple[Fraction, ...]:
         return tuple(w for w, _ in self.coeffs)
 
@@ -453,23 +446,6 @@ class PuiseuxSeries:
             raise FieldMismatchError(
                 f"mixed cyclotomic orders {self.order} and {other.order}"
             )
-
-    def __add__(self, other: PuiseuxSeries) -> PuiseuxSeries:
-        self._check(other)
-        acc = {w: p for w, p in self.coeffs}
-        for w, p in other.coeffs:
-            acc[w] = acc.get(w, JetPoly.zero(self.order)) + p
-        t = _min_trunc(self.trunc, other.trunc)
-        acc = {w: p for w, p in acc.items() if t is None or w <= t}
-        return PuiseuxSeries.from_dict(self.order, acc, t)
-
-    def __neg__(self) -> PuiseuxSeries:
-        return PuiseuxSeries(
-            self.order, tuple((w, -p) for w, p in self.coeffs), self.trunc
-        )
-
-    def __sub__(self, other: PuiseuxSeries) -> PuiseuxSeries:
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -540,9 +516,6 @@ class PuiseuxSeries:
                 out.append((w, d))
         return out
 
-    def agrees_with(self, other: PuiseuxSeries) -> bool:
-        return not self.mismatches(other)
-
     def __str__(self) -> str:
         return self.to_str("z")
 
@@ -557,11 +530,6 @@ class PuiseuxSeries:
         if self.trunc is not None:
             body += f" + O({symbol}^{self.trunc + 1})"
         return body
-
-
-def series_coefficient(s: PuiseuxSeries, w) -> JetPoly:
-    """Coefficient of z^w; raises TruncationError beyond the window."""
-    return s.coefficient(w)
 
 
 # ---------------------------------------------------------------------------
@@ -582,44 +550,87 @@ def admissible_levels(offset: Fraction, max_weight) -> list[Fraction]:
     return out
 
 
-def generator_series(
-    m: int, index: int, offset: Fraction, window, point: int = 0
-) -> PuiseuxSeries:
-    """x_i(t) = sum over admissible levels n of x[i,n] t^(-n), one variable
-    per exponent, truncated at the window."""
-    acc = {}
-    for n in admissible_levels(offset, window):
-        acc[-n] = JetPoly.var(m, index, n, point)
-    return PuiseuxSeries.from_dict(m, acc, Fraction(window))
-
-
 def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
-    """Substitute every coordinate x_i of a level-0 polynomial by its jet
-    series with levels in offsets[i] + Z, exact up to the window.
+    """Expand p along the generic (twisted) jet, exact up to the window.
 
-    ``offsets`` maps 1-based coordinate index to the coset offset in [0,1);
-    missing indices default to 0 (untwisted).
+    Coordinate x_i goes to its jet sum over admissible levels n of
+    x[i,n] z^(-n), the levels running over offsets[i] + Z (``offsets`` maps
+    the 1-based coordinate index to its coset offset in [0,1); a missing
+    index means offset 0, the untwisted jet).  A source variable x[i,-d]
+    goes to the d-th divided z-derivative of that sum,
+
+        x[i,-d]  ->  sum_n C(-n, d) x[i,n] z^(-n-d),
+
+    extended multiplicatively over monomials and linearly over terms.  The
+    source may be any origin-alphabet polynomial with integer levels.
+
+    Window rule: the result holds every z^w coefficient with w <= window,
+    each exact, and asking it for one beyond raises TruncationError.  A
+    coefficient is summed directly, over the level assignments of each
+    monomial's factors whose exponents add up to w, of the product of the
+    binomials; no series is multiplied.
     """
-    if not p.is_level_zero():
-        raise ValueError("substitute_jets expects a polynomial in level-0 variables")
-    window = Fraction(window)
-    total = PuiseuxSeries.from_dict(p.order, {}, window)
-    cache: dict[int, PuiseuxSeries] = {}
+    m = p.order
+    W = Fraction(window)
+    top = W + max((mon.weight for mon, _ in p.terms), default=Fraction(0))
+    # (index, d) -> [(exponent -n-d, C(-n,d), x[i,n])] by rising exponent.
+    # The binomial vanishes only for the integer levels with -n < d, which
+    # come first, so consecutive entries differ by one in the exponent.  No
+    # factor of an assignment that fits the window has -n above ``top``.
+    expansions: dict[tuple[int, int], list] = {}
+    jet_vars: dict[tuple[int, Fraction], JetVar] = {}
+    by_exp: dict[Fraction, dict[Monomial, CycScalar]] = {}
     for mon, c in p.terms:
-        term = PuiseuxSeries.constant(JetPoly.const(p.order, c))
+        slots = []
         for v, e in mon.factors:
-            if v.point != 0:
-                raise ValueError("substitute_jets expects origin-alphabet variables")
-            s = cache.get(v.index)
-            if s is None:
-                off = Fraction(offsets.get(v.index, 0)) if hasattr(offsets, "get") else Fraction(offsets[v.index])
-                s = generator_series(p.order, v.index, off, window)
-                cache[v.index] = s
-            for _ in range(e):
-                term = term * s
-        total = total + term
-    return total.truncate(window)
+            if v.point != 0 or v.minus_level.denominator != 1:
+                raise ValueError(
+                    "substitute_jets expects origin-alphabet variables with "
+                    "integer levels"
+                )
+            key = (v.index, int(v.minus_level))
+            terms = expansions.get(key)
+            if terms is None:
+                terms = []
+                for n in admissible_levels(offsets.get(v.index, 0), top):
+                    b = binom(-n, key[1])
+                    if b:
+                        var = jet_vars.get((v.index, n))
+                        if var is None:
+                            var = jet_vars[(v.index, n)] = JetVar(0, v.index, -n)
+                        terms.append((-n - key[1], b, var))
+                expansions[key] = terms
+            slots.extend([terms] * e)
+        if not all(slots):
+            continue
+        lowest = sum(terms[0][0] for terms in slots)
+        if lowest > W:
+            continue
+        room = int(W - lowest)
+        found: dict[tuple[int, tuple[JetVar, ...]], Fraction] = {}
+        _assign(slots, 0, room, Fraction(1), [], found)
+        for (left, chosen), q in found.items():
+            bucket = by_exp.setdefault(lowest + room - left, {})
+            mon2 = Monomial.of(*((var, 1) for var in chosen))
+            val = c * q
+            cur = bucket.get(mon2)
+            bucket[mon2] = val if cur is None else cur + val
+    return PuiseuxSeries.from_dict(
+        m, {w: JetPoly._from_dict(m, b) for w, b in by_exp.items()}, W
+    )
 
 
-def untwisted_offsets(k: int) -> dict[int, Fraction]:
-    return {i: Fraction(0) for i in range(1, k + 1)}
+def _assign(slots, k, room: int, q, chosen, found) -> None:
+    """Add q times the binomials of every assignment of slots[k:] that
+    raises the exponents above their minima by at most ``room`` in all into
+    ``found``, keyed by the room left and the sorted chosen variables."""
+    if k == len(slots):
+        key = (room, tuple(sorted(chosen)))
+        found[key] = found.get(key, 0) + q
+        return
+    for extra, (_, b, var) in enumerate(slots[k]):
+        if extra > room:
+            break
+        chosen.append(var)
+        _assign(slots, k + 1, room - extra, q * b, chosen, found)
+        chosen.pop()

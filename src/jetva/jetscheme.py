@@ -25,7 +25,6 @@ from .jetpoly import (
     derivation_T,
     jet_var,
     substitute_jets,
-    series_coefficient,
 )
 from .linalg import RowReducer
 
@@ -179,6 +178,16 @@ def _presentation_vars(spec, offsets, max_weight) -> tuple[JetVar, ...]:
     return tuple(sorted(out))
 
 
+def _expansion_generators(spec: SchemeSpec, offsets, max_weight) -> list[JetGenerator]:
+    """The z^w coefficients, w <= max_weight, of every relation expanded
+    along the jet with the given coset offsets, zeros dropped."""
+    return [
+        JetGenerator(w, i, coeff)
+        for i, p in enumerate(spec.relations, start=1)
+        for w, coeff in substitute_jets(p, offsets, max_weight).coeffs
+    ]
+
+
 def jet_generators(
     spec: SchemeSpec, max_weight: int, method: str = "T_recursion"
 ) -> JetPresentation:
@@ -187,32 +196,29 @@ def jet_generators(
     Two routes are implemented and must agree: ``T_recursion`` iterates the
     divided translation derivation, P[i,n] = T(P[i,n-1])/n, while
     ``substitution`` expands P_i along the generic jet and reads off the
-    t^n coefficient.  Exact zeros contribute nothing and are dropped.
+    t^n coefficient (the twisted expansion with every offset zero).  Exact
+    zeros contribute nothing and are dropped.
     """
     if method not in ("T_recursion", "substitution"):
         raise ValueError(f"unknown method {method!r}")
     W = int(max_weight)
-    offsets = {idx: Fraction(0) for idx in spec.variables}
-    gens: list[JetGenerator] = []
-    for i, p in enumerate(spec.relations, start=1):
-        if method == "T_recursion":
+    if method == "substitution":
+        gens = _expansion_generators(spec, {}, W)
+    else:
+        gens = []
+        for i, p in enumerate(spec.relations, start=1):
             cur = p  # P[i,0]; then P[i,n] = T(P[i,n-1]) / n
             for n in range(0, W + 1):
                 if not cur.is_zero:
                     gens.append(JetGenerator(Fraction(n), i, cur))
                 cur = derivation_T(cur).scale(Fraction(1, n + 1))
-        else:
-            s = substitute_jets(p, offsets, W)
-            for w in s.support():
-                if 0 <= w <= W:
-                    gens.append(JetGenerator(w, i, series_coefficient(s, w)))
     gens.sort(key=lambda gg: (gg.weight, gg.relation))
     return JetPresentation(
         twisted=False,
         order=spec.order,
         automorphism=None,
         max_weight=Fraction(W),
-        variables=_presentation_vars(spec, offsets, W),
+        variables=_presentation_vars(spec, {}, W),
         generators=tuple(gens),
     )
 
@@ -229,12 +235,7 @@ def twisted_jet_generators(
         )
     W = Fraction(max_weight)
     offsets = g.offsets(spec)
-    gens: list[JetGenerator] = []
-    for i, p in enumerate(spec.relations, start=1):
-        s = substitute_jets(p, offsets, W)
-        for w in s.support():
-            if 0 <= w <= W:
-                gens.append(JetGenerator(w, i, series_coefficient(s, w)))
+    gens = _expansion_generators(spec, offsets, W)
     gens.sort(key=lambda gg: (gg.weight, gg.relation))
     return JetPresentation(
         twisted=True,

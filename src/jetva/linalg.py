@@ -55,10 +55,3 @@ class RowReducer:
 
     def contains(self, row: Row) -> bool:
         return not self.reduce(row)
-
-
-def rank_of(rows, order: int) -> int:
-    red = RowReducer(order)
-    for row in rows:
-        red.add(row)
-    return red.rank

@@ -19,7 +19,6 @@ into the twisted field coefficients.
 from __future__ import annotations
 
 import dataclasses
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,7 +30,7 @@ from .jetpoly import (
     derivation_T,
     divided_t_power,
     eigen_index,
-    generator_series,
+    substitute_jets,
 )
 from .jetscheme import DiagAutomorphism, SchemeSpec, _poly_row, twisted_jet_generators
 from .linalg import RowReducer
@@ -44,14 +43,6 @@ def _alpha_list(g: DiagAutomorphism, spec: SchemeSpec | None) -> tuple[int, ...]
     if spec is not None:
         return tuple(g.alpha_by_index(spec))
     return g.exponents
-
-
-def _require_plain_source(a: JetPoly) -> None:
-    for v in a.variables():
-        if v.point != 0:
-            raise ValueError("twisted field source must use the origin alphabet")
-        if v.level.denominator != 1:
-            raise ValueError("twisted field source must have integer levels")
 
 
 def _max_weight(a: JetPoly) -> Fraction:
@@ -71,54 +62,24 @@ class TwistedField:
         beyond the window it raises."""
         return self.series.coefficient(-Fraction(n) - 1)
 
-    def max_known_mode(self):
-        """Largest index whose mode can be nonzero, None for a field with
-        no visible terms."""
-        ms = self.series.min_support()
-        if ms is None:
-            return None
-        return -ms - 1
-
 
 @lru_cache(maxsize=None)
 def _build_field(
     a: JetPoly, order: int, alpha: tuple[int, ...], window: Fraction
 ) -> TwistedField:
+    for v in a.variables():
+        if v.index > len(alpha):
+            raise ValueError(f"no exponent known for coordinate {v.index}")
     r = eigen_index(a, alpha)
     if r is None:
         raise ValueError("twisted field source must be character-homogeneous")
-    total = PuiseuxSeries.from_dict(order, {}, window)
-    gen_cache: dict[int, PuiseuxSeries] = {}
-    for mon, c in a.terms:
-        # Pad so the product of differentiated factors still covers the
-        # window: each z-derivative costs one order of truncation and the
-        # factor derivatives add up to the monomial weight.
-        pad = window + mon.weight + 1
-        term = PuiseuxSeries.constant(JetPoly.const(order, c))
-        for v, e in mon.factors:
-            if v.index > len(alpha):
-                raise ValueError(f"no exponent known for coordinate {v.index}")
-            base = gen_cache.get(v.index)
-            if base is None or base.trunc < pad:
-                base = generator_series(
-                    order, v.index, Fraction(alpha[v.index - 1], order), pad
-                )
-                gen_cache[v.index] = base
-            d = int(-v.level)
-            fac = base.truncate(pad)
-            for _ in range(d):
-                fac = fac.differentiate()
-            fac = fac * Fraction(1, math.factorial(d))
-            for _ in range(e):
-                term = term * fac
-        total = total + term.truncate(window)
-    return TwistedField(a, r, total)
+    offsets = {i: Fraction(e, order) for i, e in enumerate(alpha, start=1)}
+    return TwistedField(a, r, substitute_jets(a, offsets, window))
 
 
 def twisted_field(
     a: JetPoly, g: DiagAutomorphism, window, spec: SchemeSpec | None = None
 ) -> TwistedField:
-    _require_plain_source(a)
     if a.order != g.order:
         raise ValueError("source and symmetry orders differ")
     return _build_field(a, g.order, _alpha_list(g, spec), Fraction(window))

@@ -3,11 +3,14 @@ and determinism.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import jetva
 from jetva.cli import main
 
 
@@ -172,6 +175,17 @@ def test_exit_2_on_missing_file(capsys):
     capsys.readouterr()
 
 
+def test_exit_3_when_window_too_small(spec_file, capsys):
+    payload = {"m": 3, "variables": ["x1", "x2"], "relations": [], "exponents": [1, 2]}
+    path = spec_file(payload)
+    argv = ["check-twisted", "--input", path, "--window", "2", "--index-bound", "2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("window too small: ")
+    assert "beyond the window" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # determinism and text format
 # ---------------------------------------------------------------------------
@@ -199,10 +213,14 @@ def test_text_format_lists_checks(spec_file, capsys):
 
 def test_console_entry_point(spec_file, tmp_path):
     path = spec_file(LINE_M1)
+    # the child imports the same jetva as this test, installed or not
+    src = str(Path(jetva.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "jetva.cli", "jet", "--input", path,
          "--max-weight", "2", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)

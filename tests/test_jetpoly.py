@@ -23,12 +23,12 @@ from jetva.jetpoly import (
     divided_t_power,
     eigen_decompose,
     eigen_index,
-    generator_series,
     jet_var,
     retag_point,
     substitute_jets,
-    untwisted_offsets,
 )
+from jetva.cyclo import zeta_pow
+from jetva.va import vertex_op
 
 
 def x(i, level=0, m=1, point=0):
@@ -213,16 +213,10 @@ def test_admissible_levels():
     ]
 
 
-def test_generator_series_support():
-    s = generator_series(2, 1, Fraction(1, 2), 3)
-    assert s.support() == (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
-    assert s.coefficient(Fraction(1, 2)) == x(1, Fraction(-1, 2), m=2)
-
-
 def test_substitution_matches_divided_powers():
     # The t^n coefficient of P(x(t)) equals T^n(P)/n! for untwisted jets.
     P = x(1) ** 2 * x(2) - 3 * x(2) ** 2
-    s = substitute_jets(P, untwisted_offsets(2), 5)
+    s = substitute_jets(P, {}, 5)
     for n in range(0, 6):
         assert s.coefficient(n) == divided_t_power(P, n)
 
@@ -235,8 +229,39 @@ def test_substitution_matches_divided_powers():
 )
 def test_substitution_cross_oracle_random(e, c, n):
     P = c * x(1) ** e + x(2)
-    s = substitute_jets(P, untwisted_offsets(2), 4)
+    s = substitute_jets(P, {}, 4)
     assert s.coefficient(n) == divided_t_power(P, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=4),
+    window=st.integers(min_value=0, max_value=5),
+    terms=st.lists(
+        st.tuples(
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=0, max_value=3),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=1, max_value=3),
+                    st.integers(min_value=0, max_value=3),
+                ),
+                max_size=3,
+            ),
+        ),
+        max_size=3,
+    ),
+)
+def test_substitution_matches_vertex_operator(m, window, terms):
+    # integer-level sources: (c zeta^k) * prod x[i,-d] summed over terms,
+    # against Y(a,z) = sum T^n(a)/n! z^n from the translation derivation
+    a = JetPoly.zero(m)
+    for c, k, factors in terms:
+        mono = JetPoly.const(m, zeta_pow(m, k)).scale(c)
+        for i, d in factors:
+            mono = mono * x(i, -d, m=m)
+        a = a + mono
+    assert substitute_jets(a, {}, window) == vertex_op(a, window)
 
 
 def test_substitution_twisted_coefficients_frozen():
@@ -247,3 +272,18 @@ def test_substitution_twisted_coefficients_frozen():
     assert str(s.coefficient(1)) == "x1[-1/2]^2"
     assert str(s.coefficient(2)) == "2*x1[-1/2]*x1[-3/2]"
     assert str(s.coefficient(3)) == "2*x1[-1/2]*x1[-5/2] + x1[-3/2]^2"
+    # the bare coordinate: one variable per exponent of its coset
+    s = substitute_jets(x(1, m=2), {1: Fraction(1, 2)}, 3)
+    assert s.support() == (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
+    assert s.coefficient(Fraction(1, 2)) == x(1, Fraction(-1, 2), m=2)
+    # a level -1 factor is the divided z-derivative of its coordinate's jet:
+    # x1[-1] -> sum C(c,1) x1[-c] z^(c-1), x2 -> sum x2[-c] z^c, c in 1/2 + N
+    s = substitute_jets(x(1, -1, m=2) * x(2, m=2), {1: Fraction(1, 2), 2: Fraction(1, 2)}, 2)
+    assert s.support() == (0, 1, 2)
+    assert str(s.coefficient(0)) == "1/2*x1[-1/2]*x2[-1/2]"
+    assert str(s.coefficient(1)) == "1/2*x1[-1/2]*x2[-3/2] + 3/2*x1[-3/2]*x2[-1/2]"
+    assert str(s.coefficient(2)) == (
+        "1/2*x1[-1/2]*x2[-5/2] + 3/2*x1[-3/2]*x2[-3/2] + 5/2*x1[-5/2]*x2[-1/2]"
+    )
+    with pytest.raises(TruncationError):
+        s.coefficient(3)
