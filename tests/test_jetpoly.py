@@ -213,6 +213,13 @@ def test_admissible_levels():
     ]
 
 
+def test_generator_series_support():
+    # the bare coordinate at offset 1/2: one variable per exponent of its coset
+    s = substitute_jets(x(1, m=2), {1: Fraction(1, 2)}, 3)
+    assert s.support() == (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
+    assert s.coefficient(Fraction(1, 2)) == x(1, Fraction(-1, 2), m=2)
+
+
 def test_substitution_matches_divided_powers():
     # The t^n coefficient of P(x(t)) equals T^n(P)/n! for untwisted jets.
     P = x(1) ** 2 * x(2) - 3 * x(2) ** 2
@@ -272,10 +279,6 @@ def test_substitution_twisted_coefficients_frozen():
     assert str(s.coefficient(1)) == "x1[-1/2]^2"
     assert str(s.coefficient(2)) == "2*x1[-1/2]*x1[-3/2]"
     assert str(s.coefficient(3)) == "2*x1[-1/2]*x1[-5/2] + x1[-3/2]^2"
-    # the bare coordinate: one variable per exponent of its coset
-    s = substitute_jets(x(1, m=2), {1: Fraction(1, 2)}, 3)
-    assert s.support() == (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
-    assert s.coefficient(Fraction(1, 2)) == x(1, Fraction(-1, 2), m=2)
     # a level -1 factor is the divided z-derivative of its coordinate's jet:
     # x1[-1] -> sum C(c,1) x1[-c] z^(c-1), x2 -> sum x2[-c] z^c, c in 1/2 + N
     s = substitute_jets(x(1, -1, m=2) * x(2, m=2), {1: Fraction(1, 2), 2: Fraction(1, 2)}, 2)
