@@ -4,6 +4,9 @@ random sources and full index boxes, reporting pass counts and timing.
 
 Usage:
     python scripts/axiom_sweep.py --order 2 --window 6 --index-bound 2 --seed 0
+
+Exit code 0 when every check passes, 1 on a failure, 3 (with "window too
+small: ..." on stderr) when a check needs a coefficient beyond the window.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import time
 from jetva import (
     DiagAutomorphism,
     JetPoly,
+    TruncationError,
     check_borcherds,
     check_twisted_axioms,
     check_twisted_borcherds,
@@ -123,7 +127,11 @@ def main(argv=None) -> int:
     cfg = SweepConfig(
         args.order, exps, args.window, args.index_bound, args.samples, args.seed
     )
-    return run(cfg)
+    try:
+        return run(cfg)
+    except TruncationError as e:
+        print(f"window too small: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ class FieldMismatchError(TypeError):
     """Arithmetic between scalars of different cyclotomic orders."""
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     """Euler totient.
 
@@ -136,6 +137,9 @@ class CycScalar:
         return any(self.coeffs)
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational shifts the constant coordinate only
+            return CycScalar(self.order, (self.coeffs[0] + other, *self.coeffs[1:]))
         other = CycScalar.coerce(self.order, other)
         return CycScalar(
             self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
@@ -147,12 +151,20 @@ class CycScalar:
         return CycScalar(self.order, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-CycScalar.coerce(self.order, other))
+        if isinstance(other, (int, Fraction)):
+            return self + (-other)
+        other = CycScalar.coerce(self.order, other)
+        return CycScalar(
+            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+        )
 
     def __rsub__(self, other):
-        return (-self) + CycScalar.coerce(self.order, other)
+        return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scales the coordinates; no product to reduce
+            return CycScalar(self.order, tuple(a * other for a in self.coeffs))
         other = CycScalar.coerce(self.order, other)
         n = len(self.coeffs)
         prod = [Fraction(0)] * (2 * n - 1)
@@ -205,7 +217,7 @@ class CycScalar:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return CycScalar.coerce(self.order, other) * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

@@ -449,16 +449,7 @@ class PuiseuxSeries:
 
     def __mul__(self, other):
         if not isinstance(other, PuiseuxSeries):
-            # exact scalar or polynomial factor: window unchanged
-            return PuiseuxSeries(
-                self.order,
-                tuple(
-                    (w, q)
-                    for w, p in self.coeffs
-                    if not (q := p * other).is_zero
-                ),
-                self.trunc,
-            )
+            return NotImplemented
         self._check(other)
         # The product is exact up to min(W_a + min_supp(b), W_b + min_supp(a)):
         # beyond that, unknown coefficients of one factor could contribute.

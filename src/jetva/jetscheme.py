@@ -12,6 +12,7 @@ exact bigraded dimension tables of bounded quotients.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 from .cyclo import CycScalar
@@ -280,33 +281,60 @@ def fixed_point_ring(spec: SchemeSpec, g: DiagAutomorphism) -> SchemeSpec:
 # ---------------------------------------------------------------------------
 
 
+def _packed_box(ambient: tuple[JetVar, ...], max_weight, max_degree: int):
+    """Every monomial of the box, packed into one int each.
+
+    ``ambient`` must be sorted and free of repeats.  Variable j owns bits
+    [j*B, (j+1)*B) of the code for its exponent, B = max(1,
+    max_degree.bit_length()); weights are ints in units of 1/L, L the lcm of
+    the ambient weight denominators.  Returns (B, L, slices), slices mapping
+    each integer weight present to its (degree, code) pairs sorted by
+    degree.  Since no exponent sum in the box exceeds max_degree, the
+    product of two monomials whose product stays in the box is the sum of
+    their codes, with no carry between fields.
+    """
+    D = int(max_degree)
+    bits = max(1, D.bit_length())
+    L = math.lcm(*(v.weight.denominator for v in ambient))
+    W = math.floor(Fraction(max_weight) * L)
+    box = [(0, 0, 0)] if W >= 0 else []  # (weight, degree, code)
+    for j, v in enumerate(ambient):
+        wv = int(v.weight * L)
+        grown = []
+        for w, d, code in box:
+            e = 0
+            while d + e <= D and w + wv * e <= W:
+                grown.append((w + wv * e, d + e, code + (e << j * bits)))
+                e += 1
+        box = grown
+    slices: dict[int, list[tuple[int, int]]] = {}
+    for w, d, code in sorted(box):
+        slices.setdefault(w, []).append((d, code))
+    return bits, L, slices
+
+
 def enumerate_monomials(
     ambient: tuple[JetVar, ...], max_weight, max_degree: int
 ) -> dict[Fraction, list[Monomial]]:
     """All monomials in the ambient variables with weight <= max_weight and
     degree <= max_degree, grouped by weight, each slice sorted by degree."""
-    W = Fraction(max_weight)
-    vars_sorted = sorted(set(ambient))
+    vars_sorted = tuple(sorted(set(ambient)))
+    bits, L, packed = _packed_box(vars_sorted, max_weight, max_degree)
+    mask = (1 << bits) - 1
     slices: dict[Fraction, list[Monomial]] = {}
-
-    def rec(pos: int, factors, w: Fraction, d: int):
-        if pos == len(vars_sorted):
-            mon = Monomial(tuple(factors))
-            slices.setdefault(w, []).append(mon)
-            return
-        v = vars_sorted[pos]
-        e = 0
-        while d + e <= max_degree and w + v.weight * e <= W:
-            if e:
-                factors.append((v, e))
-            rec(pos + 1, factors, w + v.weight * e, d + e)
-            if e:
-                factors.pop()
-            e += 1
-
-    rec(0, [], Fraction(0), 0)
-    for mons in slices.values():
+    for w, table in packed.items():
+        mons = [
+            Monomial(
+                tuple(
+                    (v, e)
+                    for j, v in enumerate(vars_sorted)
+                    if (e := code >> j * bits & mask)
+                )
+            )
+            for _, code in table
+        ]
         mons.sort(key=_mono_key)
+        slices[Fraction(w, L)] = mons
     return slices
 
 
@@ -326,6 +354,14 @@ def graded_quotient_dims(
     in which case the table reads off the degree filtration of the quotient.
     Entries are upper bounds for the true quotient dimensions, exact once
     they are stable under enlarging the bounds.
+
+    Monomials are handled as the packed int codes of ``_packed_box``: the
+    multiple q * mon of a generator term is the code sum q + t, and each
+    slice's columns are its (degree, code) table, sorted by degree.  The
+    order of the columns within one degree does not matter: the (w, d) entry
+    is the rank that the whole set of degree-d monomials adds on top of the
+    rows and the lower degrees, and a rank does not depend on the order in
+    which the columns are listed.
     """
     W = Fraction(max_weight)
     D = int(max_degree)
@@ -339,25 +375,36 @@ def graded_quotient_dims(
             raise ValueError(f"ideal generator is not weight-homogeneous: {p}")
         if not p.variables() <= allowed:
             raise ValueError("ideal generator uses a variable outside the ambient set")
-    slices = enumerate_monomials(ambient, W, D)
+    bits, L, slices = _packed_box(ambient, W, D)
+    shift_of = {v: j * bits for j, v in enumerate(ambient)}
+    # (weight, degree room left for the multiplier, [(term code, coeff)])
+    packed_gens = [
+        (
+            int(p.homogeneous_weight() * L),
+            D - p.max_degree(),
+            [
+                (sum(e << shift_of[v] for v, e in mon.factors), c)
+                for mon, c in p.terms
+            ],
+        )
+        for p in gens
+    ]
+    one = CycScalar.one(order)
     dims: dict[tuple[Fraction, int], int] = {}
-    for w, mons in sorted(slices.items()):
-        columns = {mon: j for j, mon in enumerate(mons)}
+    for w, table in slices.items():
+        columns = {code: j for j, (_, code) in enumerate(table)}
         red = RowReducer(order)
-        for gen in gens:
-            wg = gen.homogeneous_weight()
-            room = D - gen.max_degree()
+        for wg, room, terms in packed_gens:
             if wg > w or room < 0:
                 continue
-            for q in slices.get(w - wg, []):
-                if q.degree > room:
-                    continue
-                red.add({columns[q * mon]: c for mon, c in gen.terms})
-        by_degree: dict[int, int] = {d: 0 for d in range(D + 1)}
-        for mon in mons:  # already sorted by degree
-            one = CycScalar.one(order)
-            if red.add({columns[mon]: one}):
-                by_degree[mon.degree] += 1
+            for d, q in slices.get(w - wg, ()):
+                if d > room:
+                    break  # the table is sorted by degree
+                red.add({columns[q + t]: c for t, c in terms})
+        by_degree = [0] * (D + 1)
+        for j, (d, _) in enumerate(table):
+            if red.add({j: one}):
+                by_degree[d] += 1
         for d in range(D + 1):
-            dims[(w, d)] = by_degree[d]
+            dims[(Fraction(w, L), d)] = by_degree[d]
     return dims

@@ -5,9 +5,19 @@ row-echelon basis and supports incremental rank queries, which is what the
 graded dimension counts and the span-membership checks need.  Everything is
 exact; there is no pivoting heuristic beyond "lowest column first" because
 there is no rounding to fight.
+
+Rows come in typed over CycScalar, but every rational entry is lowered to
+its Fraction, on entry and whenever an update leaves an entry rational;
+only the irrational entries stay CycScalar.  So the common all-rational
+row is reduced with Fraction arithmetic alone, and mixed products and sums
+go through CycScalar's reflected operators, which take a rational operand
+without a full cyclotomic product.  Stored pivot rows and returned
+residues hold these lowered entries.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .cyclo import CycScalar
 
@@ -15,30 +25,40 @@ from .cyclo import CycScalar
 Row = dict[int, CycScalar]
 
 
+def _lower(v: Fraction | CycScalar) -> Fraction | CycScalar:
+    """A rational CycScalar as its Fraction; anything else unchanged."""
+    if type(v) is CycScalar and v.is_rational():
+        return v.coeffs[0]
+    return v
+
+
 class RowReducer:
     """Incremental row-echelon form over a fixed cyclotomic field."""
 
     def __init__(self, order: int):
         self.order = order
-        self.pivots: dict[int, Row] = {}  # pivot column -> normalized row
+        # pivot column -> row with entry 1 there, entries lowered
+        self.pivots: dict[int, dict[int, Fraction | CycScalar]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: Row) -> Row:
-        """Return the residue of ``row`` modulo the current row space."""
-        work = {c: v for c, v in row.items() if v}
+    def reduce(self, row: Row) -> dict[int, Fraction | CycScalar]:
+        """Return the residue of ``row`` modulo the current row space, with
+        rational entries as Fractions."""
+        work = {c: _lower(v) for c, v in row.items() if v}
+        pivots = self.pivots
         while work:
             lead = min(work)
-            piv = self.pivots.get(lead)
+            piv = pivots.get(lead)
             if piv is None:
                 return work
             factor = work[lead]
             for c, v in piv.items():
-                acc = work.get(c, CycScalar.zero(self.order)) - factor * v
+                acc = work.get(c, 0) - factor * v
                 if acc:
-                    work[c] = acc
+                    work[c] = _lower(acc)
                 else:
                     work.pop(c, None)
         return work
@@ -49,8 +69,8 @@ class RowReducer:
         if not res:
             return False
         lead = min(res)
-        inv = res[lead].inverse()
-        self.pivots[lead] = {c: inv * v for c, v in res.items()}
+        inv = 1 / res[lead]
+        self.pivots[lead] = {c: _lower(inv * v) for c, v in res.items()}
         return True
 
     def contains(self, row: Row) -> bool:

@@ -225,3 +225,21 @@ def test_console_entry_point(spec_file, tmp_path):
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["command"] == "jet"
+
+
+def test_axiom_sweep_reports_small_window():
+    # the README example: a twisted Borcherds identity needs z^14/3, past
+    # window 4, so the script must end with exit code 3, not a traceback
+    script = Path(__file__).parents[1] / "scripts" / "axiom_sweep.py"
+    src = str(Path(jetva.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--order", "3", "--exponents", "1", "2",
+         "--window", "4"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("window too small: ")
+    assert "z^14/3" in proc.stderr
+    assert "Traceback" not in proc.stderr

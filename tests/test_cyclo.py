@@ -126,3 +126,26 @@ def test_pow_matches_repeated_product(a, k):
     for _ in range(k):
         expected = expected * a
     assert a ** k == expected
+
+
+_rationals = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    c=st.sampled_from([1, 2, 3, 4, 5, 12]).flatmap(_scalars), q=_rationals
+)
+def test_rational_operand_shortcut_matches_full_product(c, q):
+    m = c.order
+    full = CycScalar.from_rational(m, q)
+    assert c * q == c * full
+    assert q * c == full * c
+    assert c + q == c + full
+    assert q + c == full + c
+    assert c - q == c - full
+    assert q - c == full - c
+    if c:
+        assert q / c == full * c.inverse()

@@ -192,6 +192,15 @@ def test_product_window_shrinks_with_min_support():
     assert prod.coefficient(-1) == JetPoly.one(1)
 
 
+def test_series_multiplies_only_series():
+    s = PuiseuxSeries.from_dict(1, {0: x(1)}, 2)
+    for other in (2, Fraction(1, 2), x(1)):
+        with pytest.raises(TypeError):
+            s * other
+        with pytest.raises(TypeError):
+            other * s
+
+
 def test_differentiate_shrinks_window():
     s = PuiseuxSeries.from_dict(1, {1: x(1), 3: x(1, -1)}, 3)
     d = s.differentiate()

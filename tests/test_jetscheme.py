@@ -4,13 +4,16 @@ derived by hand by iterating T P / n! and, independently, by expanding the
 relations along the generic (twisted) jet.
 """
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetva.jetpoly import JetPoly, derivation_T, jet_var
+from jetva.cyclo import CycScalar
+from jetva.jetpoly import JetPoly, Monomial, derivation_T, jet_var
 from jetva.jetscheme import (
     DiagAutomorphism,
     IdealNotPreservedError,
@@ -189,6 +192,67 @@ def test_enumerate_monomials_sorted_by_degree_within_slice():
         "x1[-1]^2",
         "x1[0]*x1[-1]^2",
     ]
+
+
+# Twisted levels at m = 3 on both alphabets, so weights run over (1/3)Z.
+_POOL = (
+    jet_var(1, 0),
+    jet_var(1, -1),
+    jet_var(2, Fraction(-1, 3)),
+    jet_var(2, Fraction(-4, 3)),
+    jet_var(3, Fraction(-2, 3)),
+    jet_var(1, Fraction(-2, 3), point=1),
+)
+
+
+def _box_counts(ambient, gen_exps, W, D):
+    """(weight, degree) -> number of box monomials no generator divides,
+    by brute force over every exponent vector."""
+    counts = Counter()
+    weights = set()
+    for exps in itertools.product(range(D + 1), repeat=len(ambient)):
+        d = sum(exps)
+        w = sum((v.weight * e for v, e in zip(ambient, exps)), Fraction(0))
+        if d > D or w > W:
+            continue
+        weights.add(w)
+        if not any(all(a <= b for a, b in zip(g, exps)) for g in gen_exps):
+            counts[(w, d)] += 1
+    return {(w, d): counts[(w, d)] for w in sorted(weights) for d in range(D + 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    picks=st.lists(st.sampled_from(range(len(_POOL))), unique=True, max_size=4),
+    data=st.data(),
+    W=st.fractions(min_value=0, max_value=Fraction(5, 2), max_denominator=7),
+    D=st.integers(min_value=0, max_value=3),
+)
+@example(picks=[], data=None, W=Fraction(1), D=2)
+@example(picks=[0, 2], data=None, W=Fraction(5, 4), D=0)
+def test_dims_of_monomial_ideal_count_undivided_monomials(picks, data, W, D):
+    ambient = tuple(_POOL[i] for i in sorted(picks))
+    gen_exps = []
+    if data is not None and ambient:
+        gen_exps = data.draw(
+            st.lists(
+                st.lists(
+                    st.integers(min_value=0, max_value=2),
+                    min_size=len(ambient),
+                    max_size=len(ambient),
+                ).filter(any),
+                max_size=3,
+            )
+        )
+    z = CycScalar.zeta(3)
+    coeffs = itertools.cycle([CycScalar.one(3), z, CycScalar.from_rational(3, -2)])
+    gens = [
+        JetPoly(3, ((Monomial.of(*zip(ambient, exps)), next(coeffs)),))
+        for exps in gen_exps
+    ]
+    assert graded_quotient_dims(3, ambient, gens, W, D) == _box_counts(
+        ambient, gen_exps, W, D
+    )
 
 
 @settings(max_examples=20, deadline=None)
