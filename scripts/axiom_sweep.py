@@ -1,104 +1,30 @@
 #!/usr/bin/env python3
-"""Sweep the vertex-operator axioms and both Borcherds identities over
-random sources and full index boxes, reporting pass counts and timing.
+"""Sweep the vertex-operator axioms and both Borcherds identities over the
+coordinates and random sources of an affine space with a diagonal symmetry.
+
+The script writes the affine scheme its flags describe and runs
+``jetva check-va`` and then ``jetva check-twisted`` on it, printing one count
+line per command and every failing check.
 
 Usage:
     python scripts/axiom_sweep.py --order 2 --window 6 --index-bound 2 --seed 0
 
-Exit code 0 when every check passes, 1 on a failure, 3 (with "window too
-small: ..." on stderr) when a check needs a coefficient beyond the window.
+Exit code: the worst of the two commands' (0 when every check passes, 1 on
+a failure, 2 on invalid input, 3 with "window too small: ..." on stderr when
+a check needs a coefficient beyond the window).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import itertools
-import random
+import contextlib
+import io
+import json
+import os
 import sys
-import time
+import tempfile
 
-from jetva import (
-    DiagAutomorphism,
-    JetPoly,
-    TruncationError,
-    check_borcherds,
-    check_twisted_axioms,
-    check_twisted_borcherds,
-    check_va_axioms,
-    eigen_index,
-)
-from jetva.cli import coset_indices, random_sources
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepConfig:
-    order: int
-    exponents: tuple[int, ...]
-    window: int
-    index_bound: int
-    samples: int
-    seed: int
-
-
-def run(cfg: SweepConfig) -> int:
-    rng = random.Random(cfg.seed)
-    k = len(cfg.exponents)
-    g = DiagAutomorphism(cfg.order, cfg.exponents)
-    alpha = list(cfg.exponents)
-    sources = [JetPoly.var(cfg.order, i) for i in range(1, k + 1)]
-    sources += random_sources(rng, cfg.order, k, cfg.samples)
-
-    failures = 0
-    t0 = time.time()
-    n_axiom = 0
-    for a in sources:
-        for c in check_va_axioms(a, cfg.window, alpha=alpha, samples=sources[:2]):
-            n_axiom += 1
-            if not c.passed:
-                failures += 1
-                print(f"FAIL axiom [{a}]: {c.name} :: {c.witness}")
-    print(f"plain axioms: {n_axiom} checks ({time.time() - t0:.1f}s)")
-
-    t0 = time.time()
-    n_plain = 0
-    box = range(-cfg.index_bound, cfg.index_bound + 1)
-    for a, b in itertools.product(sources, repeat=2):
-        for mi, ni, ki in itertools.product(box, repeat=3):
-            n_plain += 1
-            c = check_borcherds(a, b, mi, ni, ki, cfg.window)
-            if not c.passed:
-                failures += 1
-                print(f"FAIL [{a} | {b}] {c.name} :: {c.witness}")
-    print(f"plain Borcherds: {n_plain} identities ({time.time() - t0:.1f}s)")
-
-    t0 = time.time()
-    n_tax = 0
-    for a, b in zip(sources, sources[1:] + sources[:1]):
-        for c in check_twisted_axioms(a, b, g, cfg.window):
-            n_tax += 1
-            if not c.passed:
-                failures += 1
-                print(f"FAIL twisted axiom [{a}]: {c.name} :: {c.witness}")
-    print(f"twisted axioms: {n_tax} checks ({time.time() - t0:.1f}s)")
-
-    t0 = time.time()
-    n_tw = 0
-    for a, b in itertools.product(sources, repeat=2):
-        ra = eigen_index(a, alpha)
-        rb = eigen_index(b, alpha)
-        for li in box:
-            for mi in coset_indices(ra, cfg.order, cfg.index_bound):
-                for ni in coset_indices(rb, cfg.order, cfg.index_bound):
-                    n_tw += 1
-                    c = check_twisted_borcherds(a, b, g, li, mi, ni, cfg.window)
-                    if not c.passed:
-                        failures += 1
-                        print(f"FAIL [{a} | {b}] {c.name} :: {c.witness}")
-    print(f"twisted Borcherds: {n_tw} identities ({time.time() - t0:.1f}s)")
-
-    print(f"total failures: {failures}")
-    return 0 if failures == 0 else 1
+from jetva import cli
 
 
 def main(argv=None) -> int:
@@ -119,19 +45,41 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.exponents is None:
-        exps = tuple(
-            (1 if i == 0 else 0) % args.order for i in range(args.coords)
-        )
+        exps = [(1 if i == 0 else 0) % args.order for i in range(args.coords)]
     else:
-        exps = tuple(args.exponents)
-    cfg = SweepConfig(
-        args.order, exps, args.window, args.index_bound, args.samples, args.seed
-    )
-    try:
-        return run(cfg)
-    except TruncationError as e:
-        print(f"window too small: {e}", file=sys.stderr)
-        return 3
+        exps = list(args.exponents)
+    scheme = {
+        "m": args.order,
+        "variables": [f"x{i}" for i in range(1, len(exps) + 1)],
+        "relations": [],
+        "exponents": exps,
+    }
+
+    worst = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scheme.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(scheme, fh)
+        for command in ("check-va", "check-twisted"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                status = cli.main([
+                    command, "--input", path, "--format", "json",
+                    "--window", str(args.window),
+                    "--index-bound", str(args.index_bound),
+                    "--random-samples", str(args.samples),
+                    "--seed", str(args.seed),
+                ])
+            worst = max(worst, status)
+            if status > 1:  # invalid input or too small a window, on stderr
+                return worst
+            report = json.loads(buf.getvalue())
+            counts = report["results"]["counts"]
+            print(f"{command}: {counts['total']} checks, {counts['failed']} failed")
+            for c in report["checks"]:
+                if not c["pass"]:
+                    print(f"FAIL {c['name']} :: {c.get('witness')}")
+    return worst
 
 
 if __name__ == "__main__":

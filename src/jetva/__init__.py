@@ -1,120 +1,5 @@
 """Exact jet-space fields: jet schemes, twisted jets, vertex-operator
-axioms at finite truncation, and orbifold coinvariants."""
+axioms at finite truncation, and orbifold coinvariants.
 
-from .cyclo import CycScalar, FieldMismatchError, cyclotomic_poly, euler_phi, zeta_pow
-from .coinv import (
-    OrbiSetup,
-    OutSection,
-    coinvariant_dims,
-    enumerate_sections,
-    residue_relation,
-    section_j_window,
-    verify_fixed_ring,
-)
-from .jetpoly import (
-    JetPoly,
-    JetVar,
-    Monomial,
-    PuiseuxSeries,
-    TruncationError,
-    admissible_levels,
-    apply_automorphism,
-    binom,
-    derivation_T,
-    divided_t_power,
-    eigen_decompose,
-    eigen_index,
-    jet_var,
-    retag_point,
-    substitute_jets,
-)
-from .jetscheme import (
-    DiagAutomorphism,
-    IdealNotPreservedError,
-    JetGenerator,
-    JetPresentation,
-    SchemeSpec,
-    checked_automorphism,
-    enumerate_monomials,
-    fixed_point_ring,
-    graded_quotient_dims,
-    jet_generators,
-    preserves_ideal,
-    twisted_jet_generators,
-)
-from .linalg import RowReducer
-from .parse import ParseError, format_poly, parse_expression
-from .quasiconf import L_op, Ltilde_op, check_commutators
-from .reports import CheckResult, all_passed
-from .twisted import (
-    TwistedField,
-    check_descent,
-    check_twisted_axioms,
-    check_twisted_borcherds,
-    twisted_field,
-    twisted_mode,
-    twisted_vertex_op,
-)
-from .va import check_borcherds, check_va_axioms, mode, vertex_op
-
-__all__ = [
-    "CheckResult",
-    "CycScalar",
-    "DiagAutomorphism",
-    "FieldMismatchError",
-    "IdealNotPreservedError",
-    "JetGenerator",
-    "JetPoly",
-    "JetPresentation",
-    "JetVar",
-    "Monomial",
-    "OrbiSetup",
-    "OutSection",
-    "ParseError",
-    "PuiseuxSeries",
-    "RowReducer",
-    "SchemeSpec",
-    "TruncationError",
-    "TwistedField",
-    "admissible_levels",
-    "all_passed",
-    "apply_automorphism",
-    "binom",
-    "check_borcherds",
-    "check_commutators",
-    "check_descent",
-    "check_twisted_axioms",
-    "check_twisted_borcherds",
-    "check_va_axioms",
-    "checked_automorphism",
-    "coinvariant_dims",
-    "cyclotomic_poly",
-    "derivation_T",
-    "divided_t_power",
-    "eigen_decompose",
-    "eigen_index",
-    "enumerate_monomials",
-    "enumerate_sections",
-    "euler_phi",
-    "fixed_point_ring",
-    "format_poly",
-    "graded_quotient_dims",
-    "jet_generators",
-    "jet_var",
-    "L_op",
-    "Ltilde_op",
-    "mode",
-    "parse_expression",
-    "preserves_ideal",
-    "residue_relation",
-    "retag_point",
-    "section_j_window",
-    "substitute_jets",
-    "twisted_field",
-    "twisted_jet_generators",
-    "twisted_mode",
-    "twisted_vertex_op",
-    "verify_fixed_ring",
-    "vertex_op",
-    "zeta_pow",
-]
+The Python API is the submodules (``jetva.coinv``, ``jetva.twisted``, ...);
+the command line is ``jetva.cli``."""

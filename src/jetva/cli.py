@@ -19,6 +19,7 @@ window).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import re
@@ -50,7 +51,7 @@ class InputError(ValueError):
 
 def load_spec(path: str):
     """Read and validate a scheme description, returning
-    (spec, automorphism, variable names, relation source strings)."""
+    (spec, automorphism, variable names)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -103,14 +104,18 @@ def load_spec(path: str):
 
     spec = SchemeSpec(m, tuple(range(1, len(names) + 1)), tuple(relations))
     g = DiagAutomorphism(m, tuple(exps))
-    return spec, g, names, rel_texts
+    return spec, g, names
 
 
-def _fraction_flag(text: str, flag: str) -> Fraction:
+def _bound(value, flag: str) -> Fraction:
+    """A --max-weight or --max-degree value, which must be nonnegative."""
     try:
-        return Fraction(text)
+        bound = Fraction(value)
     except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"invalid {flag} {text!r}: {e}") from e
+        raise InputError(f"invalid {flag} {value!r}: {e}") from e
+    if bound < 0:
+        raise InputError(f"{flag} must be nonnegative, got {value}")
+    return bound
 
 
 def _base_inputs(args, spec, g, names) -> dict:
@@ -131,7 +136,11 @@ def _gen_records(pres) -> list[dict]:
     ]
 
 
-def random_sources(rng: random.Random, order: int, k: int, count: int) -> list[JetPoly]:
+def _counts(checks) -> dict:
+    return {"total": len(checks), "failed": sum(1 for c in checks if not c.passed)}
+
+
+def _random_sources(rng: random.Random, order: int, k: int, count: int) -> list[JetPoly]:
     """``count`` random monomials of one to three factors x[i,-d], i in 1..k,
     d in 0..2."""
     out = []
@@ -143,7 +152,7 @@ def random_sources(rng: random.Random, order: int, k: int, count: int) -> list[J
     return out
 
 
-def coset_indices(r: int, m: int, bound: int) -> list[Fraction]:
+def _coset_indices(r: int, m: int, bound: int) -> list[Fraction]:
     """Mode indices in r/m + Z of absolute value at most the bound, rising."""
     base = Fraction(r, m)
     return [base + t for t in range(-bound - 1, bound + 2) if abs(base + t) <= bound]
@@ -155,10 +164,10 @@ def coset_indices(r: int, m: int, bound: int) -> list[Fraction]:
 
 
 def cmd_jet(args):
-    spec, g, names, _ = load_spec(args.input)
-    W = _fraction_flag(args.max_weight, "--max-weight")
-    if W.denominator != 1 or W < 0:
-        raise InputError("--max-weight must be a nonnegative integer here")
+    spec, g, names = load_spec(args.input)
+    W = _bound(args.max_weight, "--max-weight")
+    if W.denominator != 1:
+        raise InputError("--max-weight must be an integer here")
     pres_t = jet_generators(spec, int(W), "T_recursion")
     pres_s = jet_generators(spec, int(W), "substitution")
     seen_t = {(g_.relation, g_.weight): g_.poly for g_ in pres_t.generators}
@@ -181,8 +190,8 @@ def cmd_jet(args):
 
 
 def cmd_twisted_jet(args):
-    spec, g, names, _ = load_spec(args.input)
-    W = _fraction_flag(args.max_weight, "--max-weight")
+    spec, g, names = load_spec(args.input)
+    W = _bound(args.max_weight, "--max-weight")
     try:
         pres = twisted_jet_generators(spec, g, W)
     except IdealNotPreservedError as e:
@@ -198,7 +207,7 @@ def cmd_twisted_jet(args):
 
 
 def cmd_fixed_points(args):
-    spec, g, names, _ = load_spec(args.input)
+    spec, g, names = load_spec(args.input)
     fixed = fixed_point_ring(spec, g)
     inputs = _base_inputs(args, spec, g, names)
     results = {
@@ -224,100 +233,83 @@ def _sources(args, spec, g, names, require_eigen: bool):
             skipped.append(text)
             continue
         sources.append((text, p))
-    for p in random_sources(rng, g.order, len(names), args.random_samples):
+    for p in _random_sources(rng, g.order, len(names), args.random_samples):
         sources.append((str(p), p))
     return sources, skipped
 
 
-def cmd_check_va(args):
-    spec, g, names, _ = load_spec(args.input)
+def _sweep(args, command: str, require_eigen: bool, labelled_checks):
+    """The frame check-va and check-twisted share: load the scheme, draw the
+    sources, run ``labelled_checks(spec, g, W, sources)`` (it yields
+    (source label, check) pairs) and report the labelled checks."""
+    spec, g, names = load_spec(args.input)
     W = Fraction(args.window)
-    B = args.index_bound
-    sources, _ = _sources(args, spec, g, names, require_eigen=False)
-    alpha = g.alpha_by_index(spec)
-    checks: list[CheckResult] = []
-    for label, a in sources:
-        for c in check_va_axioms(a, W, alpha=alpha, samples=[p for _, p in sources]):
-            checks.append(CheckResult(f"[a = {label}] {c.name}", c.passed, c.witness))
-    for la, a in sources:
-        for lb, b in sources:
-            for mi in range(-B, B + 1):
-                for ni in range(-B, B + 1):
-                    for ki in range(-B, B + 1):
-                        c = check_borcherds(a, b, mi, ni, ki, W)
-                        checks.append(
-                            CheckResult(
-                                f"[a = {la}, b = {lb}] {c.name}", c.passed, c.witness
-                            )
-                        )
+    sources, skipped = _sources(args, spec, g, names, require_eigen)
+    checks = [
+        CheckResult(f"{label} {c.name}", c.passed, c.witness)
+        for label, c in labelled_checks(spec, g, W, sources)
+    ]
     inputs = _base_inputs(args, spec, g, names)
     inputs["window"] = str(W)
-    inputs["index_bound"] = B
+    inputs["index_bound"] = args.index_bound
     inputs["random_samples"] = args.random_samples
-    failed = sum(1 for c in checks if not c.passed)
-    results = {
-        "sources": [label for label, _ in sources],
-        "counts": {"total": len(checks), "failed": failed},
-    }
-    return {"command": "check-va", "inputs": inputs, "results": results}, checks
+    results = {"sources": [label for label, _ in sources]}
+    if require_eigen:
+        results["skipped_sources"] = skipped
+    results["counts"] = _counts(checks)
+    return {"command": command, "inputs": inputs, "results": results}, checks
+
+
+def cmd_check_va(args):
+    box = range(-args.index_bound, args.index_bound + 1)
+
+    def labelled_checks(spec, g, W, sources):
+        alpha = g.alpha_by_index(spec)
+        samples = [p for _, p in sources]
+        for la, a in sources:
+            for c in check_va_axioms(a, W, alpha=alpha, samples=samples):
+                yield f"[a = {la}]", c
+        for (la, a), (lb, b) in itertools.product(sources, repeat=2):
+            for mi, ni, ki in itertools.product(box, repeat=3):
+                yield f"[a = {la}, b = {lb}]", check_borcherds(a, b, mi, ni, ki, W)
+
+    return _sweep(args, "check-va", False, labelled_checks)
 
 
 def cmd_check_twisted(args):
-    spec, g, names, _ = load_spec(args.input)
-    W = Fraction(args.window)
     B = args.index_bound
-    alpha = g.alpha_by_index(spec)
-    sources, skipped = _sources(args, spec, g, names, require_eigen=True)
-    checks: list[CheckResult] = []
-    for (la, a), (lb, b) in zip(sources, sources[1:] + sources[:1]):
-        for c in check_twisted_axioms(a, b, g, W, spec):
-            checks.append(CheckResult(f"[a = {la}, b = {lb}] {c.name}", c.passed, c.witness))
-    for la, a in sources:
-        ra = eigen_index(a, alpha)
-        for lb, b in sources:
-            rb = eigen_index(b, alpha)
+
+    def labelled_checks(spec, g, W, sources):
+        alpha = g.alpha_by_index(spec)
+        for (la, a), (lb, b) in zip(sources, sources[1:] + sources[:1]):
+            for c in check_twisted_axioms(a, b, g, W, spec):
+                yield f"[a = {la}, b = {lb}]", c
+        for (la, a), (lb, b) in itertools.product(sources, repeat=2):
+            ra, rb = eigen_index(a, alpha), eigen_index(b, alpha)
             for li in range(-B, B + 1):
-                for mi in coset_indices(ra, g.order, B):
-                    for ni in coset_indices(rb, g.order, B):
+                for mi in _coset_indices(ra, g.order, B):
+                    for ni in _coset_indices(rb, g.order, B):
                         c = check_twisted_borcherds(a, b, g, li, mi, ni, W, spec)
-                        checks.append(
-                            CheckResult(
-                                f"[a = {la}, b = {lb}] {c.name}", c.passed, c.witness
-                            )
-                        )
-    inputs = _base_inputs(args, spec, g, names)
-    inputs["window"] = str(W)
-    inputs["index_bound"] = B
-    inputs["random_samples"] = args.random_samples
-    failed = sum(1 for c in checks if not c.passed)
-    results = {
-        "sources": [label for label, _ in sources],
-        "skipped_sources": skipped,
-        "counts": {"total": len(checks), "failed": failed},
-    }
-    return {"command": "check-twisted", "inputs": inputs, "results": results}, checks
+                        yield f"[a = {la}, b = {lb}]", c
+
+    return _sweep(args, "check-twisted", True, labelled_checks)
 
 
 def cmd_check_quasiconf(args):
-    spec, g, names, _ = load_spec(args.input)
-    W = _fraction_flag(args.max_weight, "--max-weight")
+    spec, g, names = load_spec(args.input)
+    W = _bound(args.max_weight, "--max-weight")
     checks = check_commutators(g, args.index_bound, W)
     inputs = _base_inputs(args, spec, g, names)
     inputs["max_weight"] = str(W)
     inputs["index_bound"] = args.index_bound
-    failed = sum(1 for c in checks if not c.passed)
-    results = {"counts": {"total": len(checks), "failed": failed}}
-    return {
-        "command": "check-quasiconf",
-        "inputs": inputs,
-        "results": results,
-    }, checks
+    results = {"counts": _counts(checks)}
+    return {"command": "check-quasiconf", "inputs": inputs, "results": results}, checks
 
 
 def cmd_coinvariants(args):
-    spec, g, names, _ = load_spec(args.input)
-    W = _fraction_flag(args.max_weight, "--max-weight")
-    D = args.max_degree
+    spec, g, names = load_spec(args.input)
+    W = _bound(args.max_weight, "--max-weight")
+    D = int(_bound(args.max_degree, "--max-degree"))
     try:
         setup = OrbiSetup(spec, g, W, D)
         dims, checks = verify_fixed_ring(setup)

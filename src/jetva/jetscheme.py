@@ -87,10 +87,6 @@ class DiagAutomorphism:
             self.order, tuple((-a) % self.order for a in self.exponents)
         )
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(a == 0 for a in self.exponents)
-
     def offsets(self, spec: SchemeSpec) -> dict[int, Fraction]:
         """Coset offset alpha_i/m in [0,1) for each variable index."""
         return {
@@ -163,10 +159,6 @@ class JetGenerator:
 
 @dataclasses.dataclass(frozen=True)
 class JetPresentation:
-    twisted: bool
-    order: int
-    automorphism: DiagAutomorphism | None
-    max_weight: Fraction
     variables: tuple[JetVar, ...]
     generators: tuple[JetGenerator, ...]
 
@@ -214,14 +206,7 @@ def jet_generators(
                     gens.append(JetGenerator(Fraction(n), i, cur))
                 cur = derivation_T(cur).scale(Fraction(1, n + 1))
     gens.sort(key=lambda gg: (gg.weight, gg.relation))
-    return JetPresentation(
-        twisted=False,
-        order=spec.order,
-        automorphism=None,
-        max_weight=Fraction(W),
-        variables=_presentation_vars(spec, {}, W),
-        generators=tuple(gens),
-    )
+    return JetPresentation(_presentation_vars(spec, {}, W), tuple(gens))
 
 
 def twisted_jet_generators(
@@ -238,14 +223,7 @@ def twisted_jet_generators(
     offsets = g.offsets(spec)
     gens = _expansion_generators(spec, offsets, W)
     gens.sort(key=lambda gg: (gg.weight, gg.relation))
-    return JetPresentation(
-        twisted=True,
-        order=spec.order,
-        automorphism=g,
-        max_weight=W,
-        variables=_presentation_vars(spec, offsets, W),
-        generators=tuple(gens),
-    )
+    return JetPresentation(_presentation_vars(spec, offsets, W), tuple(gens))
 
 
 # ---------------------------------------------------------------------------

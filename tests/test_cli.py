@@ -4,6 +4,7 @@ and determinism.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +158,23 @@ def test_exit_2_on_bad_inputs(spec_file, capsys):
         capsys.readouterr()
 
 
+def test_exit_2_on_negative_bounds(spec_file, capsys):
+    # a negative bound is invalid input, not a vacuous pass or a false FAIL
+    path = spec_file(PARABOLA)
+    cases = [
+        ["coinvariants", "--max-weight", "-1"],
+        ["coinvariants", "--max-degree", "-1"],
+        ["twisted-jet", "--max-weight=-1/2"],
+        ["check-quasiconf", "--max-weight", "-1"],
+        ["jet", "--max-weight", "-1"],
+    ]
+    for argv in cases:
+        assert main([*argv, "--input", path]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --max-"), argv
+        assert captured.out == ""
+
+
 def test_exit_2_when_symmetry_moves_ideal(spec_file, capsys):
     payload = {
         "m": 2,
@@ -243,3 +261,53 @@ def test_axiom_sweep_reports_small_window():
     assert proc.stderr.startswith("window too small: ")
     assert "z^14/3" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _run_script(name, *argv):
+    script = Path(__file__).parents[1] / "scripts" / name
+    src = str(Path(jetva.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(script), *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_coinvariant_tables_script():
+    proc = _run_script("coinvariant_tables.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 8
+    rows = []
+    for line in lines:
+        found = re.search(r"weight-0 dims (\[[0-9, ]*\])  positive-weight total 0"
+                          r"  \[ok\] \(\d+\.\ds\)$", line)
+        assert found, line
+        rows.append(json.loads(found.group(1)))
+    assert rows == [
+        [1, 0, 0, 0],
+        [1, 1, 1, 1],
+        [1, 0, 0, 0],
+        [1, 0, 0, 0],
+        [1, 1, 0, 0],
+        [1, 0, 0, 0],
+        [1, 0, 0, 0],
+        [1, 1, 0, 0],
+    ]
+
+
+def test_axiom_sweep_totals_match_cli(spec_file, capsys):
+    proc = _run_script("axiom_sweep.py", "--window", "4", "--index-bound", "1")
+    assert proc.returncode == 0, proc.stderr
+    # the script's defaults: order 2, two coordinates, exponents (1, 0),
+    # two random samples, seed 0
+    path = spec_file({"m": 2, "variables": ["x1", "x2"], "relations": [],
+                      "exponents": [1, 0]})
+    expected = []
+    for command in ("check-va", "check-twisted"):
+        code, rep = run_json(capsys, command, "--input", path, "--window", "4",
+                             "--index-bound", "1", "--random-samples", "2")
+        assert code == 0
+        counts = rep["results"]["counts"]
+        expected.append(f"{command}: {counts['total']} checks, 0 failed")
+    assert proc.stdout.splitlines() == expected
