@@ -30,7 +30,6 @@ from .coinv import OrbiSetup, verify_fixed_ring
 from .jetpoly import JetPoly, TruncationError, eigen_index
 from .jetscheme import (
     DiagAutomorphism,
-    IdealNotPreservedError,
     SchemeSpec,
     fixed_point_ring,
     jet_generators,
@@ -108,7 +107,8 @@ def load_spec(path: str):
 
 
 def _bound(value, flag: str) -> Fraction:
-    """A --max-weight or --max-degree value, which must be nonnegative."""
+    """The value of a size flag (a weight or degree bound, a window, an index
+    bound or a sample count), which must be nonnegative."""
     try:
         bound = Fraction(value)
     except (ValueError, ZeroDivisionError) as e:
@@ -192,10 +192,7 @@ def cmd_jet(args):
 def cmd_twisted_jet(args):
     spec, g, names = load_spec(args.input)
     W = _bound(args.max_weight, "--max-weight")
-    try:
-        pres = twisted_jet_generators(spec, g, W)
-    except IdealNotPreservedError as e:
-        raise InputError(str(e)) from e
+    pres = twisted_jet_generators(spec, g, W)
     checks = [CheckResult("relation span preserved by the action", True)]
     inputs = _base_inputs(args, spec, g, names)
     inputs["max_weight"] = str(W)
@@ -217,8 +214,8 @@ def cmd_fixed_points(args):
     return {"command": "fixed-points", "inputs": inputs, "results": results}, []
 
 
-def _sources(args, spec, g, names, require_eigen: bool):
-    rng = random.Random(args.seed)
+def _sources(seed, count, spec, g, names, require_eigen: bool):
+    rng = random.Random(seed)
     alpha = g.alpha_by_index(spec)
     sources: list[tuple[str, JetPoly]] = []
     for i, name in enumerate(names, start=1):
@@ -233,21 +230,24 @@ def _sources(args, spec, g, names, require_eigen: bool):
             skipped.append(text)
             continue
         sources.append((text, p))
-    for p in _random_sources(rng, g.order, len(names), args.random_samples):
+    for p in _random_sources(rng, g.order, len(names), count):
         sources.append((str(p), p))
     return sources, skipped
 
 
 def _sweep(args, command: str, require_eigen: bool, labelled_checks):
     """The frame check-va and check-twisted share: load the scheme, draw the
-    sources, run ``labelled_checks(spec, g, W, sources)`` (it yields
-    (source label, check) pairs) and report the labelled checks."""
+    sources, run ``labelled_checks(spec, g, W, B, sources)`` (it yields
+    (source label, check) pairs; B is the index bound) and report the
+    labelled checks."""
     spec, g, names = load_spec(args.input)
-    W = Fraction(args.window)
-    sources, skipped = _sources(args, spec, g, names, require_eigen)
+    W = _bound(args.window, "--window")
+    B = int(_bound(args.index_bound, "--index-bound"))
+    count = int(_bound(args.random_samples, "--random-samples"))
+    sources, skipped = _sources(args.seed, count, spec, g, names, require_eigen)
     checks = [
         CheckResult(f"{label} {c.name}", c.passed, c.witness)
-        for label, c in labelled_checks(spec, g, W, sources)
+        for label, c in labelled_checks(spec, g, W, B, sources)
     ]
     inputs = _base_inputs(args, spec, g, names)
     inputs["window"] = str(W)
@@ -261,10 +261,9 @@ def _sweep(args, command: str, require_eigen: bool, labelled_checks):
 
 
 def cmd_check_va(args):
-    box = range(-args.index_bound, args.index_bound + 1)
-
-    def labelled_checks(spec, g, W, sources):
+    def labelled_checks(spec, g, W, B, sources):
         alpha = g.alpha_by_index(spec)
+        box = range(-B, B + 1)
         samples = [p for _, p in sources]
         for la, a in sources:
             for c in check_va_axioms(a, W, alpha=alpha, samples=samples):
@@ -277,9 +276,7 @@ def cmd_check_va(args):
 
 
 def cmd_check_twisted(args):
-    B = args.index_bound
-
-    def labelled_checks(spec, g, W, sources):
+    def labelled_checks(spec, g, W, B, sources):
         alpha = g.alpha_by_index(spec)
         for (la, a), (lb, b) in zip(sources, sources[1:] + sources[:1]):
             for c in check_twisted_axioms(a, b, g, W, spec):
@@ -298,7 +295,8 @@ def cmd_check_twisted(args):
 def cmd_check_quasiconf(args):
     spec, g, names = load_spec(args.input)
     W = _bound(args.max_weight, "--max-weight")
-    checks = check_commutators(g, args.index_bound, W)
+    B = int(_bound(args.index_bound, "--index-bound"))
+    checks = check_commutators(g, B, W)
     inputs = _base_inputs(args, spec, g, names)
     inputs["max_weight"] = str(W)
     inputs["index_bound"] = args.index_bound
@@ -310,11 +308,7 @@ def cmd_coinvariants(args):
     spec, g, names = load_spec(args.input)
     W = _bound(args.max_weight, "--max-weight")
     D = int(_bound(args.max_degree, "--max-degree"))
-    try:
-        setup = OrbiSetup(spec, g, W, D)
-        dims, checks = verify_fixed_ring(setup)
-    except IdealNotPreservedError as e:
-        raise InputError(str(e)) from e
+    dims, checks = verify_fixed_ring(OrbiSetup(spec, g, W, D))
     inputs = _base_inputs(args, spec, g, names)
     inputs["max_weight"] = str(W)
     inputs["max_degree"] = D

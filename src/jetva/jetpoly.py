@@ -369,16 +369,6 @@ def apply_automorphism(alpha, p: JetPoly) -> JetPoly:
     return JetPoly._from_dict(p.order, acc)
 
 
-def eigen_decompose(p: JetPoly, alpha) -> list[JetPoly]:
-    """Split p into its m character components; index r collects the
-    monomials with sum(alpha_i * multiplicity) congruent to r mod m."""
-    m = p.order
-    buckets: list[dict[Monomial, CycScalar]] = [dict() for _ in range(m)]
-    for mon, c in p.terms:
-        buckets[mon.character(alpha) % m][mon] = c
-    return [JetPoly._from_dict(m, b) for b in buckets]
-
-
 def eigen_index(p: JetPoly, alpha):
     """Character of an eigen-homogeneous polynomial, None if mixed."""
     chars = {mon.character(alpha) % p.order for mon, _ in p.terms}

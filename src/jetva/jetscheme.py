@@ -57,10 +57,6 @@ class SchemeSpec:
                 raise ValueError("relation uses a variable outside the scheme")
 
     @classmethod
-    def affine(cls, order: int, k: int) -> SchemeSpec:
-        return cls(order, tuple(range(1, k + 1)), ())
-
-    @classmethod
     def of(cls, order: int, k: int, relations) -> SchemeSpec:
         return cls(order, tuple(range(1, k + 1)), tuple(relations))
 
@@ -130,19 +126,6 @@ def preserves_ideal(spec: SchemeSpec, g: DiagAutomorphism) -> bool:
         if not red.contains(_poly_row(image, columns)):
             return False
     return True
-
-
-def checked_automorphism(
-    spec: SchemeSpec, order: int, exponents
-) -> DiagAutomorphism:
-    g = DiagAutomorphism(order, tuple(exponents))
-    if order != spec.order:
-        raise ValueError("automorphism order must match the scheme's scalar order")
-    if not preserves_ideal(spec, g):
-        raise IdealNotPreservedError(
-            f"exponents {g.exponents} do not preserve the relation span"
-        )
-    return g
 
 
 # ---------------------------------------------------------------------------

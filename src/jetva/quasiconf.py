@@ -57,26 +57,16 @@ def _shift_derivation(p: JetPoly, b: int, factor: int) -> JetPoly:
     return JetPoly._from_dict(order, acc)
 
 
-def L_op(b: int, p: JetPoly, max_weight=None) -> JetPoly:
+def L_op(b: int, p: JetPoly) -> JetPoly:
     """The untwisted weight-shift derivation L_b, b >= 0."""
-    if max_weight is not None:
-        W = Fraction(max_weight)
-        for v in p.variables():
-            if v.weight > W:
-                raise ValueError(f"variable {v} beyond the weight window {W}")
     for v in p.variables():
         if v.level.denominator != 1:
             raise ValueError("L_b acts on the ring with integer levels")
     return _shift_derivation(p, b, 1)
 
 
-def Ltilde_op(b: int, p: JetPoly, g: DiagAutomorphism, max_weight=None) -> JetPoly:
+def Ltilde_op(b: int, p: JetPoly, g: DiagAutomorphism) -> JetPoly:
     """The twisted weight-shift derivation Lt_b = m * (shift by b), b >= 0."""
-    if max_weight is not None:
-        W = Fraction(max_weight)
-        for v in p.variables():
-            if v.weight > W:
-                raise ValueError(f"variable {v} beyond the weight window {W}")
     return _shift_derivation(p, b, g.order)
 
 
@@ -87,82 +77,61 @@ def check_commutators(
 
     Test vectors are all single jet variables of weight up to the window:
     the operators and their brackets are derivations, so agreement on
-    variables forces agreement on the whole ring.
+    variables forces agreement on the whole ring.  Each check runs for the
+    plain family (factor 1, integer levels) and then for the twisted one
+    (factor m, coset levels).
     """
     W = Fraction(max_weight)
     m = g.order
     k = len(g.exponents)
-    out: list[CheckResult] = []
-
-    plain_vars = [
-        JetPoly.var(m, i, -w)
-        for i in range(1, k + 1)
-        for w in range(0, int(W) + 1)
-    ]
-    twisted_vars = [
+    plain = [JetPoly.var(m, i, -w) for i in range(1, k + 1) for w in range(int(W) + 1)]
+    twisted = [
         JetPoly.var(m, i, n)
         for i in range(1, k + 1)
         for n in admissible_levels(Fraction(g.exponents[i - 1], m), W)
     ]
 
-    bad = None
-    for v in plain_vars:
-        got = L_op(0, v)
-        want = v.scale(_var_weight(v))
-        if got != want:
-            bad = f"{v}: {got - want}"
-            break
-    out.append(
-        CheckResult("weight eigenvalue: L_0 v = wt(v) v", bad is None, bad)
-    )
+    def Lt(b, p):
+        return Ltilde_op(b, p, g)
 
-    bad = None
-    for v in twisted_vars:
-        got = Ltilde_op(0, v, g)
-        want = v.scale(m * _var_weight(v))
-        if got != want:
-            bad = f"{v}: {got - want}"
-            break
-    out.append(
-        CheckResult(
-            f"weight eigenvalue: Lt_0 v = {m}*wt(v) v", bad is None, bad
+    families = [
+        ("L", 1, "wt(v)", L_op, plain),
+        ("Lt", m, f"{m}*wt(v)", Lt, twisted),
+    ]
+    out: list[CheckResult] = []
+    for name, factor, eigenvalue, L, variables in families:
+        bad = _first_mismatch(
+            (v, L(0, v), v.scale(factor * _var_weight(v))) for v in variables
         )
-    )
-
-    for a in range(0, max_index + 1):
-        for b in range(0, max_index + 1):
-            coef = b - a
-            bad = None
-            for v in plain_vars:
-                lhs = L_op(b, L_op(a, v)) - L_op(a, L_op(b, v))
-                rhs = L_op(a + b, v).scale(coef)
-                if lhs != rhs:
-                    bad = f"{v}: {lhs - rhs}"
-                    break
-            out.append(
-                CheckResult(
-                    f"[L_{a}, L_{b}] = ({coef}) L_{a + b}", bad is None, bad
-                )
+        out.append(
+            CheckResult(
+                f"weight eigenvalue: {name}_0 v = {eigenvalue} v", bad is None, bad
             )
-
-    for a in range(0, max_index + 1):
-        for b in range(0, max_index + 1):
-            coef = m * (b - a)
-            bad = None
-            for v in twisted_vars:
-                lhs = Ltilde_op(b, Ltilde_op(a, v, g), g) - Ltilde_op(
-                    a, Ltilde_op(b, v, g), g
+        )
+    for name, factor, _, L, variables in families:
+        for a in range(0, max_index + 1):
+            for b in range(0, max_index + 1):
+                coef = factor * (b - a)
+                bad = _first_mismatch(
+                    (v, L(b, L(a, v)) - L(a, L(b, v)), L(a + b, v).scale(coef))
+                    for v in variables
                 )
-                rhs = Ltilde_op(a + b, v, g).scale(coef)
-                if lhs != rhs:
-                    bad = f"{v}: {lhs - rhs}"
-                    break
-            out.append(
-                CheckResult(
-                    f"[Lt_{a}, Lt_{b}] = ({coef}) Lt_{a + b}", bad is None, bad
+                out.append(
+                    CheckResult(
+                        f"[{name}_{a}, {name}_{b}] = ({coef}) {name}_{a + b}",
+                        bad is None,
+                        bad,
+                    )
                 )
-            )
     return out
+
+
+def _first_mismatch(cases) -> str | None:
+    """``v: lhs - rhs`` for the first (v, lhs, rhs) with lhs != rhs."""
+    for v, lhs, rhs in cases:
+        if lhs != rhs:
+            return f"{v}: {lhs - rhs}"
+    return None
 
 
 def _var_weight(v: JetPoly) -> Fraction:

@@ -63,7 +63,8 @@ class TwistedField:
         return self.series.coefficient(-Fraction(n) - 1)
 
 
-@lru_cache(maxsize=None)
+# Sweeps reuse a few recent fields; an unbounded cache keeps every one.
+@lru_cache(maxsize=32)
 def _build_field(
     a: JetPoly, order: int, alpha: tuple[int, ...], window: Fraction
 ) -> TwistedField:

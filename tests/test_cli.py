@@ -162,16 +162,23 @@ def test_exit_2_on_negative_bounds(spec_file, capsys):
     # a negative bound is invalid input, not a vacuous pass or a false FAIL
     path = spec_file(PARABOLA)
     cases = [
-        ["coinvariants", "--max-weight", "-1"],
-        ["coinvariants", "--max-degree", "-1"],
-        ["twisted-jet", "--max-weight=-1/2"],
-        ["check-quasiconf", "--max-weight", "-1"],
-        ["jet", "--max-weight", "-1"],
+        (["coinvariants", "--max-weight", "-1"], "--max-weight"),
+        (["coinvariants", "--max-degree", "-1"], "--max-degree"),
+        (["twisted-jet", "--max-weight=-1/2"], "--max-weight"),
+        (["check-quasiconf", "--max-weight", "-1"], "--max-weight"),
+        (["jet", "--max-weight", "-1"], "--max-weight"),
+        (["check-va", "--index-bound", "-1"], "--index-bound"),
+        (["check-twisted", "--index-bound", "-1"], "--index-bound"),
+        (["check-quasiconf", "--index-bound", "-1"], "--index-bound"),
+        (["check-va", "--random-samples", "-1"], "--random-samples"),
+        (["check-twisted", "--random-samples", "-1"], "--random-samples"),
+        (["check-va", "--window", "-1"], "--window"),
+        (["check-twisted", "--window", "-1"], "--window"),
     ]
-    for argv in cases:
+    for argv, flag in cases:
         assert main([*argv, "--input", path]) == 2, argv
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: --max-"), argv
+        assert captured.err.startswith(f"error: {flag} "), argv
         assert captured.out == ""
 
 

@@ -21,7 +21,6 @@ from jetva.jetpoly import (
     binom,
     derivation_T,
     divided_t_power,
-    eigen_decompose,
     eigen_index,
     jet_var,
     retag_point,
@@ -137,15 +136,12 @@ def test_automorphism_commutes_with_translation():
         )
 
 
-def test_eigen_decompose_splits_and_sums():
-    p = x(1, 0, m=2) + x(2, 0, m=2) + x(1, 0, m=2) * x(1, -1, m=2)
-    parts = eigen_decompose(p, [1, 0])
-    assert len(parts) == 2
-    assert str(parts[0]) == "x2[0] + x1[0]*x1[-1]"
-    assert str(parts[1]) == "x1[0]"
-    assert parts[0] + parts[1] == p
-    assert eigen_index(p, [1, 0]) is None
-    assert eigen_index(parts[1], [1, 0]) == 1
+def test_eigen_index_of_mixed_and_pure_characters():
+    even = x(2, 0, m=2) + x(1, 0, m=2) * x(1, -1, m=2)
+    odd = x(1, 0, m=2)
+    assert eigen_index(even + odd, [1, 0]) is None
+    assert eigen_index(even, [1, 0]) == 0
+    assert eigen_index(odd, [1, 0]) == 1
     assert eigen_index(JetPoly.zero(2), [1, 0]) == 0
 
 

@@ -18,7 +18,6 @@ from jetva.jetscheme import (
     DiagAutomorphism,
     IdealNotPreservedError,
     SchemeSpec,
-    checked_automorphism,
     enumerate_monomials,
     fixed_point_ring,
     graded_quotient_dims,
@@ -100,7 +99,7 @@ def test_preserves_ideal():
     # x1 -> -x1, x2 -> -x2 sends x1^2 - x2 to x1^2 + x2: not in the span
     assert not preserves_ideal(spec, DiagAutomorphism(2, (1, 1)))
     with pytest.raises(IdealNotPreservedError):
-        checked_automorphism(spec, 2, (1, 1))
+        twisted_jet_generators(spec, DiagAutomorphism(2, (1, 1)), 2)
 
 
 def test_twisted_generators_parabola_frozen():

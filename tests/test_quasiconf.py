@@ -56,14 +56,6 @@ def test_leibniz_rule():
         assert lhs == rhs
 
 
-def test_weight_window_argument():
-    # the window validates the input lives inside the truncated quotient
-    p = x(1, -4)
-    assert L_op(1, p, max_weight=4) == L_op(1, p)
-    with pytest.raises(ValueError):
-        L_op(1, p, max_weight=3)
-
-
 # ---------------------------------------------------------------------------
 # commutators
 # ---------------------------------------------------------------------------

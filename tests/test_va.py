@@ -112,6 +112,14 @@ def test_borcherds_full_box():
                 assert res.passed, (m_idx, n_idx, k_idx, res)
 
 
+def test_borcherds_zero_partner_mode_settles_product():
+    # at m = -3, n = k = 0 each product on the right pairs a_(-3), past
+    # window 0, with b_(0) = 0; the zero factor settles the product
+    res = check_borcherds(x(1), x(1), -3, 0, 0, 0)
+    assert res.passed
+    assert res.name == "borcherds(m=-3, n=0, k=0)"
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
