@@ -24,7 +24,8 @@ import os
 import sys
 import tempfile
 
-from jetva import cli
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+from jetva import cli  # noqa: E402
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,8 @@ import tempfile
 import time
 from fractions import Fraction
 
-from jetva import cli
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+from jetva import cli  # noqa: E402
 
 
 def _scheme(m, relations, exponents) -> dict:

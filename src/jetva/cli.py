@@ -142,11 +142,12 @@ def _counts(checks) -> dict:
 
 def _random_sources(rng: random.Random, order: int, k: int, count: int) -> list[JetPoly]:
     """``count`` random monomials of one to three factors x[i,-d], i in 1..k,
-    d in 0..2."""
+    d in 0..2.  Without coordinates each is the unit 1, and the rng is not
+    drawn from."""
     out = []
     for _ in range(count):
         p = JetPoly.one(order)
-        for _f in range(rng.randint(1, 3)):
+        for _f in range(rng.randint(1, 3) if k else 0):
             p = p * JetPoly.var(order, rng.randint(1, k), -rng.randint(0, 2))
         out.append(p)
     return out

@@ -12,8 +12,13 @@ matching field coefficients at the two points must cancel,
   - (coeff of w^((j+1)/m)  in Y_g^-1(p))    on alphabet 1.
 
 Because the sources are level-0, each field is supported in nonnegative
-exponents, so each relation is concentrated on one alphabet except for
-j = -1, where it glues the two level-0 rings along invariant monomials.
+exponents, so the relation set is just the coefficients of each monomial's
+two fields: the coefficient of Y_g(p) at an exponent e > 0 for
+j = -m e - 1, the negated one of Y_g^-1(p) at e for j = m e - 1, and at
+exponent 0 the gluing relation p(0) - p(inf) of j = -1, which identifies
+the two level-0 rings along invariant monomials.  A coefficient at
+exponent e has weight e, so each field is built once, at the weight
+window.
 The bounded quotient of the two twisted jet rings by the twisted jet ideals
 plus these residue relations is computed exactly; for windows at least one
 it collapses onto the coordinate ring of the fixed subscheme in weight
@@ -38,7 +43,7 @@ from .jetscheme import (
     twisted_jet_generators,
 )
 from .reports import CheckResult
-from .twisted import twisted_vertex_op
+from .twisted import twisted_field
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,87 +63,47 @@ class OrbiSetup:
             raise ValueError("scheme and symmetry orders differ")
 
 
-@dataclasses.dataclass(frozen=True)
-class OutSection:
-    """A monomial section p u^j du of the equivariant twisted differentials."""
-
-    poly: Monomial
-    j: int
-    character: int
-
-
-def section_j_window(order: int, max_weight) -> tuple[int, int]:
-    """Default exponent window [-(m W + 1), m W] covering every relation of
-    weight up to the window on either alphabet."""
-    span = int(order * Fraction(max_weight))
-    return (-(span + 1), span)
-
-
-def enumerate_sections(
-    spec: SchemeSpec,
-    g: DiagAutomorphism,
-    max_degree: int,
-    j_min: int,
-    j_max: int,
-) -> list[OutSection]:
-    """All sections p u^j du with deg p between 1 and max_degree and j in
-    the window, subject to j + 1 = character(p) mod m."""
-    m = g.order
-    alpha = g.alpha_by_index(spec)
+def enumerate_sections(spec: SchemeSpec, max_degree: int) -> list[Monomial]:
+    """The level-0 monomials p of degree 1 to max_degree.  Each stands for
+    its sections p u^j du, one for every j with j + 1 = character(p) mod m."""
     level0 = tuple(jet_var(idx, 0) for idx in spec.variables)
     monos = enumerate_monomials(level0, 0, max_degree).get(Fraction(0), [])
-    out = []
-    for mon in monos:
-        if mon.degree == 0:
-            continue
-        c = mon.character(alpha) % m
-        for j in range(j_min, j_max + 1):
-            if (j + 1 - c) % m == 0:
-                out.append(OutSection(mon, j, c))
-    return out
+    return [mon for mon in monos if mon.degree]
 
 
-def residue_relation(sec: OutSection, setup: OrbiSetup) -> JetPoly:
-    """The linear relation a section imposes on the two twisted modules."""
-    spec, g = setup.spec, setup.auto
+def residue_relation(mon: Monomial, setup: OrbiSetup) -> dict[int, JetPoly]:
+    """The nonzero relations of the sections of one monomial, keyed by j.
+
+    Both fields are built at the weight window W.  The coefficient of
+    Y_g(p) at an exponent 0 < e <= W is the relation of j = -m e - 1, the
+    one of Y_g^-1(p) at e, moved to alphabet 1 and negated, that of
+    j = m e - 1, and the two constant coefficients glue at j = -1.
+    """
+    spec, g, W = setup.spec, setup.auto, setup.max_weight
     m = g.order
-    W = setup.max_weight
-    p = JetPoly(spec.order, ((sec.poly, CycScalar.one(spec.order)),))
-    w0 = Fraction(-(sec.j + 1), m)
-    winf = Fraction(sec.j + 1, m)
-    # the default j-window keeps both exponents at most W + 1/m, but callers
-    # may widen it, so pad the field window to whatever the section needs
-    pad = max(W, w0, winf) + 1
-    m0 = JetPoly.zero(spec.order)
-    if w0 >= 0:
-        m0 = twisted_vertex_op(p, g, pad, spec).coefficient(w0)
-    minf = JetPoly.zero(spec.order)
-    if winf >= 0:
-        minf = twisted_vertex_op(p, g.inverse(), pad, spec).coefficient(winf)
-    if not m0.is_zero and m0.homogeneous_weight() != w0:
-        raise ValueError(f"field coefficient at z^{w0} is not of weight {w0}")
-    if not minf.is_zero and minf.homogeneous_weight() != winf:
-        raise ValueError(f"field coefficient at w^{winf} is not of weight {winf}")
-    rel = m0 - retag_point(minf, 1)
-    if not rel.is_zero and rel.homogeneous_weight() is None:
-        raise ValueError(
-            f"residue relation of {sec.poly} at j = {sec.j} is not weight-homogeneous"
-        )
-    return rel
+    p = JetPoly(spec.order, ((mon, CycScalar.one(spec.order)),))
+    rels: dict[int, JetPoly] = {}
+    for w, c in twisted_field(p, g, W, spec).series.coeffs:
+        rels[int(-m * w) - 1] = c
+    for w, c in twisted_field(p, g.inverse(), W, spec).series.coeffs:
+        j = int(m * w) - 1
+        rels[j] = rels.get(j, JetPoly.zero(spec.order)) - retag_point(c, 1)
+    for j, rel in rels.items():
+        w = Fraction(abs(j + 1), m)
+        if rel.homogeneous_weight() != w:
+            raise ValueError(
+                f"residue relation of {mon} at j = {j} is not of weight {w}"
+            )
+    return dict(sorted(rels.items()))
 
 
 def _retag_vars(vars_: tuple[JetVar, ...], point: int) -> tuple[JetVar, ...]:
     return tuple(JetVar(point, v.index, v.minus_level) for v in vars_)
 
 
-def coinvariant_dims(
-    setup: OrbiSetup, j_min: int | None = None, j_max: int | None = None
-) -> dict[tuple[Fraction, int], int]:
+def coinvariant_dims(setup: OrbiSetup) -> dict[tuple[Fraction, int], int]:
     """Bounded bigraded dimension table of the coinvariant space."""
     spec, g, W, D = setup.spec, setup.auto, setup.max_weight, setup.max_degree
-    lo, hi = section_j_window(g.order, W)
-    j_min = lo if j_min is None else j_min
-    j_max = hi if j_max is None else j_max
 
     pres0 = twisted_jet_generators(spec, g, W)
     presinf = twisted_jet_generators(spec, g.inverse(), W)
@@ -146,13 +111,8 @@ def coinvariant_dims(
 
     gens: list[JetPoly] = [gen.poly for gen in pres0.generators]
     gens.extend(retag_point(gen.poly, 1) for gen in presinf.generators)
-    for sec in enumerate_sections(spec, g, D, j_min, j_max):
-        rel = residue_relation(sec, setup)
-        if rel.is_zero:
-            continue
-        if rel.homogeneous_weight() > W:
-            continue
-        gens.append(rel)
+    for mon in enumerate_sections(spec, D):
+        gens.extend(residue_relation(mon, setup).values())
     return graded_quotient_dims(g.order, ambient, gens, W, D)
 
 

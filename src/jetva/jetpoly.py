@@ -314,31 +314,42 @@ def retag_point(p: JetPoly, point: int) -> JetPoly:
 
 
 # ---------------------------------------------------------------------------
-# the translation derivation T
+# shift derivations and the translation T
 # ---------------------------------------------------------------------------
 
 
+def shift_derivation(p: JetPoly, b: int, factor: int) -> JetPoly:
+    """First-order derivation sending x[i,l] to -factor*(l+b) x[i,l+b] when
+    l+b < 0 and to zero otherwise; either alphabet, any level coset."""
+    acc: dict[Monomial, CycScalar] = {}
+    for mon, c in p.terms:
+        factors = mon.factors
+        for slot, (v, e) in enumerate(factors):
+            new_level = v.level + b
+            # Strictly positive landing levels are cut; at exactly zero the
+            # coefficient -(l+b) vanishes on its own.
+            if new_level >= 0:
+                continue
+            coef = c * (-factor * e * new_level)
+            rest = list(factors)
+            rest[slot] = (v, e - 1)
+            rest.append((jet_var(v.index, new_level, v.point), 1))
+            mon2 = Monomial.of(*rest)
+            cur = acc.get(mon2)
+            acc[mon2] = coef if cur is None else cur + coef
+    return JetPoly._from_dict(p.order, acc)
+
+
 def derivation_T(p: JetPoly) -> JetPoly:
-    """T x[i,n] = -(n-1) x[i,n-1], extended as a derivation.
+    """T x[i,n] = -(n-1) x[i,n-1], extended as a derivation: the shift
+    derivation L_-1.
 
     >>> m = 1
     >>> x0 = JetPoly.var(m, 1, 0)
     >>> str(derivation_T(x0 * x0))
     '2*x1[0]*x1[-1]'
     """
-    acc: dict[Monomial, CycScalar] = {}
-    for mon, c in p.terms:
-        for k, (v, e) in enumerate(mon.factors):
-            coeff = c * CycScalar.from_rational(p.order, e * (1 - v.level))
-            rest = list(mon.factors)
-            if e == 1:
-                rest.pop(k)
-            else:
-                rest[k] = (v, e - 1)
-            mon2 = Monomial.of(*rest, (v.shifted(-1), 1))
-            cur = acc.get(mon2)
-            acc[mon2] = coeff if cur is None else cur + coeff
-    return JetPoly._from_dict(p.order, acc)
+    return shift_derivation(p, -1, 1)
 
 
 def divided_t_power(p: JetPoly, n: int) -> JetPoly:

@@ -22,39 +22,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycScalar
-from .jetpoly import JetPoly, Monomial, admissible_levels, jet_var
+from .jetpoly import JetPoly, admissible_levels, shift_derivation
 from .jetscheme import DiagAutomorphism
 from .reports import CheckResult
 
 
-def _shift_derivation(p: JetPoly, b: int, factor: int) -> JetPoly:
-    """First-order derivation sending x[i,l] to -factor*(l+b) x[i,l+b] when
-    l+b < 0 and to zero otherwise."""
+def _check_shift(b: int) -> None:
     if b < 0:
         raise ValueError(
             "only nonnegative shift indices act on the truncated ring"
         )
-    order = p.order
-    acc: dict[Monomial, CycScalar] = {}
-    for mon, c in p.terms:
-        factors = mon.factors
-        for slot, (v, e) in enumerate(factors):
-            new_level = v.level + b
-            # Strictly positive landing levels are cut; at exactly zero the
-            # coefficient -(l+b) vanishes on its own.
-            if new_level >= 0:
-                continue
-            coef = c * CycScalar.coerce(order, -factor * e * new_level)
-            if not coef:
-                continue
-            rest = [(w, k) for w, k in factors]
-            rest[slot] = (v, e - 1)
-            rest.append((jet_var(v.index, new_level, v.point), 1))
-            mon2 = Monomial.of(*rest)
-            cur = acc.get(mon2)
-            acc[mon2] = coef if cur is None else cur + coef
-    return JetPoly._from_dict(order, acc)
 
 
 def L_op(b: int, p: JetPoly) -> JetPoly:
@@ -62,12 +39,14 @@ def L_op(b: int, p: JetPoly) -> JetPoly:
     for v in p.variables():
         if v.level.denominator != 1:
             raise ValueError("L_b acts on the ring with integer levels")
-    return _shift_derivation(p, b, 1)
+    _check_shift(b)
+    return shift_derivation(p, b, 1)
 
 
 def Ltilde_op(b: int, p: JetPoly, g: DiagAutomorphism) -> JetPoly:
     """The twisted weight-shift derivation Lt_b = m * (shift by b), b >= 0."""
-    return _shift_derivation(p, b, g.order)
+    _check_shift(b)
+    return shift_derivation(p, b, g.order)
 
 
 def check_commutators(

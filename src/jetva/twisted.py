@@ -86,18 +86,6 @@ def twisted_field(
     return _build_field(a, g.order, _alpha_list(g, spec), Fraction(window))
 
 
-def twisted_vertex_op(
-    a: JetPoly, g: DiagAutomorphism, window, spec: SchemeSpec | None = None
-) -> PuiseuxSeries:
-    return twisted_field(a, g, window, spec).series
-
-
-def twisted_mode(
-    a: JetPoly, g: DiagAutomorphism, n, window, spec: SchemeSpec | None = None
-) -> JetPoly:
-    return twisted_field(a, g, window, spec).mode(n)
-
-
 # ---------------------------------------------------------------------------
 # axiom checks
 # ---------------------------------------------------------------------------
@@ -241,9 +229,8 @@ def check_twisted_borcherds(
         inner = divided_t_power(a, -(l_idx + i) - 1) * b
         if not inner.is_zero:
             coef = binom(m_idx, i)
-            lhs = lhs + twisted_mode(
-                inner, g, m_idx + n_idx - i, W, spec
-            ).scale(coef)
+            mode = twisted_field(inner, g, W, spec).mode(m_idx + n_idx - i)
+            lhs = lhs + mode.scale(coef)
         i += 1
 
     def _dead(fld: TwistedField, idx: Fraction) -> bool:

@@ -110,6 +110,17 @@ def test_check_twisted_passes(spec_file, capsys):
     assert all(c["pass"] for c in rep["checks"])
 
 
+@pytest.mark.parametrize("command", ["check-va", "check-twisted"])
+def test_no_coordinates_checks_the_unit(spec_file, capsys, command):
+    # with no coordinates every random source is the unit 1
+    path = spec_file({"m": 2, "variables": [], "relations": [], "exponents": []})
+    code, rep = run_json(capsys, command, "--input", path, "--window", "3")
+    assert code == 0
+    assert rep["results"]["sources"] == ["1"]
+    assert rep["checks"]
+    assert all(c["pass"] and c["name"].startswith("[a = 1") for c in rep["checks"])
+
+
 def test_check_quasiconf_passes(spec_file, capsys):
     path = spec_file(PARABOLA)
     code, rep = run_json(
@@ -255,14 +266,8 @@ def test_console_entry_point(spec_file, tmp_path):
 def test_axiom_sweep_reports_small_window():
     # the README example: a twisted Borcherds identity needs z^14/3, past
     # window 4, so the script must end with exit code 3, not a traceback
-    script = Path(__file__).parents[1] / "scripts" / "axiom_sweep.py"
-    src = str(Path(jetva.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(script), "--order", "3", "--exponents", "1", "2",
-         "--window", "4"],
-        capture_output=True, text=True, env=env,
+    proc = _run_script(
+        "axiom_sweep.py", "--order", "3", "--exponents", "1", "2", "--window", "4"
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("window too small: ")
@@ -270,14 +275,28 @@ def test_axiom_sweep_reports_small_window():
     assert "Traceback" not in proc.stderr
 
 
-def _run_script(name, *argv):
+def _run_script(name, *argv, cwd=None):
+    """Run a script of the checkout with no PYTHONPATH: it finds ``src``
+    itself."""
     script = Path(__file__).parents[1] / "scripts" / name
-    src = str(Path(jetva.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run(
-        [sys.executable, str(script), *argv], capture_output=True, text=True, env=env
+        [sys.executable, str(script), *argv],
+        capture_output=True, text=True, env=env, cwd=cwd,
     )
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("coinvariant_tables.py", ["--max-weight", "1", "--max-degree", "1"]),
+        ("axiom_sweep.py", ["--window", "2", "--index-bound", "0"]),
+    ],
+)
+def test_scripts_run_outside_the_checkout(tmp_path, name, argv):
+    proc = _run_script(name, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def test_coinvariant_tables_script():

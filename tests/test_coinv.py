@@ -13,12 +13,13 @@ from jetva.coinv import (
     coinvariant_dims,
     enumerate_sections,
     residue_relation,
-    section_j_window,
     verify_fixed_ring,
 )
-from jetva.jetpoly import JetPoly
+from jetva.cyclo import CycScalar
+from jetva.jetpoly import JetPoly, retag_point
 from jetva.jetscheme import DiagAutomorphism, SchemeSpec
 from jetva.reports import all_passed
+from jetva.twisted import twisted_field
 
 
 def x(i, m):
@@ -43,35 +44,38 @@ def positive_weight_total(dims):
 # ---------------------------------------------------------------------------
 
 
-def test_section_window():
-    assert section_j_window(2, 3) == (-7, 6)
-    assert section_j_window(1, 3) == (-4, 3)
+def all_relations(setup):
+    """{(monomial, j): relation} over every monomial of the setup."""
+    return {
+        (mon, j): rel
+        for mon in enumerate_sections(setup.spec, setup.max_degree)
+        for j, rel in residue_relation(mon, setup).items()
+    }
 
 
 def test_sections_respect_character_congruence():
-    spec = SchemeSpec.of(2, 1, [])
-    secs = enumerate_sections(spec, DiagAutomorphism(2, (1,)), 2, -3, 2)
-    for s in secs:
-        assert (s.j + 1 - s.character) % 2 == 0
-    keyed = {(str(s.poly), s.j) for s in secs}
-    # x has character 1 -> j even; x^2 has character 0 -> j odd
-    assert keyed == {
-        ("x1[0]", -2), ("x1[0]", 0), ("x1[0]", 2),
-        ("x1[0]^2", -3), ("x1[0]^2", -1), ("x1[0]^2", 1),
-    }
+    setup = setup_of(3, 2, [x(1, 3) ** 3 - x(2, 3) ** 2], (2, 0), W=2, D=3)
+    alpha = setup.auto.alpha_by_index(setup.spec)
+    rels = all_relations(setup)
+    assert rels
+    for mon, j in rels:
+        assert (j + 1 - mon.character(alpha)) % 3 == 0
+        assert abs(j + 1) <= 3 * 2
 
 
 def test_residue_relations_frozen_line():
     setup = setup_of(2, 1, [], (1,), W=2, D=2)
-    secs = enumerate_sections(setup.spec, setup.auto, 2, -3, 2)
-    rels = {(str(s.poly), s.j): str(residue_relation(s, setup)) for s in secs}
+    rels = {(str(mon), j): str(rel) for (mon, j), rel in all_relations(setup).items()}
+    # x has character 1 -> j even; x^2 has character 0 -> j odd
     assert rels == {
+        ("x1[0]", -4): "x1[-3/2]",
         ("x1[0]", -2): "x1[-1/2]",
         ("x1[0]", 0): "-xinf1[-1/2]",
         ("x1[0]", 2): "-xinf1[-3/2]",
+        ("x1[0]^2", -5): "2*x1[-1/2]*x1[-3/2]",
         ("x1[0]^2", -3): "x1[-1/2]^2",
-        ("x1[0]^2", -1): "0",
         ("x1[0]^2", 1): "-xinf1[-1/2]^2",
+        ("x1[0]^2", 3): "-2*xinf1[-1/2]*xinf1[-3/2]",
     }
 
 
@@ -79,13 +83,12 @@ def test_gluing_section_on_fixed_coordinate():
     # j = -1 glues the two alphabets along monomials in fixed coordinates:
     # x2 is fixed by alpha=(1,0), so x2 u^-1 du forces x2[0] = xinf2[0]
     setup = setup_of(2, 2, [], (1, 0), W=2, D=2)
-    secs = enumerate_sections(setup.spec, setup.auto, 2, -1, -1)
-    rels = {str(s.poly): str(residue_relation(s, setup)) for s in secs}
-    assert rels["x2[0]"] == "x2[0] - xinf2[0]"
-    assert rels["x2[0]^2"] == "x2[0]^2 - xinf2[0]^2"
-    # an invariant monomial built from moved coordinates has no level-0
-    # twisted variables, so its residue relation is trivial
-    assert rels["x1[0]^2"] == "0"
+    rels = {
+        str(mon): str(rel) for (mon, j), rel in all_relations(setup).items() if j == -1
+    }
+    # an invariant monomial built from moved coordinates, like x1^2, has no
+    # level-0 twisted variables, so it has no gluing relation
+    assert rels == {"x2[0]": "x2[0] - xinf2[0]", "x2[0]^2": "x2[0]^2 - xinf2[0]^2"}
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +127,46 @@ def test_stability_in_window_size():
         assert big_dims.get(key, 0) == val
 
 
-def test_stability_in_section_window():
-    # enlarging the j-window beyond the default adds no new relations
-    setup = setup_of(2, 1, [], (1,), W=2, D=2)
-    lo, hi = section_j_window(2, 2)
-    assert coinvariant_dims(setup) == coinvariant_dims(
-        setup, j_min=lo - 4, j_max=hi + 4
-    )
+def relations_section_by_section(setup):
+    """The relations read one section at a time, over the section box
+    j in [-(mW + 1), mW] widened by 4 on each side: the coefficient of
+    z^(-(j+1)/m) in Y_g(p) minus the retagged coefficient of w^((j+1)/m) in
+    Y_g^-1(p), kept when nonzero and of weight at most W."""
+    spec, g, W = setup.spec, setup.auto, setup.max_weight
+    m = g.order
+    alpha = g.alpha_by_index(spec)
+    span = int(m * W) + 5
+    window = Fraction(span, m)  # the largest |j + 1| / m in the widened box
+    out = {}
+    for mon in enumerate_sections(spec, setup.max_degree):
+        p = JetPoly(m, ((mon, CycScalar.one(m)),))
+        at0 = twisted_field(p, g, window, spec).series
+        atinf = twisted_field(p, g.inverse(), window, spec).series
+        for j in range(-span, span):
+            if (j + 1 - mon.character(alpha)) % m:
+                continue
+            e = Fraction(j + 1, m)
+            rel = at0.coefficient(-e) - retag_point(atinf.coefficient(e), 1)
+            if not rel.is_zero and rel.homogeneous_weight() <= W:
+                out[(mon, j)] = rel
+    return out
+
+
+SECTION_CASES = [
+    (label, order, k, rels, exps, 3, 3) for label, order, k, rels, exps, _ in FIXTURES
+] + [
+    ("cusp-m3", 3, 2, lambda: [x(1, 3) ** 3 - x(2, 3) ** 2], (2, 0), 2, 3),
+    ("line-m4-W5/2", 4, 1, lambda: [], (1,), Fraction(5, 2), 2),
+    ("line-m3-W7/3", 3, 1, lambda: [], (2,), Fraction(7, 3), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "label,order,k,rels,exps,W,D", SECTION_CASES, ids=[c[0] for c in SECTION_CASES]
+)
+def test_relations_match_section_by_section(label, order, k, rels, exps, W, D):
+    setup = setup_of(order, k, rels(), exps, W=W, D=D)
+    assert all_relations(setup) == relations_section_by_section(setup)
 
 
 def test_setup_validation():

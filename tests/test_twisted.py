@@ -16,8 +16,6 @@ from jetva.twisted import (
     check_twisted_axioms,
     check_twisted_borcherds,
     twisted_field,
-    twisted_mode,
-    twisted_vertex_op,
 )
 from jetva.va import mode, vertex_op
 
@@ -36,7 +34,7 @@ G2P = DiagAutomorphism(2, (1, 0))
 
 
 def test_generator_field_frozen():
-    s = twisted_vertex_op(y(1), G2, Fraction(5, 2))
+    s = twisted_field(y(1), G2, Fraction(5, 2)).series
     assert {str(w): str(p) for w, p in s.coeffs} == {
         "1/2": "x1[-1/2]",
         "3/2": "x1[-3/2]",
@@ -46,7 +44,7 @@ def test_generator_field_frozen():
 
 def test_derivative_field_frozen():
     # Y(x[-1]) = d/dz Y(x): coefficient of z^(n-1) picks up a factor n
-    s = twisted_vertex_op(y(1, -1), G2, Fraction(5, 2))
+    s = twisted_field(y(1, -1), G2, Fraction(5, 2)).series
     assert {str(w): str(p) for w, p in s.coeffs} == {
         "-1/2": "1/2*x1[-1/2]",
         "1/2": "3/2*x1[-3/2]",
@@ -57,7 +55,7 @@ def test_derivative_field_frozen():
 
 def test_product_field_frozen_coefficient():
     # Y(x^2) = Y(x)^2 = x[-1/2]^2 z + 2 x[-1/2] x[-3/2] z^2 + ...
-    s = twisted_vertex_op(y(1) ** 2, G2, 2)
+    s = twisted_field(y(1) ** 2, G2, 2).series
     assert str(s.coefficient(1)) == "x1[-1/2]^2"
     assert str(s.coefficient(2)) == "2*x1[-1/2]*x1[-3/2]"
 
@@ -148,12 +146,12 @@ def test_order_one_degenerates_to_plain_algebra():
     a = JetPoly.var(1, 1) * JetPoly.var(1, 2)
     b = JetPoly.var(1, 2, -1)
     # fields coincide
-    tw = twisted_vertex_op(a, g1, 4)
+    tw = twisted_field(a, g1, 4).series
     pl = vertex_op(a, 4)
     assert tw.coeffs == pl.coeffs
     # modes coincide
     for n in range(-4, 2):
-        assert twisted_mode(a, g1, n, 5) == mode(a, n, window=5)
+        assert twisted_field(a, g1, 5).mode(n) == mode(a, n, window=5)
     # the two quadratic identities see the same instances
     for l in range(-2, 2):
         for m_idx in range(-2, 2):
