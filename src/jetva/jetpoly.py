@@ -18,6 +18,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 from .cyclo import CycScalar, FieldMismatchError
 
@@ -67,9 +70,6 @@ class JetVar:
     @property
     def weight(self) -> Fraction:
         return self.minus_level
-
-    def shifted(self, delta) -> JetVar:
-        return JetVar(self.point, self.index, self.minus_level - Fraction(delta))
 
     def __str__(self) -> str:
         name = "x" if self.point == 0 else "xinf"
@@ -542,6 +542,22 @@ def admissible_levels(offset: Fraction, max_weight) -> list[Fraction]:
     return out
 
 
+# One entry per (offset, d, top); each benchmark workload meets at most a
+# few dozen.
+@lru_cache(maxsize=256)
+def _jet_expansion(offset, d: int, top) -> tuple:
+    """The expansion of x[i,-d] along a jet whose levels run over offset + Z,
+    up to weight top: (exponent -n-d, C(-n,d), k, n) for every level n of
+    ``admissible_levels(offset, top)`` with a nonzero binomial, where k is
+    the position of n in that list.  An integral binomial is an int."""
+    out = []
+    for k, n in enumerate(admissible_levels(offset, top)):
+        b = binom(-n, d)
+        if b:
+            out.append((-n - d, b.numerator if b.denominator == 1 else b, k, n))
+    return tuple(out)
+
+
 def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     """Expand p along the generic (twisted) jet, exact up to the window.
 
@@ -561,68 +577,114 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     coefficient is summed directly, over the level assignments of each
     monomial's factors whose exponents add up to w, of the product of the
     binomials; no series is multiplied.
+
+    The assignments are enumerated on ints.  Within one call the variable
+    x[i,n] is coded i*K + k, where k is the position of n among the
+    admissible levels of coordinate i and K exceeds their number, so codes
+    sort as the variables do, and an assignment is keyed by its sorted code
+    tuple.  Each expansion of a source variable comes from a shared cache,
+    bounded at 256 entries.  A coefficient's terms are sorted as
+    ``JetPoly`` keeps them, by weight, degree and factors: at z^w a term
+    from a source monomial of weight s has weight w + s, and its degree is
+    the source's, so every key is made of ints.  Each variable and monomial
+    of the result is built once.
     """
     m = p.order
     W = Fraction(window)
     top = W + max((mon.weight for mon, _ in p.terms), default=Fraction(0))
-    # (index, d) -> [(exponent -n-d, C(-n,d), x[i,n])] by rising exponent.
-    # The binomial vanishes only for the integer levels with -n < d, which
-    # come first, so consecutive entries differ by one in the exponent.  No
-    # factor of an assignment that fits the window has -n above ``top``.
-    expansions: dict[tuple[int, int], list] = {}
-    jet_vars: dict[tuple[int, Fraction], JetVar] = {}
-    by_exp: dict[Fraction, dict[Monomial, CycScalar]] = {}
+    # No factor of an assignment that fits the window has -n above ``top``,
+    # so no coordinate has more than floor(top) + 1 levels.
+    K = max(math.floor(top), 0) + 2
+    # (i, d) -> (lowest exponent, [(C(-n,d), code of x[i,n])] by rising
+    # exponent).  The binomial vanishes only for the integer levels with
+    # -n < d, which come first, so consecutive entries differ by one in the
+    # exponent.
+    expansions: dict[tuple[int, int], tuple] = {}
+    level_of: dict[int, Fraction] = {}
+    # w -> sorted code tuple -> [weight of its source monomial, coefficient]
+    by_exp: dict[Fraction, dict[tuple[int, ...], list]] = {}
     for mon, c in p.terms:
         slots = []
+        lowest = 0
+        src_weight = 0
         for v, e in mon.factors:
             if v.point != 0 or v.minus_level.denominator != 1:
                 raise ValueError(
                     "substitute_jets expects origin-alphabet variables with "
                     "integer levels"
                 )
-            key = (v.index, int(v.minus_level))
-            terms = expansions.get(key)
-            if terms is None:
-                terms = []
-                for n in admissible_levels(offsets.get(v.index, 0), top):
-                    b = binom(-n, key[1])
-                    if b:
-                        var = jet_vars.get((v.index, n))
-                        if var is None:
-                            var = jet_vars[(v.index, n)] = JetVar(0, v.index, -n)
-                        terms.append((-n - key[1], b, var))
-                expansions[key] = terms
+            i, d = v.index, v.minus_level.numerator
+            src_weight += d * e
+            entry = expansions.get((i, d))
+            if entry is None:
+                exp = _jet_expansion(offsets.get(i, 0), d, top)
+                base = i * K
+                for _, _, k, n in exp:
+                    level_of[base + k] = n
+                entry = expansions[(i, d)] = (
+                    exp[0][0] if exp else 0,
+                    [(b, base + k) for _, b, k, _ in exp],
+                )
+            first, terms = entry
+            lowest += first * e
             slots.extend([terms] * e)
-        if not all(slots):
-            continue
-        lowest = sum(terms[0][0] for terms in slots)
-        if lowest > W:
+        if not all(slots) or lowest > W:
             continue
         room = int(W - lowest)
-        found: dict[tuple[int, tuple[JetVar, ...]], Fraction] = {}
-        _assign(slots, 0, room, Fraction(1), [], found)
-        for (left, chosen), q in found.items():
-            bucket = by_exp.setdefault(lowest + room - left, {})
-            mon2 = Monomial.of(*((var, 1) for var in chosen))
+        found: dict[tuple[int, tuple[int, ...]], int | Fraction] = {}
+        _assign(slots, 0, room, 1, [], found)
+        buckets = [by_exp.setdefault(lowest + j, {}) for j in range(room, -1, -1)]
+        for (left, codes), q in found.items():
+            bucket = buckets[left]
             val = c * q
-            cur = bucket.get(mon2)
-            bucket[mon2] = val if cur is None else cur + val
-    return PuiseuxSeries.from_dict(
-        m, {w: JetPoly._from_dict(m, b) for w, b in by_exp.items()}, W
-    )
+            cur = bucket.get(codes)
+            if cur is None:
+                bucket[codes] = [src_weight, val]
+            else:
+                cur[1] = cur[1] + val
+    jet_vars: dict[int, JetVar] = {}
+    made: dict[tuple[int, ...], tuple] = {}  # codes -> (runs, Monomial)
+    series = {}
+    for w, bucket in by_exp.items():
+        rows = []
+        for codes, (src_weight, val) in bucket.items():
+            if not val:
+                continue
+            entry = made.get(codes)
+            if entry is None:
+                runs = _runs(codes)
+                factors = []
+                for code, e in runs:
+                    var = jet_vars.get(code)
+                    if var is None:
+                        var = jet_vars[code] = JetVar(0, code // K, -level_of[code])
+                    factors.append((var, e))
+                entry = made[codes] = (runs, Monomial(tuple(factors)))
+            rows.append(((src_weight, len(codes), entry[0]), entry[1], val))
+        rows.sort(key=itemgetter(0))
+        series[w] = JetPoly(m, tuple((mon, val) for _, mon, val in rows))
+    return PuiseuxSeries.from_dict(m, series, W)
+
+
+def _runs(codes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Run-length form ((code, multiplicity), ...) of a sorted code tuple."""
+    return tuple((code, len(list(run))) for code, run in groupby(codes))
 
 
 def _assign(slots, k, room: int, q, chosen, found) -> None:
     """Add q times the binomials of every assignment of slots[k:] that
     raises the exponents above their minima by at most ``room`` in all into
-    ``found``, keyed by the room left and the sorted chosen variables."""
+    ``found``, keyed by the room left and the sorted chosen codes."""
     if k == len(slots):
         key = (room, tuple(sorted(chosen)))
         found[key] = found.get(key, 0) + q
         return
-    for extra, (_, b, var) in enumerate(slots[k]):
-        if extra > room:
-            break
-        chosen.append(var)
-        _assign(slots, k + 1, room - extra, q * b, chosen, found)
-        chosen.pop()
+    last = k + 1 == len(slots)
+    for extra, (b, code) in enumerate(slots[k][: room + 1]):
+        if last:
+            key = (room - extra, tuple(sorted([*chosen, code])))
+            found[key] = found.get(key, 0) + q * b
+        else:
+            chosen.append(code)
+            _assign(slots, k + 1, room - extra, q * b, chosen, found)
+            chosen.pop()

@@ -58,7 +58,8 @@ def check_commutators(
     the operators and their brackets are derivations, so agreement on
     variables forces agreement on the whole ring.  Each check runs for the
     plain family (factor 1, integer levels) and then for the twisted one
-    (factor m, coset levels).
+    (factor m, coset levels).  A family with no test vectors (no
+    coordinates, or no level within the window) adds no checks.
     """
     W = Fraction(max_weight)
     m = g.order
@@ -77,6 +78,8 @@ def check_commutators(
         ("L", 1, "wt(v)", L_op, plain),
         ("Lt", m, f"{m}*wt(v)", Lt, twisted),
     ]
+    # A family with no test vectors would pass every check vacuously.
+    families = [family for family in families if family[4]]
     out: list[CheckResult] = []
     for name, factor, eigenvalue, L, variables in families:
         bad = _first_mismatch(

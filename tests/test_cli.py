@@ -131,6 +131,32 @@ def test_check_quasiconf_passes(spec_file, capsys):
     assert all(c["pass"] for c in rep["checks"])
 
 
+def test_check_quasiconf_without_coordinates_checks_nothing(spec_file, capsys):
+    # no coordinates, no test vectors: nothing is claimed
+    path = spec_file({"m": 2, "variables": [], "relations": [], "exponents": []})
+    code, rep = run_json(capsys, "check-quasiconf", "--input", path)
+    assert code == 0
+    assert rep["results"]["counts"] == {"total": 0, "failed": 0}
+    assert rep["checks"] == []
+
+
+def test_check_quasiconf_drops_a_family_without_levels(spec_file, capsys):
+    # at weight 0 the twisted coset 1/2 + Z has no level, the plain one has x[0]
+    path = spec_file({"m": 2, "variables": ["x"], "relations": ["x^2"], "exponents": [1]})
+    code, rep = run_json(
+        capsys, "check-quasiconf", "--input", path, "--max-weight", "0",
+        "--index-bound", "1",
+    )
+    assert code == 0
+    assert [c["name"] for c in rep["checks"]] == [
+        "weight eigenvalue: L_0 v = wt(v) v",
+        "[L_0, L_0] = (0) L_0",
+        "[L_0, L_1] = (1) L_1",
+        "[L_1, L_0] = (-1) L_1",
+        "[L_1, L_1] = (0) L_2",
+    ]
+
+
 def test_coinvariants_report(spec_file, capsys):
     path = spec_file(PARABOLA)
     code, rep = run_json(

@@ -276,6 +276,70 @@ def test_substitution_matches_vertex_operator(m, window, terms):
     assert substitute_jets(a, {}, window) == vertex_op(a, window)
 
 
+def _jet_factor(m, i, d, offset, top):
+    # x[i,-d] -> sum_n C(-n,d) x[i,n] z^(-n-d), levels up to weight top
+    return PuiseuxSeries.from_dict(
+        m,
+        {
+            -n - d: x(i, n, m=m).scale(binom(-n, d))
+            for n in admissible_levels(offset, top)
+        },
+        top,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_substitution_matches_product_of_factor_series(data):
+    # Twisted sources against the product of hand-built factor series.  A
+    # factor series padded by the source weight s is exact up to W + s, and
+    # no factor's exponent falls below -d, so the product is exact to W.
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    offsets = {
+        i: Fraction(data.draw(st.integers(min_value=0, max_value=m - 1)), m)
+        for i in (1, 2, 3)
+    }
+    W = Fraction(data.draw(st.integers(min_value=0, max_value=4 * m)), m)
+    terms = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-3, max_value=3).filter(bool),
+                st.integers(min_value=0, max_value=m - 1),
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=1, max_value=3),
+                        st.integers(min_value=0, max_value=3),
+                    ),
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    src = JetPoly.zero(m)
+    for c, k, factors in terms:
+        mono = JetPoly.const(m, zeta_pow(m, k)).scale(c)
+        for i, d in factors:
+            mono = mono * x(i, -d, m=m)
+        src = src + mono
+    expected: dict[Fraction, JetPoly] = {}
+    for mon, c in src.terms:
+        product = PuiseuxSeries.from_dict(m, {0: JetPoly.const(m, c)}, None)
+        for v, e in mon.factors:
+            d = int(v.weight)
+            factor = _jet_factor(m, v.index, d, offsets[v.index], W + mon.weight)
+            for _ in range(e):
+                product = product * factor
+        for w, q in product.truncate(W).coeffs:
+            expected[w] = expected.get(w, JetPoly.zero(m)) + q
+    got = substitute_jets(src, offsets, W)
+    assert got == PuiseuxSeries.from_dict(m, expected, W)
+    # equality is structural, so the terms must also be in canonical order
+    for _, p in got.coeffs:
+        assert p.terms == JetPoly._from_dict(m, dict(p.terms)).terms
+
+
 def test_substitution_twisted_coefficients_frozen():
     # x1^2 with half-integer levels: t^1 -> x[-1/2]^2, t^2 -> 2 x[-1/2]x[-3/2]
     P = x(1, m=2) ** 2
