@@ -47,13 +47,20 @@ def binom(top, k: int) -> Fraction:
     return num / math.factorial(k)
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+def _cache_slot(**default):
+    """A slot holding a value worked out from the fields, kept out of
+    ``__init__``, ``repr`` and comparisons."""
+    return dataclasses.field(init=False, repr=False, compare=False, **default)
+
+
+@dataclasses.dataclass(frozen=True, order=True, slots=True)
 class JetVar:
     """A jet variable x[index, level] (or xinf[...] when point = 1)."""
 
     point: int
     index: int
     minus_level: Fraction  # stored negated so natural ordering is by weight
+    _hash: int = _cache_slot()
 
     def __post_init__(self):
         if self.index < 1:
@@ -62,6 +69,14 @@ class JetVar:
             raise ValueError("level must be <= 0")
         if self.point not in (0, 1):
             raise ValueError("point must be 0 or 1")
+        # The dataclass hash, worked out once: every dict lookup would
+        # otherwise rehash the Fraction level.
+        object.__setattr__(
+            self, "_hash", hash((self.point, self.index, self.minus_level))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def level(self) -> Fraction:
@@ -80,9 +95,20 @@ def jet_var(index: int, level, point: int = 0) -> JetVar:
     return JetVar(point, index, -Fraction(level))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Monomial:
+    """A product of jet variables; its hash and its sort key (weight,
+    degree, factors) are each worked out once."""
+
     factors: tuple[tuple[JetVar, int], ...]  # sorted by variable, exponents > 0
+    _hash: int = _cache_slot()
+    _key: tuple | None = _cache_slot(default=None)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.factors,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def unit(cls) -> Monomial:
@@ -96,11 +122,25 @@ class Monomial:
         return cls(tuple(sorted((v, e) for v, e in acc.items() if e)))
 
     def __mul__(self, other: Monomial) -> Monomial:
+        if not other.factors:
+            return self
+        if not self.factors:
+            return other
         return Monomial.of(*self.factors, *other.factors)
 
     @property
     def weight(self) -> Fraction:
-        return sum((v.weight * e for v, e in self.factors), Fraction(0))
+        return self.sort_key[0]
+
+    @property
+    def sort_key(self) -> tuple:
+        """The order of ``JetPoly`` terms: weight, degree, factors."""
+        key = self._key
+        if key is None:
+            weight = sum((v.weight * e for v, e in self.factors), Fraction(0))
+            key = (weight, self.degree, self.factors)
+            object.__setattr__(self, "_key", key)
+        return key
 
     @property
     def degree(self) -> int:
@@ -122,16 +162,25 @@ class Monomial:
         return "*".join(bits)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class JetPoly:
     """Sparse polynomial in jet variables with CycScalar coefficients.
 
     Immutable; terms are kept sorted with nonzero coefficients, so equality
-    and hashing are structural.
+    and hashing are structural.  The hash is worked out on first use and
+    kept.
     """
 
     order: int
     terms: tuple[tuple[Monomial, CycScalar], ...]
+    _hash: int | None = _cache_slot(default=None)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.order, self.terms))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -- construction ------------------------------------------------------
 
@@ -140,7 +189,7 @@ class JetPoly:
         items = tuple(
             sorted(
                 ((mon, c) for mon, c in acc.items() if c),
-                key=lambda mc: _mono_key(mc[0]),
+                key=lambda mc: mc[0].sort_key,
             )
         )
         return cls(order, items)
@@ -234,12 +283,7 @@ class JetPoly:
             return self.scale(other)
         self._check(other)
         acc: dict[Monomial, CycScalar] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                mon = m1 * m2
-                c = c1 * c2
-                cur = acc.get(mon)
-                acc[mon] = c if cur is None else cur + c
+        mul_into(acc, self.terms, other.terms)
         return JetPoly._from_dict(self.order, acc)
 
     def __rmul__(self, other):
@@ -282,7 +326,29 @@ class JetPoly:
 
 
 def _mono_key(mon: Monomial):
-    return (mon.weight, mon.degree, mon.factors)
+    return mon.sort_key
+
+
+def add_into(acc: dict, terms, coef) -> None:
+    """Add coef times the terms of a polynomial into a Monomial -> scalar
+    dict."""
+    for mon, c in terms:
+        c = c * coef
+        cur = acc.get(mon)
+        acc[mon] = c if cur is None else cur + c
+
+
+def mul_into(acc: dict, left, right, coef=None) -> None:
+    """Add coef (default 1) times the product of two polynomials, given by
+    their terms, into a Monomial -> scalar dict."""
+    for m1, c1 in left:
+        if coef is not None:
+            c1 = c1 * coef
+        for m2, c2 in right:
+            mon = m1 * m2
+            c = c1 * c2
+            cur = acc.get(mon)
+            acc[mon] = c if cur is None else cur + c
 
 
 def _term_str(mon: Monomial, c: CycScalar) -> str:
@@ -403,6 +469,23 @@ def _min_trunc(a, b):
     return min(a, b)
 
 
+def _product_window(a: PuiseuxSeries, b: PuiseuxSeries):
+    """How far the unknown coefficients of a leave a product a*b exact.
+
+    They sit beyond a's window and meet b's lowest coefficient that may be
+    nonzero: its lowest visible term or, with none visible, one beyond its
+    own window.  None when a is exact everywhere or b is exactly zero.
+    """
+    if a.trunc is None:
+        return None
+    low = b.min_support()
+    if low is None:
+        low = b.trunc
+        if low is None:
+            return None
+    return a.trunc + low
+
+
 @dataclasses.dataclass(frozen=True)
 class PuiseuxSeries:
     """Series sum coeff_w * z^w with JetPoly coefficients.
@@ -452,23 +535,19 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         self._check(other)
-        # The product is exact up to min(W_a + min_supp(b), W_b + min_supp(a)):
-        # beyond that, unknown coefficients of one factor could contribute.
-        sa = self.min_support()
-        sb = other.min_support()
-        ta = None if self.trunc is None else self.trunc + (sb if sb is not None else 0)
-        tb = None if other.trunc is None else other.trunc + (sa if sa is not None else 0)
-        t = _min_trunc(ta, tb)
-        acc: dict[Fraction, JetPoly] = {}
+        t = _min_trunc(_product_window(self, other), _product_window(other, self))
+        acc: dict[Fraction, dict] = {}
         for wa, pa in self.coeffs:
             for wb, pb in other.coeffs:
                 w = wa + wb
                 if t is not None and w > t:
                     continue
-                cur = acc.get(w)
-                prod = pa * pb
-                acc[w] = prod if cur is None else cur + prod
-        return PuiseuxSeries.from_dict(self.order, acc, t)
+                mul_into(acc.setdefault(w, {}), pa.terms, pb.terms)
+        return PuiseuxSeries.from_dict(
+            self.order,
+            {w: JetPoly._from_dict(self.order, terms) for w, terms in acc.items()},
+            t,
+        )
 
     __rmul__ = __mul__
 

@@ -25,11 +25,12 @@ from functools import lru_cache
 from .jetpoly import (
     JetPoly,
     PuiseuxSeries,
-    TruncationError,
+    add_into,
     binom,
     derivation_T,
     divided_t_power,
     eigen_index,
+    mul_into,
     substitute_jets,
 )
 from .jetscheme import DiagAutomorphism, SchemeSpec, _poly_row, twisted_jet_generators
@@ -57,10 +58,35 @@ class TwistedField:
     eigenindex: int
     series: PuiseuxSeries
 
+    def __post_init__(self):
+        # z-exponent as (numerator, denominator) -> its nonzero coefficient
+        object.__setattr__(
+            self,
+            "_by_exponent",
+            {(w.numerator, w.denominator): p for w, p in self.series.coeffs},
+        )
+
     def mode(self, n) -> JetPoly:
         """Coefficient of z^(-n-1); exact zero off the window is honest,
         beyond the window it raises."""
-        return self.series.coefficient(-Fraction(n) - 1)
+        p = self.known_mode(n)
+        if p is None:
+            return self.series.coefficient(-Fraction(n) - 1)  # raises
+        return p
+
+    def known_mode(self, n) -> JetPoly | None:
+        """``mode(n)``, or None when it lies beyond the window."""
+        if not isinstance(n, (int, Fraction)):
+            n = Fraction(n)
+        # For n = p/q in lowest terms, -n-1 = (-p-q)/q in lowest terms.
+        num, den = -n.numerator - n.denominator, n.denominator
+        p = self._by_exponent.get((num, den))
+        if p is not None:
+            return p
+        t = self.series.trunc
+        if t is not None and num * t.denominator > t.numerator * den:
+            return None
+        return JetPoly.zero(self.series.order)
 
 
 # Sweeps reuse a few recent fields; an unbounded cache keeps every one.
@@ -158,29 +184,23 @@ def check_twisted_axioms(
     return out
 
 
-def _lazy_product(order: int, factors) -> JetPoly:
-    """Multiply lazily evaluated mode factors.
+# A sweep meets the same few a_(-k-1) b in call after call; the same object
+# back also finds its field in the cache without rehashing.
+@lru_cache(maxsize=64)
+def _divided_product(a: JetPoly, k: int, b: JetPoly) -> JetPoly:
+    """a_(-k-1) b = T^k(a)/k! * b."""
+    return divided_t_power(a, k) * b
 
-    Each factor is a thunk returning a polynomial or raising a truncation
-    error.  An evaluated factor that is exactly zero settles the product
-    regardless of the others; otherwise a truncated factor propagates.
-    """
-    vals = []
-    pending: list[TruncationError] = []
-    for f in factors:
-        try:
-            vals.append(f())
-        except TruncationError as err:
-            pending.append(err)
-            vals.append(None)
-    if any(v is not None and v.is_zero for v in vals):
-        return JetPoly.zero(order)
-    if pending:
-        raise pending[0]
-    out = JetPoly.one(order)
-    for v in vals:
-        out = out * v
-    return out
+
+def _mode_pair(fa: TwistedField, ia, fb: TwistedField, ib):
+    """The two modes of one product, fa's at ia and fb's at ib, or None
+    when either is exactly zero: a zero factor settles the product even when
+    the other lies beyond the window.  Otherwise a mode beyond the window
+    raises TruncationError, the first factor's before the second's."""
+    p, q = fa.known_mode(ia), fb.known_mode(ib)
+    if (p is not None and p.is_zero) or (q is not None and q.is_zero):
+        return None
+    return (fa.mode(ia) if p is None else p, fb.mode(ib) if q is None else q)
 
 
 def check_twisted_borcherds(
@@ -200,6 +220,14 @@ def check_twisted_borcherds(
 
     with l an integer and m, n in the cosets picked out by the characters
     of a and b.
+
+    Both sides go into one Monomial -> scalar sum, lhs minus rhs, and each
+    product of two modes is multiplied straight into it.  A product with a
+    factor that is exactly zero adds nothing, even when its other factor
+    lies beyond the window; otherwise a mode beyond the window raises
+    TruncationError, the lhs modes first, then the rhs products in the order
+    of the sum.  The identity holds when every coefficient of the sum is
+    zero; else the witness is the sum as a ``JetPoly``, lhs - rhs.
     """
     W = Fraction(window)
     order = g.order
@@ -223,14 +251,15 @@ def check_twisted_borcherds(
     fld_a = twisted_field(a, g, W, spec)
     fld_b = twisted_field(b, g, W, spec)
 
-    lhs = JetPoly.zero(order)
+    acc: dict = {}  # lhs - rhs
     i = 0
     while l_idx + i <= -1:
-        inner = divided_t_power(a, -(l_idx + i) - 1) * b
+        inner = _divided_product(a, -(l_idx + i) - 1, b)
         if not inner.is_zero:
             coef = binom(m_idx, i)
             mode = twisted_field(inner, g, W, spec).mode(m_idx + n_idx - i)
-            lhs = lhs + mode.scale(coef)
+            if coef:
+                add_into(acc, mode.terms, coef)
         i += 1
 
     def _dead(fld: TwistedField, idx: Fraction) -> bool:
@@ -243,7 +272,6 @@ def check_twisted_borcherds(
         return ms is None or e < ms
 
     sign_l = -1 if l_idx % 2 else 1
-    rhs = JetPoly.zero(order)
     i = 0
     while True:
         if l_idx >= 0:
@@ -253,25 +281,17 @@ def check_twisted_borcherds(
             break
         c = binom(l_idx, i) * (-1 if i % 2 else 1)
         if c:
-            t1 = _lazy_product(
-                order,
-                (
-                    lambda i=i: fld_a.mode(l_idx + m_idx - i),
-                    lambda i=i: fld_b.mode(n_idx + i),
-                ),
-            )
-            t2 = _lazy_product(
-                order,
-                (
-                    lambda i=i: fld_b.mode(l_idx + n_idx - i),
-                    lambda i=i: fld_a.mode(m_idx + i),
-                ),
-            )
-            rhs = rhs + (t1 - t2.scale(sign_l)).scale(c)
+            t1 = _mode_pair(fld_a, l_idx + m_idx - i, fld_b, n_idx + i)
+            if t1 is not None:
+                mul_into(acc, t1[0].terms, t1[1].terms, -c)
+            t2 = _mode_pair(fld_b, l_idx + n_idx - i, fld_a, m_idx + i)
+            if t2 is not None:
+                mul_into(acc, t2[0].terms, t2[1].terms, c * sign_l)
         i += 1
 
-    diff = lhs - rhs
-    return CheckResult(name, diff.is_zero, None if diff.is_zero else str(diff))
+    if not any(acc.values()):
+        return CheckResult(name, True, None)
+    return CheckResult(name, False, str(JetPoly._from_dict(order, acc)))
 
 
 # ---------------------------------------------------------------------------

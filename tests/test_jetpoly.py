@@ -16,6 +16,7 @@ from jetva.jetpoly import (
     Monomial,
     PuiseuxSeries,
     TruncationError,
+    _mono_key,
     admissible_levels,
     apply_automorphism,
     binom,
@@ -63,6 +64,59 @@ def test_poly_canonical_string_order():
     p = x(1, -1) ** 2 + 2 * x(1) * x(1, -2)
     # mixed monomial sorts first: its first factor x1[0] is smallest
     assert str(p) == "2*x1[0]*x1[-2] + x1[-1]^2"
+
+
+_jet_vars = st.builds(
+    jet_var,
+    st.integers(min_value=1, max_value=3),
+    st.fractions(min_value=-3, max_value=0, max_denominator=4),
+    st.integers(min_value=0, max_value=1),
+)
+_monomials = st.lists(
+    st.tuples(_jet_vars, st.integers(min_value=1, max_value=3)), max_size=3
+).map(lambda pairs: Monomial.of(*pairs))
+
+
+def _rebuilt(mon: Monomial) -> Monomial:
+    """An equal monomial made from fresh objects, nothing cached yet."""
+    return Monomial(
+        tuple(
+            (JetVar(v.point, v.index, Fraction(str(v.minus_level))), e)
+            for v, e in mon.factors
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mons=st.lists(_monomials, min_size=1, max_size=6),
+    coeffs=st.lists(st.integers(min_value=-3, max_value=3), min_size=6, max_size=6),
+    m=st.integers(min_value=1, max_value=4),
+)
+def test_cached_hashes_and_keys_match_the_fields(mons, coeffs, m):
+    # The cached values are the dataclass-generated hashes and the key they
+    # replace, so dict and set orders are what they were without caching.
+    for mon in mons:
+        for v, _ in mon.factors:
+            assert hash(v) == hash((v.point, v.index, v.minus_level))
+        assert hash(mon) == hash((mon.factors,))
+        twin = _rebuilt(mon)
+        assert twin == mon and hash(twin) == hash(mon)
+        assert _mono_key(twin) == _mono_key(mon)
+    acc = {}
+    for mon, c in zip(mons, coeffs):
+        acc[mon] = zeta_pow(m, c) * c
+    p = JetPoly._from_dict(m, acc)
+    assert hash(p) == hash((p.order, p.terms))
+    twin = JetPoly(m, tuple((_rebuilt(mon), c) for mon, c in p.terms))
+    assert twin == p and hash(twin) == hash(p)
+
+    def uncached(mon):
+        weight = sum((v.weight * e for v, e in mon.factors), Fraction(0))
+        return (weight, sum(e for _, e in mon.factors), mon.factors)
+
+    assert sorted(mons, key=_mono_key) == sorted(mons, key=uncached)
+    assert [_mono_key(mon) for mon in mons] == [uncached(mon) for mon in mons]
 
 
 def test_level_must_be_nonpositive():
@@ -186,6 +240,57 @@ def test_product_window_shrinks_with_min_support():
     # min(3 + 0, 3 + (-1)) = 2
     assert prod.trunc == 2
     assert prod.coefficient(-1) == JetPoly.one(1)
+
+
+def test_product_of_truncations_without_visible_terms():
+    # z^(-1/2) truncated at -1 shows no term; its square is z^(-1), which
+    # the product of the truncations must not claim to know.
+    a = PuiseuxSeries.from_dict(2, {Fraction(-1, 2): JetPoly.one(2)}, None)
+    at = a.truncate(-1)
+    assert (a * a).coefficient(-1) == JetPoly.one(2)
+    prod = at * at
+    assert prod.trunc == -2
+    with pytest.raises(TruncationError):
+        prod.coefficient(-1)
+    # an exactly zero factor leaves the product exact
+    zero = PuiseuxSeries.from_dict(2, {}, None)
+    assert (zero * at).trunc is None
+
+
+_exact_series = st.dictionaries(
+    st.integers(min_value=-6, max_value=6),  # exponent times m
+    st.tuples(
+        st.integers(min_value=-2, max_value=2).filter(bool),
+        st.integers(min_value=1, max_value=2),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=3),
+    a_terms=_exact_series,
+    b_terms=_exact_series,
+    ta=st.integers(min_value=-8, max_value=8),
+    tb=st.integers(min_value=-8, max_value=8),
+)
+def test_product_of_truncations_claims_only_true_coefficients(
+    m, a_terms, b_terms, ta, tb
+):
+    def series(terms):
+        return PuiseuxSeries.from_dict(
+            m, {Fraction(k, m): x(i, m=m).scale(c) for k, (c, i) in terms.items()}, None
+        )
+
+    a, b = series(a_terms), series(b_terms)
+    exact = a * b
+    prod = a.truncate(Fraction(ta, m)) * b.truncate(Fraction(tb, m))
+    assert exact.trunc is None and prod.trunc is not None
+    # every exponent of (1/m)Z from below both supports up to the window
+    for k in range(-13 * m, int(prod.trunc * m) + 1):
+        w = Fraction(k, m)
+        assert prod.coefficient(w) == exact.coefficient(w), w
 
 
 def test_series_multiplies_only_series():

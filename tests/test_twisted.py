@@ -8,16 +8,19 @@ from fractions import Fraction
 
 import pytest
 
-from jetva.jetpoly import JetPoly, TruncationError, divided_t_power
+from jetva import twisted
+from jetva.cyclo import zeta_pow
+from jetva.jetpoly import JetPoly, PuiseuxSeries, TruncationError, divided_t_power
 from jetva.jetscheme import DiagAutomorphism, SchemeSpec
 from jetva.reports import all_passed
 from jetva.twisted import (
+    TwistedField,
     check_descent,
     check_twisted_axioms,
     check_twisted_borcherds,
     twisted_field,
 )
-from jetva.va import mode, vertex_op
+from jetva.va import check_borcherds, mode, vertex_op
 
 
 def y(i, level=0, m=2):
@@ -157,6 +160,117 @@ def test_order_one_degenerates_to_plain_algebra():
         for m_idx in range(-2, 2):
             for n_idx in range(-2, 2):
                 assert check_twisted_borcherds(a, b, g1, l, m_idx, n_idx, 6).passed
+
+
+# ---------------------------------------------------------------------------
+# failing identities: one field coefficient carries a stray term
+# ---------------------------------------------------------------------------
+
+
+def _perturb_field(monkeypatch, source, exponent, extra):
+    """Make every field of ``source`` carry ``extra`` on top of its z^exponent
+    coefficient; every other field is left as it is."""
+    real = twisted.twisted_field
+
+    def perturbed(a, g, window, spec=None):
+        fld = real(a, g, window, spec)
+        if a != source:
+            return fld
+        coeffs = dict(fld.series.coeffs)
+        coeffs[exponent] = fld.series.coefficient(exponent) + extra
+        series = PuiseuxSeries.from_dict(a.order, coeffs, fld.series.trunc)
+        return TwistedField(a, fld.eigenindex, series)
+
+    monkeypatch.setattr(twisted, "twisted_field", perturbed)
+
+
+def _failures(results):
+    return {r.name: r.witness for r in results if not r.passed}
+
+
+def test_twisted_borcherds_fails_on_a_perturbed_field(monkeypatch):
+    a, b = y(1), y(1) ** 2
+    _perturb_field(monkeypatch, a, Fraction(1, 2), y(2))
+    results = [
+        check_twisted_borcherds(a, b, G2P, l, Fraction(2 * dm + 1, 2), dn, 6)
+        for l in range(-2, 3)
+        for dm in range(-2, 3)
+        for dn in range(-2, 2)
+    ]
+    # Every check of the box that does not fail passes, as without the term.
+    assert _failures(results) == {
+        "twisted borcherds(l=-2, m=-3/2, n=-2)": "2*x1[-1/2]*x1[-5/2]*x2[0] + x1[-3/2]^2*x2[0]",
+        "twisted borcherds(l=-2, m=-3/2, n=-1)": "2*x1[-1/2]*x1[-3/2]*x2[0]",
+        "twisted borcherds(l=-2, m=-3/2, n=0)": "x1[-1/2]^2*x2[0]",
+        "twisted borcherds(l=-2, m=1/2, n=-2)": "-x1[-1/2]^2*x2[0]",
+        "twisted borcherds(l=-1, m=-3/2, n=-2)": "-2*x1[-1/2]*x1[-3/2]*x2[0]",
+        "twisted borcherds(l=-1, m=-3/2, n=-1)": "-x1[-1/2]^2*x2[0]",
+        "twisted borcherds(l=-1, m=-1/2, n=-2)": "-x1[-1/2]^2*x2[0]",
+    }
+
+
+def test_twisted_borcherds_witness_with_irrational_coefficient(monkeypatch):
+    g = DiagAutomorphism(4, (1, 1))
+    a, b = JetPoly.var(4, 1), JetPoly.var(4, 2, -1)
+    _perturb_field(monkeypatch, b, Fraction(3, 4), a.scale(zeta_pow(4, 1)))
+    results = [
+        check_twisted_borcherds(
+            a, b, g, l, Fraction(4 * dm + 1, 4), Fraction(4 * dn + 1, 4), 5
+        )
+        for l in range(-2, 2)
+        for dm in range(-2, 2)
+        for dn in range(-2, 2)
+    ]
+    assert _failures(results) == {
+        "twisted borcherds(l=-2, m=-7/4, n=-7/4)": "(-1*zeta)*x1[0]*x1[-11/4]",
+        "twisted borcherds(l=-2, m=-7/4, n=1/4)": "(zeta)*x1[0]*x1[-3/4]",
+        "twisted borcherds(l=-2, m=-3/4, n=-7/4)": "(-1*zeta)*x1[0]*x1[-7/4]",
+        "twisted borcherds(l=-2, m=1/4, n=-7/4)": "(-1*zeta)*x1[0]*x1[-3/4]",
+        "twisted borcherds(l=-1, m=-7/4, n=-7/4)": "(-1*zeta)*x1[0]*x1[-7/4]",
+        "twisted borcherds(l=-1, m=-7/4, n=-3/4)": "(-1*zeta)*x1[0]*x1[-3/4]",
+        "twisted borcherds(l=-1, m=-3/4, n=-7/4)": "(-1*zeta)*x1[0]*x1[-3/4]",
+    }
+
+
+def test_plain_borcherds_fails_on_a_perturbed_field(monkeypatch):
+    a = JetPoly.var(1, 1) * JetPoly.var(1, 2)
+    b = JetPoly.var(1, 2, -1)
+    _perturb_field(monkeypatch, a, Fraction(1), JetPoly.var(1, 1, -3))
+    results = [
+        check_borcherds(a, b, mi, ni, ki, 6)
+        for mi in range(-2, 2)
+        for ni in range(-2, 2)
+        for ki in range(-2, 2)
+    ]
+    assert _failures(results) == {
+        "borcherds(m=-2, n=-2, k=-2)": "4*x1[-3]*x2[-4]",
+        "borcherds(m=-2, n=-2, k=-1)": "3*x1[-3]*x2[-3]",
+        "borcherds(m=-2, n=-2, k=0)": "2*x1[-3]*x2[-2]",
+        "borcherds(m=-2, n=-2, k=1)": "x1[-3]*x2[-1]",
+        "borcherds(m=-2, n=-1, k=-2)": "-3*x1[-3]*x2[-3]",
+        "borcherds(m=-2, n=-1, k=-1)": "-2*x1[-3]*x2[-2]",
+        "borcherds(m=-2, n=-1, k=0)": "-x1[-3]*x2[-1]",
+        "borcherds(m=-1, n=-1, k=-2)": "-2*x1[-3]*x2[-2]",
+        "borcherds(m=-1, n=-1, k=-1)": "-x1[-3]*x2[-1]",
+        "borcherds(m=0, n=-2, k=-2)": "-2*x1[-3]*x2[-2]",
+        "borcherds(m=0, n=-2, k=-1)": "-x1[-3]*x2[-1]",
+        "borcherds(m=0, n=-1, k=-2)": "-x1[-3]*x2[-1]",
+        "borcherds(m=1, n=-2, k=-2)": "-2*x1[-3]*x2[-1]",
+    }
+
+
+def test_borcherds_zero_factor_settles_a_truncated_product():
+    a, b = y(1), y(1) ** 2
+    # At window 0, a_(-3/2) needs z^(1/2), beyond the window; b_(-1) is the
+    # z^0 coefficient of Y_g(x1^2), exactly zero, so a_(-3/2) b_(-1) is zero.
+    fa, fb = twisted_field(a, G2P, 0), twisted_field(b, G2P, 0)
+    assert fa.known_mode(Fraction(-3, 2)) is None
+    assert fb.known_mode(-1).is_zero
+    assert check_twisted_borcherds(a, b, G2P, 0, Fraction(-3, 2), -1, 0).passed
+    # b_(-2), at z^1, lies beyond the window too: nothing settles the
+    # product, and the first factor raises.
+    with pytest.raises(TruncationError, match=r"z\^1/2 is beyond the window \(trunc 0\)"):
+        check_twisted_borcherds(a, b, G2P, 0, Fraction(-3, 2), -2, 0)
 
 
 # ---------------------------------------------------------------------------
