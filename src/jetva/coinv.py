@@ -83,9 +83,9 @@ def residue_relation(mon: Monomial, setup: OrbiSetup) -> dict[int, JetPoly]:
     m = g.order
     p = JetPoly(spec.order, ((mon, CycScalar.one(spec.order)),))
     rels: dict[int, JetPoly] = {}
-    for w, c in twisted_field(p, g, W, spec).series.coeffs:
+    for w, c in twisted_field(p, g, W, spec).coeffs:
         rels[int(-m * w) - 1] = c
-    for w, c in twisted_field(p, g.inverse(), W, spec).series.coeffs:
+    for w, c in twisted_field(p, g.inverse(), W, spec).coeffs:
         j = int(m * w) - 1
         rels[j] = rels.get(j, JetPoly.zero(spec.order)) - retag_point(c, 1)
     for j, rel in rels.items():

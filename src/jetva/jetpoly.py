@@ -218,12 +218,6 @@ class JetPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mon: Monomial) -> CycScalar:
-        for m2, c in self.terms:
-            if m2 == mon:
-                return c
-        return CycScalar.zero(self.order)
-
     def variables(self) -> set[JetVar]:
         out: set[JetVar] = set()
         for mon, _ in self.terms:
@@ -491,12 +485,15 @@ class PuiseuxSeries:
     """Series sum coeff_w * z^w with JetPoly coefficients.
 
     ``trunc`` is the last exponent known exactly (None = exact everywhere).
-    Finitely many negative exponents are allowed.
+    Finitely many negative exponents are allowed.  Read as a field, the
+    series has the mode a_(n) as its coefficient of z^(-n-1).
     """
 
     order: int
     coeffs: tuple[tuple[Fraction, JetPoly], ...]  # sorted by exponent, nonzero
     trunc: Fraction | None
+    # (numerator, denominator) of an exponent -> its coefficient, on first read
+    _by_exponent: dict | None = _cache_slot(default=None)
 
     @classmethod
     def from_dict(cls, order: int, acc, trunc) -> PuiseuxSeries:
@@ -514,16 +511,46 @@ class PuiseuxSeries:
     def min_support(self):
         return self.coeffs[0][0] if self.coeffs else None
 
+    def _read(self, num: int, den: int) -> JetPoly | None:
+        """The coefficient of z^(num/den), given in lowest terms, or None
+        beyond the window: the one window rule every read goes through."""
+        index = self._by_exponent
+        if index is None:
+            index = {(w.numerator, w.denominator): p for w, p in self.coeffs}
+            object.__setattr__(self, "_by_exponent", index)
+        p = index.get((num, den))
+        if p is not None:
+            return p
+        t = self.trunc
+        if t is not None and num * t.denominator > t.numerator * den:
+            return None
+        return JetPoly.zero(self.order)
+
     def coefficient(self, w) -> JetPoly:
+        """The coefficient of z^w; beyond the window it raises."""
         w = Fraction(w)
-        if self.trunc is not None and w > self.trunc:
+        p = self._read(w.numerator, w.denominator)
+        if p is None:
             raise TruncationError(
                 f"coefficient of z^{w} is beyond the window (trunc {self.trunc})"
             )
-        for w2, p in self.coeffs:
-            if w2 == w:
-                return p
-        return JetPoly.zero(self.order)
+        return p
+
+    def known_mode(self, n) -> JetPoly | None:
+        """The mode a_(n), the coefficient of z^(-n-1), or None beyond the
+        window."""
+        if not isinstance(n, (int, Fraction)):
+            n = Fraction(n)
+        # For n = p/q in lowest terms, -n-1 = (-p-q)/q in lowest terms.
+        return self._read(-n.numerator - n.denominator, n.denominator)
+
+    def mode(self, n) -> JetPoly:
+        """The mode a_(n); an exact zero off the support is honest, beyond
+        the window it raises."""
+        p = self.known_mode(n)
+        if p is None:
+            return self.coefficient(-Fraction(n) - 1)  # raises
+        return p
 
     def _check(self, other: PuiseuxSeries) -> None:
         if self.order != other.order:

@@ -108,6 +108,21 @@ def _poly_row(p: JetPoly, columns: dict[Monomial, int]) -> dict[int, CycScalar]:
     return row
 
 
+def first_outside_span(order: int, basis, polys) -> int | None:
+    """The position of the first of ``polys`` outside the span of
+    ``basis``, or None when all lie in it.  A monomial that no basis
+    polynomial has gets a column of its own that no pivot touches, so a
+    polynomial with one is outside the span."""
+    columns: dict[Monomial, int] = {}
+    red = RowReducer(order)
+    for p in basis:
+        red.add(_poly_row(p, columns))
+    for k, p in enumerate(polys):
+        if not red.contains(_poly_row(p, columns)):
+            return k
+    return None
+
+
 def preserves_ideal(spec: SchemeSpec, g: DiagAutomorphism) -> bool:
     """Does the diagonal action map span{P_1..P_r} into itself?"""
     if len(g.exponents) != spec.k:
@@ -115,17 +130,8 @@ def preserves_ideal(spec: SchemeSpec, g: DiagAutomorphism) -> bool:
     if not spec.relations:
         return True
     alpha = g.alpha_by_index(spec)
-    columns: dict[Monomial, int] = {}
-    red = RowReducer(spec.order)
-    for p in spec.relations:
-        red.add(_poly_row(p, columns))
-    for p in spec.relations:
-        image = apply_automorphism(alpha, p)
-        if any(mon not in columns for mon, _ in image.terms):
-            return False
-        if not red.contains(_poly_row(image, columns)):
-            return False
-    return True
+    images = (apply_automorphism(alpha, p) for p in spec.relations)
+    return first_outside_span(spec.order, spec.relations, images) is None
 
 
 # ---------------------------------------------------------------------------

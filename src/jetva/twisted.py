@@ -10,15 +10,17 @@ is sent to the field
 
 extended multiplicatively over monomial factors and linearly over terms.
 The source must be homogeneous for the diagonal character; the resulting
-field is then supported on the matching coset of (1/m)Z.  Checkers verify
-the twisted-module axioms, the twisted Borcherds identity (evaluated on the
+field is then supported on the matching coset of (1/m)Z.  A field is its
+series, a ``PuiseuxSeries`` known up to the window: the mode a_(n) is its
+coefficient of z^(-n-1), read through the series' one exponent index,
+which also knows where the window ends.  Checkers verify the
+twisted-module axioms, the twisted Borcherds identity (evaluated on the
 vacuum with every mode exact), and the descent of jet-equation generators
 into the twisted field coefficients.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,8 +35,12 @@ from .jetpoly import (
     mul_into,
     substitute_jets,
 )
-from .jetscheme import DiagAutomorphism, SchemeSpec, _poly_row, twisted_jet_generators
-from .linalg import RowReducer
+from .jetscheme import (
+    DiagAutomorphism,
+    SchemeSpec,
+    first_outside_span,
+    twisted_jet_generators,
+)
 from .reports import CheckResult
 
 
@@ -50,63 +56,23 @@ def _max_weight(a: JetPoly) -> Fraction:
     return max((mon.weight for mon, _ in a.terms), default=Fraction(0))
 
 
-@dataclasses.dataclass(frozen=True)
-class TwistedField:
-    """A truncated twisted field together with its source and character."""
-
-    source: JetPoly
-    eigenindex: int
-    series: PuiseuxSeries
-
-    def __post_init__(self):
-        # z-exponent as (numerator, denominator) -> its nonzero coefficient
-        object.__setattr__(
-            self,
-            "_by_exponent",
-            {(w.numerator, w.denominator): p for w, p in self.series.coeffs},
-        )
-
-    def mode(self, n) -> JetPoly:
-        """Coefficient of z^(-n-1); exact zero off the window is honest,
-        beyond the window it raises."""
-        p = self.known_mode(n)
-        if p is None:
-            return self.series.coefficient(-Fraction(n) - 1)  # raises
-        return p
-
-    def known_mode(self, n) -> JetPoly | None:
-        """``mode(n)``, or None when it lies beyond the window."""
-        if not isinstance(n, (int, Fraction)):
-            n = Fraction(n)
-        # For n = p/q in lowest terms, -n-1 = (-p-q)/q in lowest terms.
-        num, den = -n.numerator - n.denominator, n.denominator
-        p = self._by_exponent.get((num, den))
-        if p is not None:
-            return p
-        t = self.series.trunc
-        if t is not None and num * t.denominator > t.numerator * den:
-            return None
-        return JetPoly.zero(self.series.order)
-
-
 # Sweeps reuse a few recent fields; an unbounded cache keeps every one.
 @lru_cache(maxsize=32)
 def _build_field(
     a: JetPoly, order: int, alpha: tuple[int, ...], window: Fraction
-) -> TwistedField:
+) -> PuiseuxSeries:
     for v in a.variables():
         if v.index > len(alpha):
             raise ValueError(f"no exponent known for coordinate {v.index}")
-    r = eigen_index(a, alpha)
-    if r is None:
+    if eigen_index(a, alpha) is None:
         raise ValueError("twisted field source must be character-homogeneous")
     offsets = {i: Fraction(e, order) for i, e in enumerate(alpha, start=1)}
-    return TwistedField(a, r, substitute_jets(a, offsets, window))
+    return substitute_jets(a, offsets, window)
 
 
 def twisted_field(
     a: JetPoly, g: DiagAutomorphism, window, spec: SchemeSpec | None = None
-) -> TwistedField:
+) -> PuiseuxSeries:
     if a.order != g.order:
         raise ValueError("source and symmetry orders differ")
     return _build_field(a, g.order, _alpha_list(g, spec), Fraction(window))
@@ -130,18 +96,17 @@ def check_twisted_axioms(
     out: list[CheckResult] = []
 
     fa = twisted_field(a, g, W, spec)
-    coset_bad = [
-        w for w in fa.series.support() if (w + Fraction(fa.eigenindex, m)) % 1 != 0
-    ]
+    r = eigen_index(a, _alpha_list(g, spec))
+    coset_bad = [w for w in fa.support() if (w + Fraction(r, m)) % 1 != 0]
     out.append(
         CheckResult(
-            f"support coset: exponents of Y_g(a) lie in -{fa.eigenindex}/{m} + Z",
+            f"support coset: exponents of Y_g(a) lie in -{r}/{m} + Z",
             not coset_bad,
             None if not coset_bad else f"stray exponent {coset_bad[0]}",
         )
     )
 
-    ms = fa.series.min_support()
+    ms = fa.min_support()
     pole_ok = ms is None or ms >= -_max_weight(a)
     out.append(
         CheckResult(
@@ -151,14 +116,14 @@ def check_twisted_axioms(
         )
     )
 
-    vac = twisted_field(JetPoly.one(m), g, W, spec).series
+    vac = twisted_field(JetPoly.one(m), g, W, spec)
     vac_ok = vac.support() == (Fraction(0),) and vac.coefficient(0) == JetPoly.one(m)
     out.append(
         CheckResult("vacuum: Y_g(1,z) = id", vac_ok, None if vac_ok else str(vac))
     )
 
-    lhs = twisted_field(derivation_T(a), g, W, spec).series
-    rhs = twisted_field(a, g, W + 1, spec).series.differentiate()
+    lhs = twisted_field(derivation_T(a), g, W, spec)
+    rhs = twisted_field(a, g, W + 1, spec).differentiate()
     bad = lhs.mismatches(rhs)
     out.append(
         CheckResult(
@@ -168,11 +133,11 @@ def check_twisted_axioms(
         )
     )
 
+    # The padded product is exact at least up to W, and the comparison runs
+    # over the overlap of the two windows, that is up to W.
     pad = W + _max_weight(a) + _max_weight(b) + 1
-    prod = twisted_field(a * b, g, W, spec).series
-    split = (
-        twisted_field(a, g, pad, spec).series * twisted_field(b, g, pad, spec).series
-    ).truncate(W)
+    prod = twisted_field(a * b, g, W, spec)
+    split = twisted_field(a, g, pad, spec) * twisted_field(b, g, pad, spec)
     bad = prod.mismatches(split)
     out.append(
         CheckResult(
@@ -192,7 +157,7 @@ def _divided_product(a: JetPoly, k: int, b: JetPoly) -> JetPoly:
     return divided_t_power(a, k) * b
 
 
-def _mode_pair(fa: TwistedField, ia, fb: TwistedField, ib):
+def _mode_pair(fa: PuiseuxSeries, ia, fb: PuiseuxSeries, ib):
     """The two modes of one product, fa's at ia and fb's at ib, or None
     when either is exactly zero: a zero factor settles the product even when
     the other lies beyond the window.  Otherwise a mode beyond the window
@@ -201,6 +166,15 @@ def _mode_pair(fa: TwistedField, ia, fb: TwistedField, ib):
     if (p is not None and p.is_zero) or (q is not None and q.is_zero):
         return None
     return (fa.mode(ia) if p is None else p, fb.mode(ib) if q is None else q)
+
+
+def _dead(fld: PuiseuxSeries, idx: Fraction) -> bool:
+    """Is the mode at idx provably zero, and every mode above it too?  So
+    it is when it lies inside the window and below every visible term."""
+    if fld.known_mode(idx) is None:
+        return False
+    ms = fld.min_support()
+    return ms is None or -idx - 1 < ms
 
 
 def check_twisted_borcherds(
@@ -262,15 +236,6 @@ def check_twisted_borcherds(
                 add_into(acc, mode.terms, coef)
         i += 1
 
-    def _dead(fld: TwistedField, idx: Fraction) -> bool:
-        # Provably zero: the coefficient exponent sits inside the window and
-        # below every visible term.
-        e = -idx - 1
-        if fld.series.trunc is not None and e > fld.series.trunc:
-            return False
-        ms = fld.series.min_support()
-        return ms is None or e < ms
-
     sign_l = -1 if l_idx % 2 else 1
     i = 0
     while True:
@@ -321,7 +286,7 @@ def check_descent(
         raise ValueError("relation is not character-homogeneous for this symmetry")
 
     src = divided_t_power(rel, n)
-    fld = twisted_field(src, g, W, spec).series
+    fld = twisted_field(src, g, W, spec)
     gens = twisted_jet_generators(spec, g, W + n)
     table = {
         (gen.relation, gen.weight): gen.poly for gen in gens.generators
@@ -347,19 +312,10 @@ def check_descent(
         )
     ]
 
-    columns = {}
-    red = RowReducer(spec.order)
-    for gen in gens.generators:
-        red.add(_poly_row(gen.poly, columns))
-    stray = None
-    for w in fld.support():
-        p = fld.coefficient(w)
-        if any(mon not in columns for mon, _ in p.terms):
-            stray = w
-            break
-        if not red.contains(_poly_row(p, columns)):
-            stray = w
-            break
+    k = first_outside_span(
+        spec.order, (gen.poly for gen in gens.generators), (p for _, p in fld.coeffs)
+    )
+    stray = None if k is None else fld.coeffs[k][0]
     results.append(
         CheckResult(
             f"descent span: rel {rel_index}, translate {n}, coefficients in "

@@ -96,7 +96,8 @@ def check_va_axioms(a: JetPoly, window, alpha=None, samples=None) -> list[CheckR
     out.append(CheckResult("vacuum: Y(1,z) = id", vac_ok, None if vac_ok else str(vac)))
 
     created = mode(a, -1)
-    no_neg = all(w >= 0 for w in vertex_op(a, W).support())
+    ya = vertex_op(a, W)
+    no_neg = all(w >= 0 for w in ya.support())
     crea_ok = no_neg and created == a
     out.append(
         CheckResult(
@@ -108,7 +109,7 @@ def check_va_axioms(a: JetPoly, window, alpha=None, samples=None) -> list[CheckR
 
     for b in samples or [one, a]:
         prod = vertex_op(a * b, W)
-        split = vertex_op(a, W) * vertex_op(b, W)
+        split = ya * vertex_op(b, W)
         bad = prod.mismatches(split)
         out.append(
             CheckResult(

@@ -140,8 +140,8 @@ def relations_section_by_section(setup):
     out = {}
     for mon in enumerate_sections(spec, setup.max_degree):
         p = JetPoly(m, ((mon, CycScalar.one(m)),))
-        at0 = twisted_field(p, g, window, spec).series
-        atinf = twisted_field(p, g.inverse(), window, spec).series
+        at0 = twisted_field(p, g, window, spec)
+        atinf = twisted_field(p, g.inverse(), window, spec)
         for j in range(-span, span):
             if (j + 1 - mon.character(alpha)) % m:
                 continue

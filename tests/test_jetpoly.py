@@ -25,9 +25,10 @@ from jetva.jetpoly import (
     eigen_index,
     jet_var,
     retag_point,
+    shift_derivation,
     substitute_jets,
 )
-from jetva.cyclo import zeta_pow
+from jetva.cyclo import CycScalar, zeta_pow
 from jetva.va import vertex_op
 
 
@@ -162,6 +163,41 @@ def test_translation_leibniz(e1, e2, l1, l2):
     assert derivation_T(a * b) == derivation_T(a) * b + a * derivation_T(b)
 
 
+_poly_terms = st.lists(
+    st.tuples(
+        _monomials,
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=0, max_value=3),  # power of zeta
+    ),
+    max_size=3,
+)
+
+
+def _poly(m, terms):
+    acc = {}
+    for mon, c, r in terms:
+        acc[mon] = acc.get(mon, CycScalar.zero(m)) + zeta_pow(m, r) * c
+    return JetPoly._from_dict(m, acc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=4),
+    p_terms=_poly_terms,
+    q_terms=_poly_terms,
+    b=st.integers(min_value=-1, max_value=3),
+    factor=st.integers(min_value=-2, max_value=3),
+)
+def test_shift_derivation_leibniz(m, p_terms, q_terms, b, factor):
+    # Fractional levels, both alphabets, zeta coefficients; b = -1 is T.
+    p, q = _poly(m, p_terms), _poly(m, q_terms)
+
+    def d(f):
+        return shift_derivation(f, b, factor)
+
+    assert d(p * q) == d(p) * q + p * d(q)
+
+
 @settings(max_examples=30, deadline=None)
 @given(l=st.integers(min_value=-3, max_value=0), n=st.integers(min_value=0, max_value=4))
 def test_translation_raises_weight_by_one(l, n):
@@ -291,6 +327,36 @@ def test_product_of_truncations_claims_only_true_coefficients(
     for k in range(-13 * m, int(prod.trunc * m) + 1):
         w = Fraction(k, m)
         assert prod.coefficient(w) == exact.coefficient(w), w
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=4),
+    terms=_exact_series,
+    t=st.none() | st.integers(min_value=-8, max_value=8),
+)
+def test_one_window_rule_for_coefficients_and_modes(m, terms, t):
+    exact = PuiseuxSeries.from_dict(
+        m, {Fraction(k, m): x(i, m=m).scale(c) for k, (c, i) in terms.items()}, None
+    )
+    s = exact if t is None else exact.truncate(Fraction(t, m))
+    for k in range(-10 * m, 10 * m + 1):
+        n = Fraction(k, m)
+        w = -n - 1  # the mode a_(n) is the coefficient of z^(-n-1)
+        beyond = t is not None and w > Fraction(t, m)
+        for idx in (n, int(n)) if n.denominator == 1 else (n,):
+            if beyond:
+                assert s.known_mode(idx) is None, idx
+                with pytest.raises(TruncationError, match=r"is beyond the window"):
+                    s.mode(idx)
+            else:
+                assert s.known_mode(idx) == exact.coefficient(w), idx
+                assert s.mode(idx) == exact.coefficient(w), idx
+        if beyond:
+            with pytest.raises(TruncationError, match=r"is beyond the window"):
+                s.coefficient(w)
+        else:
+            assert s.coefficient(w) == exact.coefficient(w), w
 
 
 def test_series_multiplies_only_series():

@@ -14,7 +14,6 @@ from jetva.jetpoly import JetPoly, PuiseuxSeries, TruncationError, divided_t_pow
 from jetva.jetscheme import DiagAutomorphism, SchemeSpec
 from jetva.reports import all_passed
 from jetva.twisted import (
-    TwistedField,
     check_descent,
     check_twisted_axioms,
     check_twisted_borcherds,
@@ -37,7 +36,7 @@ G2P = DiagAutomorphism(2, (1, 0))
 
 
 def test_generator_field_frozen():
-    s = twisted_field(y(1), G2, Fraction(5, 2)).series
+    s = twisted_field(y(1), G2, Fraction(5, 2))
     assert {str(w): str(p) for w, p in s.coeffs} == {
         "1/2": "x1[-1/2]",
         "3/2": "x1[-3/2]",
@@ -47,7 +46,7 @@ def test_generator_field_frozen():
 
 def test_derivative_field_frozen():
     # Y(x[-1]) = d/dz Y(x): coefficient of z^(n-1) picks up a factor n
-    s = twisted_field(y(1, -1), G2, Fraction(5, 2)).series
+    s = twisted_field(y(1, -1), G2, Fraction(5, 2))
     assert {str(w): str(p) for w, p in s.coeffs} == {
         "-1/2": "1/2*x1[-1/2]",
         "1/2": "3/2*x1[-3/2]",
@@ -58,7 +57,7 @@ def test_derivative_field_frozen():
 
 def test_product_field_frozen_coefficient():
     # Y(x^2) = Y(x)^2 = x[-1/2]^2 z + 2 x[-1/2] x[-3/2] z^2 + ...
-    s = twisted_field(y(1) ** 2, G2, 2).series
+    s = twisted_field(y(1) ** 2, G2, 2)
     assert str(s.coefficient(1)) == "x1[-1/2]^2"
     assert str(s.coefficient(2)) == "2*x1[-1/2]*x1[-3/2]"
 
@@ -149,7 +148,7 @@ def test_order_one_degenerates_to_plain_algebra():
     a = JetPoly.var(1, 1) * JetPoly.var(1, 2)
     b = JetPoly.var(1, 2, -1)
     # fields coincide
-    tw = twisted_field(a, g1, 4).series
+    tw = twisted_field(a, g1, 4)
     pl = vertex_op(a, 4)
     assert tw.coeffs == pl.coeffs
     # modes coincide
@@ -176,10 +175,9 @@ def _perturb_field(monkeypatch, source, exponent, extra):
         fld = real(a, g, window, spec)
         if a != source:
             return fld
-        coeffs = dict(fld.series.coeffs)
-        coeffs[exponent] = fld.series.coefficient(exponent) + extra
-        series = PuiseuxSeries.from_dict(a.order, coeffs, fld.series.trunc)
-        return TwistedField(a, fld.eigenindex, series)
+        coeffs = dict(fld.coeffs)
+        coeffs[exponent] = fld.coefficient(exponent) + extra
+        return PuiseuxSeries.from_dict(a.order, coeffs, fld.trunc)
 
     monkeypatch.setattr(twisted, "twisted_field", perturbed)
 
@@ -293,6 +291,24 @@ def test_descent_cusp_order3():
     for n in range(0, 2):
         results = check_descent(spec, g, 1, n, 3 - n)
         assert all_passed(results), (n, [r for r in results if not r.passed])
+
+
+@pytest.mark.parametrize(
+    "extra, witness",
+    [(y(2, -3), "z^1: x2[-3]"), (y(2, -9), "z^1: x2[-9]")],
+    ids=["monomial-of-a-generator", "monomial-of-no-generator"],
+)
+def test_descent_fails_on_a_perturbed_field(monkeypatch, extra, witness):
+    # x2[-3] is a monomial of the weight-3 generator; no generator has x2[-9].
+    spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
+    n = 1
+    _perturb_field(monkeypatch, divided_t_power(spec.relations[0], n), Fraction(1), extra)
+    results = check_descent(spec, G2P, 1, n, 3)
+    assert _failures(results) == {
+        "descent coefficients: rel 1, translate 1": witness,
+        "descent span: rel 1, translate 1, coefficients in the twisted "
+        "generator span": "coefficient at z^1",
+    }
 
 
 def test_descent_rejects_bad_relation_index():
