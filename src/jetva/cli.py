@@ -65,7 +65,8 @@ def load_spec(path: str):
         raise InputError(f"missing keys: {', '.join(sorted(missing))}")
 
     m = data["m"]
-    if not isinstance(m, int) or m < 1:
+    # A JSON true or false loads as a bool, which isinstance counts as an int.
+    if type(m) is not int or m < 1:
         raise InputError("m must be an integer >= 1")
 
     names = data["variables"]
@@ -95,7 +96,7 @@ def load_spec(path: str):
     if (
         not isinstance(exps, list)
         or len(exps) != len(names)
-        or not all(isinstance(a, int) for a in exps)
+        or not all(type(a) is int for a in exps)
     ):
         raise InputError("exponents must be a list of integers, one per variable")
     if any(not 0 <= a < m for a in exps):

@@ -412,12 +412,27 @@ def derivation_T(p: JetPoly) -> JetPoly:
     return shift_derivation(p, -1, 1)
 
 
+def translation_series(p: JetPoly, window) -> PuiseuxSeries:
+    """e^(zT) p = sum_n T^n(p)/n! z^n, exact up to the window.
+
+    The one loop over the divided translates: it applies ``derivation_T``
+    floor(window) times.  Its z^n coefficient is the plain field's, the mode
+    p_(-n-1) and the jet-equation generator P[n] at once, and the series is
+    the oracle of ``substitute_jets`` at every offset zero.
+    """
+    W = Fraction(window)
+    acc = {}
+    cur = p
+    for n in range(math.floor(W) + 1):
+        if n:
+            cur = derivation_T(cur).scale(Fraction(1, n))
+        acc[n] = cur
+    return PuiseuxSeries.from_dict(p.order, acc, W)
+
+
 def divided_t_power(p: JetPoly, n: int) -> JetPoly:
-    """T^n(p) / n! ."""
-    out = p
-    for j in range(1, n + 1):
-        out = derivation_T(out).scale(Fraction(1, j))
-    return out
+    """T^n(p) / n!, the z^n coefficient of ``translation_series``."""
+    return translation_series(p, n).coefficient(n)
 
 
 # ---------------------------------------------------------------------------
@@ -599,20 +614,20 @@ class PuiseuxSeries:
             nt,
         )
 
-    def mismatches(self, other: PuiseuxSeries):
-        """Exponents (with differences) where the two disagree, compared on
-        the overlap of the known windows."""
+    def first_mismatch(self, other: PuiseuxSeries) -> str | None:
+        """The witness "z^w: difference" at the lowest exponent where the
+        two disagree, compared on the overlap of the known windows, or None
+        when they agree there."""
         self._check(other)
         t = _min_trunc(self.trunc, other.trunc)
         exps = {w for w, _ in self.coeffs} | {w for w, _ in other.coeffs}
-        out = []
         for w in sorted(exps):
             if t is not None and w > t:
-                continue
+                break
             d = self.coefficient(w) - other.coefficient(w)
             if not d.is_zero:
-                out.append((w, d))
-        return out
+                return f"z^{w}: {d}"
+        return None
 
     def __str__(self) -> str:
         return self.to_str("z")

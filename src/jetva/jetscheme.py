@@ -23,9 +23,9 @@ from .jetpoly import (
     _mono_key,
     admissible_levels,
     apply_automorphism,
-    derivation_T,
     jet_var,
     substitute_jets,
+    translation_series,
 )
 from .linalg import RowReducer
 
@@ -160,14 +160,16 @@ def _presentation_vars(spec, offsets, max_weight) -> tuple[JetVar, ...]:
     return tuple(sorted(out))
 
 
-def _expansion_generators(spec: SchemeSpec, offsets, max_weight) -> list[JetGenerator]:
-    """The z^w coefficients, w <= max_weight, of every relation expanded
-    along the jet with the given coset offsets, zeros dropped."""
-    return [
+def _expansion_generators(spec: SchemeSpec, expand) -> tuple[JetGenerator, ...]:
+    """The coefficients of every relation's series ``expand(P)``, zeros
+    dropped, sorted by weight, then relation."""
+    gens = [
         JetGenerator(w, i, coeff)
         for i, p in enumerate(spec.relations, start=1)
-        for w, coeff in substitute_jets(p, offsets, max_weight).coeffs
+        for w, coeff in expand(p).coeffs
     ]
+    gens.sort(key=lambda gg: (gg.weight, gg.relation))
+    return tuple(gens)
 
 
 def jet_generators(
@@ -175,27 +177,20 @@ def jet_generators(
 ) -> JetPresentation:
     """Untwisted jet ideal generators up to the given weight.
 
-    Two routes are implemented and must agree: ``T_recursion`` iterates the
-    divided translation derivation, P[i,n] = T(P[i,n-1])/n, while
-    ``substitution`` expands P_i along the generic jet and reads off the
-    t^n coefficient (the twisted expansion with every offset zero).  Exact
-    zeros contribute nothing and are dropped.
+    Two routes are implemented and must agree: ``T_recursion`` reads the
+    translation series e^(tT) P_i, whose t^n coefficient is P[i,n] =
+    T(P[i,n-1])/n, while ``substitution`` expands P_i along the generic jet
+    and reads off the t^n coefficient (the twisted expansion with every
+    offset zero).  Exact zeros contribute nothing and are dropped.
     """
     if method not in ("T_recursion", "substitution"):
         raise ValueError(f"unknown method {method!r}")
     W = int(max_weight)
     if method == "substitution":
-        gens = _expansion_generators(spec, {}, W)
+        gens = _expansion_generators(spec, lambda p: substitute_jets(p, {}, W))
     else:
-        gens = []
-        for i, p in enumerate(spec.relations, start=1):
-            cur = p  # P[i,0]; then P[i,n] = T(P[i,n-1]) / n
-            for n in range(0, W + 1):
-                if not cur.is_zero:
-                    gens.append(JetGenerator(Fraction(n), i, cur))
-                cur = derivation_T(cur).scale(Fraction(1, n + 1))
-    gens.sort(key=lambda gg: (gg.weight, gg.relation))
-    return JetPresentation(_presentation_vars(spec, {}, W), tuple(gens))
+        gens = _expansion_generators(spec, lambda p: translation_series(p, W))
+    return JetPresentation(_presentation_vars(spec, {}, W), gens)
 
 
 def twisted_jet_generators(
@@ -210,9 +205,8 @@ def twisted_jet_generators(
         )
     W = Fraction(max_weight)
     offsets = g.offsets(spec)
-    gens = _expansion_generators(spec, offsets, W)
-    gens.sort(key=lambda gg: (gg.weight, gg.relation))
-    return JetPresentation(_presentation_vars(spec, offsets, W), tuple(gens))
+    gens = _expansion_generators(spec, lambda p: substitute_jets(p, offsets, W))
+    return JetPresentation(_presentation_vars(spec, offsets, W), gens)
 
 
 # ---------------------------------------------------------------------------

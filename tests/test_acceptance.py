@@ -27,7 +27,7 @@ from jetva.twisted import (
     check_twisted_borcherds,
     twisted_field,
 )
-from jetva.va import check_borcherds, check_va_axioms, mode, vertex_op
+from jetva.va import check_borcherds, check_va_axioms, vertex_op
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def test_criterion_8_order_one_consistency():
             failures.append((trial, "field"))
 
         n = Fraction(rng.randint(-W, 1))
-        if twisted_field(p, g1, W + 1).mode(n) != mode(p, n, window=W + 1):
+        if twisted_field(p, g1, W + 1).mode(n) != vertex_op(p, W + 1).mode(n):
             failures.append((trial, "mode", n))
 
         b = rng.randint(0, 3)

@@ -188,6 +188,9 @@ def test_exit_2_on_bad_inputs(spec_file, capsys):
         {**PARABOLA, "relations": ["x3"]},
         {**PARABOLA, "exponents": [1]},
         {**PARABOLA, "exponents": [1, 5]},
+        # JSON booleans are not integers
+        {"m": True, "variables": ["x1"], "relations": ["x1^2"], "exponents": [False]},
+        {**PARABOLA, "exponents": [True, False]},
     ]
     for i, payload in enumerate(cases):
         path = spec_file(payload, f"bad{i}.json")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jetva import jetpoly
 from jetva.cyclo import CycScalar
 from jetva.jetpoly import JetPoly, Monomial, derivation_T, jet_var
 from jetva.jetscheme import (
@@ -77,6 +78,23 @@ def test_methods_agree_on_sample_curves():
         a = jet_generators(spec, 5, "T_recursion")
         b = jet_generators(spec, 5, "substitution")
         assert _by_weight(a) == _by_weight(b)
+
+
+def test_T_recursion_translates_max_weight_times_per_relation(monkeypatch):
+    # P[i,0..W] are read off one translation series per relation, which
+    # applies T exactly W times
+    spec = SchemeSpec.of(1, 2, [x(1) ** 2 - x(2), x(1) * x(2)])
+    calls = []
+    real = jetpoly.derivation_T
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(jetpoly, "derivation_T", counted)
+    pres = jet_generators(spec, 5, "T_recursion")
+    assert len(calls) == 5 * len(spec.relations)
+    assert pres == jet_generators(spec, 5, "substitution")
 
 
 def test_generator_recursion_weightwise():

@@ -3,6 +3,7 @@ identity that pins down the whole operator algebra.  Mode values below were
 computed by hand from the divided-power formula a_(-n-1) b = (T^n a / n!) b.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetva.jetpoly import JetPoly, TruncationError, divided_t_power
+from jetva import jetpoly, va
+from jetva.jetpoly import JetPoly, TruncationError, apply_automorphism, divided_t_power
 from jetva.reports import all_passed
 from jetva.va import check_borcherds, check_va_axioms, mode, vertex_op
 
@@ -55,9 +57,32 @@ def test_modes_are_divided_powers():
 
 def test_mode_window_guard():
     a = x(1)
-    assert str(mode(a, -3, window=5)) == "x1[-2]"
+    assert str(vertex_op(a, 5).mode(-3)) == "x1[-2]"
     with pytest.raises(TruncationError):
-        mode(a, -7, window=5)
+        vertex_op(a, 5).mode(-7)
+
+
+def _count_translations(monkeypatch) -> list:
+    calls = []
+    real = jetpoly.derivation_T
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    for module in (jetpoly, va):
+        monkeypatch.setattr(module, "derivation_T", counted)
+    return calls
+
+
+@pytest.mark.parametrize("window", [0, 1, Fraction(5, 2), 4])
+def test_vertex_op_translates_floor_window_times(monkeypatch, window):
+    # T^n(a)/n! is computed for n = 0..floor(W) and no further
+    calls = _count_translations(monkeypatch)
+    s = vertex_op(x(1) * x(2, -1), window)
+    assert len(calls) == math.floor(window)
+    assert s.trunc == window
+    assert s.support() == tuple(Fraction(n) for n in range(math.floor(window) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +104,40 @@ def test_axioms_with_symmetry():
     results = check_va_axioms(y1 * y2, 6, alpha=(1, 2), samples=[y1, y2])
     assert all_passed(results)
     assert any("equivariance" in r.name for r in results)
+
+
+def test_equivariance_fails_on_a_perturbed_mode(monkeypatch):
+    # a stray term in g(a)_(-2) breaks equivariance at n = -2 for every
+    # sample, and each sample's checks stop there; nothing else fails
+    y1 = JetPoly.var(4, 1)
+    y2 = JetPoly.var(4, 2, -1)
+    a = y1 * y2
+    alpha = (1, 2)
+    ga = apply_automorphism(alpha, a)
+    stray = JetPoly.var(4, 2, -3)
+    real = va.mode
+
+    def perturbed(p, n):
+        out = real(p, n)
+        return out + stray if n == -2 and p == ga else out
+
+    monkeypatch.setattr(va, "mode", perturbed)
+    results = check_va_axioms(a, 6, alpha=alpha, samples=[y1, y2])
+    assert [(r.name, r.witness) for r in results if not r.passed] == [
+        (
+            "equivariance: g(a)_(-2) g(b) = g(a_(-2) b) [b = x1[0]]",
+            "(zeta)*x1[0]*x2[-3]",
+        ),
+        (
+            "equivariance: g(a)_(-2) g(b) = g(a_(-2) b) [b = x2[-1]]",
+            "-x2[-1]*x2[-3]",
+        ),
+    ]
+    assert [r.name for r in results if r.name.startswith("equivariance")] == [
+        f"equivariance: g(a)_({n}) g(b) = g(a_({n}) b) [b = {b}]"
+        for b in (y1, y2)
+        for n in (-3, -2)
+    ]
 
 
 # ---------------------------------------------------------------------------
