@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .cyclo import CycScalar
@@ -308,21 +309,21 @@ def graded_quotient_dims(
 ) -> dict[tuple[Fraction, int], int]:
     """Dimension of each (weight, degree) piece of the bounded quotient.
 
-    Within a weight slice the ideal rows are all in-box multiples of the
-    generators; the (w, d) entry is the number of degree-d monomials still
-    independent after the rows and all lower-degree monomials have been
-    inserted.  Generators may mix degrees (they must be weight-homogeneous),
-    in which case the table reads off the degree filtration of the quotient.
-    Entries are upper bounds for the true quotient dimensions, exact once
-    they are stable under enlarging the bounds.
+    Within a weight slice the ideal rows R are all in-box multiples of the
+    generators, and with V_d the span of the degree-d monomials the (w, d)
+    entry is dim(R + V<=d) - dim(R + V<d).  Generators may mix degrees (they
+    must be weight-homogeneous); the table then reads off the degree
+    filtration of the quotient.  Entries are upper bounds for the true
+    quotient dimensions, exact once stable under enlarging the bounds.
 
-    Monomials are handled as the packed int codes of ``_packed_box``: the
-    multiple q * mon of a generator term is the code sum q + t, and each
-    slice's columns are its (degree, code) table, sorted by degree.  The
-    order of the columns within one degree does not matter: the (w, d) entry
-    is the rank that the whole set of degree-d monomials adds on top of the
-    rows and the lower degrees, and a rank does not depend on the order in
-    which the columns are listed.
+    Monomials are the packed int codes of ``_packed_box``: the multiple
+    q * mon of a generator term is the code sum q + t.  A slice's columns
+    are numbered from the last entry of its (degree, code) table to the
+    first, so each echelon row of ``RowReducer`` has its pivot, its lowest
+    column, on a top-degree term.  Modulo V<=d the rows with a pivot above degree d stay
+    independent and the others vanish: dim(R + V<=d) = dim V<=d + #(pivots
+    above degree d).  So the (w, d) entry is the number of degree-d
+    monomials minus the number of pivots in degree-d columns.
     """
     W = Fraction(max_weight)
     D = int(max_degree)
@@ -350,10 +351,10 @@ def graded_quotient_dims(
         )
         for p in gens
     ]
-    one = CycScalar.one(order)
     dims: dict[tuple[Fraction, int], int] = {}
     for w, table in slices.items():
-        columns = {code: j for j, (_, code) in enumerate(table)}
+        last = len(table) - 1
+        columns = {code: last - j for j, (_, code) in enumerate(table)}
         red = RowReducer(order)
         for wg, room, terms in packed_gens:
             if wg > w or room < 0:
@@ -362,10 +363,7 @@ def graded_quotient_dims(
                 if d > room:
                     break  # the table is sorted by degree
                 red.add({columns[q + t]: c for t, c in terms})
-        by_degree = [0] * (D + 1)
-        for j, (d, _) in enumerate(table):
-            if red.add({j: one}):
-                by_degree[d] += 1
-        for d in range(D + 1):
-            dims[(Fraction(w, L), d)] = by_degree[d]
+        free = Counter(d for d, _ in table)
+        free.subtract(table[last - col][0] for col in red.pivots)
+        dims.update({(Fraction(w, L), d): free[d] for d in range(D + 1)})
     return dims

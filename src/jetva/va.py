@@ -45,6 +45,7 @@ def vertex_op(a: JetPoly, window) -> PuiseuxSeries:
 def mode(a: JetPoly, n: ModeIndex) -> JetPoly:
     """The multiplication element a_(n) 1: T^(-n-1)(a)/(-n-1)! for n <= -1,
     zero otherwise."""
+    _require_untwisted(a)
     if Fraction(n).denominator != 1:
         raise ValueError("untwisted mode index must be an integer")
     n = int(n)

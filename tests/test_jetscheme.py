@@ -26,6 +26,7 @@ from jetva.jetscheme import (
     preserves_ideal,
     twisted_jet_generators,
 )
+from jetva.linalg import RowReducer
 
 
 def x(i, level=0, m=1):
@@ -270,6 +271,130 @@ def test_dims_of_monomial_ideal_count_undivided_monomials(picks, data, W, D):
     assert graded_quotient_dims(3, ambient, gens, W, D) == _box_counts(
         ambient, gen_exps, W, D
     )
+
+
+# Weight-0 tables of a plane curve read the Hilbert function of the ideal of
+# leading (top-degree) forms: x1^2, x1^3 and x1*x2 here.
+@pytest.mark.parametrize(
+    "relation, D, table",
+    [
+        (x(1) ** 2 - x(2), 3, [1, 2, 2, 2]),
+        (x(1) ** 3 - x(2) ** 2, 4, [1, 2, 3, 3, 3]),
+        (x(1) * x(2) - JetPoly.one(1), 3, [1, 2, 2, 2]),
+    ],
+    ids=["parabola", "cusp", "hyperbola"],
+)
+def test_dims_of_mixed_degree_curves_frozen(relation, D, table):
+    dims = graded_quotient_dims(1, (jet_var(1, 0), jet_var(2, 0)), [relation], 0, D)
+    assert dims == {(Fraction(0), d): table[d] for d in range(D + 1)}
+
+
+def _probe_dims(order, ambient, gens, W, D):
+    """Reference tables by two eliminations per weight slice: insert every
+    in-box generator multiple, then a unit row for each monomial in degree
+    order, and count the degree-d unit rows that enlarge the row space."""
+    slices = enumerate_monomials(ambient, W, D)
+    one = CycScalar.one(order)
+    dims = {}
+    for w, mons in slices.items():
+        columns = {mon: j for j, mon in enumerate(mons)}
+        red = RowReducer(order)
+        for g in gens:
+            for mon in slices.get(w - g.homogeneous_weight(), ()):
+                if mon.degree + g.max_degree() <= D:
+                    red.add({columns[mon * t]: c for t, c in g.terms})
+        gained = Counter(mon.degree for mon in mons if red.add({columns[mon]: one}))
+        dims.update({(w, d): gained[d] for d in range(D + 1)})
+    return dims
+
+
+# Weights 0, 1, 1/3 and 2/3 at m = 3, so one weight holds monomials of
+# several degrees (x1[-1], x2[-1/3]^3 and x1[0]*x3[-2/3]*x2[-1/3]).
+_MIXED = (jet_var(1, 0), jet_var(1, -1), jet_var(2, Fraction(-1, 3)),
+          jet_var(3, Fraction(-2, 3)))
+
+
+def _low_degree_by_weight():
+    """Monomials of degree at most 3, so that generators fit in the box,
+    grouped by weight; a generator draws up to three terms from one group."""
+    groups = {}
+    for exps in itertools.product(range(4), repeat=len(_MIXED)):
+        if sum(exps) <= 3:
+            mon = Monomial.of(*zip(_MIXED, exps))
+            groups.setdefault(mon.weight, []).append(mon)
+    return groups
+
+
+_BY_WEIGHT = _low_degree_by_weight()
+
+
+def _mixed_gens(term_lists):
+    """One generator per list of monomials, coefficients cycling through 1,
+    zeta and -2."""
+    z = CycScalar.zeta(3)
+    coeffs = itertools.cycle([CycScalar.one(3), z, CycScalar.from_rational(3, -2)])
+    return [
+        sum((JetPoly(3, ((mon, next(coeffs)),)) for mon in terms), JetPoly.zero(3))
+        for terms in term_lists
+    ]
+
+
+def _generator_terms():
+    return st.sampled_from(sorted(_BY_WEIGHT)).flatmap(
+        lambda w: st.lists(
+            st.sampled_from(_BY_WEIGHT[w]), min_size=1, max_size=3, unique=True
+        )
+    )
+
+
+def _mons(*exponent_vectors):
+    return [Monomial.of(*zip(_MIXED, exps)) for exps in exponent_vectors]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    term_lists=st.lists(_generator_terms(), min_size=1, max_size=3),
+    W=st.fractions(min_value=0, max_value=2, max_denominator=3),
+    D=st.integers(min_value=0, max_value=4),
+)
+# 1 + zeta*x1[0]^2: no slice fills up
+@example(term_lists=[_mons((0, 0, 0, 0), (2, 0, 0, 0))], W=Fraction(1), D=3)
+# x1[-1] + zeta*x2[-1/3]^3 and -2*x3[-2/3] + x1[0]*x2[-1/3]^2: none fills up
+@example(
+    term_lists=[_mons((0, 1, 0, 0), (0, 0, 3, 0)), _mons((0, 0, 0, 1), (1, 0, 2, 0))],
+    W=Fraction(5, 3),
+    D=4,
+)
+def test_dims_match_the_two_pass_probe(term_lists, W, D):
+    gens = _mixed_gens(term_lists)
+    assert graded_quotient_dims(3, _MIXED, gens, W, D) == _probe_dims(
+        3, _MIXED, gens, W, D
+    )
+
+
+def test_dims_insert_only_generator_multiples(monkeypatch):
+    spec = SchemeSpec.of(3, 2, [x(1, m=3) ** 3 - x(2, m=3) ** 2])
+    pres = twisted_jet_generators(spec, DiagAutomorphism(3, (2, 0)), 3)
+    gens = [g.poly for g in pres.generators]
+    W, D = 3, 4
+    slices = enumerate_monomials(pres.variables, W, D)
+    multiples = sum(
+        mon.degree + g.max_degree() <= D
+        for w in slices
+        for g in gens
+        for mon in slices.get(w - g.homogeneous_weight(), ())
+    )
+    calls = []
+    real = RowReducer.add
+
+    def counted(self, row):
+        calls.append(row)
+        return real(self, row)
+
+    monkeypatch.setattr(RowReducer, "add", counted)
+    graded_quotient_dims(3, pres.variables, gens, W, D)
+    assert multiples > 0
+    assert len(calls) == multiples
 
 
 @settings(max_examples=20, deadline=None)

@@ -62,6 +62,18 @@ def test_mode_window_guard():
         vertex_op(a, 5).mode(-7)
 
 
+@pytest.mark.parametrize(
+    "source",
+    [JetPoly.var(2, 1, Fraction(-1, 2)), JetPoly.var(1, 1, -1, point=1)],
+    ids=["twisted", "point-1"],
+)
+def test_mode_rejects_what_vertex_op_rejects(source):
+    # a twisted level or a variable at infinity has no plain field
+    for reject in (lambda a: vertex_op(a, 3), lambda a: mode(a, -2)):
+        with pytest.raises(ValueError, match="not an untwisted jet polynomial"):
+            reject(source)
+
+
 def _count_translations(monkeypatch) -> list:
     calls = []
     real = jetpoly.derivation_T
