@@ -11,12 +11,13 @@ exact bigraded dimension tables of bounded quotients.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
 
-from .cyclo import CycScalar
+from .cyclo import CycScalar, modular_root
 from .jetpoly import (
     JetPoly,
     JetVar,
@@ -28,7 +29,7 @@ from .jetpoly import (
     substitute_jets,
     translation_series,
 )
-from .linalg import RowReducer
+from .linalg import RowReducer, spans_mod_p
 
 
 class IdealNotPreservedError(ValueError):
@@ -300,6 +301,25 @@ def enumerate_monomials(
     return slices
 
 
+def _zero_mod_p(table, fits, columns, D: int, p: int) -> bool:
+    """Whether a slice's rows span F_p^columns, which proves it zero.  The
+    pass is skipped, with False, when a row has no image in F_p, or when
+    the rows cannot fill: for some degree d, fewer rows have a term of
+    degree <= d than there are columns of degree <= d."""
+    if any(terms_p is None for _, _, terms_p, qs in fits if qs):
+        return False
+    for d in range(D + 1):
+        reach = sum(bisect.bisect_left(qs, (d - low + 1,)) for low, _, _, qs in fits)
+        if reach < bisect.bisect_left(table, (d + 1,)):
+            return False
+    rows = (
+        {columns[q + t]: v for t, v in terms_p}
+        for _, _, terms_p, qs in fits
+        for _, q in qs
+    )
+    return spans_mod_p(rows, len(table), p)
+
+
 def graded_quotient_dims(
     order: int,
     ambient: tuple[JetVar, ...],
@@ -320,50 +340,96 @@ def graded_quotient_dims(
     q * mon of a generator term is the code sum q + t.  A slice's columns
     are numbered from the last entry of its (degree, code) table to the
     first, so each echelon row of ``RowReducer`` has its pivot, its lowest
-    column, on a top-degree term.  Modulo V<=d the rows with a pivot above degree d stay
-    independent and the others vanish: dim(R + V<=d) = dim V<=d + #(pivots
-    above degree d).  So the (w, d) entry is the number of degree-d
-    monomials minus the number of pivots in degree-d columns.
+    column, on a top-degree term.  Modulo V<=d the rows with a pivot above
+    degree d stay independent and the others vanish: dim(R + V<=d) =
+    dim V<=d + #(pivots above degree d).  So the (w, d) entry is the number
+    of degree-d monomials minus the number of pivots in degree-d columns.
+
+    A slice whose rows reach full rank is zero in every entry; in a
+    coinvariant box every slice of positive weight does, as the theorem
+    predicts.  Three rules keep the exact work for the other slices:
+
+    - Early exit.  The exact elimination stops once the rank equals the
+      column count, since every later row lies in the span.
+    - Certificate over F_p.  Before the exact pass, the same rows run over
+      F_p, with p and r = zeta mod p from ``modular_root`` and every
+      generator coefficient mapped once.  Rows that span F_p^columns prove
+      the slice zero, exactly: with every coefficient p-integral the rows
+      lie in Z_(p)[zeta], and zeta -> r is a ring map onto F_p that
+      commutes with determinants, so a minor that vanishes over Q(zeta_m)
+      vanishes mod p.  Hence rank mod p <= rank over Q(zeta_m) <= column
+      count, and full rank mod p forces full rank.  A pass that falls
+      short proves nothing, and neither does a slice drawing on a
+      generator whose coefficient has a denominator divisible by p; both
+      go to ``RowReducer``, the one exact path.  No entry is read off F_p.
+    - A slice that cannot fill skips the F_p pass (``_zero_mod_p``): for
+      some degree d it has fewer rows with a term of degree <= d than
+      columns of degree <= d.  In a jet ring whose relations have no term
+      below degree 2, say, no row reaches a slice's degree-1 columns.
+
+    Generators are taken fewest terms first; the pivot columns, and so the
+    table, do not depend on the row order, and short rows fill a slice
+    soonest.
     """
     W = Fraction(max_weight)
     D = int(max_degree)
     ambient = tuple(sorted(set(ambient)))
     allowed = set(ambient)
-    gens = [p for p in ideal_gens if not p.is_zero]
-    for p in gens:
-        if p.order != order:
+    gens = [g for g in ideal_gens if not g.is_zero]
+    for g in gens:
+        if g.order != order:
             raise ValueError("generator scalar order does not match")
-        if p.homogeneous_weight() is None:
-            raise ValueError(f"ideal generator is not weight-homogeneous: {p}")
-        if not p.variables() <= allowed:
+        if g.homogeneous_weight() is None:
+            raise ValueError(f"ideal generator is not weight-homogeneous: {g}")
+        if not g.variables() <= allowed:
             raise ValueError("ideal generator uses a variable outside the ambient set")
     bits, L, slices = _packed_box(ambient, W, D)
     shift_of = {v: j * bits for j, v in enumerate(ambient)}
-    # (weight, degree room left for the multiplier, [(term code, coeff)])
-    packed_gens = [
-        (
-            int(p.homogeneous_weight() * L),
-            D - p.max_degree(),
-            [
-                (sum(e << shift_of[v] for v, e in mon.factors), c)
-                for mon, c in p.terms
-            ],
+    p, r = modular_root(order)
+    # (weight, lowest term degree, degree room left for the multiplier,
+    #  [(term code, coeff)], the nonzero terms mod p or None if p divides
+    #  a denominator)
+    packed_gens = []
+    for g in gens:
+        terms = [
+            (sum(e << shift_of[v] for v, e in mon.factors), c) for mon, c in g.terms
+        ]
+        residues = [c.residue(p, r) for _, c in terms]
+        terms_p = None
+        if None not in residues:
+            terms_p = [(t, v) for (t, _), v in zip(terms, residues) if v]
+        packed_gens.append(
+            (
+                int(g.homogeneous_weight() * L),
+                min(mon.degree for mon, _ in g.terms),
+                D - g.max_degree(),
+                terms,
+                terms_p,
+            )
         )
-        for p in gens
-    ]
+    # fewest terms first: short rows are cheap and fill a slice soonest
+    packed_gens.sort(key=lambda gen: len(gen[3]))
     dims: dict[tuple[Fraction, int], int] = {}
     for w, table in slices.items():
-        last = len(table) - 1
-        columns = {code: last - j for j, (_, code) in enumerate(table)}
-        red = RowReducer(order)
-        for wg, room, terms in packed_gens:
-            if wg > w or room < 0:
-                continue
-            for d, q in slices.get(w - wg, ()):
-                if d > room:
-                    break  # the table is sorted by degree
+        ncols = len(table)
+        columns = {code: ncols - 1 - j for j, (_, code) in enumerate(table)}
+        # (lowest term degree, terms, terms mod p, the multipliers' (degree,
+        # code) entries): the table is sorted by degree, so those that fit
+        # are a prefix
+        fits = [
+            (low, terms, terms_p, tab[: bisect.bisect_left(tab, (room + 1,))])
+            for wg, low, room, terms, terms_p in packed_gens
+            if (tab := slices.get(w - wg))
+        ]
+        if _zero_mod_p(table, fits, columns, D, p):
+            free = Counter()  # every column holds a pivot
+        else:
+            red = RowReducer(order)
+            for terms, q in ((terms, q) for _, terms, _, qs in fits for _, q in qs):
+                if red.rank == ncols:
+                    break
                 red.add({columns[q + t]: c for t, c in terms})
-        free = Counter(d for d, _ in table)
-        free.subtract(table[last - col][0] for col in red.pivots)
+            free = Counter(d for d, _ in table)
+            free.subtract(table[ncols - 1 - col][0] for col in red.pivots)
         dims.update({(Fraction(w, L), d): free[d] for d in range(D + 1)})
     return dims

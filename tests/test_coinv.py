@@ -5,6 +5,7 @@ positive-weight entry must vanish.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -15,6 +16,7 @@ from jetva.coinv import (
     residue_relation,
     verify_fixed_ring,
 )
+from jetva import jetscheme
 from jetva.cyclo import CycScalar
 from jetva.jetpoly import JetPoly, retag_point
 from jetva.jetscheme import DiagAutomorphism, SchemeSpec
@@ -115,6 +117,56 @@ def test_fixture_tables(label, order, k, rels, exps, row):
     assert weight0_row(dims, 3) == row
     assert positive_weight_total(dims) == 0
     assert all_passed(checks), [c for c in checks if not c.passed]
+
+
+def test_empty_fixed_locus_certifies_every_slice():
+    # x1*x2 = 1 has no point fixed by (x1, x2) -> (-x1, -x2), so the weight-0
+    # slices fill too, of the coinvariants and of the fixed ring (the unit
+    # relation -1): each passes the F_p certificate
+    setup = setup_of(2, 2, [x(1, 2) * x(2, 2) - JetPoly.one(2)], (1, 1), W=2, D=3)
+    verdicts = []
+    real = jetscheme.spans_mod_p
+
+    def spy(rows, ncols, p):
+        verdicts.append(real(rows, ncols, p))
+        return verdicts[-1]
+
+    with mock.patch.object(jetscheme, "spans_mod_p", spy):
+        dims, checks = verify_fixed_ring(setup)
+    assert all_passed(checks)
+    assert not any(dims.values())
+    assert verdicts == [True] * (len({w for w, _ in dims}) + 1)
+    with mock.patch.object(jetscheme, "spans_mod_p", lambda rows, ncols, p: False):
+        assert coinvariant_dims(setup) == dims
+
+
+# Tables of larger boxes, recorded with the exact elimination of every
+# slice: weight 0 reads the fixed ring and every positive weight vanishes.
+LARGE_BOXES = [
+    ("cusp-m3", 3, lambda: [x(1, 3) ** 3 - x(2, 3) ** 2], (2, 0), 8, 6, [1, 1]),
+    (
+        "zeta4-m4",
+        4,
+        lambda: [x(1, 4) ** 2 - JetPoly.const(4, CycScalar.zeta(4)) * x(2, 4) ** 2],
+        (1, 1),
+        6,
+        7,
+        [1],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "label,order,rels,exps,W,D,row", LARGE_BOXES, ids=[b[0] for b in LARGE_BOXES]
+)
+def test_large_box_tables_frozen(label, order, rels, exps, W, D, row):
+    dims = coinvariant_dims(setup_of(order, 2, rels(), exps, W=W, D=D))
+    row = row + [0] * (D + 1 - len(row))
+    assert dims == {
+        (Fraction(k, order), d): row[d] if k == 0 else 0
+        for k in range(order * W + 1)
+        for d in range(D + 1)
+    }
 
 
 def test_stability_in_window_size():

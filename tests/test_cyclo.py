@@ -16,6 +16,7 @@ from jetva.cyclo import (
     FieldMismatchError,
     cyclotomic_poly,
     euler_phi,
+    modular_root,
     zeta_pow,
 )
 
@@ -149,3 +150,34 @@ def test_rational_operand_shortcut_matches_full_product(c, q):
     assert q - c == full - c
     if c:
         assert q / c == full * c.inverse()
+
+
+def _trial_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_modular_root_is_a_primitive_root_of_phi_m(m):
+    p, r = modular_root(m)
+    assert _trial_prime(p)
+    assert (p - 1) % m == 0
+    assert sum(c * pow(r, j, p) for j, c in enumerate(cyclotomic_poly(m))) % p == 0
+    # multiplicative order exactly m
+    assert [k for k in range(1, m + 1) if pow(r, k, p) == 1] == [m]
+    assert modular_root(m) == (p, r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ab=st.sampled_from([1, 2, 3, 4, 5, 12]).flatmap(
+        lambda m: st.tuples(_scalars(m), _scalars(m))
+    )
+)
+def test_residue_is_a_ring_map(ab):
+    # denominators have no prime factor above 5, so none is divisible by p
+    a, b = ab
+    p, r = modular_root(a.order)
+    ra, rb = a.residue(p, r), b.residue(p, r)
+    assert (a + b).residue(p, r) == (ra + rb) % p
+    assert (a * b).residue(p, r) == ra * rb % p
+    assert CycScalar.zeta(a.order).residue(p, r) == r % p
