@@ -1,9 +1,11 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_m).
 
 Elements are represented by their coordinate vector in the power basis
-1, zeta, ..., zeta^(phi(m)-1), with Fraction entries, reduced modulo the
-m-th cyclotomic polynomial.  No floating point anywhere: equality of two
-scalars is equality of coordinate tuples.
+1, zeta, ..., zeta^(phi(m)-1), held as integer numerators over one positive
+common denominator in lowest terms.  Products are reduced modulo the monic
+integer m-th cyclotomic polynomial with integer arithmetic alone, and each
+result is normalised by one gcd.  No floating point anywhere: equality of
+two scalars is equality of their numerators, denominator and order.
 
 Scalars of different orders never mix; combining them raises
 FieldMismatchError rather than guessing an embedding.
@@ -15,8 +17,8 @@ tables use that image only to certify full rank, never for a value.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -154,32 +156,114 @@ def modular_root(m: int) -> tuple[int, int]:
             return p, r
 
 
-def _reduce(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
-    # Remainder of a dense Fraction polynomial modulo cyclotomic_poly(m),
-    # padded to length phi(m).
-    phi = euler_phi(m)
+@lru_cache(maxsize=None)
+def _modulus(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(m) and the nonzero (j, c) with j < phi(m) of Phi_m = z^phi + ...
+    + sum c z^j, for the reduction of integer polynomials."""
     mod = cyclotomic_poly(m)
-    work = list(coeffs)
+    return len(mod) - 1, tuple((j, c) for j, c in enumerate(mod[:-1]) if c)
+
+
+def _reduce(work: list[int], m: int) -> tuple[int, ...]:
+    """The remainder of a dense integer polynomial (low to high, consumed)
+    modulo the monic Phi_m, padded to length phi(m): exact over Z."""
+    phi, tail = _modulus(m)
     for i in range(len(work) - 1, phi - 1, -1):
         c = work[i]
         if c:
-            for j in range(len(mod)):
-                work[i - len(mod) + 1 + j] -= c * mod[j]
-    work = work[:phi]
-    work += [Fraction(0)] * (phi - len(work))
-    return tuple(work)
+            base = i - phi
+            for j, d in tail:
+                work[base + j] -= c * d
+    if len(work) < phi:
+        work += [0] * (phi - len(work))
+    return tuple(work[:phi])
 
 
-@dataclasses.dataclass(frozen=True)
+def _product(a: tuple[int, ...], b: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The product of two reduced integer coordinate vectors, reduced."""
+    if len(a) == 1:
+        return (a[0] * b[0],)
+    prod = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return _reduce(prod, m)
+
+
+def _conjugate(nums: tuple[int, ...], k: int, m: int) -> tuple[int, ...]:
+    """The image of sum nums_i zeta^i under zeta -> zeta^k."""
+    work = [0] * m
+    for i, a in enumerate(nums):
+        work[i * k % m] += a
+    return _reduce(work, m)
+
+
+def _mismatch(got: int, want: int) -> FieldMismatchError:
+    return FieldMismatchError(
+        f"scalar of order {got} used where order {want} expected"
+    )
+
+
+_new = object.__new__
+
+
 class CycScalar:
-    """An element of Q(zeta_m), zeta_m = exp(2*pi*i/m)."""
+    """An element of Q(zeta_m), zeta_m = exp(2*pi*i/m), stored as the
+    integer coordinates ``nums`` over one common denominator ``den``.
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    The form is canonical: ``den > 0`` and gcd(den, *nums) == 1, so zero
+    is (0, ..., 0) over 1 and equality and hashing are structural.
+    ``CycScalar(m, coeffs)`` takes the phi(m) coordinates as ints or
+    Fractions, and ``coeffs`` gives them back as Fractions.
+    """
+
+    __slots__ = ("order", "nums", "den")
+
+    def __init__(self, order: int, coeffs) -> None:
+        fracs = [Fraction(c) for c in coeffs]
+        if len(fracs) != euler_phi(order):
+            raise ValueError(
+                f"order {order} takes {euler_phi(order)} coordinates, "
+                f"not {len(fracs)}"
+            )
+        # The lcm of the reduced denominators is coprime to the numerators
+        # taken together, so the form is canonical as it stands.
+        den = math.lcm(*(f.denominator for f in fracs))
+        _set_order(self, order)
+        _set_nums(self, tuple(f.numerator * (den // f.denominator) for f in fracs))
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CycScalar is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CycScalar is immutable")
+
+    def __reduce__(self):
+        return _make, (self.order, self.nums, self.den)
+
+    def __eq__(self, other):
+        if type(other) is not CycScalar:
+            return NotImplemented
+        return (
+            self.den == other.den
+            and self.nums == other.nums
+            and self.order == other.order
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.nums, self.den))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @classmethod
     def zero(cls, m: int) -> CycScalar:
-        return cls(m, tuple([Fraction(0)] * euler_phi(m)))
+        return _make(m, (0,) * euler_phi(m), 1)
 
     @classmethod
     def one(cls, m: int) -> CycScalar:
@@ -187,8 +271,11 @@ class CycScalar:
 
     @classmethod
     def from_rational(cls, m: int, q) -> CycScalar:
-        v = [Fraction(q)] + [Fraction(0)] * (euler_phi(m) - 1)
-        return cls(m, tuple(v))
+        rest = (0,) * (euler_phi(m) - 1)
+        if type(q) is int:
+            return _make(m, (q, *rest), 1)
+        q = Fraction(q)
+        return _make(m, (q.numerator, *rest), q.denominator)
 
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> CycScalar:
@@ -198,92 +285,126 @@ class CycScalar:
     def coerce(cls, m: int, value) -> CycScalar:
         if isinstance(value, CycScalar):
             if value.order != m:
-                raise FieldMismatchError(
-                    f"scalar of order {value.order} used where order {m} expected"
-                )
+                raise _mismatch(value.order, m)
             return value
         if isinstance(value, (int, Fraction)):
             return cls.from_rational(m, value)
         raise TypeError(f"cannot coerce {type(value).__name__} to CycScalar")
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        nums, den = self.nums, self.den
+        if type(other) is CycScalar:
+            if other.order != self.order:
+                raise _mismatch(other.order, self.order)
+            d = other.den
+            if d == den:
+                return _canon(
+                    self.order, tuple([a + b for a, b in zip(nums, other.nums)]), den
+                )
+            return _canon(
+                self.order,
+                tuple([a * d + b * den for a, b in zip(nums, other.nums)]),
+                den * d,
+            )
+        if isinstance(other, int):
             # a rational shifts the constant coordinate only
-            return CycScalar(self.order, (self.coeffs[0] + other, *self.coeffs[1:]))
-        other = CycScalar.coerce(self.order, other)
-        return CycScalar(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+            return _canon(self.order, (nums[0] + other * den, *nums[1:]), den)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _canon(
+                self.order,
+                (nums[0] * q + p * den, *[a * q for a in nums[1:]]),
+                den * q,
+            )
+        return self + CycScalar.coerce(self.order, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycScalar:
-        return CycScalar(self.order, tuple(-a for a in self.coeffs))
+        return _make(self.order, tuple([-a for a in self.nums]), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        other = CycScalar.coerce(self.order, other)
-        return CycScalar(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        nums, den = self.nums, self.den
+        if type(other) is CycScalar:
+            if other.order != self.order:
+                raise _mismatch(other.order, self.order)
+            d = other.den
+            if d == den:
+                return _canon(
+                    self.order, tuple([a - b for a, b in zip(nums, other.nums)]), den
+                )
+            return _canon(
+                self.order,
+                tuple([a * d - b * den for a, b in zip(nums, other.nums)]),
+                den * d,
+            )
+        if isinstance(other, int):
+            return _canon(self.order, (nums[0] - other * den, *nums[1:]), den)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _canon(
+                self.order,
+                (nums[0] * q - p * den, *[a * q for a in nums[1:]]),
+                den * q,
+            )
+        return self - CycScalar.coerce(self.order, other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        nums, den = self.nums, self.den
+        if isinstance(other, int):
+            return _canon(
+                self.order, (other * den - nums[0], *[-a for a in nums[1:]]), den
+            )
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _canon(
+                self.order,
+                (p * den - nums[0] * q, *[-a * q for a in nums[1:]]),
+                den * q,
+            )
+        return CycScalar.coerce(self.order, other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is CycScalar:
+            if other.order != self.order:
+                raise _mismatch(other.order, self.order)
+            return _canon(
+                self.order,
+                _product(self.nums, other.nums, self.order),
+                self.den * other.den,
+            )
+        if isinstance(other, int):
             # a rational scales the coordinates; no product to reduce
-            return CycScalar(self.order, tuple(a * other for a in self.coeffs))
-        other = CycScalar.coerce(self.order, other)
-        n = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return CycScalar(self.order, _reduce(prod, self.order))
+            return _canon(self.order, tuple([a * other for a in self.nums]), self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _canon(
+                self.order,
+                tuple([a * p for a in self.nums]),
+                self.den * other.denominator,
+            )
+        return self * CycScalar.coerce(self.order, other)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycScalar:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        # Extended Euclid in Q[z]: u*self + v*Phi_m = gcd = nonzero constant,
-        # so u/gcd is the inverse modulo Phi_m (Phi_m is irreducible over Q).
-        mod = [Fraction(c) for c in cyclotomic_poly(self.order)]
-        r0, r1 = mod, list(self.coeffs)
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in u1]
-                return CycScalar(self.order, _reduce(inv, self.order))
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for i in range(len(q) - 1, -1, -1):
-                c = rem[i + len(r1) - 1] / r1[-1]
-                q[i] = c
-                if c:
-                    for j in range(len(r1)):
-                        rem[i + j] -= c * r1[j]
-            rem = rem[: len(r1) - 1]
-            # u_next = u0 - q*u1
-            u_next = list(u0) + [Fraction(0)] * max(
-                0, len(q) + len(u1) - 1 - len(u0)
-            )
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, uc in enumerate(u1):
-                        u_next[i + j] -= qc * uc
-            r0, r1 = r1, rem
-            u0, u1 = u1, u_next
+        # With A = nums, the product B of the Galois conjugates of A other
+        # than A itself makes A*B the norm N(A), a nonzero integer, so
+        # (nums/den)^-1 = den*B / N(A).
+        m, nums = self.order, self.nums
+        rest = (1,) + (0,) * (len(nums) - 1)
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                rest = _product(rest, _conjugate(nums, k, m), m)
+        norm = _product(nums, rest, m)[0]
+        if norm < 0:
+            norm, rest = -norm, tuple([-a for a in rest])
+        return _canon(m, tuple([a * self.den for a in rest]), norm)
 
     def __truediv__(self, other):
         other = CycScalar.coerce(self.order, other)
@@ -307,28 +428,28 @@ class CycScalar:
         return result
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def residue(self, p: int, r: int) -> int | None:
         """The image in F_p under zeta -> r, or None when p divides the
-        denominator of a coordinate.
+        denominator of a coordinate, that is when p divides ``den``.
 
         >>> (CycScalar.zeta(3) - 2).residue(7, 2)
         0
         >>> CycScalar.from_rational(3, Fraction(1, 7)).residue(7, 2) is None
         True
         """
+        if self.den % p == 0:
+            return None
         acc = 0
-        for a in reversed(self.coeffs):
-            if a.denominator % p == 0:
-                return None
-            acc = (acc * r + a.numerator * pow(a.denominator, -1, p)) % p
-        return acc
+        for a in reversed(self.nums):
+            acc = (acc * r + a) % p
+        return acc * pow(self.den, -1, p) % p
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -363,6 +484,31 @@ class CycScalar:
         return f"CycScalar({self.order}, {self})"
 
 
+_set_order = CycScalar.order.__set__
+_set_nums = CycScalar.nums.__set__
+_set_den = CycScalar.den.__set__
+
+
+def _make(order: int, nums: tuple[int, ...], den: int) -> CycScalar:
+    """A scalar from coordinates already in canonical form."""
+    s = _new(CycScalar)
+    _set_order(s, order)
+    _set_nums(s, nums)
+    _set_den(s, den)
+    return s
+
+
+def _canon(order: int, nums: tuple[int, ...], den: int) -> CycScalar:
+    """A scalar from integer coordinates over a positive denominator, put
+    in canonical form by one gcd."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple([a // g for a in nums])
+            den //= g
+    return _make(order, nums, den)
+
+
 def zeta_pow(m: int, k: int) -> CycScalar:
     """zeta_m^k as a reduced CycScalar.
 
@@ -372,6 +518,6 @@ def zeta_pow(m: int, k: int) -> CycScalar:
     '1'
     """
     k %= m
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    return CycScalar(m, _reduce(coeffs, m))
+    work = [0] * (k + 1)
+    work[k] = 1
+    return _make(m, _reduce(work, m), 1)

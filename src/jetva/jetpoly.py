@@ -78,6 +78,24 @@ class JetVar:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other):
+        # The cached hash turns most unequal pairs away before any field
+        # is compared, and the level is compared by its numerator and
+        # denominator, without Fraction.__eq__.
+        if self is other:
+            return True
+        if type(other) is not JetVar:
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        a, b = self.minus_level, other.minus_level
+        return (
+            self.index == other.index
+            and self.point == other.point
+            and a.numerator == b.numerator
+            and a.denominator == b.denominator
+        )
+
     @property
     def level(self) -> Fraction:
         return -self.minus_level

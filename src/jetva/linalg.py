@@ -35,7 +35,7 @@ Row = dict[int, CycScalar]
 def _lower(v: Fraction | CycScalar) -> Fraction | CycScalar:
     """A rational CycScalar as its Fraction; anything else unchanged."""
     if type(v) is CycScalar and v.is_rational():
-        return v.coeffs[0]
+        return v.as_rational()
     return v
 
 

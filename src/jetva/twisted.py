@@ -21,6 +21,7 @@ into the twisted field coefficients.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -147,24 +148,50 @@ def _divided_product(a: JetPoly, k: int, b: JetPoly) -> JetPoly:
     return divided_t_power(a, k) * b
 
 
-def _mode_pair(fa: PuiseuxSeries, ia, fb: PuiseuxSeries, ib):
-    """The two modes of one product, fa's at ia and fb's at ib, or None
+def _in_units(idx: Fraction, r: int, m: int) -> int | None:
+    """idx*m when idx lies in the coset r/m + Z, else None."""
+    d = idx.denominator
+    if m % d:
+        return None
+    k = idx.numerator * (m // d)
+    return k if (k - r) % m == 0 else None
+
+
+def _known(fld: PuiseuxSeries, k: int, m: int) -> JetPoly | None:
+    """The mode at k/m, the coefficient of z^((-k-m)/m), or None beyond the
+    window."""
+    g = math.gcd(k + m, m)
+    return fld._read((-k - m) // g, m // g)
+
+
+def _mode(fld: PuiseuxSeries, k: int, m: int) -> JetPoly:
+    """The mode at k/m; beyond the window it raises TruncationError."""
+    p = _known(fld, k, m)
+    return fld.mode(Fraction(k, m)) if p is None else p
+
+
+def _mode_pair(fa: PuiseuxSeries, ia: int, fb: PuiseuxSeries, ib: int, m: int):
+    """The two modes of one product, fa's at ia/m and fb's at ib/m, or None
     when either is exactly zero: a zero factor settles the product even when
     the other lies beyond the window.  Otherwise a mode beyond the window
     raises TruncationError, the first factor's before the second's."""
-    p, q = fa.known_mode(ia), fb.known_mode(ib)
+    p, q = _known(fa, ia, m), _known(fb, ib, m)
     if (p is not None and p.is_zero) or (q is not None and q.is_zero):
         return None
-    return (fa.mode(ia) if p is None else p, fb.mode(ib) if q is None else q)
+    return (
+        fa.mode(Fraction(ia, m)) if p is None else p,
+        fb.mode(Fraction(ib, m)) if q is None else q,
+    )
 
 
-def _dead(fld: PuiseuxSeries, idx: Fraction) -> bool:
-    """Is the mode at idx provably zero, and every mode above it too?  So
+def _dead(fld: PuiseuxSeries, k: int, m: int) -> bool:
+    """Is the mode at k/m provably zero, and every mode above it too?  So
     it is when it lies inside the window and below every visible term."""
-    if fld.known_mode(idx) is None:
+    if _known(fld, k, m) is None:
         return False
     ms = fld.min_support()
-    return ms is None or -idx - 1 < ms
+    # -k/m - 1 < ms, cross-multiplied by the positive m * ms.denominator
+    return ms is None or (-k - m) * ms.denominator < ms.numerator * m
 
 
 def check_twisted_borcherds(
@@ -192,6 +219,10 @@ def check_twisted_borcherds(
     TruncationError, the lhs modes first, then the rhs products in the order
     of the sum.  The identity holds when every coefficient of the sum is
     zero; else the witness is the sum as a ``JetPoly``, lhs - rhs.
+
+    The sums run on the indices in units of 1/m, as ints, and read each
+    mode straight off the field's exponent index; a Fraction index is built
+    only to raise TruncationError.
     """
     W = Fraction(window)
     order = g.order
@@ -206,9 +237,13 @@ def check_twisted_borcherds(
     r_b = eigen_index(b, alpha)
     if r_a is None or r_b is None:
         raise ValueError("Borcherds sources must be character-homogeneous")
-    if (m_idx - Fraction(r_a, order)) % 1 != 0:
+    # The indices in units of 1/order: l*order, m*order, n*order.
+    L = l_idx * order
+    M = _in_units(m_idx, r_a, order)
+    if M is None:
         raise ValueError(f"index m = {m_idx} must lie in {r_a}/{order} + Z")
-    if (n_idx - Fraction(r_b, order)) % 1 != 0:
+    N = _in_units(n_idx, r_b, order)
+    if N is None:
         raise ValueError(f"index n = {n_idx} must lie in {r_b}/{order} + Z")
     name = f"twisted borcherds(l={l_idx}, m={m_idx}, n={n_idx})"
 
@@ -221,7 +256,7 @@ def check_twisted_borcherds(
         inner = _divided_product(a, -(l_idx + i) - 1, b)
         if not inner.is_zero:
             coef = binom(m_idx, i)
-            mode = twisted_field(inner, g, W, spec).mode(m_idx + n_idx - i)
+            mode = _mode(twisted_field(inner, g, W, spec), M + N - i * order, order)
             if coef:
                 add_into(acc, mode.terms, coef)
         i += 1
@@ -229,17 +264,22 @@ def check_twisted_borcherds(
     sign_l = -1 if l_idx % 2 else 1
     i = 0
     while True:
+        di = i * order
         if l_idx >= 0:
             if i > l_idx:
                 break
-        elif _dead(fld_b, n_idx + i) and _dead(fld_a, m_idx + i):
+        elif _dead(fld_b, N + di, order) and _dead(fld_a, M + di, order):
             break
-        c = binom(l_idx, i) * (-1 if i % 2 else 1)
+        # (-1)^i C(l, i), an integer: C(l, i) = (-1)^i C(i - l - 1, i) for l < 0
+        if l_idx >= 0:
+            c = -math.comb(l_idx, i) if i % 2 else math.comb(l_idx, i)
+        else:
+            c = math.comb(i - l_idx - 1, i)
         if c:
-            t1 = _mode_pair(fld_a, l_idx + m_idx - i, fld_b, n_idx + i)
+            t1 = _mode_pair(fld_a, L + M - di, fld_b, N + di, order)
             if t1 is not None:
                 mul_into(acc, t1[0].terms, t1[1].terms, -c)
-            t2 = _mode_pair(fld_b, l_idx + n_idx - i, fld_a, m_idx + i)
+            t2 = _mode_pair(fld_b, L + N - di, fld_a, M + di, order)
             if t2 is not None:
                 mul_into(acc, t2[0].terms, t2[1].terms, c * sign_l)
         i += 1

@@ -5,6 +5,8 @@ Phi_1 = z - 1, Phi_2 = z + 1, Phi_3 = z^2 + z + 1, Phi_4 = z^2 + 1,
 Phi_6 = z^2 - z + 1, Phi_12 = z^4 - z^2 + 1.
 """
 
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -181,3 +183,131 @@ def test_residue_is_a_ring_map(ab):
     assert (a + b).residue(p, r) == (ra + rb) % p
     assert (a * b).residue(p, r) == ra * rb % p
     assert CycScalar.zeta(a.order).residue(p, r) == r % p
+
+
+# ---------------------------------------------------------------------------
+# the integer-coded scalars against a Fraction-coordinate reference
+# ---------------------------------------------------------------------------
+
+_ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 12)  # phi from 1 to 6
+
+
+def _ref_reduce(coeffs, m):
+    """Dense Fraction polynomial modulo Phi_m, padded to phi(m)."""
+    phi, mod = euler_phi(m), cyclotomic_poly(m)
+    work = [Fraction(c) for c in coeffs] + [Fraction(0)] * phi
+    for i in range(len(work) - 1, phi - 1, -1):
+        c = work[i]
+        if c:
+            for j, d in enumerate(mod):
+                work[i - phi + j] -= c * d
+    return tuple(work[:phi])
+
+
+def _ref_mul(a, b, m):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, m)
+
+
+def _rational(m, q):
+    return (Fraction(q),) + (Fraction(0),) * (euler_phi(m) - 1)
+
+
+def _assert_canonical(s):
+    m = s.order
+    assert s.den > 0
+    assert math.gcd(s.den, *s.nums) == 1
+    assert len(s.nums) == euler_phi(m)
+    assert all(type(a) is int for a in (*s.nums, s.den))
+    assert bool(s) == (s != CycScalar.zero(m))
+    if not s:
+        assert s.nums == (0,) * euler_phi(m) and s.den == 1
+    rebuilt = CycScalar(m, s.coeffs)
+    assert rebuilt == s and hash(rebuilt) == hash(s)
+    assert (rebuilt.nums, rebuilt.den) == (s.nums, s.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ab=st.sampled_from(_ORDERS).flatmap(
+        lambda m: st.tuples(_scalars(m), _scalars(m))
+    ),
+    q=_rationals,
+)
+def test_integer_scalars_match_the_fraction_reference(ab, q):
+    a, b = ab
+    m = a.order
+    A, B, Q = a.coeffs, b.coeffs, _rational(m, q)
+    cases = [
+        (a + b, tuple(x + y for x, y in zip(A, B))),
+        (a - b, tuple(x - y for x, y in zip(A, B))),
+        (a * b, _ref_mul(A, B, m)),
+        (-a, tuple(-x for x in A)),
+        (a + q, tuple(x + y for x, y in zip(A, Q))),
+        (q + a, tuple(x + y for x, y in zip(A, Q))),
+        (a - q, tuple(x - y for x, y in zip(A, Q))),
+        (q - a, tuple(y - x for x, y in zip(A, Q))),
+        (a * q, tuple(x * Fraction(q) for x in A)),
+        (q * a, tuple(x * Fraction(q) for x in A)),
+    ]
+    if a:
+        inv = a.inverse()
+        cases.append((a * inv, _rational(m, 1)))
+        assert _ref_mul(A, inv.coeffs, m) == _rational(m, 1)
+    for got, want in cases:
+        assert got.order == m
+        assert got.coeffs == want
+        _assert_canonical(got)
+    _assert_canonical(a)
+
+
+def _small_prime_root(m):
+    """The least prime p = 1 mod m and the least root r of Phi_m mod p."""
+    p = next(p for p in range(2, 200) if _trial_prime(p) and (p - 1) % m == 0)
+    phi_m = cyclotomic_poly(m)
+    r = next(r for r in range(p) if sum(c * r**j for j, c in enumerate(phi_m)) % p == 0)
+    return p, r
+
+
+def _scalars_near_prime(m):
+    p, _ = _small_prime_root(m)
+    coord = st.builds(
+        Fraction,
+        st.integers(min_value=-30, max_value=30),
+        st.sampled_from((1, 2, 3, 4, 5, 6, p, 2 * p, p * p)),
+    )
+    return st.lists(coord, min_size=euler_phi(m), max_size=euler_phi(m)).map(
+        lambda cs: CycScalar(m, cs)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.sampled_from(_ORDERS).flatmap(_scalars_near_prime))
+def test_residue_is_none_exactly_when_p_divides_a_denominator(a):
+    m = a.order
+    p, r = _small_prime_root(m)
+    got = a.residue(p, r)
+    if any(c.denominator % p == 0 for c in a.coeffs):
+        assert got is None
+    else:
+        want = sum(
+            c.numerator * pow(c.denominator, -1, p) * pow(r, j, p)
+            for j, c in enumerate(a.coeffs)
+        )
+        assert got == want % p
+
+
+def test_scalars_are_immutable_and_coordinates_checked():
+    z = CycScalar.zeta(4)
+    with pytest.raises(AttributeError):
+        z.den = 2
+    with pytest.raises(AttributeError):
+        del z.nums
+    with pytest.raises(ValueError):
+        CycScalar(4, (1, 2, 3))
+    assert CycScalar(4, (Fraction(2, 4), 3)).nums == (1, 6)
+    assert CycScalar(4, (Fraction(2, 4), 3)).den == 2
+    assert pickle.loads(pickle.dumps(z)) == z

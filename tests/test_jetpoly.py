@@ -120,6 +120,44 @@ def test_cached_hashes_and_keys_match_the_fields(mons, coeffs, m):
     assert [_mono_key(mon) for mon in mons] == [uncached(mon) for mon in mons]
 
 
+_levels = st.builds(
+    Fraction,
+    st.integers(min_value=-6, max_value=0),
+    st.sampled_from((1, 2, 3, 4, 6)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.integers(0, 1), st.integers(1, 3), _levels, st.integers(2, 5)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_jet_var_equality_hash_and_order_match_the_field_tuple(specs):
+    # Each level also comes as a second Fraction object of the same value,
+    # built from a non-reduced numerator and denominator, so equal variables
+    # hold distinct level objects.
+    vs = []
+    for point, index, level, k in specs:
+        minus = -level
+        twin = Fraction(-level.numerator * k, level.denominator * k)
+        assert twin == minus and twin is not minus
+        vs += [JetVar(point, index, minus), JetVar(point, index, twin)]
+    for u in vs:
+        tu = (u.point, u.index, u.minus_level)
+        for v in vs:
+            tv = (v.point, v.index, v.minus_level)
+            assert (u == v) == (tu == tv)
+            assert (u != v) == (tu != tv)
+            assert (u < v) == (tu < tv)
+            assert (u <= v) == (tu <= tv)
+            if u == v:
+                assert hash(u) == hash(v)
+        assert u != (u.point, u.index, u.minus_level)
+
+
 def test_level_must_be_nonpositive():
     with pytest.raises(ValueError):
         jet_var(1, 1)

@@ -10,7 +10,13 @@ import pytest
 
 from jetva import twisted
 from jetva.cyclo import zeta_pow
-from jetva.jetpoly import JetPoly, PuiseuxSeries, TruncationError, divided_t_power
+from jetva.jetpoly import (
+    JetPoly,
+    PuiseuxSeries,
+    TruncationError,
+    divided_t_power,
+    eigen_index,
+)
 from jetva.jetscheme import DiagAutomorphism, SchemeSpec
 from jetva.reports import all_passed
 from jetva.twisted import (
@@ -269,6 +275,83 @@ def test_borcherds_zero_factor_settles_a_truncated_product():
     # product, and the first factor raises.
     with pytest.raises(TruncationError, match=r"z\^1/2 is beyond the window \(trunc 0\)"):
         check_twisted_borcherds(a, b, G2P, 0, Fraction(-3, 2), -2, 0)
+
+
+# Sources at order 3 (characters 1 and 2) and at order 6 (characters 1 and
+# 0, so n runs over the integers).
+_INDEX_BOXES = {
+    3: (DiagAutomorphism(3, (1, 2)), JetPoly.var(3, 1), JetPoly.var(3, 2, -1)),
+    6: (
+        DiagAutomorphism(6, (1, 5)),
+        JetPoly.var(6, 1),
+        JetPoly.var(6, 1) * JetPoly.var(6, 2, -1),
+    ),
+}
+
+
+def _index_box(order, window):
+    """Every identity with l in [-2, 2] and m, n in their cosets with
+    |m|, |n| <= 2: (l, m, n) -> True or the TruncationError text."""
+    g, a, b = _INDEX_BOXES[order]
+    cosets = [
+        [Fraction(k * order + r, order) for k in range(-3, 3)]
+        for r in (eigen_index(a, g.exponents), eigen_index(b, g.exponents))
+    ]
+    out = {}
+    for l in range(-2, 3):
+        for m_idx in (q for q in cosets[0] if abs(q) <= 2):
+            for n_idx in (q for q in cosets[1] if abs(q) <= 2):
+                key = (l, str(m_idx), str(n_idx))
+                try:
+                    res = check_twisted_borcherds(a, b, g, l, m_idx, n_idx, window)
+                    out[key] = res.passed
+                except TruncationError as err:
+                    out[key] = str(err)
+    return out
+
+
+@pytest.mark.parametrize("order, size", [(3, 80), (6, 100)])
+def test_borcherds_index_box_passes_at_a_wide_window(order, size):
+    results = _index_box(order, 4)
+    assert len(results) == size
+    assert all(v is True for v in results.values()), results
+
+
+# Recorded from the Fraction-indexed implementation at window 1: which
+# identities reach beyond the window, and the message each one raises.
+_BEYOND_WINDOW_1 = {
+    3: {
+        (-2, "-5/3", "-4/3"): "coefficient of z^2 is beyond the window (trunc 1)",
+        (-2, "-5/3", "-1/3"): "coefficient of z^2 is beyond the window (trunc 1)",
+        (-2, "-2/3", "-4/3"): "coefficient of z^2 is beyond the window (trunc 1)",
+        (-2, "-2/3", "-1/3"): "coefficient of z^5/3 is beyond the window (trunc 1)",
+        (-2, "1/3", "-4/3"): "coefficient of z^5/3 is beyond the window (trunc 1)",
+        (-1, "-5/3", "-4/3"): "coefficient of z^2 is beyond the window (trunc 1)",
+        (-1, "-5/3", "-1/3"): "coefficient of z^5/3 is beyond the window (trunc 1)",
+        (-1, "-2/3", "-4/3"): "coefficient of z^5/3 is beyond the window (trunc 1)",
+    },
+    6: {
+        (-2, "-11/6", "-2"): "coefficient of z^17/6 is beyond the window (trunc 1)",
+        (-2, "-11/6", "-1"): "coefficient of z^11/6 is beyond the window (trunc 1)",
+        (-2, "-11/6", "0"): "coefficient of z^11/6 is beyond the window (trunc 1)",
+        (-2, "-5/6", "-2"): "coefficient of z^11/6 is beyond the window (trunc 1)",
+        (-2, "-5/6", "-1"): "coefficient of z^11/6 is beyond the window (trunc 1)",
+        (-2, "1/6", "-2"): "coefficient of z^11/6 is beyond the window (trunc 1)",
+        (-1, "-11/6", "-2"): "coefficient of z^17/6 is beyond the window (trunc 1)",
+        (-1, "-11/6", "-1"): "coefficient of z^11/6 is beyond the window (trunc 1)",
+        (-1, "-5/6", "-2"): "coefficient of z^11/6 is beyond the window (trunc 1)",
+    },
+}
+
+
+@pytest.mark.parametrize("order", [3, 6])
+def test_borcherds_index_box_truncation_messages_frozen(order):
+    results = _index_box(order, 1)
+    raised = {k: v for k, v in results.items() if isinstance(v, str)}
+    assert raised == _BEYOND_WINDOW_1[order]
+    # the first identity of the box to raise, with its message
+    assert next(iter(raised.items())) == next(iter(_BEYOND_WINDOW_1[order].items()))
+    assert all(v is True for v in results.values() if not isinstance(v, str))
 
 
 # ---------------------------------------------------------------------------
