@@ -8,8 +8,9 @@ heuristic beyond "lowest column first" because there is no rounding to
 fight.
 
 Rows come in typed over CycScalar, but every rational entry is lowered to
-its Fraction, on entry and whenever an update leaves an entry rational;
-only the irrational entries stay CycScalar.  So the common all-rational
+its Fraction, the constant numerator over the scalar's denominator, on
+entry and whenever an update leaves an entry rational; only the
+irrational entries stay CycScalar.  So the common all-rational
 row is reduced with Fraction arithmetic alone, and mixed products and sums
 go through CycScalar's reflected operators, which take a rational operand
 without a full cyclotomic product.  Stored pivot rows and returned
@@ -35,7 +36,7 @@ Row = dict[int, CycScalar]
 def _lower(v: Fraction | CycScalar) -> Fraction | CycScalar:
     """A rational CycScalar as its Fraction; anything else unchanged."""
     if type(v) is CycScalar and v.is_rational():
-        return v.as_rational()
+        return Fraction(v.nums[0], v.den)
     return v
 
 

@@ -178,10 +178,7 @@ def _mode_pair(fa: PuiseuxSeries, ia: int, fb: PuiseuxSeries, ib: int, m: int):
     p, q = _known(fa, ia, m), _known(fb, ib, m)
     if (p is not None and p.is_zero) or (q is not None and q.is_zero):
         return None
-    return (
-        fa.mode(Fraction(ia, m)) if p is None else p,
-        fb.mode(Fraction(ib, m)) if q is None else q,
-    )
+    return (_mode(fa, ia, m) if p is None else p, _mode(fb, ib, m) if q is None else q)
 
 
 def _dead(fld: PuiseuxSeries, k: int, m: int) -> bool:
