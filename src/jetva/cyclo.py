@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -294,32 +295,34 @@ class CycScalar:
     def __bool__(self) -> bool:
         return any(self.nums)
 
-    def __add__(self, other):
+    def _plus(self, other, op) -> CycScalar:
+        """self + other or self - other, as op is operator.add or .sub."""
         nums, den = self.nums, self.den
         if type(other) is CycScalar:
             if other.order != self.order:
                 raise _mismatch(other.order, self.order)
             d = other.den
             if d == den:
-                return _canon(
-                    self.order, tuple([a + b for a, b in zip(nums, other.nums)]), den
-                )
+                return _canon(self.order, tuple(map(op, nums, other.nums)), den)
             return _canon(
                 self.order,
-                tuple([a * d + b * den for a, b in zip(nums, other.nums)]),
+                tuple([op(a * d, b * den) for a, b in zip(nums, other.nums)]),
                 den * d,
             )
         if isinstance(other, int):
             # a rational shifts the constant coordinate only
-            return _canon(self.order, (nums[0] + other * den, *nums[1:]), den)
+            return _canon(self.order, (op(nums[0], other * den), *nums[1:]), den)
         if isinstance(other, Fraction):
             p, q = other.numerator, other.denominator
             return _canon(
                 self.order,
-                (nums[0] * q + p * den, *[a * q for a in nums[1:]]),
+                (op(nums[0] * q, p * den), *[a * q for a in nums[1:]]),
                 den * q,
             )
-        return self + CycScalar.coerce(self.order, other)
+        return op(self, CycScalar.coerce(self.order, other))
+
+    def __add__(self, other):
+        return self._plus(other, operator.add)
 
     __radd__ = __add__
 
@@ -327,30 +330,7 @@ class CycScalar:
         return _make(self.order, tuple([-a for a in self.nums]), self.den)
 
     def __sub__(self, other):
-        nums, den = self.nums, self.den
-        if type(other) is CycScalar:
-            if other.order != self.order:
-                raise _mismatch(other.order, self.order)
-            d = other.den
-            if d == den:
-                return _canon(
-                    self.order, tuple([a - b for a, b in zip(nums, other.nums)]), den
-                )
-            return _canon(
-                self.order,
-                tuple([a * d - b * den for a, b in zip(nums, other.nums)]),
-                den * d,
-            )
-        if isinstance(other, int):
-            return _canon(self.order, (nums[0] - other * den, *nums[1:]), den)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return _canon(
-                self.order,
-                (nums[0] * q - p * den, *[a * q for a in nums[1:]]),
-                den * q,
-            )
-        return self - CycScalar.coerce(self.order, other)
+        return self._plus(other, operator.sub)
 
     def __rsub__(self, other):
         nums, den = self.nums, self.den
