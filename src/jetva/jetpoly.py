@@ -39,12 +39,25 @@ def binom(top, k: int) -> Fraction:
     """
     if k < 0:
         return Fraction(0)
-    if isinstance(top, int) and top >= 0:
-        return Fraction(math.comb(top, k)) if k <= top else Fraction(0)
-    num = Fraction(1)
+    top = Fraction(top)
+    return Fraction(*binom_units(top.numerator, top.denominator, k))
+
+
+def binom_units(top: int, q: int, k: int) -> tuple[int, int]:
+    """C(top/q, k) for k >= 0 as an int numerator over the fixed
+    denominator q^k * k!, which depends on q and k alone and is not reduced.
+
+    >>> binom_units(5, 2, 2)  # C(5/2, 2) = 15/8
+    (15, 8)
+    >>> binom_units(3, 2, 2)  # C(3/2, 2) = 3/8
+    (3, 8)
+    >>> binom_units(-2, 1, 3)  # C(-2, 3) = -4
+    (-24, 6)
+    """
+    num = 1
     for j in range(k):
-        num *= Fraction(top) - j
-    return num / math.factorial(k)
+        num *= top - j * q
+    return num, q**k * math.factorial(k)
 
 
 def _cache_slot(**default):
@@ -53,48 +66,82 @@ def _cache_slot(**default):
     return dataclasses.field(init=False, repr=False, compare=False, **default)
 
 
-@dataclasses.dataclass(frozen=True, order=True, slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class JetVar:
-    """A jet variable x[index, level] (or xinf[...] when point = 1)."""
+    """A jet variable x[index, level] (or xinf[...] when point = 1).
+
+    Variables compare as the tuples (point, index, minus_level) do, so by
+    alphabet, coordinate, then weight.  The comparisons run on the level's
+    numerator and denominator, kept as ints, never on the Fraction.
+    """
 
     point: int
     index: int
     minus_level: Fraction  # stored negated so natural ordering is by weight
     _hash: int = _cache_slot()
+    _num: int = _cache_slot()  # minus_level is _num/_den in lowest terms
+    _den: int = _cache_slot()
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("variable index must be >= 1")
-        if self.minus_level < 0:
+        ml = self.minus_level
+        num, den = ml.numerator, ml.denominator
+        if num < 0:
             raise ValueError("level must be <= 0")
         if self.point not in (0, 1):
             raise ValueError("point must be 0 or 1")
         # The dataclass hash, worked out once: every dict lookup would
-        # otherwise rehash the Fraction level.
+        # otherwise rehash the Fraction level.  An integral level hashes as
+        # its numerator does, so its Fraction hash is skipped.
         object.__setattr__(
-            self, "_hash", hash((self.point, self.index, self.minus_level))
+            self, "_hash", hash((self.point, self.index, num if den == 1 else ml))
         )
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other):
         # The cached hash turns most unequal pairs away before any field
-        # is compared, and the level is compared by its numerator and
-        # denominator, without Fraction.__eq__.
+        # is compared.
         if self is other:
             return True
         if type(other) is not JetVar:
             return NotImplemented
         if self._hash != other._hash:
             return False
-        a, b = self.minus_level, other.minus_level
         return (
             self.index == other.index
             and self.point == other.point
-            and a.numerator == b.numerator
-            and a.denominator == b.denominator
+            and self._num == other._num
+            and self._den == other._den
         )
+
+    def __lt__(self, other):
+        if type(other) is not JetVar:
+            return NotImplemented
+        if self.point != other.point:
+            return self.point < other.point
+        if self.index != other.index:
+            return self.index < other.index
+        return self._num * other._den < other._num * self._den
+
+    def __gt__(self, other):
+        if type(other) is not JetVar:
+            return NotImplemented
+        return other < self
+
+    def __le__(self, other):
+        if type(other) is not JetVar:
+            return NotImplemented
+        return not other < self
+
+    def __ge__(self, other):
+        if type(other) is not JetVar:
+            return NotImplemented
+        return not self < other
 
     @property
     def level(self) -> Fraction:
@@ -106,11 +153,14 @@ class JetVar:
 
     def __str__(self) -> str:
         name = "x" if self.point == 0 else "xinf"
-        return f"{name}{self.index}[{-self.minus_level}]"
+        level = -self._num if self._den == 1 else f"{-self._num}/{self._den}"
+        return f"{name}{self.index}[{level}]"
 
 
 def jet_var(index: int, level, point: int = 0) -> JetVar:
-    return JetVar(point, index, -Fraction(level))
+    if type(level) is not Fraction:
+        level = Fraction(level)
+    return JetVar(point, index, -level)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -137,7 +187,7 @@ class Monomial:
         acc: dict[JetVar, int] = {}
         for v, e in pairs:
             acc[v] = acc.get(v, 0) + e
-        return cls(tuple(sorted((v, e) for v, e in acc.items() if e)))
+        return cls(tuple([(v, acc[v]) for v in sorted(acc) if acc[v]]))
 
     def __mul__(self, other: Monomial) -> Monomial:
         if not other.factors:
@@ -155,8 +205,16 @@ class Monomial:
         """The order of ``JetPoly`` terms: weight, degree, factors."""
         key = self._key
         if key is None:
-            weight = sum((v.weight * e for v, e in self.factors), Fraction(0))
-            key = (weight, self.degree, self.factors)
+            # The weight sum runs on ints, as num/den; one Fraction at the end.
+            num, den = 0, 1
+            for v, e in self.factors:
+                d = v._den
+                if d == den:
+                    num += v._num * e
+                else:
+                    num = num * d + v._num * e * den
+                    den *= d
+            key = (Fraction(num, den), self.degree, self.factors)
             object.__setattr__(self, "_key", key)
         return key
 
@@ -398,20 +456,40 @@ def retag_point(p: JetPoly, point: int) -> JetPoly:
 
 def shift_derivation(p: JetPoly, b: int, factor: int) -> JetPoly:
     """First-order derivation sending x[i,l] to -factor*(l+b) x[i,l+b] when
-    l+b < 0 and to zero otherwise; either alphabet, any level coset."""
+    l+b < 0 and to zero otherwise; either alphabet, any level coset.
+
+    With l = -num/den, the landing level l+b is t/den for t = b*den - num,
+    so the cut, the landing variable and its coefficient -factor*t/den are
+    worked out on ints, once per variable of p.
+    """
     acc: dict[Monomial, CycScalar] = {}
+    # variable -> (x[i,l+b], -factor*(l+b)), or None when l+b >= 0
+    landing: dict[JetVar, tuple | None] = {}
     for mon, c in p.terms:
         factors = mon.factors
         for slot, (v, e) in enumerate(factors):
-            new_level = v.level + b
-            # Strictly positive landing levels are cut; at exactly zero the
-            # coefficient -(l+b) vanishes on its own.
-            if new_level >= 0:
+            hit = landing.get(v, False)
+            if hit is False:
+                num, den = v._num, v._den
+                t = b * den - num
+                # Strictly positive landing levels are cut; at exactly zero
+                # the coefficient -(l+b) vanishes on its own.
+                if t >= 0:
+                    hit = None
+                else:
+                    q = -factor * t
+                    hit = (
+                        JetVar(v.point, v.index, Fraction(-t, den)),
+                        q if den == 1 else Fraction(q, den),
+                    )
+                landing[v] = hit
+            if hit is None:
                 continue
-            coef = c * (-factor * e * new_level)
+            new_var, q = hit
+            coef = c * (q if e == 1 else q * e)
             rest = list(factors)
             rest[slot] = (v, e - 1)
-            rest.append((jet_var(v.index, new_level, v.point), 1))
+            rest.append((new_var, 1))
             mon2 = Monomial.of(*rest)
             cur = acc.get(mon2)
             acc[mon2] = coef if cur is None else cur + coef
@@ -449,7 +527,9 @@ def translation_series(p: JetPoly, window) -> PuiseuxSeries:
 
 
 def divided_t_power(p: JetPoly, n: int) -> JetPoly:
-    """T^n(p) / n!, the z^n coefficient of ``translation_series``."""
+    """T^n(p) / n!, the z^n coefficient of ``translation_series``; n >= 0."""
+    if n < 0:
+        raise ValueError(f"negative translate {n}: T^n/n! needs n >= 0")
     return translation_series(p, n).coefficient(n)
 
 
@@ -525,8 +605,9 @@ class PuiseuxSeries:
     order: int
     coeffs: tuple[tuple[Fraction, JetPoly], ...]  # sorted by exponent, nonzero
     trunc: Fraction | None
-    # (numerator, denominator) of an exponent -> its coefficient, on first read
-    _by_exponent: dict | None = _cache_slot(default=None)
+    # On first read: the index (numerator, denominator) of an exponent -> its
+    # coefficient, and trunc as (numerator, denominator) or None
+    _by_exponent: tuple | None = _cache_slot(default=None)
 
     @classmethod
     def from_dict(cls, order: int, acc, trunc) -> PuiseuxSeries:
@@ -547,15 +628,19 @@ class PuiseuxSeries:
     def _read(self, num: int, den: int) -> JetPoly | None:
         """The coefficient of z^(num/den), given in lowest terms, or None
         beyond the window: the one window rule every read goes through."""
-        index = self._by_exponent
-        if index is None:
-            index = {(w.numerator, w.denominator): p for w, p in self.coeffs}
-            object.__setattr__(self, "_by_exponent", index)
+        cache = self._by_exponent
+        if cache is None:
+            t = self.trunc
+            cache = (
+                {(w.numerator, w.denominator): p for w, p in self.coeffs},
+                None if t is None else (t.numerator, t.denominator),
+            )
+            object.__setattr__(self, "_by_exponent", cache)
+        index, window = cache
         p = index.get((num, den))
         if p is not None:
             return p
-        t = self.trunc
-        if t is not None and num * t.denominator > t.numerator * den:
+        if window is not None and num * window[1] > window[0] * den:
             return None
         return JetPoly.zero(self.order)
 
@@ -671,30 +756,48 @@ class PuiseuxSeries:
 def admissible_levels(offset: Fraction, max_weight) -> list[Fraction]:
     """Levels n <= 0 with n = offset mod 1 and weight -n <= max_weight,
     highest level first."""
-    offset = Fraction(offset) % 1
-    start = offset - 1 if offset else Fraction(0)
-    out = []
-    n = start
-    while -n <= Fraction(max_weight):
-        out.append(n)
-        n -= 1
-    return out
+    q = offset.denominator
+    hi = max_weight.numerator * q // max_weight.denominator
+    return [Fraction(-u, q) for u in _weight_units(offset.numerator, q, hi)]
 
 
-# One entry per (offset, d, top); each benchmark workload meets at most a
+def _weight_units(a: int, q: int, hi: int) -> range:
+    """The weights -n of the levels n <= 0 of a/q + Z with -n <= hi/q, in
+    units of 1/q, highest level first.
+
+    >>> list(_weight_units(1, 3, 5))  # levels -2/3, -5/3 of 1/3 + Z
+    [2, 5]
+    >>> list(_weight_units(0, 1, 2))
+    [0, 1, 2]
+    """
+    return range(-a % q, hi + 1, q)
+
+
+# One entry per (offset, d, window); each benchmark workload meets at most a
 # few dozen.
 @lru_cache(maxsize=256)
-def _jet_expansion(offset, d: int, top) -> tuple:
-    """The expansion of x[i,-d] along a jet whose levels run over offset + Z,
-    up to weight top: (exponent -n-d, C(-n,d), k, n) for every level n of
-    ``admissible_levels(offset, top)`` with a nonzero binomial, where k is
-    the position of n in that list.  An integral binomial is an int."""
+def _jet_expansion(a: int, q: int, d: int, hi: int) -> tuple:
+    """The expansion of x[i,-d] along a jet whose levels run over a/q + Z,
+    down to the weight hi/q: (first, den, entries).
+
+    ``entries`` holds (C(-n,d)*den, k, -n) for every level n of
+    ``admissible_levels(a/q, hi/q)`` with a nonzero binomial, k being the
+    position of n in that list.  Every binomial has the one denominator
+    den = q^d * d!, so each numerator is an int.  ``first`` is the exponent
+    -n-d of the first entry in units of 1/q (0 with no entry).
+
+    >>> _jet_expansion(1, 2, 1, 5)  # x[-1] along the levels -1/2, -3/2, -5/2
+    (-1, 2, ((1, 0, Fraction(1, 2)), (3, 1, Fraction(3, 2)), (5, 2, Fraction(5, 2))))
+    """
     out = []
-    for k, n in enumerate(admissible_levels(offset, top)):
-        b = binom(-n, d)
-        if b:
-            out.append((-n - d, b.numerator if b.denominator == 1 else b, k, n))
-    return tuple(out)
+    den = 1
+    weights = _weight_units(a, q, hi)
+    for k, u in enumerate(weights):
+        num, den = binom_units(u, q, d)
+        if num:
+            out.append((num, k, Fraction(u, q)))
+    first = weights[out[0][1]] - d * q if out else 0
+    return first, den, tuple(out)
 
 
 def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
@@ -717,65 +820,80 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     monomial's factors whose exponents add up to w, of the product of the
     binomials; no series is multiplied.
 
-    The assignments are enumerated on ints.  Within one call the variable
-    x[i,n] is coded i*K + k, where k is the position of n among the
-    admissible levels of coordinate i and K exceeds their number, so codes
-    sort as the variables do, and an assignment is keyed by its sorted code
-    tuple.  Each expansion of a source variable comes from a shared cache,
-    bounded at 256 entries.  A coefficient's terms are sorted as
-    ``JetPoly`` keeps them, by weight, degree and factors: at z^w a term
-    from a source monomial of weight s has weight w + s, and its degree is
-    the source's, so every key is made of ints.  Each variable and monomial
-    of the result is built once.
+    The work runs on ints.  Exponents are counted in units of 1/D, D a
+    common denominator of the window and the offsets.  Each binomial
+    C(-n, d) is an int numerator over a denominator fixed by the offset
+    and d, so an assignment's product is an int, and each source
+    monomial's coefficient is divided once by the product of its factors'
+    denominators.  Within one call the variable x[i,n] is coded i*K + k,
+    where k is the position of n among the admissible levels of coordinate
+    i and K exceeds their number, so codes sort as the variables do, and an
+    assignment is keyed by its sorted code tuple.  Each expansion of a
+    source variable comes from a shared cache, bounded at 256 entries.  A
+    coefficient's terms are sorted as ``JetPoly`` keeps them, by weight,
+    degree and factors: at z^w a term from a source monomial of weight s
+    has weight w + s, and its degree is the source's, so every key is made
+    of ints.  Each variable and monomial of the result is built once.
     """
     m = p.order
     W = Fraction(window)
-    top = W + max((mon.weight for mon, _ in p.terms), default=Fraction(0))
+    top = W + max((mon.weight for mon, _ in p.terms), default=0)
     # No factor of an assignment that fits the window has -n above ``top``,
     # so no coordinate has more than floor(top) + 1 levels.
     K = max(math.floor(top), 0) + 2
-    # (i, d) -> (lowest exponent, [(C(-n,d), code of x[i,n])] by rising
-    # exponent).  The binomial vanishes only for the integer levels with
-    # -n < d, which come first, so consecutive entries differ by one in the
-    # exponent.
+    D = math.lcm(W.denominator, *(o.denominator for o in offsets.values()))
+    top_w = W.numerator * (D // W.denominator)  # the window in units of 1/D
+    # (i, d) -> (lowest exponent in units of 1/D, binomial denominator,
+    # [(binomial numerator, code of x[i,n])] by rising exponent).  The
+    # binomial vanishes only for the integer levels with -n < d, which come
+    # first, so consecutive entries differ by one in the exponent.
     expansions: dict[tuple[int, int], tuple] = {}
-    level_of: dict[int, Fraction] = {}
-    # w -> sorted code tuple -> [weight of its source monomial, coefficient]
-    by_exp: dict[Fraction, dict[tuple[int, ...], list]] = {}
+    level_of: dict[int, Fraction] = {}  # code -> minus level
+    # exponent in units of 1/D -> sorted code tuple -> [weight of its
+    # source monomial, coefficient]
+    by_exp: dict[int, dict[tuple[int, ...], list]] = {}
     for mon, c in p.terms:
         slots = []
         lowest = 0
+        den = 1
         src_weight = 0
         for v, e in mon.factors:
-            if v.point != 0 or v.minus_level.denominator != 1:
+            if v.point != 0 or v._den != 1:
                 raise ValueError(
                     "substitute_jets expects origin-alphabet variables with "
                     "integer levels"
                 )
-            i, d = v.index, v.minus_level.numerator
+            i, d = v.index, v._num
             src_weight += d * e
             entry = expansions.get((i, d))
             if entry is None:
-                exp = _jet_expansion(offsets.get(i, 0), d, top)
-                base = i * K
-                for _, _, k, n in exp:
-                    level_of[base + k] = n
-                entry = expansions[(i, d)] = (
-                    exp[0][0] if exp else 0,
-                    [(b, base + k) for _, b, k, _ in exp],
+                off = offsets.get(i, 0)
+                q = off.denominator
+                first, b_den, exp = _jet_expansion(
+                    off.numerator % q, q, d, top.numerator * q // top.denominator
                 )
-            first, terms = entry
+                base = i * K
+                for _, k, minus_level in exp:
+                    level_of[base + k] = minus_level
+                entry = expansions[(i, d)] = (
+                    first * (D // q),
+                    b_den,
+                    [(b, base + k) for b, k, _ in exp],
+                )
+            first, b_den, terms = entry
             lowest += first * e
+            den *= b_den**e
             slots.extend([terms] * e)
-        if not all(slots) or lowest > W:
+        if not all(slots) or lowest > top_w:
             continue
-        room = int(W - lowest)
-        found: dict[tuple[int, tuple[int, ...]], int | Fraction] = {}
+        room = (top_w - lowest) // D
+        found: dict[tuple[int, tuple[int, ...]], int] = {}
         _assign(slots, 0, room, 1, [], found)
-        buckets = [by_exp.setdefault(lowest + j, {}) for j in range(room, -1, -1)]
+        scaled = c if den == 1 else c * Fraction(1, den)
+        buckets = [by_exp.setdefault(lowest + j * D, {}) for j in range(room, -1, -1)]
         for (left, codes), q in found.items():
             bucket = buckets[left]
-            val = c * q
+            val = scaled * q
             cur = bucket.get(codes)
             if cur is None:
                 bucket[codes] = [src_weight, val]
@@ -783,10 +901,10 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
                 cur[1] = cur[1] + val
     jet_vars: dict[int, JetVar] = {}
     made: dict[tuple[int, ...], tuple] = {}  # codes -> (runs, Monomial)
-    series = {}
-    for w, bucket in by_exp.items():
+    coeffs = []
+    for w in sorted(by_exp):
         rows = []
-        for codes, (src_weight, val) in bucket.items():
+        for codes, (src_weight, val) in by_exp[w].items():
             if not val:
                 continue
             entry = made.get(codes)
@@ -796,13 +914,16 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
                 for code, e in runs:
                     var = jet_vars.get(code)
                     if var is None:
-                        var = jet_vars[code] = JetVar(0, code // K, -level_of[code])
+                        var = jet_vars[code] = JetVar(0, code // K, level_of[code])
                     factors.append((var, e))
                 entry = made[codes] = (runs, Monomial(tuple(factors)))
             rows.append(((src_weight, len(codes), entry[0]), entry[1], val))
-        rows.sort(key=itemgetter(0))
-        series[w] = JetPoly(m, tuple((mon, val) for _, mon, val in rows))
-    return PuiseuxSeries.from_dict(m, series, W)
+        if rows:
+            rows.sort(key=itemgetter(0))
+            coeffs.append(
+                (Fraction(w, D), JetPoly(m, tuple((mon, val) for _, mon, val in rows)))
+            )
+    return PuiseuxSeries(m, tuple(coeffs), W)
 
 
 def _runs(codes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -810,10 +931,11 @@ def _runs(codes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((code, len(list(run))) for code, run in groupby(codes))
 
 
-def _assign(slots, k, room: int, q, chosen, found) -> None:
-    """Add q times the binomials of every assignment of slots[k:] that
-    raises the exponents above their minima by at most ``room`` in all into
-    ``found``, keyed by the room left and the sorted chosen codes."""
+def _assign(slots, k, room: int, q: int, chosen, found) -> None:
+    """Add q times the binomial numerators of every assignment of slots[k:]
+    that raises the exponents above their minima by at most ``room`` in all
+    into ``found``, keyed by the room left and the sorted chosen codes; ints
+    only."""
     if k == len(slots):
         key = (room, tuple(sorted(chosen)))
         found[key] = found.get(key, 0) + q

@@ -30,6 +30,7 @@ from .jetpoly import (
     PuiseuxSeries,
     add_into,
     binom,
+    binom_units,
     derivation_T,
     divided_t_power,
     eigen_index,
@@ -60,23 +61,31 @@ def _max_weight(a: JetPoly) -> Fraction:
 # Sweeps reuse a few recent fields; an unbounded cache keeps every one.
 @lru_cache(maxsize=32)
 def _build_field(
-    a: JetPoly, order: int, alpha: tuple[int, ...], window: Fraction
+    a: JetPoly, order: int, alpha: tuple[int, ...], num: int, den: int
 ) -> PuiseuxSeries:
+    """The field of a up to the window num/den, given in lowest terms."""
     for v in a.variables():
         if v.index > len(alpha):
             raise ValueError(f"no exponent known for coordinate {v.index}")
     if eigen_index(a, alpha) is None:
         raise ValueError("twisted field source must be character-homogeneous")
     offsets = {i: Fraction(e, order) for i, e in enumerate(alpha, start=1)}
-    return substitute_jets(a, offsets, window)
+    return substitute_jets(a, offsets, Fraction(num, den))
 
 
 def twisted_field(
     a: JetPoly, g: DiagAutomorphism, window, spec: SchemeSpec | None = None
 ) -> PuiseuxSeries:
+    """The field of a up to the window.  Fields are cached on the window's
+    numerator and denominator, so an int or Fraction window is read, not
+    rebuilt."""
     if a.order != g.order:
         raise ValueError("source and symmetry orders differ")
-    return _build_field(a, g.order, _alpha_list(g, spec), Fraction(window))
+    if not isinstance(window, (int, Fraction)):
+        window = Fraction(window)
+    return _build_field(
+        a, g.order, _alpha_list(g, spec), window.numerator, window.denominator
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +228,20 @@ def check_twisted_borcherds(
 
     The sums run on the indices in units of 1/m, as ints, and read each
     mode straight off the field's exponent index; a Fraction index is built
-    only to raise TruncationError.
+    only to raise TruncationError.  C(m, i) is worked out from m*order as
+    an int numerator over order^i * i!, and made a Fraction once, when it
+    is not zero.
     """
-    W = Fraction(window)
     order = g.order
     alpha = _alpha_list(g, spec)
     if not isinstance(l_idx, int):
         if Fraction(l_idx).denominator != 1:
             raise ValueError("the first Borcherds index must be an integer")
         l_idx = int(l_idx)
-    m_idx = Fraction(m_idx)
-    n_idx = Fraction(n_idx)
+    if not isinstance(m_idx, (int, Fraction)):
+        m_idx = Fraction(m_idx)
+    if not isinstance(n_idx, (int, Fraction)):
+        n_idx = Fraction(n_idx)
     r_a = eigen_index(a, alpha)
     r_b = eigen_index(b, alpha)
     if r_a is None or r_b is None:
@@ -244,18 +256,19 @@ def check_twisted_borcherds(
         raise ValueError(f"index n = {n_idx} must lie in {r_b}/{order} + Z")
     name = f"twisted borcherds(l={l_idx}, m={m_idx}, n={n_idx})"
 
-    fld_a = twisted_field(a, g, W, spec)
-    fld_b = twisted_field(b, g, W, spec)
+    fld_a = twisted_field(a, g, window, spec)
+    fld_b = twisted_field(b, g, window, spec)
 
     acc: dict = {}  # lhs - rhs
     i = 0
     while l_idx + i <= -1:
         inner = _divided_product(a, -(l_idx + i) - 1, b)
         if not inner.is_zero:
-            coef = binom(m_idx, i)
-            mode = _mode(twisted_field(inner, g, W, spec), M + N - i * order, order)
-            if coef:
-                add_into(acc, mode.terms, coef)
+            num, den = binom_units(M, order, i)
+            fld = twisted_field(inner, g, window, spec)
+            mode = _mode(fld, M + N - i * order, order)
+            if num:
+                add_into(acc, mode.terms, Fraction(num, den))
         i += 1
 
     sign_l = -1 if l_idx % 2 else 1
@@ -302,11 +315,14 @@ def check_descent(
     defining equation are binomial multiples of the twisted jet-equation
     generators, and in particular lie in their span.
 
-    ``rel_index`` is 1-based, matching the generator records.
+    ``rel_index`` is 1-based, matching the generator records; the translate
+    n must be >= 0.
     """
     W = Fraction(window)
     if not 1 <= rel_index <= len(spec.relations):
         raise ValueError(f"relation index {rel_index} out of range")
+    if n < 0:
+        raise ValueError(f"translate {n} must be >= 0")
     rel = spec.relations[rel_index - 1]
     alpha = _alpha_list(g, spec)
     if eigen_index(rel, alpha) is None:

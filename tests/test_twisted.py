@@ -14,6 +14,8 @@ from jetva.jetpoly import (
     JetPoly,
     PuiseuxSeries,
     TruncationError,
+    binom,
+    binom_units,
     divided_t_power,
     eigen_index,
 )
@@ -398,3 +400,55 @@ def test_descent_rejects_bad_relation_index():
     spec = SchemeSpec.of(2, 1, [y(1) ** 2])
     with pytest.raises(ValueError):
         check_descent(spec, G2, 2, 0, 3)
+
+
+def test_descent_rejects_a_negative_translate():
+    # It used to report two passing checks named "translate -1".
+    spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
+    with pytest.raises(ValueError, match="translate -1"):
+        check_descent(spec, G2P, 1, -1, 3)
+
+
+# ---------------------------------------------------------------------------
+# integer-coded indices and binomials
+# ---------------------------------------------------------------------------
+
+
+def _index_box_cases(order):
+    """The (a, b, g, l, m, n) of ``_index_box``, in its order."""
+    g, a, b = _INDEX_BOXES[order]
+    cosets = [
+        [Fraction(k * order + r, order) for k in range(-3, 3)]
+        for r in (eigen_index(a, g.exponents), eigen_index(b, g.exponents))
+    ]
+    return [
+        (a, b, g, l, m_idx, n_idx)
+        for l in range(-2, 3)
+        for m_idx in (q for q in cosets[0] if abs(q) <= 2)
+        for n_idx in (q for q in cosets[1] if abs(q) <= 2)
+    ]
+
+
+@pytest.mark.parametrize("order", [3, 6])
+def test_borcherds_binomials_in_units_match_binom(order):
+    for *_, l, m_idx, _ in _index_box_cases(order):
+        for i in range(-l + 2):
+            reference = Fraction(1)
+            for j in range(i):
+                reference = reference * (m_idx - j) / (j + 1)
+            got = Fraction(*binom_units(int(m_idx * order), order, i))
+            assert got == binom(m_idx, i) == reference, (m_idx, i)
+
+
+def test_borcherds_box_builds_no_fraction_per_field_read(fraction_calls):
+    # Measured at 132 Fraction.__new__ calls (Python 3.11) over the 80
+    # identities of the order-3 box, which read 208 fields; a Fraction per
+    # field read breaks the bound.
+    cases = _index_box_cases(3)
+
+    def run():
+        return [check_twisted_borcherds(*case, 4) for case in cases]
+
+    calls, results = fraction_calls(run)
+    assert len(results) == 80 and all(r.passed for r in results)
+    assert calls <= 264
