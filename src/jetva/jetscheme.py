@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .cyclo import CycScalar, modular_root
+from .cyclo import modular_root
 from .jetpoly import (
     JetPoly,
     JetVar,
@@ -101,28 +101,40 @@ class DiagAutomorphism:
         return out
 
 
-def _poly_row(p: JetPoly, columns: dict[Monomial, int]) -> dict[int, CycScalar]:
-    row = {}
-    for mon, c in p.terms:
-        if mon not in columns:
-            columns[mon] = len(columns)
-        row[columns[mon]] = c
-    return row
+class SpanBasis:
+    """The span of a list of polynomials, eliminated once: a column per
+    monomial of the list and the echelon rows over those columns.  Reading
+    it never changes it, so one basis serves any number of membership
+    tests."""
 
+    __slots__ = ("columns", "reducer")
 
-def first_outside_span(order: int, basis, polys) -> int | None:
-    """The position of the first of ``polys`` outside the span of
-    ``basis``, or None when all lie in it.  A monomial that no basis
-    polynomial has gets a column of its own that no pivot touches, so a
-    polynomial with one is outside the span."""
-    columns: dict[Monomial, int] = {}
-    red = RowReducer(order)
-    for p in basis:
-        red.add(_poly_row(p, columns))
-    for k, p in enumerate(polys):
-        if not red.contains(_poly_row(p, columns)):
-            return k
-    return None
+    def __init__(self, order: int, basis):
+        self.columns: dict[Monomial, int] = {}
+        self.reducer = RowReducer(order)
+        for p in basis:
+            row = {}
+            for mon, c in p.terms:
+                row[self.columns.setdefault(mon, len(self.columns))] = c
+            self.reducer.add(row)
+
+    def contains(self, p: JetPoly) -> bool:
+        """Is ``p`` in the span?  A monomial that no basis polynomial has
+        puts it outside, since every basis row is zero there."""
+        row = {}
+        for mon, c in p.terms:
+            col = self.columns.get(mon)
+            if col is None:
+                return False
+            row[col] = c
+        return self.reducer.contains(row)
+
+    def first_outside(self, polys) -> int | None:
+        """The position of the first of ``polys`` outside the span, or None
+        when all lie in it."""
+        return next(
+            (k for k, p in enumerate(polys) if not self.contains(p)), None
+        )
 
 
 def preserves_ideal(spec: SchemeSpec, g: DiagAutomorphism) -> bool:
@@ -133,7 +145,7 @@ def preserves_ideal(spec: SchemeSpec, g: DiagAutomorphism) -> bool:
         return True
     alpha = g.alpha_by_index(spec)
     images = (apply_automorphism(alpha, p) for p in spec.relations)
-    return first_outside_span(spec.order, spec.relations, images) is None
+    return SpanBasis(spec.order, spec.relations).first_outside(images) is None
 
 
 # ---------------------------------------------------------------------------

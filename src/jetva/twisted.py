@@ -39,8 +39,9 @@ from .jetpoly import (
 )
 from .jetscheme import (
     DiagAutomorphism,
+    JetGenerator,
     SchemeSpec,
-    first_outside_span,
+    SpanBasis,
     twisted_jet_generators,
 )
 from .reports import CheckResult
@@ -58,12 +59,13 @@ def _max_weight(a: JetPoly) -> Fraction:
     return max((mon.weight for mon, _ in a.terms), default=Fraction(0))
 
 
-# Sweeps reuse a few recent fields; an unbounded cache keeps every one.
-@lru_cache(maxsize=32)
-def _build_field(
+def _make_field(
     a: JetPoly, order: int, alpha: tuple[int, ...], num: int, den: int
 ) -> PuiseuxSeries:
-    """The field of a up to the window num/den, given in lowest terms."""
+    """The field of a up to the window num/den, given in lowest terms, built
+    afresh."""
+    if a.order != order:
+        raise ValueError("source and symmetry orders differ")
     for v in a.variables():
         if v.index > len(alpha):
             raise ValueError(f"no exponent known for coordinate {v.index}")
@@ -73,14 +75,17 @@ def _build_field(
     return substitute_jets(a, offsets, Fraction(num, den))
 
 
+# Sweeps reuse a few recent fields; an unbounded cache keeps every one.
+# A descent check's translate field is read once, so it bypasses this cache.
+_build_field = lru_cache(maxsize=32)(_make_field)
+
+
 def twisted_field(
     a: JetPoly, g: DiagAutomorphism, window, spec: SchemeSpec | None = None
 ) -> PuiseuxSeries:
     """The field of a up to the window.  Fields are cached on the window's
     numerator and denominator, so an int or Fraction window is read, not
     rebuilt."""
-    if a.order != g.order:
-        raise ValueError("source and symmetry orders differ")
     if not isinstance(window, (int, Fraction)):
         window = Fraction(window)
     return _build_field(
@@ -304,6 +309,19 @@ def check_twisted_borcherds(
 # ---------------------------------------------------------------------------
 
 
+# Keyed on (scheme, symmetry, generator weight W + n): the translates n of one
+# sweep at window W - n share an entry.  64 entries hold every (order,
+# curve, symmetry) case of a sweep over the acceptance fixtures at orders 2-4.
+@lru_cache(maxsize=64)
+def _descent_basis(
+    spec: SchemeSpec, g: DiagAutomorphism, max_weight: Fraction
+) -> tuple[tuple[JetGenerator, ...], SpanBasis]:
+    """The twisted jet-equation generators up to the weight, and their span
+    basis."""
+    gens = twisted_jet_generators(spec, g, max_weight).generators
+    return gens, SpanBasis(spec.order, (gen.poly for gen in gens))
+
+
 def check_descent(
     spec: SchemeSpec,
     g: DiagAutomorphism,
@@ -329,11 +347,9 @@ def check_descent(
         raise ValueError("relation is not character-homogeneous for this symmetry")
 
     src = divided_t_power(rel, n)
-    fld = twisted_field(src, g, W, spec)
-    gens = twisted_jet_generators(spec, g, W + n)
-    table = {
-        (gen.relation, gen.weight): gen.poly for gen in gens.generators
-    }
+    fld = _make_field(src, g.order, alpha, W.numerator, W.denominator)
+    gens, basis = _descent_basis(spec, g, W + n)
+    table = {(gen.relation, gen.weight): gen.poly for gen in gens}
 
     # Every generator weight u lies in [0, W + n], so u - n lies in [-n, W].
     exponents = set(fld.support())
@@ -354,9 +370,7 @@ def check_descent(
         )
     ]
 
-    k = first_outside_span(
-        spec.order, (gen.poly for gen in gens.generators), (p for _, p in fld.coeffs)
-    )
+    k = basis.first_outside(p for _, p in fld.coeffs)
     stray = None if k is None else fld.coeffs[k][0]
     results.append(
         CheckResult(

@@ -19,6 +19,7 @@ def fraction_calls(monkeypatch):
         for cached in (
             jetpoly._jet_expansion,
             twisted._build_field,
+            twisted._descent_basis,
             twisted._divided_product,
         ):
             cached.cache_clear()

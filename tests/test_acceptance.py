@@ -11,6 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from jetva import twisted
 from jetva.coinv import OrbiSetup, coinvariant_dims, verify_fixed_ring
 from jetva.jetpoly import JetPoly, divided_t_power, eigen_index
 from jetva.jetscheme import (
@@ -217,6 +218,29 @@ def test_criterion_4_descent():
         not failures,
         f"first failures: {failures[:3]}",
     )
+
+
+def test_descent_on_a_warm_basis_cache_matches_a_cold_one():
+    # Each (scheme, symmetry, W + n) key builds its generator span basis once;
+    # a warm cache must give the checks a cold one gives.
+    sweep = [
+        (spec, DiagAutomorphism(order, alpha), n)
+        for order in (2, 3)
+        for _, spec in fixtures(order)
+        for alpha in admissible_alphas(spec)
+        for n in range(0, 5)
+    ]
+    random.Random(4).shuffle(sweep)
+
+    def run():
+        return [check_descent(spec, g, 1, n, 6 - n) for spec, g, n in sweep]
+
+    twisted._descent_basis.cache_clear()
+    cold = run()
+    hits = twisted._descent_basis.cache_info().hits
+    warm = run()
+    assert twisted._descent_basis.cache_info().hits == hits + len(sweep)
+    assert warm == cold
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,61 @@
+"""The package's caches: every one is bounded but the per-order tables of
+``cyclo``, and the ``fraction_calls`` fixture empties every bounded one, so
+a Fraction count does not depend on the order the tests run in."""
+
+import importlib
+import inspect
+import pkgutil
+from fractions import Fraction
+
+import jetva
+from jetva.jetpoly import JetPoly
+from jetva.jetscheme import DiagAutomorphism, SchemeSpec
+from jetva.twisted import check_descent, check_twisted_borcherds
+
+
+def _caches() -> dict:
+    """Every ``lru_cache``-wrapped function defined in a jetva module, by
+    its qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(jetva.__path__, "jetva."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == info.name:
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def _bounded() -> dict:
+    return {
+        name: f
+        for name, f in _caches().items()
+        if f.cache_parameters()["maxsize"] is not None
+    }
+
+
+def test_only_the_per_order_tables_are_unbounded():
+    unbounded = {
+        name: f
+        for name, f in _caches().items()
+        if f.cache_parameters()["maxsize"] is None
+    }
+    assert unbounded, "the walk found none of cyclo's per-order tables"
+    for name, f in unbounded.items():
+        assert name.startswith("jetva.cyclo."), name
+        assert list(inspect.signature(f).parameters) == ["m"], name
+
+
+def test_fraction_calls_empties_every_bounded_cache(fraction_calls):
+    bounded = _bounded()
+    x1, x2 = JetPoly.var(2, 1), JetPoly.var(2, 2)
+    spec = SchemeSpec.of(2, 2, [x1**2 - x2])
+    g = DiagAutomorphism(2, (1, 0))
+    check_descent(spec, g, 1, 1, 2)
+    check_twisted_borcherds(x1, x1, g, -1, Fraction(1, 2), Fraction(1, 2), 2, spec)
+    empty = sorted(name for name, f in bounded.items() if not f.cache_info().currsize)
+    assert not empty, f"the warm-up above does not reach {empty}"
+
+    fraction_calls(lambda: None)
+    assert {name: f.cache_info().currsize for name, f in bounded.items()} == {
+        name: 0 for name in bounded
+    }

@@ -19,7 +19,7 @@ from jetva.jetpoly import (
     divided_t_power,
     eigen_index,
 )
-from jetva.jetscheme import DiagAutomorphism, SchemeSpec
+from jetva.jetscheme import DiagAutomorphism, IdealNotPreservedError, SchemeSpec
 from jetva.reports import all_passed
 from jetva.twisted import (
     check_descent,
@@ -176,18 +176,27 @@ def test_order_one_degenerates_to_plain_algebra():
 
 def _perturb_field(monkeypatch, source, exponent, extra):
     """Make every field of ``source`` carry ``extra`` on top of its z^exponent
-    coefficient; every other field is left as it is."""
-    real = twisted.twisted_field
+    coefficient; every other field is left as it is.  Both seams that build
+    fields are patched: ``twisted_field``, which the axiom and Borcherds
+    checks read through the field cache, and ``_make_field``, the uncached
+    builder that ``check_descent`` calls for its translate."""
+    real_field, real_make = twisted.twisted_field, twisted._make_field
 
-    def perturbed(a, g, window, spec=None):
-        fld = real(a, g, window, spec)
+    def perturb(a, fld):
         if a != source:
             return fld
         coeffs = dict(fld.coeffs)
         coeffs[exponent] = fld.coefficient(exponent) + extra
         return PuiseuxSeries.from_dict(a.order, coeffs, fld.trunc)
 
-    monkeypatch.setattr(twisted, "twisted_field", perturbed)
+    def perturbed_field(a, g, window, spec=None):
+        return perturb(a, real_field(a, g, window, spec))
+
+    def perturbed_make(a, *key):
+        return perturb(a, real_make(a, *key))
+
+    monkeypatch.setattr(twisted, "twisted_field", perturbed_field)
+    monkeypatch.setattr(twisted, "_make_field", perturbed_make)
 
 
 def _failures(results):
@@ -394,6 +403,33 @@ def test_descent_fails_on_a_perturbed_field(monkeypatch, extra, witness):
         "descent span: rel 1, translate 1, coefficients in the twisted "
         "generator span": "coefficient at z^1",
     }
+
+
+def test_descent_basis_is_left_as_it_was_by_a_stray_monomial(monkeypatch):
+    # x2[-9] lies in no column of the weight-4 basis: the span check reports
+    # it without adding a column, and the entry still serves a clean check.
+    spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
+    twisted._descent_basis.cache_clear()
+    assert all_passed(check_descent(spec, G2P, 1, 1, 3))
+    _, basis = twisted._descent_basis(spec, G2P, Fraction(4))
+    size = (len(basis.columns), basis.reducer.rank)
+    with monkeypatch.context() as patch:
+        _perturb_field(patch, divided_t_power(spec.relations[0], 1), Fraction(1), y(2, -9))
+        failures = _failures(check_descent(spec, G2P, 1, 1, 3))
+    assert failures[
+        "descent span: rel 1, translate 1, coefficients in the twisted generator span"
+    ] == "coefficient at z^1"
+    assert twisted._descent_basis(spec, G2P, Fraction(4))[1] is basis
+    assert (len(basis.columns), basis.reducer.rank) == size
+    assert all_passed(check_descent(spec, G2P, 1, 1, 3))
+
+
+def test_descent_raises_on_every_call_when_the_span_is_not_preserved():
+    # x1 -> -x1 keeps x1^2 an eigenvector but sends x1 + x2 to x2 - x1.
+    spec = SchemeSpec.of(2, 2, [y(1) ** 2, y(1) + y(2)])
+    for _ in range(3):
+        with pytest.raises(IdealNotPreservedError):
+            check_descent(spec, G2P, 1, 0, 3)
 
 
 def test_descent_rejects_bad_relation_index():
