@@ -207,6 +207,18 @@ def _mismatch(got: int, want: int) -> FieldMismatchError:
     )
 
 
+def ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, without the Fraction.
+
+    >>> ratio_str(-4, 6), ratio_str(6, 3)
+    ('-2/3', '2')
+    """
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
 _new = object.__new__
 
 
@@ -433,9 +445,10 @@ class CycScalar:
 
     def __str__(self) -> str:
         parts: list[str] = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
+        for j, a in enumerate(self.nums):
+            if not a:
                 continue
+            c = ratio_str(a, self.den)
             if j == 0:
                 mon = ""
             elif j == 1:
@@ -443,17 +456,17 @@ class CycScalar:
             else:
                 mon = f"zeta^{j}"
             if not mon:
-                body = str(c)
-            elif c == 1:
+                body = c
+            elif c == "1":
                 body = mon
-            elif c == -1:
+            elif c == "-1":
                 body = f"-{mon}"
             else:
                 body = f"{c}*{mon}"
             if not parts:
                 # A leading "-zeta^j" would need a unary minus, which the
                 # expression grammar lacks; spell the coefficient out.
-                parts.append(f"-1*{mon}" if c == -1 and mon else body)
+                parts.append(f"-1*{mon}" if c == "-1" and mon else body)
             elif body.startswith("-"):
                 parts.append(f"- {body[1:]}")
             else:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
-from .cyclo import CycScalar, FieldMismatchError
+from .cyclo import CycScalar, FieldMismatchError, ratio_str
 
 
 class TruncationError(ValueError):
@@ -422,17 +422,16 @@ def mul_into(acc: dict, left, right, coef=None) -> None:
 
 
 def _term_str(mon: Monomial, c: CycScalar) -> str:
-    cs = str(c)
     if mon.factors == ():
-        return cs
+        return str(c)
     if c.is_rational():
-        q = c.as_rational()
-        if q == 1:
+        q = ratio_str(c.nums[0], c.den)
+        if q == "1":
             return str(mon)
-        if q == -1:
+        if q == "-1":
             return f"-{mon}"
         return f"{q}*{mon}"
-    return f"({cs})*{mon}"
+    return f"({c})*{mon}"
 
 
 def retag_point(p: JetPoly, point: int) -> JetPoly:

@@ -95,6 +95,49 @@ def test_string_forms():
     assert str(CycScalar.zero(12)) == "0"
 
 
+def _fraction_str(c: CycScalar) -> str:
+    """The printed form of a scalar, worked out on its Fraction coordinates."""
+    parts = []
+    for j, q in enumerate(c.coeffs):
+        if not q:
+            continue
+        mon = "" if j == 0 else "zeta" if j == 1 else f"zeta^{j}"
+        if not mon:
+            body = str(q)
+        elif q == 1:
+            body = mon
+        elif q == -1:
+            body = f"-{mon}"
+        else:
+            body = f"{q}*{mon}"
+        if not parts:
+            parts.append(f"-1*{mon}" if q == -1 and mon else body)
+        elif body.startswith("-"):
+            parts.append(f"- {body[1:]}")
+        else:
+            parts.append(f"+ {body}")
+    return " ".join(parts) if parts else "0"
+
+
+# Units, zeros and coordinates whose reduced denominators differ, so that
+# the common denominator must be cancelled coordinate by coordinate.
+_printed_coords = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+_printed_scalars = st.sampled_from([1, 2, 3, 4, 5, 6, 8]).flatmap(
+    lambda m: st.lists(
+        _printed_coords, min_size=euler_phi(m), max_size=euler_phi(m)
+    ).map(lambda cs: CycScalar(m, cs))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=_printed_scalars)
+def test_string_form_matches_the_fraction_coordinates(c):
+    assert str(c) == _fraction_str(c)
+
+
 def _scalars(order: int):
     coeff = st.fractions(
         min_value=-4, max_value=4, max_denominator=6

@@ -19,6 +19,7 @@ from jetva.jetpoly import (
     TruncationError,
     _jet_expansion,
     _mono_key,
+    _term_str,
     admissible_levels,
     apply_automorphism,
     binom,
@@ -69,6 +70,42 @@ def test_poly_canonical_string_order():
     p = x(1, -1) ** 2 + 2 * x(1) * x(1, -2)
     # mixed monomial sorts first: its first factor x1[0] is smallest
     assert str(p) == "2*x1[0]*x1[-2] + x1[-1]^2"
+
+
+def _fraction_term_str(mon: Monomial, c: CycScalar) -> str:
+    """One printed term, with a rational coefficient read as a Fraction."""
+    if mon.factors == ():
+        return str(c)
+    if c.is_rational():
+        q = c.as_rational()
+        if q == 1:
+            return str(mon)
+        if q == -1:
+            return f"-{mon}"
+        return f"{q}*{mon}"
+    return f"({c})*{mon}"
+
+
+_term_coeffs = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 5, 6, 8]).flatmap(
+        lambda m: st.one_of(
+            st.sampled_from([1, -1]),
+            st.fractions(min_value=-4, max_value=4, max_denominator=12),
+        ).map(lambda q: CycScalar.from_rational(m, q))
+    ),
+    st.sampled_from([1, 2, 3, 4, 5, 6, 8]).flatmap(
+        lambda m: st.integers(min_value=0, max_value=m - 1).map(
+            lambda k: zeta_pow(m, k) * CycScalar.from_rational(m, Fraction(-3, 2))
+        )
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=_term_coeffs)
+def test_term_strings_match_the_fraction_coefficient(c):
+    for mon in (Monomial.unit(), Monomial.of((jet_var(1, Fraction(-1, 2)), 2))):
+        assert _term_str(mon, c) == _fraction_term_str(mon, c)
 
 
 _jet_vars = st.builds(
