@@ -24,6 +24,12 @@ plus these residue relations is computed exactly; for windows at least one
 it collapses onto the coordinate ring of the fixed subscheme in weight
 zero, and the verifier confirms that table and the vanishing of every
 positive-weight entry.
+
+The collapse comes from the degree-1 sections x_i u^j du: each relation
+of one kills a twisted jet variable of positive weight, or glues x_i[0]
+at the two points.  ``graded_quotient_dims`` eliminates these linear
+relations once, before it builds the box, so the box holds only the
+variables they leave.
 """
 
 from __future__ import annotations

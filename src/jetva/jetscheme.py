@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .cyclo import modular_root
+from .cyclo import CycScalar, modular_root
 from .jetpoly import (
     JetPoly,
     JetVar,
@@ -26,6 +26,7 @@ from .jetpoly import (
     admissible_levels,
     apply_automorphism,
     jet_var,
+    mul_into,
     substitute_jets,
     translation_series,
 )
@@ -332,6 +333,84 @@ def _zero_mod_p(table, fits, columns, D: int, p: int) -> bool:
     return spans_mod_p(rows, len(table), p)
 
 
+def _box_weights(ambient: tuple[JetVar, ...], max_weight, max_degree: int):
+    """The weights of the box's monomials, ascending, as ``_packed_box``
+    would find them, from a walk over the distinct ambient weights: each
+    reachable weight keeps the least degree that reaches it."""
+    L = math.lcm(*(v.weight.denominator for v in ambient))
+    W = math.floor(Fraction(max_weight) * L)
+    if W < 0:
+        return []
+    least = {0: 0}  # weight in units of 1/L -> least degree reaching it
+    for wv in sorted({int(v.weight * L) for v in ambient} - {0}):
+        for w in range(W - wv + 1):  # ascending, so multiples of wv chain
+            d = least.get(w)
+            if d is not None and d < max_degree and d + 1 < least.get(w + wv, d + 2):
+                least[w + wv] = d + 1
+    return [Fraction(w, L) for w in sorted(least)]
+
+
+def _solve_linear(order: int, ambient: tuple[JetVar, ...], linear):
+    """Each pivot variable of the linear forms' echelon basis, mapped to
+    its value on their zero set: a list of (monomial, coefficient) terms in
+    the non-pivot variables, empty when the variable is zero there.
+
+    Columns are the positions in ``ambient``; the pivot rows are
+    back-reduced from the last pivot to the first, so each value is free
+    of pivots."""
+    column = {v: j for j, v in enumerate(ambient)}
+    red = RowReducer(order)
+    for g in linear:
+        red.add({column[mon.factors[0][0]]: c for mon, c in g.terms})
+    solved: dict[int, dict] = {}
+    for lead in sorted(red.pivots, reverse=True):
+        value: dict = {}
+        for col, a in red.pivots[lead].items():
+            if col != lead:
+                for k, b in solved.get(col, {col: 1}).items():
+                    value[k] = value.get(k, 0) - a * b
+        solved[lead] = {k: v for k, v in value.items() if v}
+    return {
+        ambient[lead]: [(Monomial(((ambient[k], 1),)), v) for k, v in value.items()]
+        for lead, value in solved.items()
+    }
+
+
+def _substitute(g: JetPoly, images, powers) -> JetPoly:
+    """``g`` with each variable of ``images`` replaced by its image.  A
+    term with a variable whose image is zero is dropped before any product
+    is formed; the powers of the images are kept in ``powers`` across
+    calls."""
+    acc: dict[Monomial, CycScalar] = {}
+    for mon, c in g.terms:
+        if any(images.get(v) == [] for v, _ in mon.factors):
+            continue
+        terms = [(Monomial.unit(), c)]
+        kept = []
+        for v, e in mon.factors:
+            image = images.get(v)
+            if image is None:
+                kept.append((v, e))
+                continue
+            power = powers.get((v, e))
+            if power is None:
+                power = image
+                for _ in range(e - 1):
+                    prod: dict = {}
+                    mul_into(prod, power, image)
+                    power = [(m, a) for m, a in prod.items() if a]
+                powers[(v, e)] = power
+            prod = {}
+            mul_into(prod, terms, power)
+            terms = prod.items()
+        rest = Monomial(tuple(kept))
+        for m, a in terms:
+            m = m * rest
+            cur = acc.get(m)
+            acc[m] = a if cur is None else cur + a
+    return JetPoly._from_dict(g.order, acc)
+
+
 def graded_quotient_dims(
     order: int,
     ambient: tuple[JetVar, ...],
@@ -348,6 +427,77 @@ def graded_quotient_dims(
     filtration of the quotient.  Entries are upper bounds for the true
     quotient dimensions, exact once stable under enlarging the bounds.
 
+    The linear generators, those whose terms all have degree 1, are
+    eliminated before the box.  One ``RowReducer`` over the ambient
+    variables takes them, and its pivot rows, back-reduced, give each
+    pivot variable as a combination of non-pivot variables of the same
+    weight (``_solve_linear``).  That is substituted into the other
+    generators, and the pivots leave the ambient.  Three rules keep the
+    table the same:
+
+    - each generator keeps the multiplier room D - (its top degree) it had
+      before substitution, since a top-degree term may cancel and a
+      larger room would admit rows that R does not hold;
+    - a generator that becomes zero is dropped;
+    - every (w, d) of the unpruned box is reported, in the same order,
+      with 0 where the pruned box has no monomial (``_box_weights``).
+
+    Why the entries cannot change: the linear forms are homogeneous in
+    weight and degree, so their in-box multiples span exactly the
+    intersection of the ideal they generate with the box, which is the
+    kernel of the substitution on the box.  The substitution sends each
+    degree-d monomial to a degree-d form, so it is an isomorphism of V_box
+    modulo that span onto the pruned box, graded by weight and degree, and
+    it sends each multiple q*g of another generator to q'*g' with q'
+    ranging over the same room.  The filtration, and so every entry, is
+    the same.
+
+    The pruned generators then go to ``_box_dims``, the slice-by-slice
+    elimination below.  ``_box_dims`` on the raw generators is the
+    unpruned route; it is kept as an independent oracle for the tests, as
+    ``T_recursion`` is kept next to ``substitution``.
+    """
+    W = Fraction(max_weight)
+    D = int(max_degree)
+    ambient = tuple(sorted(set(ambient)))
+    allowed = set(ambient)
+    gens = [g for g in ideal_gens if not g.is_zero]
+    for g in gens:
+        if g.order != order:
+            raise ValueError("generator scalar order does not match")
+        if g.homogeneous_weight() is None:
+            raise ValueError(f"ideal generator is not weight-homogeneous: {g}")
+        if not g.variables() <= allowed:
+            raise ValueError("ideal generator uses a variable outside the ambient set")
+    linear, others = [], []
+    for g in gens:
+        (linear if all(mon.degree == 1 for mon, _ in g.terms) else others).append(g)
+    if not linear:
+        return _box_dims(order, ambient, [(g, D - g.max_degree()) for g in gens], W, D)
+    images = _solve_linear(order, ambient, linear)
+    powers: dict = {}
+    pruned = []
+    for g in others:
+        sub = _substitute(g, images, powers)
+        if not sub.is_zero:
+            pruned.append((sub, D - g.max_degree()))
+    kept = tuple(v for v in ambient if v not in images)
+    dims = _box_dims(order, kept, pruned, W, D)
+    return {
+        (w, d): dims.get((w, d), 0)
+        for w in _box_weights(ambient, W, D)
+        for d in range(D + 1)
+    }
+
+
+def _box_dims(
+    order: int, ambient: tuple[JetVar, ...], gens, W: Fraction, D: int
+) -> dict[tuple[Fraction, int], int]:
+    """The table of ``graded_quotient_dims`` by elimination in the box,
+    slice by slice.  ``ambient`` is sorted and free of repeats, and
+    ``gens`` holds (generator, multiplier degree room) pairs of nonzero
+    weight-homogeneous generators.
+
     Monomials are the packed int codes of ``_packed_box``: the multiple
     q * mon of a generator term is the code sum q + t.  A slice's columns
     are numbered from the last entry of its (degree, code) table to the
@@ -357,9 +507,10 @@ def graded_quotient_dims(
     dim V<=d + #(pivots above degree d).  So the (w, d) entry is the number
     of degree-d monomials minus the number of pivots in degree-d columns.
 
-    A slice whose rows reach full rank is zero in every entry; in a
-    coinvariant box every slice of positive weight does, as the theorem
-    predicts.  Three rules keep the exact work for the other slices:
+    A slice whose rows reach full rank is zero in every entry; in an
+    unpruned coinvariant box every slice of positive weight does, as the
+    theorem predicts.  Three rules keep the exact work for the other
+    slices:
 
     - Early exit.  The exact elimination stops once the rank equals the
       column count, since every later row lies in the span.
@@ -383,18 +534,6 @@ def graded_quotient_dims(
     table, do not depend on the row order, and short rows fill a slice
     soonest.
     """
-    W = Fraction(max_weight)
-    D = int(max_degree)
-    ambient = tuple(sorted(set(ambient)))
-    allowed = set(ambient)
-    gens = [g for g in ideal_gens if not g.is_zero]
-    for g in gens:
-        if g.order != order:
-            raise ValueError("generator scalar order does not match")
-        if g.homogeneous_weight() is None:
-            raise ValueError(f"ideal generator is not weight-homogeneous: {g}")
-        if not g.variables() <= allowed:
-            raise ValueError("ideal generator uses a variable outside the ambient set")
     bits, L, slices = _packed_box(ambient, W, D)
     shift_of = {v: j * bits for j, v in enumerate(ambient)}
     p, r = modular_root(order)
@@ -402,7 +541,7 @@ def graded_quotient_dims(
     #  [(term code, coeff)], the nonzero terms mod p or None if p divides
     #  a denominator)
     packed_gens = []
-    for g in gens:
+    for g, room in gens:
         terms = [
             (sum(e << shift_of[v] for v, e in mon.factors), c) for mon, c in g.terms
         ]
@@ -414,7 +553,7 @@ def graded_quotient_dims(
             (
                 int(g.homogeneous_weight() * L),
                 min(mon.degree for mon, _ in g.terms),
-                D - g.max_degree(),
+                room,
                 terms,
                 terms_p,
             )

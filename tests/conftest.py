@@ -4,7 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from jetva import jetpoly, twisted
+from jetva import jetpoly, jetscheme, twisted
+
+
+@pytest.fixture(scope="session")
+def unpruned():
+    """The unpruned route of ``graded_quotient_dims``, same arguments:
+    ``_box_dims`` on the raw generators, each with the multiplier room of
+    its own top degree, so the linear generators are eliminated in the
+    box with the rest.  It is the oracle for the linear pre-pass."""
+
+    def dims(order, ambient, gens, max_weight, max_degree):
+        D = int(max_degree)
+        rows = [(g, D - g.max_degree()) for g in gens if not g.is_zero]
+        return jetscheme._box_dims(
+            order, tuple(sorted(set(ambient))), rows, Fraction(max_weight), D
+        )
+
+    return dims
 
 
 @pytest.fixture

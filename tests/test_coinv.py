@@ -16,7 +16,7 @@ from jetva.coinv import (
     residue_relation,
     verify_fixed_ring,
 )
-from jetva import jetscheme
+from jetva import coinv, jetscheme
 from jetva.cyclo import CycScalar
 from jetva.jetpoly import JetPoly, retag_point
 from jetva.jetscheme import DiagAutomorphism, SchemeSpec
@@ -119,10 +119,11 @@ def test_fixture_tables(label, order, k, rels, exps, row):
     assert all_passed(checks), [c for c in checks if not c.passed]
 
 
-def test_empty_fixed_locus_certifies_every_slice():
+def test_empty_fixed_locus_certifies_every_slice(monkeypatch, unpruned):
     # x1*x2 = 1 has no point fixed by (x1, x2) -> (-x1, -x2), so the weight-0
     # slices fill too, of the coinvariants and of the fixed ring (the unit
-    # relation -1): each passes the F_p certificate
+    # relation -1): on the unpruned route each passes the F_p certificate
+    monkeypatch.setattr(coinv, "graded_quotient_dims", unpruned)
     setup = setup_of(2, 2, [x(1, 2) * x(2, 2) - JetPoly.one(2)], (1, 1), W=2, D=3)
     verdicts = []
     real = jetscheme.spans_mod_p
@@ -138,6 +139,51 @@ def test_empty_fixed_locus_certifies_every_slice():
     assert verdicts == [True] * (len({w for w, _ in dims}) + 1)
     with mock.patch.object(jetscheme, "spans_mod_p", lambda rows, ncols, p: False):
         assert coinvariant_dims(setup) == dims
+
+
+# ---------------------------------------------------------------------------
+# the linear pre-pass against the unpruned route
+# ---------------------------------------------------------------------------
+
+PRUNING_CASES = [
+    (label, order, k, rels, exps, 3) for label, order, k, rels, exps, _ in FIXTURES
+] + [("cusp-m3", 3, 2, lambda: [x(1, 3) ** 3 - x(2, 3) ** 2], (2, 0), 2)]
+
+
+@pytest.mark.parametrize(
+    "label,order,k,rels,exps,W", PRUNING_CASES, ids=[c[0] for c in PRUNING_CASES]
+)
+def test_pruned_coinvariant_tables_equal_the_unpruned_route(
+    monkeypatch, unpruned, label, order, k, rels, exps, W
+):
+    setup = setup_of(order, k, rels(), exps, W=W, D=3)
+    pruned = coinvariant_dims(setup)
+    monkeypatch.setattr(coinv, "graded_quotient_dims", unpruned)
+    assert list(pruned.items()) == list(coinvariant_dims(setup).items())
+
+
+def test_pruned_cusp_box_needs_no_certificate(monkeypatch):
+    # On the cusp at W=2, D=3 the degree-1 sections kill every
+    # positive-weight variable and glue x2[0] to xinf2[0]: one weight-0
+    # slice is left, it does not fill, and no F_p pass runs.  The table
+    # still has an entry for each (w, d) of the unpruned box.
+    setup = setup_of(3, 2, [x(1, 3) ** 3 - x(2, 3) ** 2], (2, 0), W=2, D=3)
+    slices = []
+    real = jetscheme._box_dims
+
+    def counted(*args):
+        dims = real(*args)
+        slices.append(len({w for w, _ in dims}))
+        return dims
+
+    monkeypatch.setattr(jetscheme, "_box_dims", counted)
+    with mock.patch.object(jetscheme, "spans_mod_p") as spy:
+        dims = coinvariant_dims(setup)
+    assert spy.call_count == 0
+    assert slices == [1]
+    assert list(dims) == [
+        (Fraction(k, 3), d) for k in range(3 * 2 + 1) for d in range(3 + 1)
+    ]
 
 
 # Tables of larger boxes, recorded with the exact elimination of every

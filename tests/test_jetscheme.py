@@ -412,6 +412,104 @@ def test_method_agreement_random_plane_curves(c, e, w):
 
 
 # ---------------------------------------------------------------------------
+# the linear pre-pass
+# ---------------------------------------------------------------------------
+
+
+def _pruning_pool(m):
+    """Jet variables of weights 0, 1/m and 1 on both alphabets."""
+    q = Fraction(-1, m)
+    return (
+        jet_var(1, 0),
+        jet_var(2, 0),
+        jet_var(1, q),
+        jet_var(2, q),
+        jet_var(3, -1),
+        jet_var(1, 0, point=1),
+        jet_var(2, q, point=1),
+    )
+
+
+def _group_by_weight(mons):
+    groups = {}
+    for mon in mons:
+        groups.setdefault(mon.weight, []).append(mon)
+    return {w: groups[w] for w in sorted(groups)}
+
+
+# order -> (weight -> degree-1 monomials, weight -> monomials of degree <= 3)
+_PRUNING_MONS = {
+    m: tuple(
+        _group_by_weight(
+            Monomial.of(*zip(_pruning_pool(m), exps))
+            for exps in itertools.product(range(top + 1), repeat=7)
+            if low <= sum(exps) <= top
+        )
+        for low, top in ((1, 1), (0, 3))
+    )
+    for m in (1, 2, 3, 4)
+}
+
+
+@st.composite
+def _pruning_systems(draw):
+    """(m, ambient, generators, W, D): linear forms with zeta^k
+    coefficients, generators of degree up to 3, and products of a variable
+    with a drawn linear form, which the pre-pass sends to zero, at times
+    plus terms of lower degree."""
+    m = draw(st.sampled_from(sorted(_PRUNING_MONS)))
+    linear_mons, all_mons = _PRUNING_MONS[m]
+
+    def coeff():
+        k = draw(st.integers(min_value=0, max_value=m - 1))
+        scale = draw(st.sampled_from((1, -1, 2, Fraction(1, 2))))
+        return CycScalar.zeta(m, k) * scale
+
+    def form(groups, max_terms):
+        mons = draw(
+            st.sampled_from(sorted(groups)).flatmap(
+                lambda w: st.lists(
+                    st.sampled_from(groups[w]), min_size=1, max_size=max_terms,
+                    unique=True,
+                )
+            )
+        )
+        return JetPoly._from_dict(m, {mon: coeff() for mon in mons})
+
+    linear = [form(linear_mons, 3) for _ in range(draw(st.integers(0, 4)))]
+    others = [form(all_mons, 3) for _ in range(draw(st.integers(0, 3)))]
+    if linear:
+        for _ in range(draw(st.integers(0, 2))):
+            v = draw(st.sampled_from(_pruning_pool(m)))
+            ell = draw(st.sampled_from(linear))
+            killed = JetPoly.var(m, v.index, -v.weight, v.point) * ell
+            # plus, at times, terms of lower degree, which are all that
+            # substitution leaves: the generator keeps its old room
+            low = [mon for mon in all_mons.get(killed.homogeneous_weight(), ())
+                   if mon.degree < 2]
+            if low and draw(st.booleans()):
+                mons = draw(st.lists(st.sampled_from(low), min_size=1, unique=True))
+                killed += JetPoly._from_dict(m, {mon: coeff() for mon in mons})
+            others.append(killed)
+    gens = draw(st.permutations(linear + others))
+    W = Fraction(draw(st.integers(min_value=0, max_value=2 * m)), m)
+    D = draw(st.integers(min_value=0, max_value=3))
+    return m, _pruning_pool(m), gens, W, D
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=_pruning_systems())
+# x1[0] and x1[0]^2 + x2[0]: the top term cancels, and x2[0] keeps room D - 2
+@example(system=(1, _pruning_pool(1), [x(1), x(1) ** 2 + x(2)], Fraction(0), 2))
+def test_pruned_tables_equal_the_unpruned_route(unpruned, system):
+    m, ambient, gens, W, D = system
+    linear = [g for g in gens if all(mon.degree == 1 for mon, _ in g.terms)]
+    event(f"m = {m}, {len(linear)} linear generators")
+    pruned = graded_quotient_dims(m, ambient, gens, W, D)
+    assert list(pruned.items()) == list(unpruned(m, ambient, gens, W, D).items())
+
+
+# ---------------------------------------------------------------------------
 # full slices: early exit and the F_p certificate
 # ---------------------------------------------------------------------------
 
@@ -555,9 +653,10 @@ def test_short_rank_mod_p_is_not_a_zero_slice(monkeypatch):
     assert dims == {(0, 0): 1, (0, 1): 0, (0, 2): 0}
 
 
-def test_full_slice_takes_no_further_rows():
-    # Exact path only: on the cusp's coinvariant box every slice of
-    # positive weight fills, and no RowReducer.add reaches a full one.
+def test_full_slice_takes_no_further_rows(unpruned):
+    # Exact path only, on the unpruned route: on the cusp's coinvariant box
+    # every slice of positive weight fills, and no RowReducer.add reaches a
+    # full one.
     from jetva import coinv
 
     setup = coinv.OrbiSetup(
@@ -585,7 +684,8 @@ def test_full_slice_takes_no_further_rows():
             return super().add(row)
 
     with mock.patch.object(jetscheme, "RowReducer", Counted):
-        _exact_only(*args)
+        with mock.patch.object(jetscheme, "spans_mod_p", lambda rows, ncols, p: False):
+            unpruned(*args)
     assert len(made) == len(sizes)
     assert sum(red.rank == n for red, n in zip(made, sizes)) == len(sizes) - 1
     assert all(rank < n for red, n in zip(made, sizes) for rank in red.ranks_before)
