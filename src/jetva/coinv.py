@@ -27,9 +27,36 @@ positive-weight entry.
 
 The collapse comes from the degree-1 sections x_i u^j du: each relation
 of one kills a twisted jet variable of positive weight, or glues x_i[0]
-at the two points.  ``graded_quotient_dims`` eliminates these linear
-relations once, before it builds the box, so the box holds only the
-variables they leave.
+at the two points.  So the relations of higher sections are not expanded
+one field pair at a time.  ``coinvariant_dims`` takes the linear
+generators (the twisted jet generators and the degree-1 relations, whose
+terms all have degree 1) through ``eliminate_linear``, the pivot step of
+``graded_quotient_dims``, which gives each pivot variable its image phi.
+It pushes each coordinate's two fields through phi once, Y_g(x_i) on
+alphabet 0 and Y_g^-1(x_i) on alphabet 1, and builds the pruned fields of
+every section of degree d >= 2, in degree order, as the series product of
+those of a section of degree d - 1 and of one coordinate; the relations
+are read off them at exponents <= W, keyed by j as ``residue_relation``
+keys them.  ``graded_quotient_dims`` then gets the linear generators and
+the pruned relations, and its table is the one the unpruned relations
+give, for three reasons:
+
+- Ring map.  phi is a ring map and the field map is multiplicative, so
+  phi(Y_g(p)) is the product of the phi(Y_g(x_i))^e_i, and likewise at
+  infinity.  Level-0 fields have exponents >= 0, so the product of fields
+  known up to W is exact up to W.
+- Same pivots.  The linear generators are the same, so their reduced
+  echelon pivots and images are the same; a pruned relation holds no
+  pivot variable, so the table's own substitution leaves it as it is.
+- Same multiplier room.  The relation of a degree-d monomial is
+  homogeneous of degree d, and phi sends each variable to a linear form,
+  so its image is zero, dropped as before, or of top degree d: the room
+  D - d does not change.
+
+On this line of two points phi also sends x_i[0] and xinf_i[0] to the
+same form, and the fields of a section are constant once pruned, so every
+pruned relation vanishes; the tests check the products of fields with
+fewer pivots replaced as well.
 """
 
 from __future__ import annotations
@@ -38,10 +65,12 @@ import dataclasses
 from fractions import Fraction
 
 from .cyclo import CycScalar
-from .jetpoly import JetPoly, JetVar, Monomial, retag_point
+from .jetpoly import JetPoly, JetVar, Monomial, PuiseuxSeries, retag_point
 from .jetscheme import (
     DiagAutomorphism,
     SchemeSpec,
+    _substitute,
+    eliminate_linear,
     enumerate_monomials,
     fixed_point_ring,
     graded_quotient_dims,
@@ -77,6 +106,19 @@ def enumerate_sections(spec: SchemeSpec, max_degree: int) -> list[Monomial]:
     return [mon for mon in monos if mon.degree]
 
 
+def _read_relations(at0, atinf, m: int) -> dict[int, JetPoly]:
+    """The relations keyed by j from the (exponent, coefficient) pairs of
+    a section's field at 0 and at infinity, the latter on alphabet 1: the
+    coefficient at 0 of exponent e is the relation of j = -m e - 1, the
+    negated one at infinity that of j = m e - 1, and at e = 0 both meet at
+    j = -1."""
+    rels = {int(-m * w) - 1: c for w, c in at0}
+    for w, c in atinf:
+        j = int(m * w) - 1
+        rels[j] = rels[j] - c if j in rels else -c
+    return rels
+
+
 def residue_relation(mon: Monomial, setup: OrbiSetup) -> dict[int, JetPoly]:
     """The nonzero relations of the sections of one monomial, keyed by j.
 
@@ -88,12 +130,12 @@ def residue_relation(mon: Monomial, setup: OrbiSetup) -> dict[int, JetPoly]:
     spec, g, W = setup.spec, setup.auto, setup.max_weight
     m = g.order
     p = JetPoly(spec.order, ((mon, CycScalar.one(spec.order)),))
-    rels: dict[int, JetPoly] = {}
-    for w, c in twisted_field(p, g, W, spec).coeffs:
-        rels[int(-m * w) - 1] = c
-    for w, c in twisted_field(p, g.inverse(), W, spec).coeffs:
-        j = int(m * w) - 1
-        rels[j] = rels.get(j, JetPoly.zero(spec.order)) - retag_point(c, 1)
+    atinf = twisted_field(p, g.inverse(), W, spec).coeffs
+    rels = _read_relations(
+        twisted_field(p, g, W, spec).coeffs,
+        [(w, retag_point(c, 1)) for w, c in atinf],
+        m,
+    )
     for j, rel in rels.items():
         w = Fraction(abs(j + 1), m)
         if rel.homogeneous_weight() != w:
@@ -107,18 +149,84 @@ def _retag_vars(vars_: tuple[JetVar, ...], point: int) -> tuple[JetVar, ...]:
     return tuple(JetVar(point, v.index, v.minus_level) for v in vars_)
 
 
-def coinvariant_dims(setup: OrbiSetup) -> dict[tuple[Fraction, int], int]:
-    """Bounded bigraded dimension table of the coinvariant space."""
-    spec, g, W, D = setup.spec, setup.auto, setup.max_weight, setup.max_degree
-
+def _base_generators(
+    setup: OrbiSetup, sections
+) -> tuple[tuple[JetVar, ...], list[JetPoly]]:
+    """The ambient variables and every generator but the relations of the
+    sections of degree >= 2: the twisted jet generators at both points and
+    the relations of the degree-1 sections."""
+    spec, g, W = setup.spec, setup.auto, setup.max_weight
     pres0 = twisted_jet_generators(spec, g, W)
     presinf = twisted_jet_generators(spec, g.inverse(), W)
     ambient = pres0.variables + _retag_vars(presinf.variables, 1)
 
     gens: list[JetPoly] = [gen.poly for gen in pres0.generators]
     gens.extend(retag_point(gen.poly, 1) for gen in presinf.generators)
-    for mon in enumerate_sections(spec, D):
-        gens.extend(residue_relation(mon, setup).values())
+    for mon in sections:
+        if mon.degree == 1:
+            gens.extend(residue_relation(mon, setup).values())
+    return ambient, gens
+
+
+def pruned_relations(
+    setup: OrbiSetup, sections, images
+) -> dict[Monomial, dict[int, JetPoly]]:
+    """The relations of each section of degree >= 2, with every pivot
+    variable of ``images`` replaced by its image, keyed by j as
+    ``residue_relation`` keys them; a relation that vanishes is left out.
+
+    ``sections`` is in degree order, as ``enumerate_sections`` gives it,
+    so the pruned fields of mon / x_i are built before those of mon."""
+    spec, g, W = setup.spec, setup.auto, setup.max_weight
+    m, order = g.order, spec.order
+    powers: dict = {}
+
+    def pruned(a: JetPoly, h: DiagAutomorphism, point: int) -> PuiseuxSeries:
+        fld = twisted_field(a, h, W, spec)
+        acc = {}
+        for w, c in fld.coeffs:
+            if point:
+                c = retag_point(c, point)
+            acc[w] = _substitute(c, images, powers)
+        return PuiseuxSeries.from_dict(order, acc, fld.trunc)
+
+    zero = PuiseuxSeries.from_dict(order, {}, W)
+
+    def times(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
+        # Exponents are >= 0, so a series that is zero up to W makes the
+        # product zero up to W.  The pivots kill every variable of positive
+        # weight, so a moved coordinate's pruned fields are zero.
+        if not (a.coeffs and b.coeffs):
+            return zero
+        prod = a * b
+        return prod.truncate(min(W, prod.trunc))
+
+    fields: dict[Monomial, tuple[PuiseuxSeries, PuiseuxSeries]] = {}
+    out: dict[Monomial, dict[int, JetPoly]] = {}
+    for mon in sections:
+        if mon.degree == 1:
+            x = JetPoly(order, ((mon, CycScalar.one(order)),))
+            fields[mon] = (pruned(x, g, 0), pruned(x, g.inverse(), 1))
+            continue
+        (v, e), rest = mon.factors[0], mon.factors[1:]
+        low = fields[Monomial(((v, e - 1),) + rest if e > 1 else rest)]
+        coord = fields[Monomial(((v, 1),))]
+        at0, atinf = fields[mon] = (times(low[0], coord[0]), times(low[1], coord[1]))
+        rels = _read_relations(at0.coeffs, atinf.coeffs, m)
+        out[mon] = {j: rel for j, rel in sorted(rels.items()) if not rel.is_zero}
+    return out
+
+
+def coinvariant_dims(setup: OrbiSetup) -> dict[tuple[Fraction, int], int]:
+    """Bounded bigraded dimension table of the coinvariant space, from the
+    linear generators and the pruned relations of the higher sections (see
+    the module docstring)."""
+    spec, g, W, D = setup.spec, setup.auto, setup.max_weight, setup.max_degree
+    sections = enumerate_sections(spec, D)
+    ambient, gens = _base_generators(setup, sections)
+    images, _ = eliminate_linear(g.order, ambient, gens)
+    for rels in pruned_relations(setup, sections, images).values():
+        gens.extend(rels.values())
     return graded_quotient_dims(g.order, ambient, gens, W, D)
 
 

@@ -435,17 +435,29 @@ def _term_str(mon: Monomial, c: CycScalar) -> str:
 
 
 def retag_point(p: JetPoly, point: int) -> JetPoly:
-    """The same polynomial with every variable moved to the given alphabet."""
-    acc: dict[Monomial, CycScalar] = {}
-    for mon, c in p.terms:
-        mon2 = Monomial.of(
-            *(
-                (JetVar(point, v.index, v.minus_level), e)
-                for v, e in mon.factors
+    """The same polynomial with every variable moved to the given alphabet.
+
+    ``p`` must use one alphabet only.  Variables compare by alphabet first,
+    so the move keeps the order of the factors in each monomial and of the
+    terms, and nothing is merged or re-sorted."""
+    points = {v.point for mon, _ in p.terms for v, _ in mon.factors}
+    if len(points) > 1:
+        raise ValueError("retag_point takes a polynomial on one alphabet")
+    return JetPoly(
+        p.order,
+        tuple(
+            (
+                Monomial(
+                    tuple(
+                        (JetVar(point, v.index, v.minus_level), e)
+                        for v, e in mon.factors
+                    )
+                ),
+                c,
             )
-        )
-        acc[mon2] = acc.get(mon2, CycScalar.zero(p.order)) + c
-    return JetPoly._from_dict(p.order, acc)
+            for mon, c in p.terms
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,21 @@ def _solve_linear(order: int, ambient: tuple[JetVar, ...], linear):
     }
 
 
+def eliminate_linear(order: int, ambient: tuple[JetVar, ...], gens):
+    """Split the generators into the linear ones, whose terms all have
+    degree 1, and the others, and solve the linear ones: (images, others),
+    ``images`` mapping each pivot variable to its value on their zero set
+    as ``_solve_linear`` gives it over the sorted ambient (empty with no
+    linear generator).  Every caller that prunes takes its pivots here, so
+    they are the same pivots."""
+    linear, others = [], []
+    for g in gens:
+        (linear if all(mon.degree == 1 for mon, _ in g.terms) else others).append(g)
+    if not linear:
+        return {}, others
+    return _solve_linear(order, tuple(sorted(set(ambient))), linear), others
+
+
 def _substitute(g: JetPoly, images, powers) -> JetPoly:
     """``g`` with each variable of ``images`` replaced by its image.  A
     term with a variable whose image is zero is dropped before any product
@@ -431,7 +446,7 @@ def graded_quotient_dims(
     eliminated before the box.  One ``RowReducer`` over the ambient
     variables takes them, and its pivot rows, back-reduced, give each
     pivot variable as a combination of non-pivot variables of the same
-    weight (``_solve_linear``).  That is substituted into the other
+    weight (``eliminate_linear``).  That is substituted into the other
     generators, and the pivots leave the ambient.  Three rules keep the
     table the same:
 
@@ -469,12 +484,9 @@ def graded_quotient_dims(
             raise ValueError(f"ideal generator is not weight-homogeneous: {g}")
         if not g.variables() <= allowed:
             raise ValueError("ideal generator uses a variable outside the ambient set")
-    linear, others = [], []
-    for g in gens:
-        (linear if all(mon.degree == 1 for mon, _ in g.terms) else others).append(g)
-    if not linear:
+    images, others = eliminate_linear(order, ambient, gens)
+    if not images:
         return _box_dims(order, ambient, [(g, D - g.max_degree()) for g in gens], W, D)
-    images = _solve_linear(order, ambient, linear)
     powers: dict = {}
     pruned = []
     for g in others:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetva import jetpoly, jetscheme, twisted
+from jetva import coinv, jetpoly, jetscheme, twisted
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +22,38 @@ def unpruned():
         )
 
     return dims
+
+
+@pytest.fixture(scope="session")
+def unpruned_coinvariant_args():
+    """The arguments of ``graded_quotient_dims`` for a coinvariant setup
+    with nothing pruned: (order, ambient, generators, W, D), the generators
+    being the twisted jet generators at both points and ``residue_relation``
+    of every section, as the unpruned route built them."""
+
+    def args(setup):
+        spec, g, W, D = setup.spec, setup.auto, setup.max_weight, setup.max_degree
+        pres0 = jetscheme.twisted_jet_generators(spec, g, W)
+        presinf = jetscheme.twisted_jet_generators(spec, g.inverse(), W)
+        ambient = pres0.variables + tuple(
+            jetpoly.JetVar(1, v.index, v.minus_level) for v in presinf.variables
+        )
+        gens = [gen.poly for gen in pres0.generators]
+        gens += [jetpoly.retag_point(gen.poly, 1) for gen in presinf.generators]
+        for mon in coinv.enumerate_sections(spec, D):
+            gens += coinv.residue_relation(mon, setup).values()
+        return g.order, ambient, gens, W, D
+
+    return args
+
+
+@pytest.fixture(scope="session")
+def unpruned_coinvariants(unpruned, unpruned_coinvariant_args):
+    """The coinvariant table of a setup on the fully unpruned route:
+    ``_box_dims`` on the raw jet generators and the residue relations of
+    every section.  It is the oracle for the pruned relations and the
+    linear pre-pass together."""
+    return lambda setup: unpruned(*unpruned_coinvariant_args(setup))
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ coordinate ring of the fixed subscheme degree by degree, and every
 positive-weight entry must vanish.
 """
 
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -26,6 +27,14 @@ from jetva.twisted import twisted_field
 
 def x(i, m):
     return JetPoly.var(m, i)
+
+
+def cusp():
+    return [x(1, 3) ** 3 - x(2, 3) ** 2]
+
+
+def zeta4():
+    return [x(1, 4) ** 2 - JetPoly.const(4, CycScalar.zeta(4)) * x(2, 4) ** 2]
 
 
 def setup_of(order, k, relations, exponents, W=3, D=3):
@@ -119,10 +128,13 @@ def test_fixture_tables(label, order, k, rels, exps, row):
     assert all_passed(checks), [c for c in checks if not c.passed]
 
 
-def test_empty_fixed_locus_certifies_every_slice(monkeypatch, unpruned):
+def test_empty_fixed_locus_certifies_every_slice(
+    monkeypatch, unpruned, unpruned_coinvariants
+):
     # x1*x2 = 1 has no point fixed by (x1, x2) -> (-x1, -x2), so the weight-0
     # slices fill too, of the coinvariants and of the fixed ring (the unit
     # relation -1): on the unpruned route each passes the F_p certificate
+    monkeypatch.setattr(coinv, "coinvariant_dims", unpruned_coinvariants)
     monkeypatch.setattr(coinv, "graded_quotient_dims", unpruned)
     setup = setup_of(2, 2, [x(1, 2) * x(2, 2) - JetPoly.one(2)], (1, 1), W=2, D=3)
     verdicts = []
@@ -138,7 +150,9 @@ def test_empty_fixed_locus_certifies_every_slice(monkeypatch, unpruned):
     assert not any(dims.values())
     assert verdicts == [True] * (len({w for w, _ in dims}) + 1)
     with mock.patch.object(jetscheme, "spans_mod_p", lambda rows, ncols, p: False):
-        assert coinvariant_dims(setup) == dims
+        assert unpruned_coinvariants(setup) == dims
+    monkeypatch.undo()
+    assert coinvariant_dims(setup) == dims
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +161,80 @@ def test_empty_fixed_locus_certifies_every_slice(monkeypatch, unpruned):
 
 PRUNING_CASES = [
     (label, order, k, rels, exps, 3) for label, order, k, rels, exps, _ in FIXTURES
-] + [("cusp-m3", 3, 2, lambda: [x(1, 3) ** 3 - x(2, 3) ** 2], (2, 0), 2)]
+] + [("cusp-m3", 3, 2, cusp, (2, 0), 2)]
 
 
 @pytest.mark.parametrize(
     "label,order,k,rels,exps,W", PRUNING_CASES, ids=[c[0] for c in PRUNING_CASES]
 )
 def test_pruned_coinvariant_tables_equal_the_unpruned_route(
-    monkeypatch, unpruned, label, order, k, rels, exps, W
+    unpruned_coinvariants, label, order, k, rels, exps, W
 ):
     setup = setup_of(order, k, rels(), exps, W=W, D=3)
     pruned = coinvariant_dims(setup)
-    monkeypatch.setattr(coinv, "graded_quotient_dims", unpruned)
-    assert list(pruned.items()) == list(coinvariant_dims(setup).items())
+    assert list(pruned.items()) == list(unpruned_coinvariants(setup).items())
+
+
+RELATION_BOXES = [
+    (label, order, k, rels, exps, W, 3)
+    for label, order, k, rels, exps, W in PRUNING_CASES
+] + [("zeta4-m4", 4, 2, zeta4, (1, 1), 6, 7)]
+
+
+@pytest.mark.parametrize(
+    "label,order,k,rels,exps,W,D", RELATION_BOXES, ids=[c[0] for c in RELATION_BOXES]
+)
+def test_pruned_relations_are_the_substituted_residue_relations(
+    label, order, k, rels, exps, W, D
+):
+    # Each relation of a section of degree >= 2, built from the pruned
+    # coordinate fields, is the substitution of its residue relation; one
+    # that substitutes to zero is left out.  The pivots glue x_i[0] to
+    # xinf_i[0] and kill every variable of positive weight, so they send
+    # every such relation to zero; the products of fields are checked with
+    # no pivot replaced and with every other pivot replaced as well.
+    setup = setup_of(order, k, rels(), exps, W=W, D=D)
+    sections = enumerate_sections(setup.spec, D)
+    ambient, gens = coinv._base_generators(setup, sections)
+    images, _ = jetscheme.eliminate_linear(order, ambient, gens)
+    assert images
+    assert not any(coinv.pruned_relations(setup, sections, images).values())
+    for subs in (images, {}, dict(list(images.items())[::2])):
+        pruned = coinv.pruned_relations(setup, sections, subs)
+        assert list(pruned) == [mon for mon in sections if mon.degree >= 2]
+        for mon, got in pruned.items():
+            want = {}
+            for j, rel in residue_relation(mon, setup).items():
+                sub = jetscheme._substitute(rel, subs, {})
+                if not sub.is_zero:
+                    want[j] = sub
+            assert list(got.items()) == list(want.items()), str(mon)
+
+
+def _sweep_slice():
+    """x1^a - x2^b and x1^a*x2^b for a, b <= 3 and m <= 4, with every
+    exponent vector that preserves the relation.  The cases of one symmetry
+    come together, so they share its cached twisted fields."""
+    for m in range(1, 5):
+        for exps in itertools.product(range(m), repeat=2):
+            g = DiagAutomorphism(m, exps)
+            for a, b in itertools.product(range(1, 4), repeat=2):
+                for rel in (x(1, m) ** a - x(2, m) ** b, x(1, m) ** a * x(2, m) ** b):
+                    spec = SchemeSpec.of(m, 2, [rel])
+                    if jetscheme.preserves_ideal(spec, g):
+                        yield OrbiSetup(spec, g, 2, 3)
+
+
+def test_sweep_slice_pruned_tables_equal_the_unpruned_route(unpruned_coinvariants):
+    cases = list(_sweep_slice())
+    assert len(cases) == 372
+    mismatched = [
+        (str(setup.spec.relations[0]), setup.auto.order, setup.auto.exponents)
+        for setup in cases
+        if list(coinvariant_dims(setup).items())
+        != list(unpruned_coinvariants(setup).items())
+    ]
+    assert mismatched == []
 
 
 def test_pruned_cusp_box_needs_no_certificate(monkeypatch):
@@ -186,19 +261,15 @@ def test_pruned_cusp_box_needs_no_certificate(monkeypatch):
     ]
 
 
-# Tables of larger boxes, recorded with the exact elimination of every
-# slice: weight 0 reads the fixed ring and every positive weight vanishes.
+# Tables of larger boxes, as the theorem gives them: weight 0 reads the
+# fixed ring and every positive weight vanishes.  The cusp's fixed ring is
+# C[x2]/(x2^2), since x1 is moved; zeta4 moves both coordinates, so its
+# fixed ring is C.
 LARGE_BOXES = [
-    ("cusp-m3", 3, lambda: [x(1, 3) ** 3 - x(2, 3) ** 2], (2, 0), 8, 6, [1, 1]),
-    (
-        "zeta4-m4",
-        4,
-        lambda: [x(1, 4) ** 2 - JetPoly.const(4, CycScalar.zeta(4)) * x(2, 4) ** 2],
-        (1, 1),
-        6,
-        7,
-        [1],
-    ),
+    ("cusp-m3", 3, cusp, (2, 0), 8, 6, [1, 1]),
+    ("cusp-m3-W12", 3, cusp, (2, 0), 12, 8, [1, 1]),
+    ("zeta4-m4", 4, zeta4, (1, 1), 6, 7, [1]),
+    ("zeta4-m4-W8", 4, zeta4, (1, 1), 8, 8, [1]),
 ]
 
 
@@ -253,7 +324,7 @@ def relations_section_by_section(setup):
 SECTION_CASES = [
     (label, order, k, rels, exps, 3, 3) for label, order, k, rels, exps, _ in FIXTURES
 ] + [
-    ("cusp-m3", 3, 2, lambda: [x(1, 3) ** 3 - x(2, 3) ** 2], (2, 0), 2, 3),
+    ("cusp-m3", 3, 2, cusp, (2, 0), 2, 3),
     ("line-m4-W5/2", 4, 1, lambda: [], (1,), Fraction(5, 2), 2),
     ("line-m3-W7/3", 3, 1, lambda: [], (2,), Fraction(7, 3), 3),
 ]

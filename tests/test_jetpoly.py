@@ -321,6 +321,52 @@ def test_retag_point_moves_alphabet():
     assert retag_point(q, 0) == p
 
 
+def _retag_by_rebuilding(p: JetPoly, point: int) -> JetPoly:
+    """The former ``retag_point``: every monomial rebuilt through
+    ``Monomial.of``, like terms merged, the terms sorted again."""
+    acc = {}
+    for mon, c in p.terms:
+        mon2 = Monomial.of(
+            *((JetVar(point, v.index, v.minus_level), e) for v, e in mon.factors)
+        )
+        acc[mon2] = acc.get(mon2, CycScalar.zero(p.order)) + c
+    return JetPoly._from_dict(p.order, acc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    source=st.integers(min_value=0, max_value=1),
+    target=st.integers(min_value=0, max_value=1),
+    factors=st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=3),
+                st.fractions(min_value=-3, max_value=0, max_denominator=4),
+                st.integers(min_value=1, max_value=3),
+            ),
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    coeffs=st.lists(st.integers(min_value=-3, max_value=3), min_size=6, max_size=6),
+    m=st.integers(min_value=1, max_value=4),
+)
+def test_retag_point_matches_rebuilding(source, target, factors, coeffs, m):
+    acc = {}
+    for pairs, c in zip(factors, coeffs):
+        mon = Monomial.of(*((jet_var(i, lv, source), e) for i, lv, e in pairs))
+        acc[mon] = zeta_pow(m, c) * c
+    p = JetPoly._from_dict(m, acc)
+    # equality compares the term tuples, so the term and factor orders too
+    assert retag_point(p, target) == _retag_by_rebuilding(p, target)
+
+
+def test_retag_point_rejects_two_alphabets():
+    with pytest.raises(ValueError, match="one alphabet"):
+        retag_point(x(1) + x(1, point=1), 0)
+
+
 # ---------------------------------------------------------------------------
 # generalized binomial
 # ---------------------------------------------------------------------------

@@ -653,7 +653,7 @@ def test_short_rank_mod_p_is_not_a_zero_slice(monkeypatch):
     assert dims == {(0, 0): 1, (0, 1): 0, (0, 2): 0}
 
 
-def test_full_slice_takes_no_further_rows(unpruned):
+def test_full_slice_takes_no_further_rows(unpruned, unpruned_coinvariant_args):
     # Exact path only, on the unpruned route: on the cusp's coinvariant box
     # every slice of positive weight fills, and no RowReducer.add reaches a
     # full one.
@@ -665,9 +665,7 @@ def test_full_slice_takes_no_further_rows(unpruned):
         2,
         3,
     )
-    with mock.patch.object(coinv, "graded_quotient_dims") as spy:
-        coinv.coinvariant_dims(setup)
-    args = spy.call_args.args
+    args = unpruned_coinvariant_args(setup)
     _, ambient, _, W, D = args
     sizes = [len(mons) for mons in enumerate_monomials(ambient, W, D).values()]
 
