@@ -37,17 +37,20 @@ alphabet 0 and Y_g^-1(x_i) on alphabet 1, and builds the pruned fields of
 every section of degree d >= 2, in degree order, as the series product of
 those of a section of degree d - 1 and of one coordinate; the relations
 are read off them at exponents <= W, keyed by j as ``residue_relation``
-keys them.  ``graded_quotient_dims`` then gets the linear generators and
-the pruned relations, and its table is the one the unpruned relations
-give, for three reasons:
+keys them.  The table is then built from those same pivots, the other
+generators and the pruned relations by ``_solved_quotient_dims``, the
+step of ``graded_quotient_dims`` after its linear solve, so the linear
+generators are solved once per job.  It is the table the unpruned
+relations give, for three reasons:
 
 - Ring map.  phi is a ring map and the field map is multiplicative, so
   phi(Y_g(p)) is the product of the phi(Y_g(x_i))^e_i, and likewise at
   infinity.  Level-0 fields have exponents >= 0, so the product of fields
   known up to W is exact up to W.
 - Same pivots.  The linear generators are the same, so their reduced
-  echelon pivots and images are the same; a pruned relation holds no
-  pivot variable, so the table's own substitution leaves it as it is.
+  echelon pivots and images are the ones the unpruned route would find; a
+  pruned relation holds no pivot variable, so the table's substitution
+  leaves it as it is.
 - Same multiplier room.  The relation of a degree-d monomial is
   homogeneous of degree d, and phi sends each variable to a linear form,
   so its image is zero, dropped as before, or of top degree d: the room
@@ -69,6 +72,8 @@ from .jetpoly import JetPoly, JetVar, Monomial, PuiseuxSeries, retag_point
 from .jetscheme import (
     DiagAutomorphism,
     SchemeSpec,
+    _checked_generators,
+    _solved_quotient_dims,
     _substitute,
     eliminate_linear,
     enumerate_monomials,
@@ -224,10 +229,11 @@ def coinvariant_dims(setup: OrbiSetup) -> dict[tuple[Fraction, int], int]:
     spec, g, W, D = setup.spec, setup.auto, setup.max_weight, setup.max_degree
     sections = enumerate_sections(spec, D)
     ambient, gens = _base_generators(setup, sections)
-    images, _ = eliminate_linear(g.order, ambient, gens)
+    gens = _checked_generators(g.order, ambient, gens)
+    images, others = eliminate_linear(g.order, ambient, gens)
     for rels in pruned_relations(setup, sections, images).values():
-        gens.extend(rels.values())
-    return graded_quotient_dims(g.order, ambient, gens, W, D)
+        others.extend(_checked_generators(g.order, ambient, rels.values()))
+    return _solved_quotient_dims(g.order, ambient, images, others, W, D)
 
 
 def verify_fixed_ring(

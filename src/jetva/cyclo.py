@@ -9,15 +9,10 @@ two scalars is equality of their numerators, denominator and order.
 
 Scalars of different orders never mix; combining them raises
 FieldMismatchError rather than guessing an embedding.
-
-``modular_root`` fixes one prime p and one root of Phi_m mod p per order,
-and ``CycScalar.residue`` maps a scalar to F_p through them; the dimension
-tables use that image only to certify full rank, never for a value.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -92,69 +87,6 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
         if m % d == 0:
             num = _poly_divmod(num, cyclotomic_poly(d))
     return num
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: the first twelve primes as bases decide
-    every n below 3.3 * 10^24.
-
-    >>> [n for n in range(30) if _is_prime(n)]
-    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    >>> _is_prime(2**31 - 1), _is_prime(3215031751)
-    (True, False)
-    """
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def modular_root(m: int) -> tuple[int, int]:
-    """A prime p with m | p - 1 and a root r of Phi_m mod p.
-
-    p is the largest such prime below 2^31, or the least one above when m
-    is too large for that; r = a^((p-1)/m) for the least a >= 2 that makes
-    r of multiplicative order exactly m.  Then zeta_m -> r is a ring map
-    from Z[zeta_m] onto F_p.
-
-    >>> modular_root(1)
-    (2147483647, 1)
-    >>> p, r = modular_root(4)
-    >>> (p - 1) % 4, r * r % p == p - 1
-    (0, True)
-    """
-    if m < 1:
-        raise ValueError("order must be a positive integer")
-    top = (2**31 - 2) // m
-    for k in itertools.chain(range(top, 0, -1), itertools.count(top + 1)):
-        p = k * m + 1
-        if _is_prime(p):
-            break
-    divisors = _prime_divisors(m)
-    for a in itertools.count(2):
-        r = pow(a, (p - 1) // m, p)
-        if all(pow(r, m // q, p) != 1 for q in divisors):
-            return p, r
 
 
 @lru_cache(maxsize=None)
@@ -426,22 +358,6 @@ class CycScalar:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return Fraction(self.nums[0], self.den)
-
-    def residue(self, p: int, r: int) -> int | None:
-        """The image in F_p under zeta -> r, or None when p divides the
-        denominator of a coordinate, that is when p divides ``den``.
-
-        >>> (CycScalar.zeta(3) - 2).residue(7, 2)
-        0
-        >>> CycScalar.from_rational(3, Fraction(1, 7)).residue(7, 2) is None
-        True
-        """
-        if self.den % p == 0:
-            return None
-        acc = 0
-        for a in reversed(self.nums):
-            acc = (acc * r + a) % p
-        return acc * pow(self.den, -1, p) % p
 
     def __str__(self) -> str:
         parts: list[str] = []

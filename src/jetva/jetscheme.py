@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .cyclo import CycScalar, modular_root
+from .cyclo import CycScalar
 from .jetpoly import (
     JetPoly,
     JetVar,
@@ -30,7 +30,7 @@ from .jetpoly import (
     substitute_jets,
     translation_series,
 )
-from .linalg import RowReducer, spans_mod_p
+from .linalg import RowReducer
 
 
 class IdealNotPreservedError(ValueError):
@@ -314,25 +314,6 @@ def enumerate_monomials(
     return slices
 
 
-def _zero_mod_p(table, fits, columns, D: int, p: int) -> bool:
-    """Whether a slice's rows span F_p^columns, which proves it zero.  The
-    pass is skipped, with False, when a row has no image in F_p, or when
-    the rows cannot fill: for some degree d, fewer rows have a term of
-    degree <= d than there are columns of degree <= d."""
-    if any(terms_p is None for _, _, terms_p, qs in fits if qs):
-        return False
-    for d in range(D + 1):
-        reach = sum(bisect.bisect_left(qs, (d - low + 1,)) for low, _, _, qs in fits)
-        if reach < bisect.bisect_left(table, (d + 1,)):
-            return False
-    rows = (
-        {columns[q + t]: v for t, v in terms_p}
-        for _, _, terms_p, qs in fits
-        for _, q in qs
-    )
-    return spans_mod_p(rows, len(table), p)
-
-
 def _box_weights(ambient: tuple[JetVar, ...], max_weight, max_degree: int):
     """The weights of the box's monomials, ascending, as ``_packed_box``
     would find them, from a walk over the distinct ambient weights: each
@@ -472,21 +453,41 @@ def graded_quotient_dims(
     unpruned route; it is kept as an independent oracle for the tests, as
     ``T_recursion`` is kept next to ``substitution``.
     """
-    W = Fraction(max_weight)
-    D = int(max_degree)
-    ambient = tuple(sorted(set(ambient)))
+    gens = _checked_generators(order, ambient, ideal_gens)
+    images, others = eliminate_linear(order, ambient, gens)
+    return _solved_quotient_dims(order, ambient, images, others, max_weight, max_degree)
+
+
+def _checked_generators(order: int, ambient, gens) -> list[JetPoly]:
+    """The nonzero ones of ``gens``, each checked: of scalar order
+    ``order``, weight-homogeneous, and in the variables of ``ambient``."""
     allowed = set(ambient)
-    gens = [g for g in ideal_gens if not g.is_zero]
-    for g in gens:
+    out = [g for g in gens if not g.is_zero]
+    for g in out:
         if g.order != order:
             raise ValueError("generator scalar order does not match")
         if g.homogeneous_weight() is None:
             raise ValueError(f"ideal generator is not weight-homogeneous: {g}")
         if not g.variables() <= allowed:
             raise ValueError("ideal generator uses a variable outside the ambient set")
-    images, others = eliminate_linear(order, ambient, gens)
+    return out
+
+
+def _solved_quotient_dims(
+    order: int, ambient, images, others, max_weight, max_degree: int
+) -> dict[tuple[Fraction, int], int]:
+    """The table of ``graded_quotient_dims`` from its linear generators
+    already solved: (images, others) as ``eliminate_linear`` splits the
+    checked generators (``_checked_generators``).  A caller that has
+    solved them itself, as ``coinv.coinvariant_dims`` has, adds its
+    further generators to ``others`` and comes here, so the linear solve
+    runs once."""
+    W = Fraction(max_weight)
+    D = int(max_degree)
+    ambient = tuple(sorted(set(ambient)))
     if not images:
-        return _box_dims(order, ambient, [(g, D - g.max_degree()) for g in gens], W, D)
+        rows = [(g, D - g.max_degree()) for g in others]
+        return _box_dims(order, ambient, rows, W, D)
     powers: dict = {}
     pruned = []
     for g in others:
@@ -521,26 +522,8 @@ def _box_dims(
 
     A slice whose rows reach full rank is zero in every entry; in an
     unpruned coinvariant box every slice of positive weight does, as the
-    theorem predicts.  Three rules keep the exact work for the other
-    slices:
-
-    - Early exit.  The exact elimination stops once the rank equals the
-      column count, since every later row lies in the span.
-    - Certificate over F_p.  Before the exact pass, the same rows run over
-      F_p, with p and r = zeta mod p from ``modular_root`` and every
-      generator coefficient mapped once.  Rows that span F_p^columns prove
-      the slice zero, exactly: with every coefficient p-integral the rows
-      lie in Z_(p)[zeta], and zeta -> r is a ring map onto F_p that
-      commutes with determinants, so a minor that vanishes over Q(zeta_m)
-      vanishes mod p.  Hence rank mod p <= rank over Q(zeta_m) <= column
-      count, and full rank mod p forces full rank.  A pass that falls
-      short proves nothing, and neither does a slice drawing on a
-      generator whose coefficient has a denominator divisible by p; both
-      go to ``RowReducer``, the one exact path.  No entry is read off F_p.
-    - A slice that cannot fill skips the F_p pass (``_zero_mod_p``): for
-      some degree d it has fewer rows with a term of degree <= d than
-      columns of degree <= d.  In a jet ring whose relations have no term
-      below degree 2, say, no row reaches a slice's degree-1 columns.
+    theorem predicts.  The elimination of a slice stops once its rank
+    equals the column count, since every later row lies in the span.
 
     Generators are taken fewest terms first; the pivot columns, and so the
     table, do not depend on the row order, and short rows fill a slice
@@ -548,51 +531,35 @@ def _box_dims(
     """
     bits, L, slices = _packed_box(ambient, W, D)
     shift_of = {v: j * bits for j, v in enumerate(ambient)}
-    p, r = modular_root(order)
-    # (weight, lowest term degree, degree room left for the multiplier,
-    #  [(term code, coeff)], the nonzero terms mod p or None if p divides
-    #  a denominator)
-    packed_gens = []
-    for g, room in gens:
-        terms = [
-            (sum(e << shift_of[v] for v, e in mon.factors), c) for mon, c in g.terms
-        ]
-        residues = [c.residue(p, r) for _, c in terms]
-        terms_p = None
-        if None not in residues:
-            terms_p = [(t, v) for (t, _), v in zip(terms, residues) if v]
-        packed_gens.append(
-            (
-                int(g.homogeneous_weight() * L),
-                min(mon.degree for mon, _ in g.terms),
-                room,
-                terms,
-                terms_p,
-            )
+    # (weight, degree room left for the multiplier, [(term code, coeff)])
+    packed_gens = [
+        (
+            int(g.homogeneous_weight() * L),
+            room,
+            [(sum(e << shift_of[v] for v, e in mon.factors), c) for mon, c in g.terms],
         )
+        for g, room in gens
+    ]
     # fewest terms first: short rows are cheap and fill a slice soonest
-    packed_gens.sort(key=lambda gen: len(gen[3]))
+    packed_gens.sort(key=lambda gen: len(gen[2]))
     dims: dict[tuple[Fraction, int], int] = {}
     for w, table in slices.items():
         ncols = len(table)
         columns = {code: ncols - 1 - j for j, (_, code) in enumerate(table)}
-        # (lowest term degree, terms, terms mod p, the multipliers' (degree,
-        # code) entries): the table is sorted by degree, so those that fit
-        # are a prefix
-        fits = [
-            (low, terms, terms_p, tab[: bisect.bisect_left(tab, (room + 1,))])
-            for wg, low, room, terms, terms_p in packed_gens
+        # the table is sorted by degree, so the multipliers that fit are a
+        # prefix of it
+        rows = (
+            (terms, q)
+            for wg, room, terms in packed_gens
             if (tab := slices.get(w - wg))
-        ]
-        if _zero_mod_p(table, fits, columns, D, p):
-            free = Counter()  # every column holds a pivot
-        else:
-            red = RowReducer(order)
-            for terms, q in ((terms, q) for _, terms, _, qs in fits for _, q in qs):
-                if red.rank == ncols:
-                    break
-                red.add({columns[q + t]: c for t, c in terms})
-            free = Counter(d for d, _ in table)
-            free.subtract(table[ncols - 1 - col][0] for col in red.pivots)
+            for _, q in tab[: bisect.bisect_left(tab, (room + 1,))]
+        )
+        red = RowReducer(order)
+        for terms, q in rows:
+            if red.rank == ncols:
+                break
+            red.add({columns[q + t]: c for t, c in terms})
+        free = Counter(d for d, _ in table)
+        free.subtract(table[ncols - 1 - col][0] for col in red.pivots)
         dims.update({(Fraction(w, L), d): free[d] for d in range(D + 1)})
     return dims

@@ -1,6 +1,7 @@
-"""Gaussian elimination over Q(zeta_m), and a rank certificate over F_p.
+"""Gaussian elimination over Q(zeta_m).
 
-``RowReducer`` is the one exact path.  Rows are sparse mappings
+``RowReducer`` is the package's one row elimination: every rank, span
+membership and dimension table goes through it.  Rows are sparse mappings
 column-index -> CycScalar.  The reducer keeps a row-echelon basis and
 supports incremental rank queries, which is what the graded dimension
 counts and the span-membership checks need.  There is no pivoting
@@ -15,16 +16,10 @@ row is reduced with Fraction arithmetic alone, and mixed products and sums
 go through CycScalar's reflected operators, which take a rational operand
 without a full cyclotomic product.  Stored pivot rows and returned
 residues hold these lowered entries.
-
-``spans_mod_p`` eliminates rows already mapped to F_p (see
-``CycScalar.residue``).  It answers one question, whether the rows span
-every column, and no value is ever read back from it: a True answer
-certifies full rank over Q(zeta_m) too, a False one proves nothing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 
 from .cyclo import CycScalar
@@ -84,33 +79,3 @@ class RowReducer:
     def contains(self, row: Row) -> bool:
         return not self.reduce(row)
 
-
-def spans_mod_p(rows: Iterable[dict[int, int]], ncols: int, p: int) -> bool:
-    """Whether ``rows``, sparse with nonzero entries in [1, p), span all of
-    F_p^ncols; stops at the first row that completes the span.  Each row
-    is reduced in place.
-
-    >>> spans_mod_p([{0: 1, 1: 1}, {0: 1, 1: 6}], 2, 7)
-    True
-    >>> spans_mod_p([{0: 1, 1: 1}, {0: 2, 1: 2}], 2, 7)
-    False
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for work in rows:
-        while work:
-            lead = min(work)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(work[lead], -1, p)
-                pivots[lead] = {c: v * inv % p for c, v in work.items()}
-                if len(pivots) == ncols:
-                    return True
-                break
-            factor = work[lead]
-            for c, v in piv.items():
-                acc = (work.get(c, 0) - factor * v) % p
-                if acc:
-                    work[c] = acc
-                else:
-                    del work[c]
-    return False

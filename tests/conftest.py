@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jetva import coinv, jetpoly, jetscheme, twisted
+from jetva.linalg import RowReducer
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +55,27 @@ def unpruned_coinvariants(unpruned, unpruned_coinvariant_args):
     every section.  It is the oracle for the pruned relations and the
     linear pre-pass together."""
     return lambda setup: unpruned(*unpruned_coinvariant_args(setup))
+
+
+@pytest.fixture
+def counted_reducers(monkeypatch):
+    """``jetscheme.RowReducer`` replaced by a subclass that notes the rank
+    before each ``add`` in ``ranks_before``; the fixture is the list of the
+    reducers made so far, in order."""
+    made = []
+
+    class Counted(RowReducer):
+        def __init__(self, order):
+            super().__init__(order)
+            self.ranks_before = []
+            made.append(self)
+
+        def add(self, row):
+            self.ranks_before.append(self.rank)
+            return super().add(row)
+
+    monkeypatch.setattr(jetscheme, "RowReducer", Counted)
+    return made
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ positive-weight entry must vanish.
 
 import itertools
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
@@ -129,30 +128,34 @@ def test_fixture_tables(label, order, k, rels, exps, row):
 
 
 def test_empty_fixed_locus_certifies_every_slice(
-    monkeypatch, unpruned, unpruned_coinvariants
+    monkeypatch, counted_reducers, unpruned_coinvariants
 ):
     # x1*x2 = 1 has no point fixed by (x1, x2) -> (-x1, -x2), so the weight-0
     # slices fill too, of the coinvariants and of the fixed ring (the unit
-    # relation -1): on the unpruned route each passes the F_p certificate
-    monkeypatch.setattr(coinv, "coinvariant_dims", unpruned_coinvariants)
-    monkeypatch.setattr(coinv, "graded_quotient_dims", unpruned)
+    # relation -1).  The pivots kill every variable, so each box is one
+    # weight-0 slice; RowReducer reaches full rank on it and takes no row
+    # after that.
     setup = setup_of(2, 2, [x(1, 2) * x(2, 2) - JetPoly.one(2)], (1, 1), W=2, D=3)
-    verdicts = []
-    real = jetscheme.spans_mod_p
+    boxes = []  # (reducer, column count) of every slice, box by box
+    real = jetscheme._box_dims
 
-    def spy(rows, ncols, p):
-        verdicts.append(real(rows, ncols, p))
-        return verdicts[-1]
+    def box_dims(order, ambient, gens, W, D):
+        first = len(counted_reducers)
+        dims = real(order, ambient, gens, W, D)
+        slices = jetscheme.enumerate_monomials(ambient, W, D)
+        assert list(slices) == [0]
+        boxes.extend(zip(counted_reducers[first:], [len(slices[0])], strict=True))
+        return dims
 
-    with mock.patch.object(jetscheme, "spans_mod_p", spy):
+    with monkeypatch.context() as patch:
+        patch.setattr(jetscheme, "_box_dims", box_dims)
         dims, checks = verify_fixed_ring(setup)
     assert all_passed(checks)
     assert not any(dims.values())
-    assert verdicts == [True] * (len({w for w, _ in dims}) + 1)
-    with mock.patch.object(jetscheme, "spans_mod_p", lambda rows, ncols, p: False):
-        assert unpruned_coinvariants(setup) == dims
-    monkeypatch.undo()
-    assert coinvariant_dims(setup) == dims
+    assert len(boxes) == 2
+    assert all(red.rank == n for red, n in boxes)
+    assert all(rank < n for red, n in boxes for rank in red.ranks_before)
+    assert list(dims.items()) == list(unpruned_coinvariants(setup).items())
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +243,8 @@ def test_sweep_slice_pruned_tables_equal_the_unpruned_route(unpruned_coinvariant
 def test_pruned_cusp_box_needs_no_certificate(monkeypatch):
     # On the cusp at W=2, D=3 the degree-1 sections kill every
     # positive-weight variable and glue x2[0] to xinf2[0]: one weight-0
-    # slice is left, it does not fill, and no F_p pass runs.  The table
-    # still has an entry for each (w, d) of the unpruned box.
+    # slice is left to eliminate.  The table still has an entry for each
+    # (w, d) of the unpruned box.
     setup = setup_of(3, 2, [x(1, 3) ** 3 - x(2, 3) ** 2], (2, 0), W=2, D=3)
     slices = []
     real = jetscheme._box_dims
@@ -252,13 +255,26 @@ def test_pruned_cusp_box_needs_no_certificate(monkeypatch):
         return dims
 
     monkeypatch.setattr(jetscheme, "_box_dims", counted)
-    with mock.patch.object(jetscheme, "spans_mod_p") as spy:
-        dims = coinvariant_dims(setup)
-    assert spy.call_count == 0
+    dims = coinvariant_dims(setup)
     assert slices == [1]
     assert list(dims) == [
         (Fraction(k, 3), d) for k in range(3 * 2 + 1) for d in range(3 + 1)
     ]
+
+
+def test_coinvariant_job_solves_the_linear_generators_once(monkeypatch):
+    # the pruned relations and the table are built from one linear solve
+    setup = setup_of(3, 2, [x(1, 3) ** 3 - x(2, 3) ** 2], (2, 0), W=2, D=3)
+    solves = []
+    real = jetscheme._solve_linear
+
+    def counted(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jetscheme, "_solve_linear", counted)
+    coinvariant_dims(setup)
+    assert len(solves) == 1
 
 
 # Tables of larger boxes, as the theorem gives them: weight 0 reads the

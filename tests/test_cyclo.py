@@ -18,7 +18,6 @@ from jetva.cyclo import (
     FieldMismatchError,
     cyclotomic_poly,
     euler_phi,
-    modular_root,
     zeta_pow,
 )
 
@@ -197,37 +196,6 @@ def test_rational_operand_shortcut_matches_full_product(c, q):
         assert q / c == full * c.inverse()
 
 
-def _trial_prime(n):
-    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-
-@pytest.mark.parametrize("m", range(1, 13))
-def test_modular_root_is_a_primitive_root_of_phi_m(m):
-    p, r = modular_root(m)
-    assert _trial_prime(p)
-    assert (p - 1) % m == 0
-    assert sum(c * pow(r, j, p) for j, c in enumerate(cyclotomic_poly(m))) % p == 0
-    # multiplicative order exactly m
-    assert [k for k in range(1, m + 1) if pow(r, k, p) == 1] == [m]
-    assert modular_root(m) == (p, r)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    ab=st.sampled_from([1, 2, 3, 4, 5, 12]).flatmap(
-        lambda m: st.tuples(_scalars(m), _scalars(m))
-    )
-)
-def test_residue_is_a_ring_map(ab):
-    # denominators have no prime factor above 5, so none is divisible by p
-    a, b = ab
-    p, r = modular_root(a.order)
-    ra, rb = a.residue(p, r), b.residue(p, r)
-    assert (a + b).residue(p, r) == (ra + rb) % p
-    assert (a * b).residue(p, r) == ra * rb % p
-    assert CycScalar.zeta(a.order).residue(p, r) == r % p
-
-
 # ---------------------------------------------------------------------------
 # the integer-coded scalars against a Fraction-coordinate reference
 # ---------------------------------------------------------------------------
@@ -305,42 +273,6 @@ def test_integer_scalars_match_the_fraction_reference(ab, q):
         assert got.coeffs == want
         _assert_canonical(got)
     _assert_canonical(a)
-
-
-def _small_prime_root(m):
-    """The least prime p = 1 mod m and the least root r of Phi_m mod p."""
-    p = next(p for p in range(2, 200) if _trial_prime(p) and (p - 1) % m == 0)
-    phi_m = cyclotomic_poly(m)
-    r = next(r for r in range(p) if sum(c * r**j for j, c in enumerate(phi_m)) % p == 0)
-    return p, r
-
-
-def _scalars_near_prime(m):
-    p, _ = _small_prime_root(m)
-    coord = st.builds(
-        Fraction,
-        st.integers(min_value=-30, max_value=30),
-        st.sampled_from((1, 2, 3, 4, 5, 6, p, 2 * p, p * p)),
-    )
-    return st.lists(coord, min_size=euler_phi(m), max_size=euler_phi(m)).map(
-        lambda cs: CycScalar(m, cs)
-    )
-
-
-@settings(max_examples=150, deadline=None)
-@given(a=st.sampled_from(_ORDERS).flatmap(_scalars_near_prime))
-def test_residue_is_none_exactly_when_p_divides_a_denominator(a):
-    m = a.order
-    p, r = _small_prime_root(m)
-    got = a.residue(p, r)
-    if any(c.denominator % p == 0 for c in a.coeffs):
-        assert got is None
-    else:
-        want = sum(
-            c.numerator * pow(c.denominator, -1, p) * pow(r, j, p)
-            for j, c in enumerate(a.coeffs)
-        )
-        assert got == want % p
 
 
 def test_scalars_are_immutable_and_coordinates_checked():

@@ -7,13 +7,12 @@ relations along the generic (twisted) jet.
 import itertools
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from jetva import jetpoly, jetscheme
+from jetva import jetpoly
 from jetva.cyclo import CycScalar
 from jetva.jetpoly import JetPoly, Monomial, derivation_T, jet_var
 from jetva.jetscheme import (
@@ -510,28 +509,8 @@ def test_pruned_tables_equal_the_unpruned_route(unpruned, system):
 
 
 # ---------------------------------------------------------------------------
-# full slices: early exit and the F_p certificate
+# full slices and the early exit
 # ---------------------------------------------------------------------------
-
-
-def _exact_only(*args):
-    """The table with the F_p certificate switched off, so that every slice
-    goes through RowReducer."""
-    with mock.patch.object(jetscheme, "spans_mod_p", lambda rows, ncols, p: False):
-        return graded_quotient_dims(*args)
-
-
-def _certified(*args):
-    """The table and the verdict of every F_p pass it ran."""
-    verdicts = []
-    real = jetscheme.spans_mod_p
-
-    def spy(rows, ncols, p):
-        verdicts.append(real(rows, ncols, p))
-        return verdicts[-1]
-
-    with mock.patch.object(jetscheme, "spans_mod_p", spy):
-        return graded_quotient_dims(*args), verdicts
 
 
 _COEFFS = (
@@ -581,7 +560,7 @@ def _filling_terms():
     W=Fraction(5, 3),
     D=4,
 )
-def test_certified_tables_equal_the_exact_path(term_lists, picks, W, D):
+def test_filling_tables_equal_the_unpruned_route(unpruned, term_lists, picks, W, D):
     coeffs = itertools.cycle(picks)
     gens = [
         sum(
@@ -590,73 +569,29 @@ def test_certified_tables_equal_the_exact_path(term_lists, picks, W, D):
         )
         for terms in term_lists
     ]
-    args = (3, _MIXED, gens, W, D)
-    dims, verdicts = _certified(*args)
-    assert dims == _exact_only(*args)
+    dims = graded_quotient_dims(3, _MIXED, gens, W, D)
+    assert list(dims.items()) == list(unpruned(3, _MIXED, gens, W, D).items())
+    # the probe eliminates every row, with no early exit at full rank
+    assert dims == _probe_dims(3, _MIXED, gens, W, D)
     zero_slices = {w for w, _ in dims} - {w for (w, _), v in dims.items() if v}
-    assert sum(verdicts) <= len(zero_slices)
     event(f"{len(zero_slices)} of {len({w for w, _ in dims})} slices zero")
-    event(f"F_p passes: {sum(verdicts)} certified, {verdicts.count(False)} short")
 
 
-def test_jet_ring_table_never_certifies():
-    # the jet ring of the cusp keeps every slice nonzero, so no F_p pass
-    # succeeds and the table is the exact one
+def test_jet_ring_table_has_no_zero_slice():
+    # the jet ring of the cusp keeps every slice nonzero, so no slice fills
     spec = SchemeSpec.of(3, 2, [x(1, m=3) ** 3 - x(2, m=3) ** 2])
     pres = twisted_jet_generators(spec, DiagAutomorphism(3, (2, 0)), 3)
-    args = (3, pres.variables, [g.poly for g in pres.generators], 3, 4)
-    dims, verdicts = _certified(*args)
-    assert not any(verdicts)
+    dims = graded_quotient_dims(
+        3, pres.variables, [g.poly for g in pres.generators], 3, 4
+    )
     assert all(any(dims[(w, d)] for d in range(5)) for w, _ in dims)
-    assert dims == _exact_only(*args)
 
 
-# A small prime for the F_p pass: 7 = 2*3 + 1, and 2 has order 3 mod 7.
-_P7 = {1: (7, 1), 3: (7, 2)}
-
-
-@pytest.mark.parametrize(
-    "order, coeff",
-    [(1, 7), (3, CycScalar.zeta(3) - 2)],
-    ids=["numerator-7", "zeta-minus-2"],
-)
-def test_coefficient_vanishing_mod_p_falls_back(monkeypatch, order, coeff):
-    # 7 and zeta - 2 (zeta -> 2) vanish mod 7, so the F_p rank falls to 0,
-    # but the constant generator is a unit and every slice is zero exactly
-    monkeypatch.setattr(jetscheme, "modular_root", _P7.get)
-    gen = JetPoly.const(order, coeff)
-    args = (order, (jet_var(1, 0), jet_var(1, -1)), [gen], 2, 2)
-    dims, verdicts = _certified(*args)
-    assert verdicts == [False, False, False]
-    assert dims == _exact_only(*args)
-    assert not any(dims.values()) and len(dims) == 9
-
-
-def test_denominator_divisible_by_p_falls_back(monkeypatch):
-    # 1/7 has no image in F_7: the slices skip the F_p pass and stay exact
-    monkeypatch.setattr(jetscheme, "modular_root", _P7.get)
-    gens = [JetPoly.const(3, Fraction(1, 7)) * x(1, m=3)]
-    args = (3, (jet_var(1, 0),), gens, 0, 2)
-    dims, verdicts = _certified(*args)
-    assert verdicts == []
-    assert dims == _exact_only(*args) == {(0, 0): 1, (0, 1): 0, (0, 2): 0}
-
-
-def test_short_rank_mod_p_is_not_a_zero_slice(monkeypatch):
-    # x - 1 and 2x - 2 give four rows for the three columns 1, x, x^2, and
-    # enough in every degree, but rank 2: the F_p pass runs, falls short,
-    # and the exact path leaves the constant
-    monkeypatch.setattr(jetscheme, "modular_root", _P7.get)
-    line = x(1) - JetPoly.one(1)
-    dims, verdicts = _certified(1, (jet_var(1, 0),), [line, line.scale(2)], 0, 2)
-    assert verdicts == [False]
-    assert dims == {(0, 0): 1, (0, 1): 0, (0, 2): 0}
-
-
-def test_full_slice_takes_no_further_rows(unpruned, unpruned_coinvariant_args):
-    # Exact path only, on the unpruned route: on the cusp's coinvariant box
-    # every slice of positive weight fills, and no RowReducer.add reaches a
-    # full one.
+def test_full_slice_takes_no_further_rows(
+    counted_reducers, unpruned, unpruned_coinvariant_args
+):
+    # On the unpruned route, on the cusp's coinvariant box every slice of
+    # positive weight fills, and no RowReducer.add reaches a full one.
     from jetva import coinv
 
     setup = coinv.OrbiSetup(
@@ -669,21 +604,9 @@ def test_full_slice_takes_no_further_rows(unpruned, unpruned_coinvariant_args):
     _, ambient, _, W, D = args
     sizes = [len(mons) for mons in enumerate_monomials(ambient, W, D).values()]
 
-    made = []
-
-    class Counted(RowReducer):
-        def __init__(self, order):
-            super().__init__(order)
-            self.ranks_before = []
-            made.append(self)
-
-        def add(self, row):
-            self.ranks_before.append(self.rank)
-            return super().add(row)
-
-    with mock.patch.object(jetscheme, "RowReducer", Counted):
-        with mock.patch.object(jetscheme, "spans_mod_p", lambda rows, ncols, p: False):
-            unpruned(*args)
+    made = counted_reducers
+    made.clear()  # the span checks of the set-up made some
+    unpruned(*args)
     assert len(made) == len(sizes)
     assert sum(red.rank == n for red, n in zip(made, sizes)) == len(sizes) - 1
     assert all(rank < n for red, n in zip(made, sizes) for rank in red.ranks_before)
