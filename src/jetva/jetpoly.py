@@ -408,12 +408,10 @@ def add_into(acc: dict, terms, coef) -> None:
         acc[mon] = c if cur is None else cur + c
 
 
-def mul_into(acc: dict, left, right, coef=None) -> None:
-    """Add coef (default 1) times the product of two polynomials, given by
-    their terms, into a Monomial -> scalar dict."""
+def mul_into(acc: dict, left, right) -> None:
+    """Add the product of two polynomials, given by their terms, into a
+    Monomial -> scalar dict."""
     for m1, c1 in left:
-        if coef is not None:
-            c1 = c1 * coef
         for m2, c2 in right:
             mon = m1 * m2
             c = c1 * c2

@@ -154,14 +154,6 @@ def check_twisted_axioms(
     return out
 
 
-# A sweep meets the same few a_(-k-1) b in call after call; the same object
-# back also finds its field in the cache without rehashing.
-@lru_cache(maxsize=64)
-def _divided_product(a: JetPoly, k: int, b: JetPoly) -> JetPoly:
-    """a_(-k-1) b = T^k(a)/k! * b."""
-    return divided_t_power(a, k) * b
-
-
 def _in_units(idx: Fraction, r: int, m: int) -> int | None:
     """idx*m when idx lies in the coset r/m + Z, else None."""
     d = idx.denominator
@@ -205,6 +197,74 @@ def _dead(fld: PuiseuxSeries, k: int, m: int) -> bool:
     return ms is None or (-k - m) * ms.denominator < ms.numerator * m
 
 
+class _PairContext:
+    """What every Borcherds check of one pair (a, b) shares at one
+    symmetry, window and scheme: the characters r_a and r_b, the two
+    fields, the field of each inner product a_(-k-1) b = T^k(a)/k! * b, and
+    the product of every two modes met so far.
+
+    A product enters the memo only once ``_mode_pair`` has returned: a zero
+    factor settles it, while a mode beyond the window raises on every check
+    that needs it, in the order the check meets it.
+    """
+
+    def __init__(self, a, b, g, window, spec):
+        alpha = _alpha_list(g, spec)
+        self.r_a = eigen_index(a, alpha)
+        self.r_b = eigen_index(b, alpha)
+        if self.r_a is None or self.r_b is None:
+            raise ValueError("Borcherds sources must be character-homogeneous")
+        self._source = (a, b, g, window, spec)
+        self._order = g.order
+        self._fields = None
+        self._inner: dict = {}  # k -> field of a_(-k-1) b, None when it is 0
+        self._products: dict = {}  # (b first, i, j) -> terms, None when 0
+
+    def fields(self) -> tuple[PuiseuxSeries, PuiseuxSeries]:
+        """The fields of a and b, built on first use."""
+        if self._fields is None:
+            a, b, g, window, spec = self._source
+            self._fields = (
+                twisted_field(a, g, window, spec),
+                twisted_field(b, g, window, spec),
+            )
+        return self._fields
+
+    def inner_field(self, k: int) -> PuiseuxSeries | None:
+        """The field of a_(-k-1) b, or None when that product is zero."""
+        if k not in self._inner:
+            a, b, g, window, spec = self._source
+            inner = divided_t_power(a, k) * b
+            self._inner[k] = (
+                None if inner.is_zero else twisted_field(inner, g, window, spec)
+            )
+        return self._inner[k]
+
+    def product(self, b_first: bool, i: int, j: int):
+        """The terms of a's mode at i/m times b's at j/m, or of b's at i/m
+        times a's at j/m when ``b_first``; None when a factor is exactly
+        zero.  See ``_mode_pair`` for the window rule."""
+        key = (b_first, i, j)
+        if key not in self._products:
+            fa, fb = self.fields()
+            if b_first:
+                fa, fb = fb, fa
+            modes = _mode_pair(fa, i, fb, j, self._order)
+            terms = None
+            if modes is not None:
+                acc: dict = {}
+                mul_into(acc, modes[0].terms, modes[1].terms)
+                terms = tuple(acc.items())
+            self._products[key] = terms
+        return self._products[key]
+
+
+# A sweep runs the whole index box of one pair before the next pair, so two
+# entries serve it.  Each entry holds its memo of products: with 64 entries
+# an axiom sweep's peak memory grew by a fifth.
+_pair_context = lru_cache(maxsize=2)(_PairContext)
+
+
 def check_twisted_borcherds(
     a: JetPoly,
     b: JetPoly,
@@ -223,8 +283,10 @@ def check_twisted_borcherds(
     with l an integer and m, n in the cosets picked out by the characters
     of a and b.
 
-    Both sides go into one Monomial -> scalar sum, lhs minus rhs, and each
-    product of two modes is multiplied straight into it.  A product with a
+    Both sides go into one Monomial -> scalar sum, lhs minus rhs.  Each
+    product of two modes is multiplied out once per pair (a, b), symmetry,
+    window and scheme, in a ``_PairContext`` that also holds the fields, and
+    added into the sum times its integer coefficient.  A product with a
     factor that is exactly zero adds nothing, even when its other factor
     lies beyond the window; otherwise a mode beyond the window raises
     TruncationError, the lhs modes first, then the rhs products in the order
@@ -238,7 +300,6 @@ def check_twisted_borcherds(
     is not zero.
     """
     order = g.order
-    alpha = _alpha_list(g, spec)
     if not isinstance(l_idx, int):
         if Fraction(l_idx).denominator != 1:
             raise ValueError("the first Borcherds index must be an integer")
@@ -247,30 +308,25 @@ def check_twisted_borcherds(
         m_idx = Fraction(m_idx)
     if not isinstance(n_idx, (int, Fraction)):
         n_idx = Fraction(n_idx)
-    r_a = eigen_index(a, alpha)
-    r_b = eigen_index(b, alpha)
-    if r_a is None or r_b is None:
-        raise ValueError("Borcherds sources must be character-homogeneous")
+    pair = _pair_context(a, b, g, window, spec)
     # The indices in units of 1/order: l*order, m*order, n*order.
     L = l_idx * order
-    M = _in_units(m_idx, r_a, order)
+    M = _in_units(m_idx, pair.r_a, order)
     if M is None:
-        raise ValueError(f"index m = {m_idx} must lie in {r_a}/{order} + Z")
-    N = _in_units(n_idx, r_b, order)
+        raise ValueError(f"index m = {m_idx} must lie in {pair.r_a}/{order} + Z")
+    N = _in_units(n_idx, pair.r_b, order)
     if N is None:
-        raise ValueError(f"index n = {n_idx} must lie in {r_b}/{order} + Z")
+        raise ValueError(f"index n = {n_idx} must lie in {pair.r_b}/{order} + Z")
     name = f"twisted borcherds(l={l_idx}, m={m_idx}, n={n_idx})"
 
-    fld_a = twisted_field(a, g, window, spec)
-    fld_b = twisted_field(b, g, window, spec)
+    fld_a, fld_b = pair.fields()
 
     acc: dict = {}  # lhs - rhs
     i = 0
     while l_idx + i <= -1:
-        inner = _divided_product(a, -(l_idx + i) - 1, b)
-        if not inner.is_zero:
+        fld = pair.inner_field(-(l_idx + i) - 1)
+        if fld is not None:
             num, den = binom_units(M, order, i)
-            fld = twisted_field(inner, g, window, spec)
             mode = _mode(fld, M + N - i * order, order)
             if num:
                 add_into(acc, mode.terms, Fraction(num, den))
@@ -291,12 +347,12 @@ def check_twisted_borcherds(
         else:
             c = math.comb(i - l_idx - 1, i)
         if c:
-            t1 = _mode_pair(fld_a, L + M - di, fld_b, N + di, order)
+            t1 = pair.product(False, L + M - di, N + di)
             if t1 is not None:
-                mul_into(acc, t1[0].terms, t1[1].terms, -c)
-            t2 = _mode_pair(fld_b, L + N - di, fld_a, M + di, order)
+                add_into(acc, t1, -c)
+            t2 = pair.product(True, L + N - di, M + di)
             if t2 is not None:
-                mul_into(acc, t2[0].terms, t2[1].terms, c * sign_l)
+                add_into(acc, t2, c * sign_l)
         i += 1
 
     if not any(acc.values()):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetva import coinv, jetpoly, jetscheme, twisted
+from jetva import coinv, jetpoly, jetscheme, twisted, va
 from jetva.linalg import RowReducer
 
 
@@ -91,7 +91,8 @@ def fraction_calls(monkeypatch):
             jetpoly._jet_expansion,
             twisted._build_field,
             twisted._descent_basis,
-            twisted._divided_product,
+            twisted._pair_context,
+            va._trivial_symmetry,
         ):
             cached.cache_clear()
         calls = 0

@@ -11,6 +11,7 @@ import jetva
 from jetva.jetpoly import JetPoly
 from jetva.jetscheme import DiagAutomorphism, SchemeSpec
 from jetva.twisted import check_descent, check_twisted_borcherds
+from jetva.va import check_borcherds
 
 
 def _caches() -> dict:
@@ -52,6 +53,7 @@ def test_fraction_calls_empties_every_bounded_cache(fraction_calls):
     g = DiagAutomorphism(2, (1, 0))
     check_descent(spec, g, 1, 1, 2)
     check_twisted_borcherds(x1, x1, g, -1, Fraction(1, 2), Fraction(1, 2), 2, spec)
+    check_borcherds(x1, x2, -1, -1, -1, 2)
     empty = sorted(name for name, f in bounded.items() if not f.cache_info().currsize)
     assert not empty, f"the warm-up above does not reach {empty}"
 

@@ -251,6 +251,18 @@ def test_exit_3_when_window_too_small(spec_file, capsys):
     assert captured.out == ""
 
 
+def test_check_va_exit_3_when_window_too_small(spec_file, capsys):
+    payload = {"m": 3, "variables": ["x1", "x2"], "relations": [], "exponents": [1, 2]}
+    path = spec_file(payload)
+    argv = ["check-va", "--input", path, "--window", "1", "--index-bound", "2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "window too small: coefficient of z^3 is beyond the window (trunc 1)\n"
+    )
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # determinism and text format
 # ---------------------------------------------------------------------------

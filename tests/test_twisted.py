@@ -4,6 +4,9 @@ come from expanding the generator field x -> sum x[n] z^{-n} over the coset
 alpha/m + Z by hand and differentiating in z.
 """
 
+import functools
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -179,8 +182,14 @@ def _perturb_field(monkeypatch, source, exponent, extra):
     coefficient; every other field is left as it is.  Both seams that build
     fields are patched: ``twisted_field``, which the axiom and Borcherds
     checks read through the field cache, and ``_make_field``, the uncached
-    builder that ``check_descent`` calls for its translate."""
+    builder that ``check_descent`` calls for its translate.  The Borcherds
+    pair contexts hold fields, so the patch also swaps in an empty pair
+    cache, dropped with every perturbed field in it when the patch is
+    undone: no context built before the patch is read under it, and none
+    built under it outlives it."""
     real_field, real_make = twisted.twisted_field, twisted._make_field
+    cache = functools.lru_cache(**twisted._pair_context.cache_parameters())
+    monkeypatch.setattr(twisted, "_pair_context", cache(twisted._PairContext))
 
     def perturb(a, fld):
         if a != source:
@@ -363,6 +372,70 @@ def test_borcherds_index_box_truncation_messages_frozen(order):
     # the first identity of the box to raise, with its message
     assert next(iter(raised.items())) == next(iter(_BEYOND_WINDOW_1[order].items()))
     assert all(v is True for v in results.values() if not isinstance(v, str))
+
+
+def _pair_sweep_cases():
+    """Every identity of the order-2, order-3 and plain boxes, over each
+    ordered pair of the box's two sources, at the box's own window and at
+    window 1, where some reach beyond it; pair-major, as a sweep runs."""
+    g3 = DiagAutomorphism(3, (1, 2))
+    twisted_boxes = [
+        (G2, (y(1), y(1) ** 2), 6),
+        (g3, (JetPoly.var(3, 1), JetPoly.var(3, 2, -1)), 5),
+    ]
+    cases = []
+    for g, sources, window in twisted_boxes:
+        m = g.order
+        for a, b in itertools.product(sources, repeat=2):
+            ra, rb = (eigen_index(p, g.exponents) for p in (a, b))
+            for W in (window, 1):
+                cases += [
+                    (check_twisted_borcherds, (a, b, g, l, m_idx, n_idx, W))
+                    for l in range(-2, 3)
+                    for m_idx in (Fraction(k * m + ra, m) for k in range(-2, 2))
+                    for n_idx in (Fraction(k * m + rb, m) for k in range(-2, 2))
+                ]
+    plain = (JetPoly.var(1, 1) * JetPoly.var(1, 2), JetPoly.var(1, 2, -1))
+    for a, b in itertools.product(plain, repeat=2):
+        for W in (6, 1):
+            cases += [
+                (check_borcherds, (a, b, mi, ni, ki, W))
+                for mi, ni, ki in itertools.product(range(-2, 2), repeat=3)
+            ]
+    return cases
+
+
+def _outcome(check, args):
+    try:
+        res = check(*args)
+    except TruncationError as err:
+        return ("TruncationError", str(err))
+    return (res.name, res.passed, res.witness)
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+def test_pair_memo_does_not_depend_on_call_order_or_cache_state(
+    monkeypatch, perturbed
+):
+    # Each check alone on a cold pair cache, then pair-major, then in a
+    # shuffled order that evicts pairs from the two-entry cache.  With the
+    # perturbed field some identities fail, so witnesses are compared too.
+    if perturbed:
+        _perturb_field(monkeypatch, y(1), Fraction(1, 2), y(2))
+    cases = _pair_sweep_cases()
+    cold = []
+    for case in cases:
+        twisted._pair_context.cache_clear()
+        cold.append(_outcome(*case))
+    assert [_outcome(*case) for case in cases] == cold
+    order = list(range(len(cases)))
+    random.Random(0).shuffle(order)
+    shuffled = {k: _outcome(*cases[k]) for k in order}
+    assert [shuffled[k] for k in range(len(cases))] == cold
+    raised = [out for out in cold if out[0] == "TruncationError"]
+    failed = [out for out in cold if out not in raised and not out[1]]
+    assert raised
+    assert bool(failed) == perturbed
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,31 @@ def test_axioms_with_symmetry():
     assert any("equivariance" in r.name for r in results)
 
 
+def test_axioms_read_samples_given_as_an_iterator_once():
+    # An iterator of samples used to be spent by the multiplicative checks,
+    # leaving the equivariance checks none: 5 results instead of 15.
+    y1 = JetPoly.var(4, 1)
+    y2 = JetPoly.var(4, 2, -1)
+    listed = check_va_axioms(y1 * y2, 6, alpha=(1, 2), samples=[y1, y2])
+    streamed = check_va_axioms(y1 * y2, 6, alpha=(1, 2), samples=iter([y1, y2]))
+    assert streamed == listed
+    assert len(streamed) == 15
+    assert sum(r.name.startswith("equivariance") for r in streamed) == 10
+
+
+def test_axioms_with_no_samples_check_no_sample():
+    # An empty list is not the default [1, a]: no multiplicative or
+    # equivariance check runs.
+    y1 = JetPoly.var(4, 1)
+    results = check_va_axioms(y1, 6, alpha=(1, 2), samples=[])
+    assert [r.name for r in results] == [
+        "translation: Y(Ta,z) = d/dz Y(a,z)",
+        "vacuum: Y(1,z) = id",
+        "creation: Y(a,z)1 regular and a_(-1)1 = a",
+    ]
+    assert all_passed(results)
+
+
 def test_equivariance_fails_on_a_perturbed_mode(monkeypatch):
     # a stray term in g(a)_(-2) breaks equivariance at n = -2 for every
     # sample, and each sample's checks stop there; nothing else fails
