@@ -25,41 +25,43 @@ it collapses onto the coordinate ring of the fixed subscheme in weight
 zero, and the verifier confirms that table and the vanishing of every
 positive-weight entry.
 
-The collapse comes from the degree-1 sections x_i u^j du: each relation
-of one kills a twisted jet variable of positive weight, or glues x_i[0]
-at the two points.  So the relations of higher sections are not expanded
-one field pair at a time.  ``coinvariant_dims`` takes the linear
-generators (the twisted jet generators and the degree-1 relations, whose
-terms all have degree 1) through ``eliminate_linear``, the pivot step of
-``graded_quotient_dims``, which gives each pivot variable its image phi.
-It pushes each coordinate's two fields through phi once, Y_g(x_i) on
-alphabet 0 and Y_g^-1(x_i) on alphabet 1, and builds the pruned fields of
-every section of degree d >= 2, in degree order, as the series product of
-those of a section of degree d - 1 and of one coordinate; the relations
-are read off them at exponents <= W, keyed by j as ``residue_relation``
-keys them.  The table is then built from those same pivots, the other
-generators and the pruned relations by ``_solved_quotient_dims``, the
-step of ``graded_quotient_dims`` after its linear solve, so the linear
-generators are solved once per job.  It is the table the unpruned
-relations give, for three reasons:
+Only the linear generators are built: the twisted jet generators at both
+points and the relations of the degree-1 sections x_i u^j du.  On this
+line of two points they already hold the relation of every section of
+higher degree.
 
-- Ring map.  phi is a ring map and the field map is multiplicative, so
-  phi(Y_g(p)) is the product of the phi(Y_g(x_i))^e_i, and likewise at
-  infinity.  Level-0 fields have exponents >= 0, so the product of fields
-  known up to W is exact up to W.
-- Same pivots.  The linear generators are the same, so their reduced
-  echelon pivots and images are the ones the unpruned route would find; a
-  pruned relation holds no pivot variable, so the table's substitution
-  leaves it as it is.
-- Same multiplier room.  The relation of a degree-d monomial is
-  homogeneous of degree d, and phi sends each variable to a linear form,
-  so its image is zero, dropped as before, or of top degree d: the room
-  D - d does not change.
+Lemma.  Let phi replace each pivot variable of the linear generators by
+its value on their zero set (``eliminate_linear``).  Then phi sends the
+relation of every section of degree >= 2 to zero.
 
-On this line of two points phi also sends x_i[0] and xinf_i[0] to the
-same form, and the fields of a section are constant once pruned, so every
-pruned relation vanishes; the tests check the products of fields with
-fewer pivots replaced as well.
+Proof.  Y_g(x_i) is the sum of x_i[-e] z^e over the admissible exponents
+e <= W, and Y_g^-1(x_i) likewise on alphabet 1.  For e > 0 the coefficient
+x_i[-e] is by itself the relation of the degree-1 section with
+j = -m e - 1 at 0, and xinf_i[-e] that of j = m e - 1 at infinity; the two
+j never meet.  For a fixed coordinate the relation of j = -1 is
+x_i[0] - xinf_i[0]; a moved coordinate has no level-0 variable.  So the
+ideal I of the degree-1 relations holds every ambient variable of
+positive weight and glues x_i[0] to xinf_i[0], and modulo I each
+coordinate field is its constant x_i[0], zero for a moved coordinate.
+The field map is multiplicative and every exponent is >= 0, so a
+coefficient of a product up to W depends only on the factors' up to W:
+modulo I, Y_g(p) is the constant p(x[0]) and Y_g^-1(p) the constant
+p(xinf[0]).  The relation of each j != -1 then lies in I, and that of
+j = -1, p(x[0]) - p(xinf[0]), does too.  The degree-1 relations are
+linear generators, and phi is the quotient map by the ideal of the
+linear generators, so phi kills I.
+
+``graded_quotient_dims`` substitutes phi into every other generator and
+drops those that become zero, so the higher relations would change no
+entry; ``coinvariant_dims`` does not build them.
+
+With three or more points (ROADMAP item 3) each section has an expansion
+at every point, and the degree-1 sections need not reach every variable
+at each of them.  The relations of the higher sections are not shown to
+vanish there, so that case must build every section's expansion at every
+point again.  On this line its tables must match the unpruned route, the
+``unpruned_coinvariants`` fixture of the tests: ``residue_relation`` of
+every section, eliminated in the box with no pivot removed.
 """
 
 from __future__ import annotations
@@ -68,14 +70,10 @@ import dataclasses
 from fractions import Fraction
 
 from .cyclo import CycScalar
-from .jetpoly import JetPoly, JetVar, Monomial, PuiseuxSeries, retag_point
+from .jetpoly import JetPoly, JetVar, Monomial, retag_point
 from .jetscheme import (
     DiagAutomorphism,
     SchemeSpec,
-    _checked_generators,
-    _solved_quotient_dims,
-    _substitute,
-    eliminate_linear,
     enumerate_monomials,
     fixed_point_ring,
     graded_quotient_dims,
@@ -111,19 +109,6 @@ def enumerate_sections(spec: SchemeSpec, max_degree: int) -> list[Monomial]:
     return [mon for mon in monos if mon.degree]
 
 
-def _read_relations(at0, atinf, m: int) -> dict[int, JetPoly]:
-    """The relations keyed by j from the (exponent, coefficient) pairs of
-    a section's field at 0 and at infinity, the latter on alphabet 1: the
-    coefficient at 0 of exponent e is the relation of j = -m e - 1, the
-    negated one at infinity that of j = m e - 1, and at e = 0 both meet at
-    j = -1."""
-    rels = {int(-m * w) - 1: c for w, c in at0}
-    for w, c in atinf:
-        j = int(m * w) - 1
-        rels[j] = rels[j] - c if j in rels else -c
-    return rels
-
-
 def residue_relation(mon: Monomial, setup: OrbiSetup) -> dict[int, JetPoly]:
     """The nonzero relations of the sections of one monomial, keyed by j.
 
@@ -135,12 +120,11 @@ def residue_relation(mon: Monomial, setup: OrbiSetup) -> dict[int, JetPoly]:
     spec, g, W = setup.spec, setup.auto, setup.max_weight
     m = g.order
     p = JetPoly(spec.order, ((mon, CycScalar.one(spec.order)),))
-    atinf = twisted_field(p, g.inverse(), W, spec).coeffs
-    rels = _read_relations(
-        twisted_field(p, g, W, spec).coeffs,
-        [(w, retag_point(c, 1)) for w, c in atinf],
-        m,
-    )
+    rels = {int(-m * w) - 1: c for w, c in twisted_field(p, g, W, spec).coeffs}
+    for w, c in twisted_field(p, g.inverse(), W, spec).coeffs:
+        j = int(m * w) - 1
+        c = retag_point(c, 1)
+        rels[j] = rels[j] - c if j in rels else -c
     for j, rel in rels.items():
         w = Fraction(abs(j + 1), m)
         if rel.homogeneous_weight() != w:
@@ -154,12 +138,10 @@ def _retag_vars(vars_: tuple[JetVar, ...], point: int) -> tuple[JetVar, ...]:
     return tuple(JetVar(point, v.index, v.minus_level) for v in vars_)
 
 
-def _base_generators(
-    setup: OrbiSetup, sections
-) -> tuple[tuple[JetVar, ...], list[JetPoly]]:
-    """The ambient variables and every generator but the relations of the
-    sections of degree >= 2: the twisted jet generators at both points and
-    the relations of the degree-1 sections."""
+def _base_generators(setup: OrbiSetup) -> tuple[tuple[JetVar, ...], list[JetPoly]]:
+    """The ambient variables and the linear generators: the twisted jet
+    generators at both points and the relations of the degree-1
+    sections."""
     spec, g, W = setup.spec, setup.auto, setup.max_weight
     pres0 = twisted_jet_generators(spec, g, W)
     presinf = twisted_jet_generators(spec, g.inverse(), W)
@@ -167,73 +149,18 @@ def _base_generators(
 
     gens: list[JetPoly] = [gen.poly for gen in pres0.generators]
     gens.extend(retag_point(gen.poly, 1) for gen in presinf.generators)
-    for mon in sections:
-        if mon.degree == 1:
-            gens.extend(residue_relation(mon, setup).values())
+    for mon in enumerate_sections(spec, 1):
+        gens.extend(residue_relation(mon, setup).values())
     return ambient, gens
-
-
-def pruned_relations(
-    setup: OrbiSetup, sections, images
-) -> dict[Monomial, dict[int, JetPoly]]:
-    """The relations of each section of degree >= 2, with every pivot
-    variable of ``images`` replaced by its image, keyed by j as
-    ``residue_relation`` keys them; a relation that vanishes is left out.
-
-    ``sections`` is in degree order, as ``enumerate_sections`` gives it,
-    so the pruned fields of mon / x_i are built before those of mon."""
-    spec, g, W = setup.spec, setup.auto, setup.max_weight
-    m, order = g.order, spec.order
-    powers: dict = {}
-
-    def pruned(a: JetPoly, h: DiagAutomorphism, point: int) -> PuiseuxSeries:
-        fld = twisted_field(a, h, W, spec)
-        acc = {}
-        for w, c in fld.coeffs:
-            if point:
-                c = retag_point(c, point)
-            acc[w] = _substitute(c, images, powers)
-        return PuiseuxSeries.from_dict(order, acc, fld.trunc)
-
-    zero = PuiseuxSeries.from_dict(order, {}, W)
-
-    def times(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-        # Exponents are >= 0, so a series that is zero up to W makes the
-        # product zero up to W.  The pivots kill every variable of positive
-        # weight, so a moved coordinate's pruned fields are zero.
-        if not (a.coeffs and b.coeffs):
-            return zero
-        prod = a * b
-        return prod.truncate(min(W, prod.trunc))
-
-    fields: dict[Monomial, tuple[PuiseuxSeries, PuiseuxSeries]] = {}
-    out: dict[Monomial, dict[int, JetPoly]] = {}
-    for mon in sections:
-        if mon.degree == 1:
-            x = JetPoly(order, ((mon, CycScalar.one(order)),))
-            fields[mon] = (pruned(x, g, 0), pruned(x, g.inverse(), 1))
-            continue
-        (v, e), rest = mon.factors[0], mon.factors[1:]
-        low = fields[Monomial(((v, e - 1),) + rest if e > 1 else rest)]
-        coord = fields[Monomial(((v, 1),))]
-        at0, atinf = fields[mon] = (times(low[0], coord[0]), times(low[1], coord[1]))
-        rels = _read_relations(at0.coeffs, atinf.coeffs, m)
-        out[mon] = {j: rel for j, rel in sorted(rels.items()) if not rel.is_zero}
-    return out
 
 
 def coinvariant_dims(setup: OrbiSetup) -> dict[tuple[Fraction, int], int]:
     """Bounded bigraded dimension table of the coinvariant space, from the
-    linear generators and the pruned relations of the higher sections (see
-    the module docstring)."""
-    spec, g, W, D = setup.spec, setup.auto, setup.max_weight, setup.max_degree
-    sections = enumerate_sections(spec, D)
-    ambient, gens = _base_generators(setup, sections)
-    gens = _checked_generators(g.order, ambient, gens)
-    images, others = eliminate_linear(g.order, ambient, gens)
-    for rels in pruned_relations(setup, sections, images).values():
-        others.extend(_checked_generators(g.order, ambient, rels.values()))
-    return _solved_quotient_dims(g.order, ambient, images, others, W, D)
+    linear generators alone (see the module docstring)."""
+    ambient, gens = _base_generators(setup)
+    return graded_quotient_dims(
+        setup.auto.order, ambient, gens, setup.max_weight, setup.max_degree
+    )
 
 
 def verify_fixed_ring(

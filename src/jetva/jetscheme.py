@@ -362,8 +362,7 @@ def eliminate_linear(order: int, ambient: tuple[JetVar, ...], gens):
     degree 1, and the others, and solve the linear ones: (images, others),
     ``images`` mapping each pivot variable to its value on their zero set
     as ``_solve_linear`` gives it over the sorted ambient (empty with no
-    linear generator).  Every caller that prunes takes its pivots here, so
-    they are the same pivots."""
+    linear generator)."""
     linear, others = [], []
     for g in gens:
         (linear if all(mon.degree == 1 for mon, _ in g.terms) else others).append(g)
@@ -453,41 +452,21 @@ def graded_quotient_dims(
     unpruned route; it is kept as an independent oracle for the tests, as
     ``T_recursion`` is kept next to ``substitution``.
     """
-    gens = _checked_generators(order, ambient, ideal_gens)
-    images, others = eliminate_linear(order, ambient, gens)
-    return _solved_quotient_dims(order, ambient, images, others, max_weight, max_degree)
-
-
-def _checked_generators(order: int, ambient, gens) -> list[JetPoly]:
-    """The nonzero ones of ``gens``, each checked: of scalar order
-    ``order``, weight-homogeneous, and in the variables of ``ambient``."""
+    W = Fraction(max_weight)
+    D = int(max_degree)
+    ambient = tuple(sorted(set(ambient)))
     allowed = set(ambient)
-    out = [g for g in gens if not g.is_zero]
-    for g in out:
+    gens = [g for g in ideal_gens if not g.is_zero]
+    for g in gens:
         if g.order != order:
             raise ValueError("generator scalar order does not match")
         if g.homogeneous_weight() is None:
             raise ValueError(f"ideal generator is not weight-homogeneous: {g}")
         if not g.variables() <= allowed:
             raise ValueError("ideal generator uses a variable outside the ambient set")
-    return out
-
-
-def _solved_quotient_dims(
-    order: int, ambient, images, others, max_weight, max_degree: int
-) -> dict[tuple[Fraction, int], int]:
-    """The table of ``graded_quotient_dims`` from its linear generators
-    already solved: (images, others) as ``eliminate_linear`` splits the
-    checked generators (``_checked_generators``).  A caller that has
-    solved them itself, as ``coinv.coinvariant_dims`` has, adds its
-    further generators to ``others`` and comes here, so the linear solve
-    runs once."""
-    W = Fraction(max_weight)
-    D = int(max_degree)
-    ambient = tuple(sorted(set(ambient)))
+    images, others = eliminate_linear(order, ambient, gens)
     if not images:
-        rows = [(g, D - g.max_degree()) for g in others]
-        return _box_dims(order, ambient, rows, W, D)
+        return _box_dims(order, ambient, [(g, D - g.max_degree()) for g in gens], W, D)
     powers: dict = {}
     pruned = []
     for g in others:

@@ -10,6 +10,10 @@ Grammar (whitespace free between tokens):
     natural    := digit+
     identifier := letter (letter | digit | '_')*
 
+Digits and letters are ASCII only: any other character but whitespace and
+the operators, such as a superscript two, is a ``ParseError`` at its
+position.
+
 There is no unary minus on subexpressions: a leading sign is part of a
 rational literal, so ``-1*x2`` is valid while ``-x2`` is not.  ``zeta``
 denotes the primitive root of unity of the ambient order.  The printer
@@ -46,6 +50,8 @@ _OPS = set("+-*^()/")
 
 
 def tokenize(text: str) -> list[Token]:
+    # isascii first: isdigit and isalpha alone also take other scripts'
+    # digits and superscripts, which int() reads or rejects
     out: list[Token] = []
     line, col = 1, 1
     i = 0
@@ -65,17 +71,19 @@ def tokenize(text: str) -> list[Token]:
             col += 1
             i += 1
             continue
-        if c.isdigit():
+        if c.isascii() and c.isdigit():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isascii() and text[j].isdigit():
                 j += 1
             out.append(Token("number", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if c.isalpha() or c == "_":
+        if c.isascii() and (c.isalpha() or c == "_"):
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and text[j].isascii() and (
+                text[j].isalnum() or text[j] == "_"
+            ):
                 j += 1
             out.append(Token("name", text[i:j], line, col))
             col += j - i

@@ -69,6 +69,12 @@ def test_parse_error_positions():
         parse("y1")
     with pytest.raises(ParseError, match="zero"):
         parse("1/0")
+    # only ASCII digits: int() rejects a superscript two and reads an
+    # Arabic-Indic one as 1
+    with pytest.raises(ParseError, match=r"'²' \(line 1, column 4\)"):
+        parse("x1^²")
+    with pytest.raises(ParseError, match=r"'١' \(line 1, column 4\)"):
+        parse("x1^١")
 
 
 def test_parse_unbalanced_and_trailing():
