@@ -41,7 +41,8 @@ from .reports import CheckResult
 from .twisted import check_twisted_axioms, check_twisted_borcherds
 from .va import check_borcherds, check_va_axioms
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+# The identifier of the ``parse`` grammar: a letter, then letters, digits, _.
+_IDENT = re.compile(r"^[A-Za-z][A-Za-z_0-9]*$")
 
 
 class InputError(ValueError):

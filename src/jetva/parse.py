@@ -12,7 +12,7 @@ Grammar (whitespace free between tokens):
 
 Digits and letters are ASCII only: any other character but whitespace and
 the operators, such as a superscript two, is a ``ParseError`` at its
-position.
+position, and so is a ``_`` that would start a name.
 
 There is no unary minus on subexpressions: a leading sign is part of a
 rational literal, so ``-1*x2`` is valid while ``-x2`` is not.  ``zeta``
@@ -79,7 +79,7 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if c.isascii() and (c.isalpha() or c == "_"):
+        if c.isascii() and c.isalpha():
             j = i
             while j < len(text) and text[j].isascii() and (
                 text[j].isalnum() or text[j] == "_"
@@ -89,6 +89,8 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
+        if c == "_":
+            raise ParseError("a name must start with a letter", line, col)
         raise ParseError(f"unexpected character {c!r}", line, col)
     out.append(Token("end", "", line, col))
     return out

@@ -89,6 +89,7 @@ def fraction_calls(monkeypatch):
     def count(f, *args):
         for cached in (
             jetpoly._jet_expansion,
+            jetpoly._divided_translate,
             twisted._build_field,
             twisted._descent_basis,
             twisted._pair_context,

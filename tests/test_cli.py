@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import jetva
-from jetva.cli import main
+from jetva.cli import InputError, load_spec, main
 
 
 PARABOLA = {
@@ -196,6 +196,13 @@ def test_exit_2_on_bad_inputs(spec_file, capsys):
         path = spec_file(payload, f"bad{i}.json")
         assert main(["jet", "--input", path]) == 2, payload
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["_x", "_"])
+def test_load_spec_refuses_a_name_outside_the_identifier_grammar(spec_file, name):
+    path = spec_file({**PARABOLA, "variables": ["x1", name]})
+    with pytest.raises(InputError, match=f"invalid variable name {name!r}"):
+        load_spec(path)
 
 
 def test_exit_2_on_negative_bounds(spec_file, capsys):

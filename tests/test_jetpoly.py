@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetva import jetpoly
 from jetva.jetpoly import (
     JetPoly,
     JetVar,
@@ -30,6 +31,7 @@ from jetva.jetpoly import (
     retag_point,
     shift_derivation,
     substitute_jets,
+    translation_series,
 )
 from jetva.cyclo import CycScalar, zeta_pow
 from jetva.jetscheme import DiagAutomorphism
@@ -227,6 +229,16 @@ def test_divided_power_frozen_square():
     # T^2(x^2)/2 = x[-1]^2 + 2 x[0] x[-2]
     p = divided_t_power(x(1) ** 2, 2)
     assert str(p) == "2*x1[0]*x1[-2] + x1[-1]^2"
+
+
+def test_long_windows_are_not_capped_by_the_recursion_limit():
+    # The memo is filled from n = 1 upward, so no call recurses deeply.
+    for window in (1200, 1500):
+        jetpoly._divided_translate.cache_clear()
+        s = translation_series(x(1), window)
+        assert s.coefficient(window) == x(1, -window)
+    jetpoly._divided_translate.cache_clear()
+    assert divided_t_power(x(2), 1500) == x(2, -1500)
 
 
 @settings(max_examples=50, deadline=None)

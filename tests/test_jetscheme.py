@@ -85,6 +85,7 @@ def test_T_recursion_translates_max_weight_times_per_relation(monkeypatch):
     # P[i,0..W] are read off one translation series per relation, which
     # applies T exactly W times
     spec = SchemeSpec.of(1, 2, [x(1) ** 2 - x(2), x(1) * x(2)])
+    jetpoly._divided_translate.cache_clear()
     calls = []
     real = jetpoly.derivation_T
 

@@ -77,6 +77,15 @@ def test_parse_error_positions():
         parse("x1^١")
 
 
+def test_parse_refuses_a_name_that_starts_with_an_underscore():
+    # identifier := letter (letter | digit | '_')*
+    assert parse_expression("x_1*y_", 1, ("x_1", "y_")) == x(1) * x(2)
+    for text, col in (("_x", 1), ("x1 + _x", 6), ("x1*(__)", 5)):
+        where = rf"start with a letter \(line 1, column {col}\)"
+        with pytest.raises(ParseError, match=where):
+            parse_expression(text, 1, ("x1", "_x", "__"))
+
+
 def test_parse_unbalanced_and_trailing():
     for bad in ["(x1", "x1)", "x1 *", "x1 x2", "x1^", "x1^-2", ""]:
         with pytest.raises(ParseError):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetva import twisted
+from jetva import jetpoly, twisted
 from jetva.cyclo import zeta_pow
 from jetva.jetpoly import (
     JetPoly,
@@ -476,6 +476,34 @@ def test_descent_fails_on_a_perturbed_field(monkeypatch, extra, witness):
         "descent span: rel 1, translate 1, coefficients in the twisted "
         "generator span": "coefficient at z^1",
     }
+
+
+@pytest.fixture
+def doubled_translation(monkeypatch):
+    """``derivation_T`` replaced by twice itself, from an empty translate
+    memo; the memo is emptied again afterwards, so no wrong translate
+    reaches a later test."""
+    jetpoly._divided_translate.cache_clear()
+    real = jetpoly.derivation_T
+    monkeypatch.setattr(jetpoly, "derivation_T", lambda p: real(p).scale(2))
+    yield
+    jetpoly._divided_translate.cache_clear()
+
+
+@pytest.mark.usefixtures("doubled_translation")
+def test_descent_fails_on_a_wrong_translation():
+    # The translate's field is a fresh substitution of T^n(rel)/n!, not a
+    # derivative of the relation's field: a wrong T spares n = 0 alone.
+    spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
+    assert all_passed(check_descent(spec, G2P, 1, 0, 3))
+    witnesses = {
+        1: "z^0: -x2[-1] + x1[-1/2]^2",
+        2: "z^0: -3*x2[-2] + 6*x1[-1/2]*x1[-3/2]",
+    }
+    for n, witness in witnesses.items():
+        assert _failures(check_descent(spec, G2P, 1, n, 3)) == {
+            f"descent coefficients: rel 1, translate {n}": witness
+        }
 
 
 def test_descent_basis_is_left_as_it_was_by_a_stray_monomial(monkeypatch):

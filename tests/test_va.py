@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetva import jetpoly, va
-from jetva.jetpoly import JetPoly, TruncationError, apply_automorphism, divided_t_power
+from jetva.jetpoly import (
+    JetPoly,
+    TruncationError,
+    apply_automorphism,
+    divided_t_power,
+    translation_series,
+)
 from jetva.reports import all_passed
 from jetva.va import check_borcherds, check_va_axioms, mode, vertex_op
 
@@ -75,6 +81,7 @@ def test_mode_rejects_what_vertex_op_rejects(source):
 
 
 def _count_translations(monkeypatch) -> list:
+    jetpoly._divided_translate.cache_clear()
     calls = []
     real = jetpoly.derivation_T
 
@@ -95,6 +102,25 @@ def test_vertex_op_translates_floor_window_times(monkeypatch, window):
     assert len(calls) == math.floor(window)
     assert s.trunc == window
     assert s.support() == tuple(Fraction(n) for n in range(math.floor(window) + 1))
+
+
+def test_repeated_translation_series_applies_T_no_more(monkeypatch):
+    calls = _count_translations(monkeypatch)
+    a = x(1) ** 2 * x(2, -1)
+    first = translation_series(a, 5)
+    assert len(calls) == 5
+    assert translation_series(a, 5) == first
+    assert len(calls) == 5
+
+
+def test_divided_t_power_reads_the_translation_series_memo(monkeypatch):
+    calls = _count_translations(monkeypatch)
+    a = x(1) ** 2 * x(2, -1)
+    s = translation_series(a, Fraction(7, 2))
+    calls.clear()
+    for n in range(4):
+        assert divided_t_power(a, n) == s.coefficient(n)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
