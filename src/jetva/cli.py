@@ -33,6 +33,7 @@ from .jetscheme import (
     SchemeSpec,
     fixed_point_ring,
     jet_generators,
+    require_preserved,
     twisted_jet_generators,
 )
 from .parse import ParseError, format_poly, parse_expression
@@ -238,16 +239,19 @@ def _sources(seed, count, spec, g, names, require_eigen: bool):
     return sources, skipped
 
 
-def _sweep(args, command: str, require_eigen: bool, labelled_checks):
+def _sweep(args, command: str, twisted: bool, labelled_checks):
     """The frame check-va and check-twisted share: load the scheme, draw the
     sources, run ``labelled_checks(spec, g, W, B, sources)`` (it yields
     (source label, check) pairs; B is the index bound) and report the
-    labelled checks."""
+    labelled checks.  A ``twisted`` sweep refuses a symmetry that does not
+    preserve the relation span, and draws only eigen relations as sources."""
     spec, g, names = load_spec(args.input)
+    if twisted:
+        require_preserved(spec, g)
     W = _bound(args.window, "--window")
     B = int(_bound(args.index_bound, "--index-bound"))
     count = int(_bound(args.random_samples, "--random-samples"))
-    sources, skipped = _sources(args.seed, count, spec, g, names, require_eigen)
+    sources, skipped = _sources(args.seed, count, spec, g, names, twisted)
     checks = [
         CheckResult(f"{label} {c.name}", c.passed, c.witness)
         for label, c in labelled_checks(spec, g, W, B, sources)
@@ -257,7 +261,7 @@ def _sweep(args, command: str, require_eigen: bool, labelled_checks):
     inputs["index_bound"] = args.index_bound
     inputs["random_samples"] = args.random_samples
     results = {"sources": [label for label, _ in sources]}
-    if require_eigen:
+    if twisted:
         results["skipped_sources"] = skipped
     results["counts"] = _counts(checks)
     return {"command": command, "inputs": inputs, "results": results}, checks

@@ -241,29 +241,18 @@ class CycScalar:
 
     def _plus(self, other, op) -> CycScalar:
         """self + other or self - other, as op is operator.add or .sub."""
-        nums, den = self.nums, self.den
-        if type(other) is CycScalar:
-            if other.order != self.order:
-                raise _mismatch(other.order, self.order)
-            d = other.den
-            if d == den:
-                return _canon(self.order, tuple(map(op, nums, other.nums)), den)
-            return _canon(
-                self.order,
-                tuple([op(a * d, b * den) for a, b in zip(nums, other.nums)]),
-                den * d,
-            )
-        if isinstance(other, int):
-            # a rational shifts the constant coordinate only
-            return _canon(self.order, (op(nums[0], other * den), *nums[1:]), den)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return _canon(
-                self.order,
-                (op(nums[0] * q, p * den), *[a * q for a in nums[1:]]),
-                den * q,
-            )
-        return op(self, CycScalar.coerce(self.order, other))
+        if type(other) is not CycScalar:
+            other = CycScalar.coerce(self.order, other)
+        elif other.order != self.order:
+            raise _mismatch(other.order, self.order)
+        nums, den, d = self.nums, self.den, other.den
+        if d == den:
+            return _canon(self.order, tuple(map(op, nums, other.nums)), den)
+        return _canon(
+            self.order,
+            tuple([op(a * d, b * den) for a, b in zip(nums, other.nums)]),
+            den * d,
+        )
 
     def __add__(self, other):
         return self._plus(other, operator.add)
@@ -277,18 +266,6 @@ class CycScalar:
         return self._plus(other, operator.sub)
 
     def __rsub__(self, other):
-        nums, den = self.nums, self.den
-        if isinstance(other, int):
-            return _canon(
-                self.order, (other * den - nums[0], *[-a for a in nums[1:]]), den
-            )
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return _canon(
-                self.order,
-                (p * den - nums[0] * q, *[-a * q for a in nums[1:]]),
-                den * q,
-            )
         return CycScalar.coerce(self.order, other) - self
 
     def __mul__(self, other):

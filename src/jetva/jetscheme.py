@@ -149,6 +149,14 @@ def preserves_ideal(spec: SchemeSpec, g: DiagAutomorphism) -> bool:
     return SpanBasis(spec.order, spec.relations).first_outside(images) is None
 
 
+def require_preserved(spec: SchemeSpec, g: DiagAutomorphism) -> None:
+    """Raise IdealNotPreservedError unless ``preserves_ideal``."""
+    if not preserves_ideal(spec, g):
+        raise IdealNotPreservedError(
+            f"exponents {g.exponents} do not preserve the relation span"
+        )
+
+
 # ---------------------------------------------------------------------------
 # jet generators
 # ---------------------------------------------------------------------------
@@ -214,10 +222,7 @@ def twisted_jet_generators(
     """Generators of the g-twisted jet ideal: the t^w coefficients of the
     relations expanded along the twisted jet, for all lattice weights w in
     [0, max_weight] where a coefficient survives."""
-    if not preserves_ideal(spec, g):
-        raise IdealNotPreservedError(
-            f"exponents {g.exponents} do not preserve the relation span"
-        )
+    require_preserved(spec, g)
     W = Fraction(max_weight)
     offsets = g.offsets(spec)
     gens = _expansion_generators(spec, lambda p: substitute_jets(p, offsets, W))
@@ -333,7 +338,7 @@ def _box_weights(ambient: tuple[JetVar, ...], max_weight, max_degree: int):
 
 def _solve_linear(order: int, ambient: tuple[JetVar, ...], linear):
     """Each pivot variable of the linear forms' echelon basis, mapped to
-    its value on their zero set: a list of (monomial, coefficient) terms in
+    its value on their zero set: a list of (monomial, CycScalar) terms in
     the non-pivot variables, empty when the variable is zero there.
 
     Columns are the positions in ``ambient``; the pivot rows are
@@ -371,11 +376,11 @@ def eliminate_linear(order: int, ambient: tuple[JetVar, ...], gens):
     return _solve_linear(order, tuple(sorted(set(ambient))), linear), others
 
 
-def _substitute(g: JetPoly, images, powers) -> JetPoly:
+def _substitute(g: JetPoly, images) -> JetPoly:
     """``g`` with each variable of ``images`` replaced by its image.  A
     term with a variable whose image is zero is dropped before any product
-    is formed; the powers of the images are kept in ``powers`` across
-    calls."""
+    is formed; the others are multiplied by an image once per unit of its
+    variable's exponent."""
     acc: dict[Monomial, CycScalar] = {}
     for mon, c in g.terms:
         if any(images.get(v) == [] for v, _ in mon.factors):
@@ -387,17 +392,10 @@ def _substitute(g: JetPoly, images, powers) -> JetPoly:
             if image is None:
                 kept.append((v, e))
                 continue
-            power = powers.get((v, e))
-            if power is None:
-                power = image
-                for _ in range(e - 1):
-                    prod: dict = {}
-                    mul_into(prod, power, image)
-                    power = [(m, a) for m, a in prod.items() if a]
-                powers[(v, e)] = power
-            prod = {}
-            mul_into(prod, terms, power)
-            terms = prod.items()
+            for _ in range(e):
+                prod: dict = {}
+                mul_into(prod, terms, image)
+                terms = prod.items()
         rest = Monomial(tuple(kept))
         for m, a in terms:
             m = m * rest
@@ -467,10 +465,9 @@ def graded_quotient_dims(
     images, others = eliminate_linear(order, ambient, gens)
     if not images:
         return _box_dims(order, ambient, [(g, D - g.max_degree()) for g in gens], W, D)
-    powers: dict = {}
     pruned = []
     for g in others:
-        sub = _substitute(g, images, powers)
+        sub = _substitute(g, images)
         if not sub.is_zero:
             pruned.append((sub, D - g.max_degree()))
     kept = tuple(v for v in ambient if v not in images)

@@ -2,25 +2,15 @@
 
 ``RowReducer`` is the package's one row elimination: every rank, span
 membership and dimension table goes through it.  Rows are sparse mappings
-column-index -> CycScalar.  The reducer keeps a row-echelon basis and
-supports incremental rank queries, which is what the graded dimension
-counts and the span-membership checks need.  There is no pivoting
-heuristic beyond "lowest column first" because there is no rounding to
-fight.
-
-Rows come in typed over CycScalar, but every rational entry is lowered to
-its Fraction, the constant numerator over the scalar's denominator, on
-entry and whenever an update leaves an entry rational; only the
-irrational entries stay CycScalar.  So the common all-rational
-row is reduced with Fraction arithmetic alone, and mixed products and sums
-go through CycScalar's reflected operators, which take a rational operand
-without a full cyclotomic product.  Stored pivot rows and returned
-residues hold these lowered entries.
+column-index -> CycScalar, and every entry it stores or returns is a
+CycScalar of its order: pivot rows, residues and the updates between them.
+The reducer keeps a row-echelon basis and supports incremental rank
+queries, which is what the graded dimension counts and the
+span-membership checks need.  There is no pivoting heuristic beyond
+"lowest column first" because there is no rounding to fight.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .cyclo import CycScalar
 
@@ -28,29 +18,21 @@ from .cyclo import CycScalar
 Row = dict[int, CycScalar]
 
 
-def _lower(v: Fraction | CycScalar) -> Fraction | CycScalar:
-    """A rational CycScalar as its Fraction; anything else unchanged."""
-    if type(v) is CycScalar and v.is_rational():
-        return Fraction(v.nums[0], v.den)
-    return v
-
-
 class RowReducer:
     """Incremental row-echelon form over a fixed cyclotomic field."""
 
     def __init__(self, order: int):
         self.order = order
-        # pivot column -> row with entry 1 there, entries lowered
-        self.pivots: dict[int, dict[int, Fraction | CycScalar]] = {}
+        # pivot column -> row with entry 1 there
+        self.pivots: dict[int, Row] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: Row) -> dict[int, Fraction | CycScalar]:
-        """Return the residue of ``row`` modulo the current row space, with
-        rational entries as Fractions."""
-        work = {c: _lower(v) for c, v in row.items() if v}
+    def reduce(self, row: Row) -> Row:
+        """Return the residue of ``row`` modulo the current row space."""
+        work = {c: v for c, v in row.items() if v}
         pivots = self.pivots
         while work:
             lead = min(work)
@@ -59,9 +41,9 @@ class RowReducer:
                 return work
             factor = work[lead]
             for c, v in piv.items():
-                acc = work.get(c, 0) - factor * v
+                acc = work[c] - factor * v if c in work else -(factor * v)
                 if acc:
-                    work[c] = _lower(acc)
+                    work[c] = acc
                 else:
                     work.pop(c, None)
         return work
@@ -72,10 +54,9 @@ class RowReducer:
         if not res:
             return False
         lead = min(res)
-        inv = 1 / res[lead]
-        self.pivots[lead] = {c: _lower(inv * v) for c, v in res.items()}
+        inv = res[lead].inverse()
+        self.pivots[lead] = {c: inv * v for c, v in res.items()}
         return True
 
     def contains(self, row: Row) -> bool:
         return not self.reduce(row)
-

@@ -242,6 +242,41 @@ def test_exit_2_when_symmetry_moves_ideal(spec_file, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["twisted-jet", "coinvariants", "check-twisted"])
+def test_exit_2_when_exponents_move_the_relation_span(spec_file, capsys, command):
+    # x + y goes to zeta*x + zeta^2*y, outside span{x + y}
+    path = spec_file(
+        {"m": 3, "variables": ["x", "y"], "relations": ["x + y"], "exponents": [1, 2]}
+    )
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: exponents (1, 2) do not preserve the relation span\n"
+    )
+    assert captured.out == ""
+
+
+def test_check_twisted_skips_non_eigen_relations_of_a_preserved_span(
+    spec_file, capsys
+):
+    # span{x + y, x - y} = span{x, y} is preserved, but neither relation is
+    # an eigenvector of the action, so neither is a source
+    path = spec_file(
+        {
+            "m": 3,
+            "variables": ["x", "y"],
+            "relations": ["x + y", "x - y"],
+            "exponents": [1, 2],
+        }
+    )
+    code, rep = run_json(capsys, "check-twisted", "--input", path)
+    assert code == 0
+    assert rep["results"]["skipped_sources"] == ["x + y", "x - y"]
+    assert "x + y" not in rep["results"]["sources"]
+    assert rep["results"]["counts"]["failed"] == 0
+    assert rep["results"]["counts"]["total"] > 0
+
+
 def test_exit_2_on_missing_file(capsys):
     assert main(["jet", "--input", "/nonexistent/spec.json"]) == 2
     capsys.readouterr()

@@ -204,7 +204,38 @@ def test_higher_section_relations_vanish_under_the_linear_pivots(
     ]
     assert images
     assert higher
-    assert all(jetscheme._substitute(rel, images, {}).is_zero for rel in higher)
+    assert all(jetscheme._substitute(rel, images).is_zero for rel in higher)
+
+
+def test_cusp_elimination_holds_cycscalars_only(monkeypatch):
+    # Every coefficient of the linear images, and every pivot and residue
+    # entry of each reducer a coinvariant table builds, is a CycScalar of
+    # the scheme's order.
+    setup = setup_of(3, 2, cusp(), (2, 0), W=6, D=5)
+    ambient, gens = coinv._base_generators(setup)
+    images, _ = jetscheme.eliminate_linear(3, ambient, gens)
+    assert images
+    coeffs = [c for image in images.values() for _, c in image]
+    assert coeffs
+    assert all(type(c) is CycScalar and c.order == 3 for c in coeffs)
+
+    reducers, residues = [], []
+
+    class Checked(jetscheme.RowReducer):
+        def __init__(self, order):
+            super().__init__(order)
+            reducers.append(self)
+
+        def reduce(self, row):
+            res = super().reduce(row)
+            residues.extend(res.values())
+            return res
+
+    monkeypatch.setattr(jetscheme, "RowReducer", Checked)
+    coinvariant_dims(setup)
+    entries = [v for red in reducers for piv in red.pivots.values() for v in piv.values()]
+    assert reducers and entries and residues
+    assert all(type(v) is CycScalar and v.order == 3 for v in entries + residues)
 
 
 def _sweep_slice():

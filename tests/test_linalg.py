@@ -18,11 +18,6 @@ def row(m, entries):
     return {c: CycScalar.coerce(m, v) for c, v in entries.items()}
 
 
-def lifted(m, residue):
-    """A residue's entries back in CycScalar form, for comparison."""
-    return {c: CycScalar.coerce(m, v) for c, v in residue.items()}
-
-
 def test_mixed_rows_order_3():
     m = 3
     z = CycScalar.zeta(m)
@@ -59,13 +54,13 @@ def test_contains_and_residues():
     red = RowReducer(m)
     red.add(row(m, {0: 1, 1: 1}))
     red.add(row(m, {1: 2, 2: -1}))
-    # rational rows give Fraction residues
+    # rational rows give rational CycScalar residues
     res = red.reduce(row(m, {0: 3, 2: 5}))
-    assert res == {2: Fraction(7, 2)}
-    assert all(type(v) is Fraction for v in res.values())
-    # an irrational entry stays a CycScalar
+    assert res == {2: CycScalar.from_rational(m, Fraction(7, 2))}
+    assert all(type(v) is CycScalar for v in res.values())
+    # and an irrational entry gives an irrational one
     res = red.reduce(row(m, {0: 2, 1: z}))
-    assert lifted(m, res) == {2: (z - 2) * Fraction(1, 2)}
+    assert res == {2: (z - 2) * Fraction(1, 2)}
     assert red.contains(row(m, {0: 1, 1: 3, 2: -1}))
     assert not red.contains(row(m, {2: z}))
     assert red.reduce(row(m, {})) == {}
@@ -79,11 +74,10 @@ def test_pivot_with_irrational_lead():
     red = RowReducer(m)
     assert red.add(row(m, {0: z, 1: 1}))
     # the stored pivot is normalised to 1 at its lead: 1/zeta = zeta^2
-    piv = lifted(m, red.pivots[0])
-    assert piv == {0: CycScalar.one(m), 1: z * z}
+    assert red.pivots[0] == {0: CycScalar.one(m), 1: z * z}
     assert red.contains(row(m, {0: 1, 1: z * z}))
     assert red.contains(row(m, {0: 5 * z * z, 1: 5 * z}))
-    assert lifted(m, red.reduce(row(m, {0: 1, 1: 1}))) == {1: 1 - z * z}
+    assert red.reduce(row(m, {0: 1, 1: 1})) == {1: 1 - z * z}
     assert red.add(row(m, {0: 1, 1: 1}))
     assert red.contains(row(m, {1: 7}))
 
@@ -115,5 +109,59 @@ def test_rank_matches_sympy_on_rational_matrices():
         assert gained == red.rank == want
         for r in rows:
             assert red.contains(row(m, dict(enumerate(r))))
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# one scalar type: every stored or returned entry is a CycScalar of the order
+
+
+def assert_one_scalar_type(red, residues):
+    entries = [v for piv in red.pivots.values() for v in piv.values()]
+    entries += [v for res in residues for v in res.values()]
+    assert all(type(v) is CycScalar and v.order == red.order for v in entries)
+
+
+def _insert_all(m, rows):
+    """Reduce each row, then insert it: the residues met on the way."""
+    red = RowReducer(m)
+    residues = []
+    for r in rows:
+        residues.append(red.reduce(r))
+        red.add(r)
+    return red, residues
+
+
+def test_rational_rows_keep_cycscalar_entries():
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_rational_matrices(), m=st.sampled_from([1, 3, 4]))
+    def check(rows, m):
+        red, residues = _insert_all(m, [row(m, dict(enumerate(r))) for r in rows])
+        assert_one_scalar_type(red, residues)
+
+    check()
+
+
+def _mixed_rows(m):
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entry = st.one_of(
+        st.just(0),
+        coord,
+        st.lists(coord, min_size=2, max_size=2).map(lambda cs: CycScalar(m, cs)),
+    )
+    return st.lists(
+        st.lists(entry, min_size=4, max_size=4), min_size=1, max_size=6
+    ).map(lambda rows: [row(m, dict(enumerate(r))) for r in rows])
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_mixed_rows_keep_cycscalar_entries(m):
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_mixed_rows(m))
+    def check(rows):
+        red, residues = _insert_all(m, rows)
+        assert_one_scalar_type(red, residues)
+        assert all(red.contains(r) for r in rows)
 
     check()
