@@ -78,6 +78,7 @@ from .jetscheme import (
     fixed_point_ring,
     graded_quotient_dims,
     jet_var,
+    require_fits,
     twisted_jet_generators,
 )
 from .reports import CheckResult
@@ -95,10 +96,7 @@ class OrbiSetup:
 
     def __post_init__(self):
         object.__setattr__(self, "max_weight", Fraction(self.max_weight))
-        if len(self.auto.exponents) != self.spec.k:
-            raise ValueError("exponent count does not match the scheme")
-        if self.spec.order != self.auto.order:
-            raise ValueError("scheme and symmetry orders differ")
+        require_fits(self.spec, self.auto)
 
 
 def enumerate_sections(spec: SchemeSpec, max_degree: int) -> list[Monomial]:

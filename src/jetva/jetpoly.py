@@ -519,10 +519,10 @@ def derivation_T(p: JetPoly) -> JetPoly:
 
 # One entry per divided translate (p, n), n >= 1.  A sweep re-reads the
 # translates of a few recent sources: with 32 entries a descent-sweep job
-# applies derivation_T 223 times, not 656 (96 distinct), for +0.6% peak
-# memory.  Entries are whole polynomials, the largest an axiom sweep's
-# products: axioms-zeta4's peak memory grew 1.6% with 32 entries, 2.0% with
-# 40 and 2.4% with 48, which cut descent-sweep's calls only to 128.
+# applies derivation_T 223 times, not 648 as with one entry (96 distinct),
+# for +0.4% peak memory; 40 and 48 entries cost +0.5% and +0.7% and cut the
+# calls only to 159 and 128.  An axiom sweep substitutes its fields: on
+# axioms-zeta4 the memo costs +0.2% and T runs 30 times at each bound.
 @lru_cache(maxsize=32)
 def _divided_translate(p: JetPoly, n: int) -> JetPoly:
     """T^n(p)/n! for n >= 1: one ``derivation_T`` of the entry n - 1."""

@@ -138,10 +138,17 @@ class SpanBasis:
         )
 
 
-def preserves_ideal(spec: SchemeSpec, g: DiagAutomorphism) -> bool:
-    """Does the diagonal action map span{P_1..P_r} into itself?"""
+def require_fits(spec: SchemeSpec, g: DiagAutomorphism) -> None:
+    """Raise ValueError unless g has the scheme's order and k exponents."""
     if len(g.exponents) != spec.k:
         raise ValueError("exponent count does not match the scheme")
+    if spec.order != g.order:
+        raise ValueError("scheme and symmetry orders differ")
+
+
+def preserves_ideal(spec: SchemeSpec, g: DiagAutomorphism) -> bool:
+    """Does the diagonal action map span{P_1..P_r} into itself?"""
+    require_fits(spec, g)
     if not spec.relations:
         return True
     alpha = g.alpha_by_index(spec)
@@ -237,8 +244,7 @@ def twisted_jet_generators(
 def fixed_point_ring(spec: SchemeSpec, g: DiagAutomorphism) -> SchemeSpec:
     """Presentation of the fixed subscheme: keep the variables with trivial
     character, set the others to zero in every relation, drop zeros."""
-    if len(g.exponents) != spec.k:
-        raise ValueError("exponent count does not match the scheme")
+    require_fits(spec, g)
     retained = tuple(
         idx
         for idx, a in zip(spec.variables, g.exponents)

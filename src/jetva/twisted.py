@@ -59,11 +59,13 @@ def _max_weight(a: JetPoly) -> Fraction:
     return max((mon.weight for mon, _ in a.terms), default=Fraction(0))
 
 
-def _make_field(
+# Sweeps reuse a few recent fields; an unbounded cache keeps every one.
+# A descent check's translate field is read once, so it bypasses this cache.
+@lru_cache(maxsize=32)
+def _build_field(
     a: JetPoly, order: int, alpha: tuple[int, ...], num: int, den: int
 ) -> PuiseuxSeries:
-    """The field of a up to the window num/den, given in lowest terms, built
-    afresh."""
+    """The field of a up to the window num/den, given in lowest terms."""
     if a.order != order:
         raise ValueError("source and symmetry orders differ")
     for v in a.variables():
@@ -73,11 +75,6 @@ def _make_field(
         raise ValueError("twisted field source must be character-homogeneous")
     offsets = {i: Fraction(e, order) for i, e in enumerate(alpha, start=1)}
     return substitute_jets(a, offsets, Fraction(num, den))
-
-
-# Sweeps reuse a few recent fields; an unbounded cache keeps every one.
-# A descent check's translate field is read once, so it bypasses this cache.
-_build_field = lru_cache(maxsize=32)(_make_field)
 
 
 def twisted_field(
@@ -397,14 +394,12 @@ def check_descent(
         raise ValueError(f"relation index {rel_index} out of range")
     if n < 0:
         raise ValueError(f"translate {n} must be >= 0")
+    gens, basis = _descent_basis(spec, g, W + n)
     rel = spec.relations[rel_index - 1]
-    alpha = _alpha_list(g, spec)
-    if eigen_index(rel, alpha) is None:
+    if eigen_index(rel, _alpha_list(g, spec)) is None:
         raise ValueError("relation is not character-homogeneous for this symmetry")
 
-    src = divided_t_power(rel, n)
-    fld = _make_field(src, g.order, alpha, W.numerator, W.denominator)
-    gens, basis = _descent_basis(spec, g, W + n)
+    fld = substitute_jets(divided_t_power(rel, n), g.offsets(spec), W)
     table = {(gen.relation, gen.weight): gen.poly for gen in gens}
 
     # Every generator weight u lies in [0, W + n], so u - n lies in [-n, W].

@@ -1,11 +1,12 @@
 """The commutative vertex algebra carried by a jet polynomial ring.
 
-State space V is the polynomial ring in the untwisted jet variables; the
-vertex operator is Y(a, z) = e^(zT) a acting by multiplication, so every
-mode a_(n) is multiplication by the element T^(-n-1)(a)/(-n-1)! for
-n <= -1 and zero for n >= 0.  The checkers below verify the axioms and the
-Borcherds identity as exact polynomial identities applied to the vacuum;
-every sum is finite and the code works out the support bounds itself.
+State space V is the polynomial ring in the untwisted jet variables, the
+twisted module at the trivial symmetry; the vertex operator Y(a, z) =
+e^(zT) a, the twisted field there, acts by multiplication, so every mode
+a_(n) is multiplication by T^(-n-1)(a)/(-n-1)! for n <= -1 and zero for
+n >= 0.  The checkers below verify the axioms and the Borcherds identity
+as exact polynomial identities applied to the vacuum; every sum is finite
+and the code works out the support bounds itself.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from .jetpoly import (
     apply_automorphism,
     derivation_T,
     divided_t_power,
-    translation_series,
 )
 from .jetscheme import DiagAutomorphism
 from .reports import CheckResult
-from .twisted import check_twisted_borcherds
+from .twisted import check_twisted_borcherds, twisted_field
 
 ModeIndex = Union[int, Fraction]
 
@@ -35,12 +35,20 @@ def _require_untwisted(a: JetPoly) -> None:
             raise ValueError(f"not an untwisted jet polynomial (variable {v})")
 
 
+# A sweep runs the whole index box of one pair before the next pair.
+@lru_cache(maxsize=2)
+def _trivial_symmetry(a: JetPoly, b: JetPoly) -> DiagAutomorphism:
+    """The identity symmetry on every coordinate that a or b uses."""
+    top = max((v.index for p in (a, b) for v in p.variables()), default=0)
+    return DiagAutomorphism(a.order, (0,) * top)
+
+
 def vertex_op(a: JetPoly, window) -> PuiseuxSeries:
-    """Y(a, z) = sum_{n>=0} T^n(a)/n! z^n, truncated at the window: the
-    translation series of an untwisted source.  Its mode(n) is a windowed
-    plain mode."""
+    """Y(a, z) = sum_{n>=0} T^n(a)/n! z^n up to the window: the twisted
+    field at the trivial symmetry, read through the field cache.  Its
+    mode(n) is a windowed plain mode; ``translation_series`` is its oracle."""
     _require_untwisted(a)
-    return translation_series(a, window)
+    return twisted_field(a, _trivial_symmetry(a, a), window)
 
 
 def mode(a: JetPoly, n: ModeIndex) -> JetPoly:
@@ -126,14 +134,6 @@ def check_va_axioms(a: JetPoly, window, alpha=None, samples=None) -> list[CheckR
                 if not ok:
                     break
     return out
-
-
-# A sweep runs the whole index box of one pair before the next pair.
-@lru_cache(maxsize=2)
-def _trivial_symmetry(a: JetPoly, b: JetPoly) -> DiagAutomorphism:
-    """The identity symmetry on every coordinate that a or b uses."""
-    top = max((v.index for p in (a, b) for v in p.variables()), default=0)
-    return DiagAutomorphism(a.order, (0,) * top)
 
 
 def check_borcherds(

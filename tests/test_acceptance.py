@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from jetva import twisted
 from jetva.coinv import OrbiSetup, coinvariant_dims, verify_fixed_ring
-from jetva.jetpoly import JetPoly, divided_t_power, eigen_index
+from jetva.jetpoly import JetPoly, divided_t_power, eigen_index, translation_series
 from jetva.jetscheme import (
     DiagAutomorphism,
     SchemeSpec,
@@ -28,7 +28,7 @@ from jetva.twisted import (
     check_twisted_borcherds,
     twisted_field,
 )
-from jetva.va import check_borcherds, check_va_axioms, vertex_op
+from jetva.va import check_borcherds, check_va_axioms
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +360,12 @@ def test_criterion_8_order_one_consistency():
         W = rng.randint(3, 5)
 
         tw = twisted_field(p, g1, W)
-        pl = vertex_op(p, W)
+        pl = translation_series(p, W)
         if tw.coeffs != pl.coeffs:
             failures.append((trial, "field"))
 
         n = Fraction(rng.randint(-W, 1))
-        if twisted_field(p, g1, W + 1).mode(n) != vertex_op(p, W + 1).mode(n):
+        if twisted_field(p, g1, W + 1).mode(n) != translation_series(p, W + 1).mode(n):
             failures.append((trial, "mode", n))
 
         b = rng.randint(0, 3)

@@ -36,7 +36,6 @@ from jetva.jetpoly import (
 from jetva.cyclo import CycScalar, zeta_pow
 from jetva.jetscheme import DiagAutomorphism
 from jetva.quasiconf import L_op, Ltilde_op
-from jetva.va import vertex_op
 
 
 def x(i, level=0, m=1, point=0):
@@ -581,7 +580,7 @@ def test_substitution_matches_vertex_operator(m, window, terms):
         for i, d in factors:
             mono = mono * x(i, -d, m=m)
         a = a + mono
-    assert substitute_jets(a, {}, window) == vertex_op(a, window)
+    assert substitute_jets(a, {}, window) == translation_series(a, window)
 
 
 def _jet_factor(m, i, d, offset, top):

@@ -13,6 +13,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from jetva import jetpoly
+from jetva.coinv import OrbiSetup
 from jetva.cyclo import CycScalar
 from jetva.jetpoly import JetPoly, Monomial, derivation_T, jet_var
 from jetva.jetscheme import (
@@ -27,6 +28,7 @@ from jetva.jetscheme import (
     twisted_jet_generators,
 )
 from jetva.linalg import RowReducer
+from jetva.twisted import check_descent
 
 
 def x(i, level=0, m=1):
@@ -120,6 +122,38 @@ def test_preserves_ideal():
     assert not preserves_ideal(spec, DiagAutomorphism(2, (1, 1)))
     with pytest.raises(IdealNotPreservedError):
         twisted_jet_generators(spec, DiagAutomorphism(2, (1, 1)), 2)
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (DiagAutomorphism(3, (1, 0)), "exponent count does not match the scheme"),
+        (DiagAutomorphism(4, (1,)), "scheme and symmetry orders differ"),
+    ],
+    ids=["exponent-count", "order"],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        preserves_ideal,
+        lambda spec, g: twisted_jet_generators(spec, g, 2),
+        fixed_point_ring,
+        lambda spec, g: OrbiSetup(spec, g, 2, 2),
+        lambda spec, g: check_descent(spec, g, 1, 0, 2),
+    ],
+    ids=[
+        "preserves_ideal",
+        "twisted_jet_generators",
+        "fixed_point_ring",
+        "OrbiSetup",
+        "check_descent",
+    ],
+)
+def test_a_symmetry_that_does_not_fit_the_scheme_is_refused(entry, g, message):
+    # x1 -> zeta_4 x1 on a scheme over Q(zeta_3) used to give x1[-3/4]^2.
+    spec = SchemeSpec.of(3, 1, [x(1, m=3) ** 2])
+    with pytest.raises(ValueError, match=message):
+        entry(spec, g)
 
 
 def test_twisted_generators_parabola_frozen():

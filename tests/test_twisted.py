@@ -21,6 +21,7 @@ from jetva.jetpoly import (
     binom_units,
     divided_t_power,
     eigen_index,
+    translation_series,
 )
 from jetva.jetscheme import DiagAutomorphism, IdealNotPreservedError, SchemeSpec
 from jetva.reports import all_passed
@@ -30,7 +31,7 @@ from jetva.twisted import (
     check_twisted_borcherds,
     twisted_field,
 )
-from jetva.va import check_borcherds, vertex_op
+from jetva.va import check_borcherds
 
 
 def y(i, level=0, m=2):
@@ -160,11 +161,11 @@ def test_order_one_degenerates_to_plain_algebra():
     b = JetPoly.var(1, 2, -1)
     # fields coincide
     tw = twisted_field(a, g1, 4)
-    pl = vertex_op(a, 4)
+    pl = translation_series(a, 4)
     assert tw.coeffs == pl.coeffs
     # modes coincide
     for n in range(-4, 2):
-        assert twisted_field(a, g1, 5).mode(n) == vertex_op(a, 5).mode(n)
+        assert twisted_field(a, g1, 5).mode(n) == translation_series(a, 5).mode(n)
     # the two quadratic identities see the same instances
     for l in range(-2, 2):
         for m_idx in range(-2, 2):
@@ -179,33 +180,29 @@ def test_order_one_degenerates_to_plain_algebra():
 
 def _perturb_field(monkeypatch, source, exponent, extra):
     """Make every field of ``source`` carry ``extra`` on top of its z^exponent
-    coefficient; every other field is left as it is.  Both seams that build
-    fields are patched: ``twisted_field``, which the axiom and Borcherds
-    checks read through the field cache, and ``_make_field``, the uncached
-    builder that ``check_descent`` calls for its translate.  The Borcherds
-    pair contexts hold fields, so the patch also swaps in an empty pair
-    cache, dropped with every perturbed field in it when the patch is
-    undone: no context built before the patch is read under it, and none
-    built under it outlives it."""
-    real_field, real_make = twisted.twisted_field, twisted._make_field
-    cache = functools.lru_cache(**twisted._pair_context.cache_parameters())
-    monkeypatch.setattr(twisted, "_pair_context", cache(twisted._PairContext))
+    coefficient; every other field is left as it is.  The one seam is
+    ``substitute_jets`` as ``twisted`` calls it: it builds every field that
+    the field cache holds and the translate field of ``check_descent``.
+    Fields outlive a call in two caches, the field cache and the Borcherds
+    pair contexts, so the patch swaps in an empty one of each, dropped with
+    every perturbed field in it when the patch is undone: no field built
+    before the patch is read under it, and none built under it outlives
+    it."""
+    real_substitute = twisted.substitute_jets
+    for name in ("_build_field", "_pair_context"):
+        cached = getattr(twisted, name)
+        fresh = functools.lru_cache(**cached.cache_parameters())(cached.__wrapped__)
+        monkeypatch.setattr(twisted, name, fresh)
 
-    def perturb(a, fld):
+    def perturbed_substitute(a, offsets, window):
+        fld = real_substitute(a, offsets, window)
         if a != source:
             return fld
         coeffs = dict(fld.coeffs)
         coeffs[exponent] = fld.coefficient(exponent) + extra
         return PuiseuxSeries.from_dict(a.order, coeffs, fld.trunc)
 
-    def perturbed_field(a, g, window, spec=None):
-        return perturb(a, real_field(a, g, window, spec))
-
-    def perturbed_make(a, *key):
-        return perturb(a, real_make(a, *key))
-
-    monkeypatch.setattr(twisted, "twisted_field", perturbed_field)
-    monkeypatch.setattr(twisted, "_make_field", perturbed_make)
+    monkeypatch.setattr(twisted, "substitute_jets", perturbed_substitute)
 
 
 def _failures(results):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetva import jetpoly, va
+from jetva import jetpoly, twisted, va
 from jetva.jetpoly import (
     JetPoly,
     TruncationError,
@@ -95,13 +95,23 @@ def _count_translations(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("window", [0, 1, Fraction(5, 2), 4])
-def test_vertex_op_translates_floor_window_times(monkeypatch, window):
+def test_translation_series_translates_floor_window_times(monkeypatch, window):
     # T^n(a)/n! is computed for n = 0..floor(W) and no further
     calls = _count_translations(monkeypatch)
-    s = vertex_op(x(1) * x(2, -1), window)
+    s = translation_series(x(1) * x(2, -1), window)
     assert len(calls) == math.floor(window)
     assert s.trunc == window
     assert s.support() == tuple(Fraction(n) for n in range(math.floor(window) + 1))
+
+
+def test_vertex_op_is_built_by_substitution(monkeypatch):
+    # Y(a, z) is the twisted field at the trivial symmetry: no translate
+    calls = _count_translations(monkeypatch)
+    twisted._build_field.cache_clear()
+    a = x(1) * x(2, -1)
+    s = vertex_op(a, 4)
+    assert calls == []
+    assert s == translation_series(a, 4)
 
 
 def test_repeated_translation_series_applies_T_no_more(monkeypatch):
