@@ -294,18 +294,12 @@ class CycScalar:
     def inverse(self) -> CycScalar:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        # With A = nums, the product B of the Galois conjugates of A other
-        # than A itself makes A*B the norm N(A), a nonzero integer, so
-        # (nums/den)^-1 = den*B / N(A).
-        m, nums = self.order, self.nums
-        rest = (1,) + (0,) * (len(nums) - 1)
-        for k in range(2, m):
-            if math.gcd(k, m) == 1:
-                rest = _product(rest, _conjugate(nums, k, m), m)
-        norm = _product(nums, rest, m)[0]
-        if norm < 0:
-            norm, rest = -norm, tuple([-a for a in rest])
-        return _canon(m, tuple([a * self.den for a in rest]), norm)
+        m, nums, den = self.order, self.nums, self.den
+        if self.is_rational():
+            # num/den in lowest terms: den/num, the sign moved to the top
+            num = nums[0]
+            return _make(m, (den if num > 0 else -den, *nums[1:]), abs(num))
+        return _inverse_by_norm(m, nums, den)
 
     def __truediv__(self, other):
         other = CycScalar.coerce(self.order, other)
@@ -393,6 +387,20 @@ def _canon(order: int, nums: tuple[int, ...], den: int) -> CycScalar:
             nums = tuple([a // g for a in nums])
             den //= g
     return _make(order, nums, den)
+
+
+def _inverse_by_norm(m: int, nums: tuple[int, ...], den: int) -> CycScalar:
+    """(nums/den)^-1 for nonzero nums, through the norm.  With A = nums,
+    the product B of the Galois conjugates of A other than A itself makes
+    A*B the norm N(A), a nonzero integer, so (nums/den)^-1 = den*B / N(A)."""
+    rest = (1,) + (0,) * (len(nums) - 1)
+    for k in range(2, m):
+        if math.gcd(k, m) == 1:
+            rest = _product(rest, _conjugate(nums, k, m), m)
+    norm = _product(nums, rest, m)[0]
+    if norm < 0:
+        norm, rest = -norm, tuple([-a for a in rest])
+    return _canon(m, tuple([a * den for a in rest]), norm)
 
 
 def zeta_pow(m: int, k: int) -> CycScalar:

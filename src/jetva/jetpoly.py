@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
-from .cyclo import CycScalar, FieldMismatchError, ratio_str
+from .cyclo import CycScalar, FieldMismatchError, _canon, ratio_str
 
 
 class TruncationError(ValueError):
@@ -853,20 +853,35 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     monomial's factors whose exponents add up to w, of the product of the
     binomials; no series is multiplied.
 
-    The work runs on ints.  Exponents are counted in units of 1/D, D a
-    common denominator of the window and the offsets.  Each binomial
-    C(-n, d) is an int numerator over a denominator fixed by the offset
-    and d, so an assignment's product is an int, and each source
-    monomial's coefficient is divided once by the product of its factors'
-    denominators.  Within one call the variable x[i,n] is coded i*K + k,
-    where k is the position of n among the admissible levels of coordinate
-    i and K exceeds their number, so codes sort as the variables do, and an
-    assignment is keyed by its sorted code tuple.  Each expansion of a
-    source variable comes from a shared cache, bounded at 256 entries.  A
-    coefficient's terms are sorted as ``JetPoly`` keeps them, by weight,
-    degree and factors: at z^w a term from a source monomial of weight s
-    has weight w + s, and its degree is the source's, so every key is made
-    of ints.  Each variable and monomial of the result is built once.
+    The work runs on ints, coefficients included.  Exponents are counted
+    in units of 1/D, D a common denominator of the window and the offsets.
+    Each binomial C(-n, d) is an int numerator over a denominator fixed by
+    the offset and d, so an assignment's product is an int.  A source term
+    c * mon, with den the product of its factors' binomial denominators,
+    adds q * c.nums * (L // (c.den * den)) into the phi(m) int coordinates
+    of an output term, where q is the assignment's int product and L the
+    lcm of c.den * den over the source terms that reach the window.  Each
+    output coefficient is then put in canonical form over L once, so it is
+    the very ``CycScalar`` that summing scalars would give, and a term whose
+    coordinates sum to zero is dropped.  Within one call the variable
+    x[i,n] is coded i*K + k, where k is the position of n among the
+    admissible levels of coordinate i and K exceeds their number, so codes
+    sort as the variables do, and an assignment is keyed by its sorted code
+    tuple.  Each expansion of a source variable comes from a shared cache,
+    bounded at 256 entries.  A coefficient's terms are sorted as
+    ``JetPoly`` keeps them, by weight, degree and factors: at z^w a term
+    from a source monomial of weight s has weight w + s, and its degree is
+    the source's, so every key is made of ints.  Each variable and monomial
+    of the result is built once.
+
+    Both terms below give x1[-1]*x2[-1] at z^1, with coordinates zeta/2
+    and -zeta/2; they cancel exactly, and the term is dropped:
+
+    >>> x1, x2 = JetPoly.var(3, 1), JetPoly.var(3, 2)
+    >>> p = JetPoly.var(3, 1, -1) * x2 - x1 * JetPoly.var(3, 2, -1)
+    >>> half_zeta = CycScalar.zeta(3) * Fraction(1, 2)
+    >>> print(substitute_jets(p.scale(half_zeta), {}, 1).coefficient(1))
+    (-1*zeta)*x1[0]*x2[-2] + (zeta)*x1[-2]*x2[0]
     """
     m = p.order
     W = Fraction(window)
@@ -882,9 +897,9 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     # first, so consecutive entries differ by one in the exponent.
     expansions: dict[tuple[int, int], tuple] = {}
     level_of: dict[int, Fraction] = {}  # code -> minus level
-    # exponent in units of 1/D -> sorted code tuple -> [weight of its
-    # source monomial, coefficient]
-    by_exp: dict[int, dict[tuple[int, ...], list]] = {}
+    # The source terms that reach the window: (coefficient, binomial
+    # denominator, weight, lowest exponent, slots).
+    kept = []
     for mon, c in p.terms:
         slots = []
         lowest = 0
@@ -917,28 +932,37 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
             lowest += first * e
             den *= b_den**e
             slots.extend([terms] * e)
-        if not all(slots) or lowest > top_w:
-            continue
+        if all(slots) and lowest <= top_w:
+            kept.append((c, den, src_weight, lowest, slots))
+    # Every output coefficient is a sum of integer coordinates over the one
+    # denominator L.
+    L = math.lcm(*(c.den * den for c, den, _, _, _ in kept))
+    # exponent in units of 1/D -> sorted code tuple -> [weight of its
+    # source monomial, coordinates over L]
+    by_exp: dict[int, dict[tuple[int, ...], list]] = {}
+    for c, den, src_weight, lowest, slots in kept:
         room = (top_w - lowest) // D
         found: dict[tuple[int, tuple[int, ...]], int] = {}
         _assign(slots, 0, room, 1, [], found)
-        scaled = c if den == 1 else c * Fraction(1, den)
+        f = L // (c.den * den)
+        nums = [a * f for a in c.nums]
         buckets = [by_exp.setdefault(lowest + j * D, {}) for j in range(room, -1, -1)]
         for (left, codes), q in found.items():
             bucket = buckets[left]
-            val = scaled * q
             cur = bucket.get(codes)
             if cur is None:
-                bucket[codes] = [src_weight, val]
+                bucket[codes] = [src_weight, [q * a for a in nums]]
             else:
-                cur[1] = cur[1] + val
+                acc = cur[1]
+                for j, a in enumerate(nums):
+                    acc[j] += q * a
     jet_vars: dict[int, JetVar] = {}
     made: dict[tuple[int, ...], tuple] = {}  # codes -> (runs, Monomial)
     coeffs = []
     for w in sorted(by_exp):
         rows = []
-        for codes, (src_weight, val) in by_exp[w].items():
-            if not val:
+        for codes, (src_weight, acc) in by_exp[w].items():
+            if not any(acc):
                 continue
             entry = made.get(codes)
             if entry is None:
@@ -950,7 +974,9 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
                         var = jet_vars[code] = JetVar(0, code // K, level_of[code])
                     factors.append((var, e))
                 entry = made[codes] = (runs, Monomial(tuple(factors)))
-            rows.append(((src_weight, len(codes), entry[0]), entry[1], val))
+            rows.append(
+                ((src_weight, len(codes), entry[0]), entry[1], _canon(m, tuple(acc), L))
+            )
         if rows:
             rows.sort(key=itemgetter(0))
             coeffs.append(

@@ -368,11 +368,11 @@ def check_twisted_borcherds(
 @lru_cache(maxsize=64)
 def _descent_basis(
     spec: SchemeSpec, g: DiagAutomorphism, max_weight: Fraction
-) -> tuple[tuple[JetGenerator, ...], SpanBasis]:
-    """The twisted jet-equation generators up to the weight, and their span
-    basis."""
-    gens = twisted_jet_generators(spec, g, max_weight).generators
-    return gens, SpanBasis(spec.order, (gen.poly for gen in gens))
+) -> tuple[JetGenerator, ...]:
+    """The twisted jet-equation generators up to the weight: the basis of
+    the span that ``check_descent`` tests against.  Only the generators are
+    kept; a failing check eliminates their span itself."""
+    return twisted_jet_generators(spec, g, max_weight).generators
 
 
 def check_descent(
@@ -388,13 +388,22 @@ def check_descent(
 
     ``rel_index`` is 1-based, matching the generator records; the translate
     n must be >= 0.
+
+    The translate's field is a fresh substitution of T^n(rel)/n!, never a
+    derivative of the relation's field, so that the first check compares
+    two independent routes.  When it passes, every coefficient at z^w is
+    C(w + n, n) times the generator (rel, w + n), or zero, and that
+    generator is one of the polynomials the span is built from: the span
+    check then holds by this certificate, with no elimination.  Only when
+    the first check fails is the generators' span eliminated and every
+    coefficient tested against it.
     """
     W = Fraction(window)
     if not 1 <= rel_index <= len(spec.relations):
         raise ValueError(f"relation index {rel_index} out of range")
     if n < 0:
         raise ValueError(f"translate {n} must be >= 0")
-    gens, basis = _descent_basis(spec, g, W + n)
+    gens = _descent_basis(spec, g, W + n)
     rel = spec.relations[rel_index - 1]
     if eigen_index(rel, _alpha_list(g, spec)) is None:
         raise ValueError("relation is not character-homogeneous for this symmetry")
@@ -421,8 +430,11 @@ def check_descent(
         )
     ]
 
-    k = basis.first_outside(p for _, p in fld.coeffs)
-    stray = None if k is None else fld.coeffs[k][0]
+    stray = None
+    if not ok:
+        basis = SpanBasis(spec.order, (gen.poly for gen in gens))
+        k = basis.first_outside(p for _, p in fld.coeffs)
+        stray = None if k is None else fld.coeffs[k][0]
     results.append(
         CheckResult(
             f"descent span: rel {rel_index}, translate {n}, coefficients in "

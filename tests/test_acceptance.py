@@ -221,8 +221,9 @@ def test_criterion_4_descent():
 
 
 def test_descent_on_a_warm_basis_cache_matches_a_cold_one():
-    # Each (scheme, symmetry, W + n) key builds its generator span basis once;
-    # a warm cache must give the checks a cold one gives.
+    # Each (scheme, symmetry, W + n) key builds its twisted generators once;
+    # a warm cache must give the checks a cold one gives, and each entry
+    # must hold the generators as a fresh presentation lists them.
     sweep = [
         (spec, DiagAutomorphism(order, alpha), n)
         for order in (2, 3)
@@ -241,6 +242,11 @@ def test_descent_on_a_warm_basis_cache_matches_a_cold_one():
     warm = run()
     assert twisted._descent_basis.cache_info().hits == hits + len(sweep)
     assert warm == cold
+    for spec, g, _ in sweep:
+        assert (
+            twisted._descent_basis(spec, g, Fraction(6))
+            == twisted_jet_generators(spec, g, 6).generators
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from jetva.cyclo import (
     CycScalar,
     FieldMismatchError,
+    _inverse_by_norm,
     cyclotomic_poly,
     euler_phi,
     zeta_pow,
@@ -64,6 +65,18 @@ def test_inverse_frozen_example():
     inv = a.inverse()
     assert inv == (CycScalar.one(4) - z) * CycScalar.from_rational(4, Fraction(1, 2))
     assert a * inv == CycScalar.one(4)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_rational_inverse_matches_the_norm_formula(m):
+    # A rational scalar takes the direct den/num path; the general formula
+    # through the product of Galois conjugates must give the same scalar.
+    for q in (1, -1, 3, -4, Fraction(2, 3), Fraction(-5, 6), Fraction(-1, 7)):
+        a = CycScalar.from_rational(m, q)
+        inv = a.inverse()
+        assert inv == _inverse_by_norm(m, a.nums, a.den)
+        assert inv == CycScalar.from_rational(m, 1 / Fraction(q))
+        assert inv.den > 0 and math.gcd(inv.den, *inv.nums) == 1
 
 
 def test_zero_inverse_raises():

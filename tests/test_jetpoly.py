@@ -583,6 +583,52 @@ def test_substitution_matches_vertex_operator(m, window, terms):
     assert substitute_jets(a, {}, window) == translation_series(a, window)
 
 
+_fraction_terms = st.lists(
+    st.tuples(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.integers(min_value=0, max_value=5),  # power of zeta
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=3),
+                st.integers(min_value=0, max_value=3),
+            ),
+            max_size=3,
+        ),
+    ),
+    max_size=3,
+)
+
+
+def _integer_level_poly(m, terms, swap=False):
+    """sum of c zeta^k prod x[i,-d] over the terms; with ``swap``,
+    coordinates 1 and 2 trade places."""
+    out = JetPoly.zero(m)
+    for c, k, factors in terms:
+        mono = JetPoly.const(m, zeta_pow(m, k) * c)
+        for i, d in factors:
+            mono = mono * x({1: 2, 2: 1}.get(i, i) if swap else i, -d, m=m)
+        out = out + mono
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.sampled_from((3, 4, 6)),
+    window=st.integers(min_value=0, max_value=4),
+    terms=_fraction_terms,
+    antisymmetric=_fraction_terms,
+)
+def test_integer_coefficient_sums_match_the_translation_series(
+    m, window, terms, antisymmetric
+):
+    # Zeta and fractional coefficients summed on ints over one denominator.
+    # s - swap(s) sends x1[-a]*x2[-b] terms of both signs to every output
+    # monomial with a = b, where they cancel exactly.
+    s = _integer_level_poly(m, antisymmetric)
+    p = _integer_level_poly(m, terms) + s - _integer_level_poly(m, antisymmetric, True)
+    assert substitute_jets(p, {}, window) == translation_series(p, window)
+
+
 def _jet_factor(m, i, d, offset, top):
     # x[i,-d] -> sum_n C(-n,d) x[i,n] z^(-n-d), levels up to weight top
     return PuiseuxSeries.from_dict(

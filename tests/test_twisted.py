@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetva import jetpoly, twisted
+from jetva import jetpoly, jetscheme, twisted
 from jetva.cyclo import zeta_pow
 from jetva.jetpoly import (
     JetPoly,
@@ -23,7 +23,13 @@ from jetva.jetpoly import (
     eigen_index,
     translation_series,
 )
-from jetva.jetscheme import DiagAutomorphism, IdealNotPreservedError, SchemeSpec
+from jetva.jetscheme import (
+    DiagAutomorphism,
+    IdealNotPreservedError,
+    SchemeSpec,
+    twisted_jet_generators,
+)
+from jetva.linalg import RowReducer
 from jetva.reports import all_passed
 from jetva.twisted import (
     check_descent,
@@ -503,23 +509,88 @@ def test_descent_fails_on_a_wrong_translation():
         }
 
 
-def test_descent_basis_is_left_as_it_was_by_a_stray_monomial(monkeypatch):
-    # x2[-9] lies in no column of the weight-4 basis: the span check reports
-    # it without adding a column, and the entry still serves a clean check.
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The ``RowReducer.add`` and ``RowReducer.contains`` calls made outside
+    ``preserves_ideal``, counted by name; the fixture is the count dict."""
+    counts = {"add": 0, "contains": 0}
+    depth = 0
+    real_preserves = jetscheme.preserves_ideal
+
+    def preserves(spec, g):
+        nonlocal depth
+        depth += 1
+        try:
+            return real_preserves(spec, g)
+        finally:
+            depth -= 1
+
+    def counted(name):
+        real = getattr(RowReducer, name)
+
+        def call(self, row):
+            if not depth:
+                counts[name] += 1
+            return real(self, row)
+
+        return call
+
+    monkeypatch.setattr(jetscheme, "preserves_ideal", preserves)
+    for name in counts:
+        monkeypatch.setattr(RowReducer, name, counted(name))
+    return counts
+
+
+def test_a_passing_descent_check_eliminates_nothing(eliminations):
+    # A passing coefficient check certifies the span: every coefficient is
+    # a multiple of one generator, so no span is eliminated.
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
     twisted._descent_basis.cache_clear()
-    assert all_passed(check_descent(spec, G2P, 1, 1, 3))
-    _, basis = twisted._descent_basis(spec, G2P, Fraction(4))
-    size = (len(basis.columns), basis.reducer.rank)
+    for n in range(0, 3):
+        assert all_passed(check_descent(spec, G2P, 1, n, 4 - n))
+    assert eliminations == {"add": 0, "contains": 0}
+
+
+def test_descent_coefficients_fail_where_the_span_holds(monkeypatch, eliminations):
+    # z^1 of the translate gains the whole weight-3 generator: it is no
+    # longer 2 times the weight-2 one, but still lies in the span.  The
+    # span check now eliminates the five generators and tests each of the
+    # four coefficients of the field.
+    spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
+    gens = twisted_jet_generators(spec, G2P, Fraction(4)).generators
+    extra = next(gen.poly for gen in gens if gen.weight == 3)
+    _perturb_field(monkeypatch, divided_t_power(spec.relations[0], 1), Fraction(1), extra)
+    results = check_descent(spec, G2P, 1, 1, 3)
+    assert _failures(results) == {
+        "descent coefficients: rel 1, translate 1": (
+            "z^1: -x2[-3] + 2*x1[-1/2]*x1[-5/2] + x1[-3/2]^2"
+        )
+    }
+    assert eliminations == {"add": 5, "contains": 4}
+
+
+def test_descent_basis_is_left_as_it_was_by_a_stray_monomial(monkeypatch):
+    # x2[-9] lies in no generator: the failing check eliminates the span
+    # of the cached generators without changing them, and a clean check
+    # after it gives what fresh calls give.
+    spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
+    twisted._descent_basis.cache_clear()
+    fresh = check_descent(spec, G2P, 1, 1, 3)
+    assert all_passed(fresh)
+    gens = twisted._descent_basis(spec, G2P, Fraction(4))
     with monkeypatch.context() as patch:
         _perturb_field(patch, divided_t_power(spec.relations[0], 1), Fraction(1), y(2, -9))
         failures = _failures(check_descent(spec, G2P, 1, 1, 3))
-    assert failures[
-        "descent span: rel 1, translate 1, coefficients in the twisted generator span"
-    ] == "coefficient at z^1"
-    assert twisted._descent_basis(spec, G2P, Fraction(4))[1] is basis
-    assert (len(basis.columns), basis.reducer.rank) == size
-    assert all_passed(check_descent(spec, G2P, 1, 1, 3))
+    assert failures == {
+        "descent coefficients: rel 1, translate 1": "z^1: x2[-9]",
+        "descent span: rel 1, translate 1, coefficients in the twisted "
+        "generator span": "coefficient at z^1",
+    }
+    assert twisted._descent_basis(spec, G2P, Fraction(4)) is gens
+    assert check_descent(spec, G2P, 1, 1, 3) == fresh
+    twisted._descent_basis.cache_clear()
+    assert twisted._descent_basis(spec, G2P, Fraction(4)) == gens
+    assert check_descent(spec, G2P, 1, 1, 3) == fresh
 
 
 def test_descent_raises_on_every_call_when_the_span_is_not_preserved():
