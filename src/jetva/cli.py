@@ -220,7 +220,6 @@ def cmd_fixed_points(args):
 
 def _sources(seed, count, spec, g, names, require_eigen: bool):
     rng = random.Random(seed)
-    alpha = g.alpha_by_index(spec)
     sources: list[tuple[str, JetPoly]] = []
     for i, name in enumerate(names, start=1):
         sources.append((name, JetPoly.var(g.order, i)))
@@ -230,7 +229,7 @@ def _sources(seed, count, spec, g, names, require_eigen: bool):
     ):
         if p.is_zero:
             continue
-        if require_eigen and eigen_index(p, alpha) is None:
+        if require_eigen and eigen_index(p, g.exponents) is None:
             skipped.append(text)
             continue
         sources.append((text, p))
@@ -269,11 +268,10 @@ def _sweep(args, command: str, twisted: bool, labelled_checks):
 
 def cmd_check_va(args):
     def labelled_checks(spec, g, W, B, sources):
-        alpha = g.alpha_by_index(spec)
         box = range(-B, B + 1)
         samples = [p for _, p in sources]
         for la, a in sources:
-            for c in check_va_axioms(a, W, alpha=alpha, samples=samples):
+            for c in check_va_axioms(a, W, alpha=g.exponents, samples=samples):
                 yield f"[a = {la}]", c
         for (la, a), (lb, b) in itertools.product(sources, repeat=2):
             for mi, ni, ki in itertools.product(box, repeat=3):
@@ -284,12 +282,11 @@ def cmd_check_va(args):
 
 def cmd_check_twisted(args):
     def labelled_checks(spec, g, W, B, sources):
-        alpha = g.alpha_by_index(spec)
         for (la, a), (lb, b) in zip(sources, sources[1:] + sources[:1]):
             for c in check_twisted_axioms(a, b, g, W, spec):
                 yield f"[a = {la}, b = {lb}]", c
         for (la, a), (lb, b) in itertools.product(sources, repeat=2):
-            ra, rb = eigen_index(a, alpha), eigen_index(b, alpha)
+            ra, rb = eigen_index(a, g.exponents), eigen_index(b, g.exponents)
             for li in range(-B, B + 1):
                 for mi in _coset_indices(ra, g.order, B):
                     for ni in _coset_indices(rb, g.order, B):

@@ -766,18 +766,10 @@ class PuiseuxSeries:
         return None
 
     def __str__(self) -> str:
-        return self.to_str("z")
-
-    def to_str(self, symbol: str) -> str:
-        bits = []
-        for w, p in self.coeffs:
-            if w == 0:
-                bits.append(f"({p})")
-            else:
-                bits.append(f"({p})*{symbol}^{w}")
+        bits = [f"({p})" if w == 0 else f"({p})*z^{w}" for w, p in self.coeffs]
         body = " + ".join(bits) if bits else "0"
         if self.trunc is not None:
-            body += f" + O({symbol}^{self.trunc + 1})"
+            body += f" + O(z^{self.trunc + 1})"
         return body
 
 

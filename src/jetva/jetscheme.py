@@ -70,7 +70,7 @@ class SchemeSpec:
 
 @dataclasses.dataclass(frozen=True)
 class DiagAutomorphism:
-    """x_i -> zeta_m^(alpha_i) x_i, exponents aligned with spec.variables."""
+    """x_i -> zeta_m^(alpha_i) x_i, alpha_i the i-th exponent."""
 
     order: int
     exponents: tuple[int, ...]
@@ -86,20 +86,17 @@ class DiagAutomorphism:
             self.order, tuple((-a) % self.order for a in self.exponents)
         )
 
-    def offsets(self, spec: SchemeSpec) -> dict[int, Fraction]:
-        """Coset offset alpha_i/m in [0,1) for each variable index."""
+    def offsets(self) -> dict[int, Fraction]:
+        """Coset offset alpha_i/m in [0,1) for each coordinate i = 1..k."""
         return {
-            idx: Fraction(a, self.order)
-            for idx, a in zip(spec.variables, self.exponents)
+            i: Fraction(a, self.order) for i, a in enumerate(self.exponents, start=1)
         }
 
-    def alpha_by_index(self, spec: SchemeSpec) -> list[int]:
-        """Exponent list positioned by variable index (for character sums)."""
-        top = max(spec.variables, default=0)
-        out = [0] * top
-        for idx, a in zip(spec.variables, self.exponents):
-            out[idx - 1] = a
-        return out
+    def alpha_by_index(self, spec: SchemeSpec) -> tuple[int, ...]:
+        """The exponents, once ``require_fits`` has passed: positioned by
+        coordinate, alpha[i-1] acting on x_i."""
+        require_fits(spec, self)
+        return self.exponents
 
 
 class SpanBasis:
@@ -139,7 +136,11 @@ class SpanBasis:
 
 
 def require_fits(spec: SchemeSpec, g: DiagAutomorphism) -> None:
-    """Raise ValueError unless g has the scheme's order and k exponents."""
+    """Raise ValueError unless the scheme's coordinates are 1..k and g has
+    the scheme's order and k exponents, so that g's i-th exponent acts on
+    x_i."""
+    if spec.variables != tuple(range(1, spec.k + 1)):
+        raise ValueError("a symmetry needs scheme coordinates 1..k")
     if len(g.exponents) != spec.k:
         raise ValueError("exponent count does not match the scheme")
     if spec.order != g.order:
@@ -151,8 +152,7 @@ def preserves_ideal(spec: SchemeSpec, g: DiagAutomorphism) -> bool:
     require_fits(spec, g)
     if not spec.relations:
         return True
-    alpha = g.alpha_by_index(spec)
-    images = (apply_automorphism(alpha, p) for p in spec.relations)
+    images = (apply_automorphism(g.exponents, p) for p in spec.relations)
     return SpanBasis(spec.order, spec.relations).first_outside(images) is None
 
 
@@ -231,7 +231,7 @@ def twisted_jet_generators(
     [0, max_weight] where a coefficient survives."""
     require_preserved(spec, g)
     W = Fraction(max_weight)
-    offsets = g.offsets(spec)
+    offsets = g.offsets()
     gens = _expansion_generators(spec, lambda p: substitute_jets(p, offsets, W))
     return JetPresentation(_presentation_vars(spec, offsets, W), gens)
 

@@ -42,17 +42,10 @@ from .jetscheme import (
     JetGenerator,
     SchemeSpec,
     SpanBasis,
+    require_fits,
     twisted_jet_generators,
 )
 from .reports import CheckResult
-
-
-def _alpha_list(g: DiagAutomorphism, spec: SchemeSpec | None) -> tuple[int, ...]:
-    """Exponents positioned by variable index (positional 1..k without a
-    scheme)."""
-    if spec is not None:
-        return tuple(g.alpha_by_index(spec))
-    return g.exponents
 
 
 def _max_weight(a: JetPoly) -> Fraction:
@@ -63,31 +56,31 @@ def _max_weight(a: JetPoly) -> Fraction:
 # A descent check's translate field is read once, so it bypasses this cache.
 @lru_cache(maxsize=32)
 def _build_field(
-    a: JetPoly, order: int, alpha: tuple[int, ...], num: int, den: int
+    a: JetPoly, g: DiagAutomorphism, num: int, den: int
 ) -> PuiseuxSeries:
     """The field of a up to the window num/den, given in lowest terms."""
-    if a.order != order:
+    if a.order != g.order:
         raise ValueError("source and symmetry orders differ")
     for v in a.variables():
-        if v.index > len(alpha):
+        if v.index > len(g.exponents):
             raise ValueError(f"no exponent known for coordinate {v.index}")
-    if eigen_index(a, alpha) is None:
+    if eigen_index(a, g.exponents) is None:
         raise ValueError("twisted field source must be character-homogeneous")
-    offsets = {i: Fraction(e, order) for i, e in enumerate(alpha, start=1)}
-    return substitute_jets(a, offsets, Fraction(num, den))
+    return substitute_jets(a, g.offsets(), Fraction(num, den))
 
 
 def twisted_field(
     a: JetPoly, g: DiagAutomorphism, window, spec: SchemeSpec | None = None
 ) -> PuiseuxSeries:
-    """The field of a up to the window.  Fields are cached on the window's
-    numerator and denominator, so an int or Fraction window is read, not
-    rebuilt."""
+    """The field of a up to the window.  A given scheme must fit g (see
+    ``require_fits``); g's i-th exponent acts on x_i.  Fields are cached on
+    the window's numerator and denominator, so an int or Fraction window is
+    read, not rebuilt."""
+    if spec is not None:
+        require_fits(spec, g)
     if not isinstance(window, (int, Fraction)):
         window = Fraction(window)
-    return _build_field(
-        a, g.order, _alpha_list(g, spec), window.numerator, window.denominator
-    )
+    return _build_field(a, g, window.numerator, window.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +101,7 @@ def check_twisted_axioms(
     out: list[CheckResult] = []
 
     fa = twisted_field(a, g, W, spec)
-    r = eigen_index(a, _alpha_list(g, spec))
+    r = eigen_index(a, g.exponents)
     stray = next((w for w in fa.support() if (w + Fraction(r, m)) % 1 != 0), None)
     out.append(
         CheckResult(
@@ -173,17 +166,6 @@ def _mode(fld: PuiseuxSeries, k: int, m: int) -> JetPoly:
     return fld.mode(Fraction(k, m)) if p is None else p
 
 
-def _mode_pair(fa: PuiseuxSeries, ia: int, fb: PuiseuxSeries, ib: int, m: int):
-    """The two modes of one product, fa's at ia/m and fb's at ib/m, or None
-    when either is exactly zero: a zero factor settles the product even when
-    the other lies beyond the window.  Otherwise a mode beyond the window
-    raises TruncationError, the first factor's before the second's."""
-    p, q = _known(fa, ia, m), _known(fb, ib, m)
-    if (p is not None and p.is_zero) or (q is not None and q.is_zero):
-        return None
-    return (_mode(fa, ia, m) if p is None else p, _mode(fb, ib, m) if q is None else q)
-
-
 def _dead(fld: PuiseuxSeries, k: int, m: int) -> bool:
     """Is the mode at k/m provably zero, and every mode above it too?  So
     it is when it lies inside the window and below every visible term."""
@@ -196,36 +178,32 @@ def _dead(fld: PuiseuxSeries, k: int, m: int) -> bool:
 
 class _PairContext:
     """What every Borcherds check of one pair (a, b) shares at one
-    symmetry, window and scheme: the characters r_a and r_b, the two
-    fields, the field of each inner product a_(-k-1) b = T^k(a)/k! * b, and
+    symmetry, window and scheme: the characters r_a and r_b, the fields fa
+    and fb, the field of each inner product a_(-k-1) b = T^k(a)/k! * b, and
     the product of every two modes met so far.
 
-    A product enters the memo only once ``_mode_pair`` has returned: a zero
-    factor settles it, while a mode beyond the window raises on every check
-    that needs it, in the order the check meets it.
+    The memo is keyed on (i, j), for a's mode at i/m times b's at j/m.
+    The modes commute, so the identity's rhs term b_(l+n-i) a_(m+i) is read
+    as a_(m+i) b_(l+n-i): one entry serves every term over the same two
+    modes, whichever order the identity writes them in.  A product enters
+    the memo only once both factors are read: a zero factor settles it,
+    while a mode beyond the window raises on every check that needs it.
     """
 
     def __init__(self, a, b, g, window, spec):
-        alpha = _alpha_list(g, spec)
-        self.r_a = eigen_index(a, alpha)
-        self.r_b = eigen_index(b, alpha)
+        # before the characters, which read g's exponents by position
+        if spec is not None:
+            require_fits(spec, g)
+        self.r_a = eigen_index(a, g.exponents)
+        self.r_b = eigen_index(b, g.exponents)
         if self.r_a is None or self.r_b is None:
             raise ValueError("Borcherds sources must be character-homogeneous")
+        self.fa = twisted_field(a, g, window, spec)
+        self.fb = twisted_field(b, g, window, spec)
         self._source = (a, b, g, window, spec)
         self._order = g.order
-        self._fields = None
         self._inner: dict = {}  # k -> field of a_(-k-1) b, None when it is 0
-        self._products: dict = {}  # (b first, i, j) -> terms, None when 0
-
-    def fields(self) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-        """The fields of a and b, built on first use."""
-        if self._fields is None:
-            a, b, g, window, spec = self._source
-            self._fields = (
-                twisted_field(a, g, window, spec),
-                twisted_field(b, g, window, spec),
-            )
-        return self._fields
+        self._products: dict = {}  # (i, j) -> terms, None when 0
 
     def inner_field(self, k: int) -> PuiseuxSeries | None:
         """The field of a_(-k-1) b, or None when that product is zero."""
@@ -237,22 +215,23 @@ class _PairContext:
             )
         return self._inner[k]
 
-    def product(self, b_first: bool, i: int, j: int):
-        """The terms of a's mode at i/m times b's at j/m, or of b's at i/m
-        times a's at j/m when ``b_first``; None when a factor is exactly
-        zero.  See ``_mode_pair`` for the window rule."""
-        key = (b_first, i, j)
+    def product(self, i: int, j: int):
+        """The terms of a's mode at i/m times b's at j/m, or None when a
+        factor is exactly zero: a zero factor settles the product even when
+        the other lies beyond the window.  Otherwise a mode beyond the
+        window raises TruncationError, a's before b's."""
+        key = (i, j)
         if key not in self._products:
-            fa, fb = self.fields()
-            if b_first:
-                fa, fb = fb, fa
-            modes = _mode_pair(fa, i, fb, j, self._order)
-            terms = None
-            if modes is not None:
+            m = self._order
+            p, q = _known(self.fa, i, m), _known(self.fb, j, m)
+            if (p is not None and p.is_zero) or (q is not None and q.is_zero):
+                self._products[key] = None
+            else:
+                p = _mode(self.fa, i, m) if p is None else p
+                q = _mode(self.fb, j, m) if q is None else q
                 acc: dict = {}
-                mul_into(acc, modes[0].terms, modes[1].terms)
-                terms = tuple(acc.items())
-            self._products[key] = terms
+                mul_into(acc, p.terms, q.terms)
+                self._products[key] = tuple(acc.items())
         return self._products[key]
 
 
@@ -280,15 +259,18 @@ def check_twisted_borcherds(
     with l an integer and m, n in the cosets picked out by the characters
     of a and b.
 
-    Both sides go into one Monomial -> scalar sum, lhs minus rhs.  Each
-    product of two modes is multiplied out once per pair (a, b), symmetry,
-    window and scheme, in a ``_PairContext`` that also holds the fields, and
-    added into the sum times its integer coefficient.  A product with a
-    factor that is exactly zero adds nothing, even when its other factor
-    lies beyond the window; otherwise a mode beyond the window raises
-    TruncationError, the lhs modes first, then the rhs products in the order
-    of the sum.  The identity holds when every coefficient of the sum is
-    zero; else the witness is the sum as a ``JetPoly``, lhs - rhs.
+    Both sides go into one Monomial -> scalar sum, lhs minus rhs.  Every
+    product of two modes is read a's mode first, b_(l+n-i) a_(m+i) as
+    a_(m+i) b_(l+n-i), and multiplied out once per pair (a, b), symmetry,
+    window and scheme: a ``_PairContext``, which also holds the fields,
+    memoizes it on (a's index, b's index) in units of 1/m.  It is added
+    into the sum times its integer coefficient.  A product with a factor
+    that is exactly zero adds nothing, even when its other factor lies
+    beyond the window; otherwise a mode beyond the window raises
+    TruncationError: the lhs modes first, then the rhs products in the
+    order of the sum, a's mode before b's within each.  The identity holds
+    when every coefficient of the sum is zero; else the witness is the sum
+    as a ``JetPoly``, lhs - rhs.
 
     The sums run on the indices in units of 1/m, as ints, and read each
     mode straight off the field's exponent index; a Fraction index is built
@@ -316,8 +298,6 @@ def check_twisted_borcherds(
         raise ValueError(f"index n = {n_idx} must lie in {pair.r_b}/{order} + Z")
     name = f"twisted borcherds(l={l_idx}, m={m_idx}, n={n_idx})"
 
-    fld_a, fld_b = pair.fields()
-
     acc: dict = {}  # lhs - rhs
     i = 0
     while l_idx + i <= -1:
@@ -336,7 +316,7 @@ def check_twisted_borcherds(
         if l_idx >= 0:
             if i > l_idx:
                 break
-        elif _dead(fld_b, N + di, order) and _dead(fld_a, M + di, order):
+        elif _dead(pair.fb, N + di, order) and _dead(pair.fa, M + di, order):
             break
         # (-1)^i C(l, i), an integer: C(l, i) = (-1)^i C(i - l - 1, i) for l < 0
         if l_idx >= 0:
@@ -344,10 +324,10 @@ def check_twisted_borcherds(
         else:
             c = math.comb(i - l_idx - 1, i)
         if c:
-            t1 = pair.product(False, L + M - di, N + di)
+            t1 = pair.product(L + M - di, N + di)
             if t1 is not None:
                 add_into(acc, t1, -c)
-            t2 = pair.product(True, L + N - di, M + di)
+            t2 = pair.product(M + di, L + N - di)
             if t2 is not None:
                 add_into(acc, t2, c * sign_l)
         i += 1
@@ -405,10 +385,10 @@ def check_descent(
         raise ValueError(f"translate {n} must be >= 0")
     gens = _descent_basis(spec, g, W + n)
     rel = spec.relations[rel_index - 1]
-    if eigen_index(rel, _alpha_list(g, spec)) is None:
+    if eigen_index(rel, g.exponents) is None:
         raise ValueError("relation is not character-homogeneous for this symmetry")
 
-    fld = substitute_jets(divided_t_power(rel, n), g.offsets(spec), W)
+    fld = substitute_jets(divided_t_power(rel, n), g.offsets(), W)
     table = {(gen.relation, gen.weight): gen.poly for gen in gens}
 
     # Every generator weight u lies in [0, W + n], so u - n lies in [-n, W].

@@ -125,12 +125,27 @@ def test_preserves_ideal():
 
 
 @pytest.mark.parametrize(
-    "g, message",
+    "spec, g, message",
     [
-        (DiagAutomorphism(3, (1, 0)), "exponent count does not match the scheme"),
-        (DiagAutomorphism(4, (1,)), "scheme and symmetry orders differ"),
+        (
+            SchemeSpec.of(3, 1, [x(1, m=3) ** 2]),
+            DiagAutomorphism(3, (1, 0)),
+            "exponent count does not match the scheme",
+        ),
+        # x1 -> zeta_4 x1 on a scheme over Q(zeta_3) used to give x1[-3/4]^2.
+        (
+            SchemeSpec.of(3, 1, [x(1, m=3) ** 2]),
+            DiagAutomorphism(4, (1,)),
+            "scheme and symmetry orders differ",
+        ),
+        # The one exponent acts on x1, which this scheme lacks.
+        (
+            SchemeSpec(3, (2,), (x(2, m=3) ** 2,)),
+            DiagAutomorphism(3, (1,)),
+            "a symmetry needs scheme coordinates 1..k",
+        ),
     ],
-    ids=["exponent-count", "order"],
+    ids=["exponent-count", "order", "coordinates"],
 )
 @pytest.mark.parametrize(
     "entry",
@@ -140,6 +155,7 @@ def test_preserves_ideal():
         fixed_point_ring,
         lambda spec, g: OrbiSetup(spec, g, 2, 2),
         lambda spec, g: check_descent(spec, g, 1, 0, 2),
+        lambda spec, g: g.alpha_by_index(spec),
     ],
     ids=[
         "preserves_ideal",
@@ -147,13 +163,18 @@ def test_preserves_ideal():
         "fixed_point_ring",
         "OrbiSetup",
         "check_descent",
+        "alpha_by_index",
     ],
 )
-def test_a_symmetry_that_does_not_fit_the_scheme_is_refused(entry, g, message):
-    # x1 -> zeta_4 x1 on a scheme over Q(zeta_3) used to give x1[-3/4]^2.
-    spec = SchemeSpec.of(3, 1, [x(1, m=3) ** 2])
+def test_a_symmetry_that_does_not_fit_the_scheme_is_refused(entry, spec, g, message):
     with pytest.raises(ValueError, match=message):
         entry(spec, g)
+
+
+def test_offsets_are_positional():
+    g = DiagAutomorphism(4, (1, 0, 3))
+    assert g.offsets() == {1: Fraction(1, 4), 2: Fraction(0), 3: Fraction(3, 4)}
+    assert g.alpha_by_index(SchemeSpec.of(4, 3, [])) == (1, 0, 3)
 
 
 def test_twisted_generators_parabola_frozen():

@@ -7,6 +7,7 @@ alpha/m + Z by hand and differentiating in z.
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -439,6 +440,73 @@ def test_pair_memo_does_not_depend_on_call_order_or_cache_state(
     failed = [out for out in cold if out not in raised and not out[1]]
     assert raised
     assert bool(failed) == perturbed
+
+
+def test_pair_box_multiplies_each_product_of_two_modes_once(monkeypatch):
+    # The whole index box of one pair.  The rhs term b_(l+n-i) a_(m+i) is
+    # the product a_(m+i) b_(l+n-i), so it shares one memo entry with every
+    # other term over the same two modes, in whichever order the identity
+    # writes them.
+    real_mul_into = twisted.mul_into
+    products = Counter()
+
+    def counted_mul_into(acc, left, right):
+        products[frozenset((left, right))] += 1
+        real_mul_into(acc, left, right)
+
+    monkeypatch.setattr(twisted, "mul_into", counted_mul_into)
+    twisted._pair_context.cache_clear()
+    a, b = y(1), y(2)
+    # m in 1/2 + Z and n in Z, |m|, |n| <= 2
+    cosets = [
+        [Fraction(r, 2) + t for t in range(-3, 4) if abs(Fraction(r, 2) + t) <= 2]
+        for r in (eigen_index(a, G2P.exponents), eigen_index(b, G2P.exponents))
+    ]
+    results = [
+        check_twisted_borcherds(a, b, G2P, l, m_idx, n_idx, 4)
+        for l in range(-2, 3)
+        for m_idx in cosets[0]
+        for n_idx in cosets[1]
+    ]
+    assert len(results) == 5 * 4 * 5 and all(r.passed for r in results)
+    assert set(products.values()) == {1}
+
+
+def test_a_product_with_both_factors_beyond_the_window_names_a_mode_first():
+    # At l = 1, m = -3/2, n = -3 the rhs product b_(-2) a_(-3/2) needs
+    # z^1 of Y_g(x2) and z^(1/2) of Y_g(x1), both beyond window 0.  It is
+    # read as a_(-3/2) b_(-2), so a's coefficient is the one named.
+    spec = SchemeSpec.of(2, 2, [])
+    with pytest.raises(
+        TruncationError,
+        match=r"^coefficient of z\^1/2 is beyond the window \(trunc 0\)$",
+    ):
+        check_twisted_borcherds(y(1), y(2), G2P, 1, Fraction(-3, 2), -3, 0, spec)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (SchemeSpec.of(2, 2, []), "exponent count does not match the scheme"),
+        (SchemeSpec(2, (2,), ()), "a symmetry needs scheme coordinates 1..k"),
+    ],
+    ids=["two-coordinates", "coordinate-2-only"],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda spec: twisted_field(y(2), G2, 2, spec),
+        lambda spec: check_twisted_axioms(y(2), y(2), G2, 2, spec),
+        lambda spec: check_twisted_borcherds(y(2), y(2), G2, 0, 0, 0, 2, spec),
+    ],
+    ids=["twisted_field", "check_twisted_axioms", "check_twisted_borcherds"],
+)
+def test_twisted_entry_points_refuse_a_scheme_that_does_not_fit(entry, spec, message):
+    # G2 has one exponent.  On the two-coordinate scheme x2's exponent used
+    # to be padded with 0, and every axiom check on x2 passed; on a scheme
+    # whose one coordinate is x2, G2's exponent went to x2.
+    with pytest.raises(ValueError, match=message):
+        entry(spec)
 
 
 # ---------------------------------------------------------------------------
