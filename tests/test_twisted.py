@@ -125,9 +125,64 @@ def test_axioms_catch_support_coset():
     assert coset and all(r.passed for r in coset)
 
 
+def test_twisted_axiom_names_are_frozen():
+    results = check_twisted_axioms(y(1), y(2), G2P, 4)
+    assert [r.name for r in results] == [
+        "support coset: exponents of Y_g(a) lie in -1/2 + Z",
+        "pole bound: order of pole of Y_g(a) at most the weight of a",
+        "vacuum: Y_g(1,z) = id",
+        "translation: Y_g(Ta,z) = d/dz Y_g(a,z)",
+        "multiplicative: Y_g(ab,z) = Y_g(a,z)Y_g(b,z)",
+    ]
+    assert all_passed(results)
+
+
+@pytest.mark.parametrize(
+    "b, g, windows",
+    [
+        (y(1, -1), G2, {"x1[-1]": [4, 5, Fraction(9, 2)]}),
+        (y(2), G2P, {"x1[-1]": [4, 5], "x2[0]": [4, Fraction(9, 2)]}),
+        (
+            y(1, -2),
+            G2,
+            {"x1[-1]": [4, 5, Fraction(11, 2)], "x1[-2]": [4, Fraction(9, 2)]},
+        ),
+    ],
+    ids=["square", "pole-free-partner", "unequal-poles"],
+)
+def test_multiplicative_factors_are_padded_by_the_other_pole(
+    monkeypatch, b, g, windows
+):
+    # Y_g(x1[-1]) has a pole of order 1/2, so its partner is built to
+    # W + 1/2, not to W + wt(a) + wt(b) + 1; a partner with no pole leaves
+    # it at W, and Y_g(x1[-2])'s pole of order 3/2 takes it to W + 3/2.  The
+    # other windows of x1[-1] are the coset check's W and the translation
+    # check's W + 1.
+    twisted._build_field.cache_clear()
+    requested = []
+    real = twisted.substitute_jets
+
+    def recorded(p, offsets, window):
+        requested.append((str(p), window))
+        return real(p, offsets, window)
+
+    monkeypatch.setattr(twisted, "substitute_jets", recorded)
+    assert all_passed(check_twisted_axioms(y(1, -1), b, g, 4))
+    assert {p: [w for q, w in requested if q == p] for p in windows} == windows
+
+
 # ---------------------------------------------------------------------------
 # twisted quadratic identity
 # ---------------------------------------------------------------------------
+
+
+def test_borcherds_refuses_a_coordinate_with_no_exponent():
+    # G2 has one exponent; x2's character used to be read past its end, a
+    # bare IndexError.  With no scheme, the field's own check speaks.
+    with pytest.raises(ValueError, match="^no exponent known for coordinate 2$"):
+        check_twisted_borcherds(y(2), y(2), G2, 0, 0, 0, 2)
+    with pytest.raises(ValueError, match="^no exponent known for coordinate 2$"):
+        check_twisted_borcherds(y(1), y(2), G2, 0, Fraction(1, 2), 0, 2)
 
 
 def test_borcherds_coset_validation():

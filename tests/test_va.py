@@ -89,7 +89,7 @@ def _count_translations(monkeypatch) -> list:
         calls.append(p)
         return real(p)
 
-    for module in (jetpoly, va):
+    for module in (jetpoly, twisted):
         monkeypatch.setattr(module, "derivation_T", counted)
     return calls
 
@@ -164,6 +164,56 @@ def test_axioms_read_samples_given_as_an_iterator_once():
     assert streamed == listed
     assert len(streamed) == 15
     assert sum(r.name.startswith("equivariance") for r in streamed) == 10
+
+
+def test_axiom_names_are_frozen():
+    y1 = JetPoly.var(4, 1)
+    y2 = JetPoly.var(4, 2, -1)
+    results = check_va_axioms(y1 * y2, 6, alpha=(1, 2), samples=[y1, y2])
+    assert [r.name for r in results] == [
+        "translation: Y(Ta,z) = d/dz Y(a,z)",
+        "vacuum: Y(1,z) = id",
+        "creation: Y(a,z)1 regular and a_(-1)1 = a",
+        "multiplicative: Y(ab,z) = Y(a,z)Y(b,z) [b = x1[0]]",
+        "multiplicative: Y(ab,z) = Y(a,z)Y(b,z) [b = x2[-1]]",
+    ] + [
+        f"equivariance: g(a)_({n}) g(b) = g(a_({n}) b) [b = {b}]"
+        for b in ("x1[0]", "x2[-1]")
+        for n in range(-3, 2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "a, samples",
+    [(JetPoly.var(2, 2), None), (JetPoly.var(2, 1), [JetPoly.var(2, 2, -1)])],
+    ids=["source", "sample"],
+)
+def test_axioms_refuse_a_coordinate_beyond_alpha(monkeypatch, a, samples):
+    # alpha has one exponent; x2's used to be read past its end by the
+    # equivariance checks, a bare IndexError after every other check ran.
+    ran = []
+    monkeypatch.setattr(va, "check_translation", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="^no exponent known for coordinate 2$"):
+        check_va_axioms(a, 3, alpha=(1,), samples=samples)
+    assert ran == []
+
+
+def test_plain_axioms_build_no_field_past_the_translation_window(monkeypatch):
+    # At the trivial symmetry no field has a pole, so the multiplicative
+    # factors are built to W; only the translation check reads W + 1.
+    twisted._build_field.cache_clear()
+    windows = []
+    real = twisted.substitute_jets
+
+    def recorded(a, offsets, window):
+        windows.append(window)
+        return real(a, offsets, window)
+
+    monkeypatch.setattr(twisted, "substitute_jets", recorded)
+    sources = [x(1), x(2) ** 2, x(1) * x(2, -1) + x(1, -2)]
+    for a in sources:
+        assert all_passed(check_va_axioms(a, 4, samples=sources))
+    assert set(windows) == {4, 5}
 
 
 def test_axioms_with_no_samples_check_no_sample():
