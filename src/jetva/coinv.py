@@ -118,8 +118,8 @@ def residue_relation(mon: Monomial, setup: OrbiSetup) -> dict[int, JetPoly]:
     spec, g, W = setup.spec, setup.auto, setup.max_weight
     m = g.order
     p = JetPoly(spec.order, ((mon, CycScalar.one(spec.order)),))
-    rels = {int(-m * w) - 1: c for w, c in twisted_field(p, g, W, spec).coeffs}
-    for w, c in twisted_field(p, g.inverse(), W, spec).coeffs:
+    rels = {int(-m * w) - 1: c for w, c in twisted_field(p, g, W).coeffs}
+    for w, c in twisted_field(p, g.inverse(), W).coeffs:
         j = int(m * w) - 1
         c = retag_point(c, 1)
         rels[j] = rels[j] - c if j in rels else -c

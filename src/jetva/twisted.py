@@ -52,27 +52,28 @@ def _max_weight(a: JetPoly) -> Fraction:
     return max((mon.weight for mon, _ in a.terms), default=Fraction(0))
 
 
-def require_coordinates(a: JetPoly, exponents) -> None:
-    """Refuse a source with a coordinate that has no exponent: exponents
-    are read by position, the i-th acting on x_i."""
+def require_coordinates(a: JetPoly, exponents) -> tuple[int, ...]:
+    """The exponents of a's own coordinates x_1, ..., read by position, the
+    i-th acting on x_i; refuse a coordinate that has no exponent."""
+    top = 0
     for v in a.variables():
         if v.index > len(exponents):
             raise ValueError(f"no exponent known for coordinate {v.index}")
+        top = max(top, v.index)
+    return tuple(exponents[:top])
 
 
 # Sweeps reuse a few recent fields; an unbounded cache keeps every one.
 # A descent check's translate field is read once, so it bypasses this cache.
 @lru_cache(maxsize=32)
 def _build_field(
-    a: JetPoly, g: DiagAutomorphism, num: int, den: int
+    a: JetPoly, exponents: tuple[int, ...], num: int, den: int
 ) -> PuiseuxSeries:
-    """The field of a up to the window num/den, given in lowest terms."""
-    if a.order != g.order:
-        raise ValueError("source and symmetry orders differ")
-    require_coordinates(a, g.exponents)
-    if eigen_index(a, g.exponents) is None:
+    """The field of a, at its coordinates' exponents, up to num/den."""
+    if eigen_index(a, exponents) is None:
         raise ValueError("twisted field source must be character-homogeneous")
-    return substitute_jets(a, g.offsets(), Fraction(num, den))
+    offsets = {i: Fraction(e, a.order) for i, e in enumerate(exponents, start=1)}
+    return substitute_jets(a, offsets, Fraction(num, den))
 
 
 def twisted_field(
@@ -80,13 +81,17 @@ def twisted_field(
 ) -> PuiseuxSeries:
     """The field of a up to the window.  A given scheme must fit g (see
     ``require_fits``); g's i-th exponent acts on x_i.  Fields are cached on
-    the window's numerator and denominator, so an int or Fraction window is
-    read, not rebuilt."""
+    the exponents of a's own coordinates and the window's numerator and
+    denominator, so every g that agrees there, at an int or Fraction
+    window, reads a field, not rebuilds it."""
     if spec is not None:
         require_fits(spec, g)
     if not isinstance(window, (int, Fraction)):
         window = Fraction(window)
-    return _build_field(a, g, window.numerator, window.denominator)
+    if a.order != g.order:
+        raise ValueError("source and symmetry orders differ")
+    exponents = require_coordinates(a, g.exponents)
+    return _build_field(a, exponents, window.numerator, window.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -94,32 +99,32 @@ def twisted_field(
 # ---------------------------------------------------------------------------
 
 
-def check_translation(a, g, W, spec, symbol) -> CheckResult:
+def check_translation(a, g, W, symbol) -> CheckResult:
     """Y(Ta,z) = d/dz Y(a,z) up to W.  This check and the next two serve
     both stacks: ``symbol`` prints Y as "Y_g" here and as "Y" in
     ``va.check_va_axioms``, which runs them at the trivial symmetry."""
-    lhs = twisted_field(derivation_T(a), g, W, spec)
-    bad = lhs.first_mismatch(twisted_field(a, g, W + 1, spec).differentiate())
+    lhs = twisted_field(derivation_T(a), g, W)
+    bad = lhs.first_mismatch(twisted_field(a, g, W + 1).differentiate())
     name = f"translation: {symbol}(Ta,z) = d/dz {symbol}(a,z)"
     return CheckResult(name, bad is None, bad)
 
 
-def check_vacuum(g, W, spec, symbol) -> CheckResult:
+def check_vacuum(g, W, symbol) -> CheckResult:
     """Y(1,z) = id up to W."""
     one = JetPoly.one(g.order)
-    vac = twisted_field(one, g, W, spec)
+    vac = twisted_field(one, g, W)
     ok = vac.support() == (Fraction(0),) and vac.coefficient(0) == one
     return CheckResult(f"vacuum: {symbol}(1,z) = id", ok, None if ok else str(vac))
 
 
-def check_multiplicative(a, b, g, W, spec, symbol) -> CheckResult:
+def check_multiplicative(a, b, g, W, symbol) -> CheckResult:
     """Y(ab,z) = Y(a,z)Y(b,z) up to W.  Each factor is built to W plus the
     pole order of the other's field at W, so the product is exact up to W,
     where the comparison ends; a field with no pole leaves its partner at W."""
-    prod = twisted_field(a * b, g, W, spec)
-    poles = [-min(twisted_field(p, g, W, spec).min_support() or 0, 0) for p in (a, b)]
-    fa = twisted_field(a, g, W + poles[1], spec)
-    bad = prod.first_mismatch(fa * twisted_field(b, g, W + poles[0], spec))
+    prod = twisted_field(a * b, g, W)
+    poles = [-min(twisted_field(p, g, W).min_support() or 0, 0) for p in (a, b)]
+    fa = twisted_field(a, g, W + poles[1])
+    bad = prod.first_mismatch(fa * twisted_field(b, g, W + poles[0]))
     name = f"multiplicative: {symbol}(ab,z) = {symbol}(a,z){symbol}(b,z)"
     return CheckResult(name, bad is None, bad)
 
@@ -136,7 +141,7 @@ def check_twisted_axioms(
     m = g.order
     out: list[CheckResult] = []
 
-    fa = twisted_field(a, g, W, spec)
+    fa = twisted_field(a, g, W, spec)  # checks the scheme once
     r = eigen_index(a, g.exponents)
     stray = next((w for w in fa.support() if (w + Fraction(r, m)) % 1 != 0), None)
     out.append(
@@ -157,9 +162,9 @@ def check_twisted_axioms(
         )
     )
 
-    out.append(check_vacuum(g, W, spec, "Y_g"))
-    out.append(check_translation(a, g, W, spec, "Y_g"))
-    out.append(check_multiplicative(a, b, g, W, spec, "Y_g"))
+    out.append(check_vacuum(g, W, "Y_g"))
+    out.append(check_translation(a, g, W, "Y_g"))
+    out.append(check_multiplicative(a, b, g, W, "Y_g"))
     return out
 
 
@@ -197,9 +202,9 @@ def _dead(fld: PuiseuxSeries, k: int, m: int) -> bool:
 
 class _PairContext:
     """What every Borcherds check of one pair (a, b) shares at one
-    symmetry, window and scheme: the characters r_a and r_b, the fields fa
-    and fb, the field of each inner product a_(-k-1) b = T^k(a)/k! * b, and
-    the product of every two modes met so far.
+    symmetry and window: the characters r_a and r_b, the fields fa and fb,
+    the field of each inner product a_(-k-1) b = T^k(a)/k! * b, and the
+    product of every two modes met so far.
 
     The memo is keyed on (i, j), for a's mode at i/m times b's at j/m.
     The modes commute, so the identity's rhs term b_(l+n-i) a_(m+i) is read
@@ -209,19 +214,17 @@ class _PairContext:
     while a mode beyond the window raises on every check that needs it.
     """
 
-    def __init__(self, a, b, g, window, spec):
+    def __init__(self, a, b, g, window):
         # before the characters, which read g's exponents by position
-        if spec is not None:
-            require_fits(spec, g)
         require_coordinates(a, g.exponents)
         require_coordinates(b, g.exponents)
         self.r_a = eigen_index(a, g.exponents)
         self.r_b = eigen_index(b, g.exponents)
         if self.r_a is None or self.r_b is None:
             raise ValueError("Borcherds sources must be character-homogeneous")
-        self.fa = twisted_field(a, g, window, spec)
-        self.fb = twisted_field(b, g, window, spec)
-        self._source = (a, b, g, window, spec)
+        self.fa = twisted_field(a, g, window)
+        self.fb = twisted_field(b, g, window)
+        self._source = (a, b, g, window)
         self._order = g.order
         self._inner: dict = {}  # k -> field of a_(-k-1) b, None when it is 0
         self._products: dict = {}  # (i, j) -> terms, None when 0
@@ -229,11 +232,9 @@ class _PairContext:
     def inner_field(self, k: int) -> PuiseuxSeries | None:
         """The field of a_(-k-1) b, or None when that product is zero."""
         if k not in self._inner:
-            a, b, g, window, spec = self._source
+            a, b, g, window = self._source
             inner = divided_t_power(a, k) * b
-            self._inner[k] = (
-                None if inner.is_zero else twisted_field(inner, g, window, spec)
-            )
+            self._inner[k] = None if inner.is_zero else twisted_field(inner, g, window)
         return self._inner[k]
 
     def product(self, i: int, j: int):
@@ -282,14 +283,14 @@ def check_twisted_borcherds(
 
     Both sides go into one Monomial -> scalar sum, lhs minus rhs.  Every
     product of two modes is read a's mode first, b_(l+n-i) a_(m+i) as
-    a_(m+i) b_(l+n-i), and multiplied out once per pair (a, b), symmetry,
-    window and scheme: a ``_PairContext``, which also holds the fields,
-    memoizes it on (a's index, b's index) in units of 1/m.  It is added
-    into the sum times its integer coefficient.  A product with a factor
-    that is exactly zero adds nothing, even when its other factor lies
-    beyond the window; otherwise a mode beyond the window raises
-    TruncationError: the lhs modes first, then the rhs products in the
-    order of the sum, a's mode before b's within each.  The identity holds
+    a_(m+i) b_(l+n-i), and multiplied out once per pair (a, b), symmetry
+    and window: a ``_PairContext``, which also holds the fields, memoizes
+    it on (a's index, b's index) in units of 1/m.  It is added into the
+    sum times its integer coefficient.  A product with a factor that is
+    exactly zero adds nothing, even when its other factor lies beyond the
+    window; otherwise a mode beyond the window raises TruncationError: the
+    lhs modes first, then the rhs products in the order of the sum, a's
+    mode before b's within each.  The identity holds
     when every coefficient of the sum is zero; else the witness is the sum
     as a ``JetPoly``, lhs - rhs.
 
@@ -308,7 +309,9 @@ def check_twisted_borcherds(
         m_idx = Fraction(m_idx)
     if not isinstance(n_idx, (int, Fraction)):
         n_idx = Fraction(n_idx)
-    pair = _pair_context(a, b, g, window, spec)
+    if spec is not None:
+        require_fits(spec, g)
+    pair = _pair_context(a, b, g, window)
     # The indices in units of 1/order: l*order, m*order, n*order.
     L = l_idx * order
     M = _in_units(m_idx, pair.r_a, order)

@@ -87,7 +87,7 @@ def check_va_axioms(a: JetPoly, window, alpha=None, samples=None) -> list[CheckR
             require_coordinates(p, alpha)
     g = _trivial_symmetry(a, *samples)
 
-    out = [check_translation(a, g, W, None, "Y"), check_vacuum(g, W, None, "Y")]
+    out = [check_translation(a, g, W, "Y"), check_vacuum(g, W, "Y")]
 
     # Y(a) up to W + 1 is in the field cache: the translation check built it.
     low = twisted_field(a, g, W + 1).min_support()
@@ -97,7 +97,7 @@ def check_va_axioms(a: JetPoly, window, alpha=None, samples=None) -> list[CheckR
     out.append(CheckResult(name, ok, None if ok else str(created - a)))
 
     for b in samples:
-        c = check_multiplicative(a, b, g, W, None, "Y")
+        c = check_multiplicative(a, b, g, W, "Y")
         out.append(CheckResult(f"{c.name} [b = {b}]", c.passed, c.witness))
 
     if alpha is not None:

@@ -78,24 +78,45 @@ def counted_reducers(monkeypatch):
     return made
 
 
+def empty_caches():
+    """Empty the package's bounded caches, so that a count does not depend
+    on what ran before."""
+    for cached in (
+        jetpoly._jet_expansion,
+        jetpoly._divided_translate,
+        twisted._build_field,
+        twisted._descent_basis,
+        twisted._pair_context,
+        va._trivial_symmetry,
+    ):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def substitutions(monkeypatch):
+    """The caches emptied, and a list that gets (source, window) for every
+    substitution ``twisted`` makes from then on."""
+    empty_caches()
+    made = []
+    real = twisted.substitute_jets
+
+    def recorded(p, offsets, window):
+        made.append((p, window))
+        return real(p, offsets, window)
+
+    monkeypatch.setattr(twisted, "substitute_jets", recorded)
+    return made
+
+
 @pytest.fixture
 def fraction_calls(monkeypatch):
     """Count the Fractions built by a call: ``fraction_calls(f, *args)``
     returns (number of ``Fraction.__new__`` calls, f's result).  The
-    package's field and expansion caches are emptied first, so the count
-    does not depend on what ran before."""
+    package's field and expansion caches are emptied first."""
     original = Fraction.__new__
 
     def count(f, *args):
-        for cached in (
-            jetpoly._jet_expansion,
-            jetpoly._divided_translate,
-            twisted._build_field,
-            twisted._descent_basis,
-            twisted._pair_context,
-            va._trivial_symmetry,
-        ):
-            cached.cache_clear()
+        empty_caches()
         calls = 0
 
         def counting(cls, *a, **kw):

@@ -5,6 +5,7 @@ positive-weight entry must vanish.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from jetva.coinv import (
     residue_relation,
     verify_fixed_ring,
 )
-from jetva import coinv, jetscheme
+from jetva import cli, coinv, jetscheme
 from jetva.cyclo import CycScalar
 from jetva.jetpoly import JetPoly, retag_point
 from jetva.jetscheme import DiagAutomorphism, SchemeSpec
@@ -125,6 +126,56 @@ def test_fixture_tables(label, order, k, rels, exps, row):
     assert weight0_row(dims, 3) == row
     assert positive_weight_total(dims) == 0
     assert all_passed(checks), [c for c in checks if not c.passed]
+
+
+WEIGHT0 = "weight 0: coinvariant dimensions equal the fixed-ring table"
+POSITIVE = "positive weight: every coinvariant dimension vanishes"
+
+
+@pytest.mark.parametrize(
+    "key, checks",
+    [
+        (
+            (Fraction(0), 2),
+            [
+                (WEIGHT0, False, "degree 2: coinvariants 1, fixed ring 0"),
+                (POSITIVE, True, None),
+            ],
+        ),
+        (
+            (Fraction(1), 2),
+            [
+                (WEIGHT0, True, None),
+                (POSITIVE, False, "weight 1, degree 2: dimension 1"),
+            ],
+        ),
+    ],
+    ids=["weight-0", "positive-weight"],
+)
+def test_a_perturbed_table_fails_with_its_entry_as_witness(
+    monkeypatch, tmp_path, capsys, key, checks
+):
+    # The parabola's table is [1, 0, 0, 0] in weight 0 and 0 elsewhere; one
+    # entry raised by 1 is the witness, in the API and in the CLI report.
+    real = coinv.coinvariant_dims
+
+    def perturbed(setup):
+        dims = dict(real(setup))
+        dims[key] += 1
+        return dims
+
+    monkeypatch.setattr(coinv, "coinvariant_dims", perturbed)
+    setup = setup_of(2, 2, [x(1, 2) ** 2 - x(2, 2)], (1, 0), W=2, D=3)
+    _, got = verify_fixed_ring(setup)
+    assert [(c.name, c.passed, c.witness) for c in got] == checks
+
+    path = tmp_path / "parabola.json"
+    scheme = {"m": 2, "variables": ["x1", "x2"], "relations": ["x1^2 - x2"]}
+    path.write_text(json.dumps({**scheme, "exponents": [1, 0]}))
+    argv = ["coinvariants", "--input", str(path), "--max-weight", "2"]
+    assert cli.main([*argv, "--max-degree", "3", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["pass"], c.get("witness")) for c in report] == checks
 
 
 def test_empty_fixed_locus_certifies_every_slice(

@@ -7,6 +7,7 @@ alpha/m + Z by hand and differentiating in z.
 import functools
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -100,6 +101,16 @@ def test_modes_and_window_guard():
         f.mode(Fraction(-9, 2))
     # off-coset modes act as exact zero on the twisted module
     assert f.mode(0).is_zero
+
+
+def test_a_field_is_shared_by_symmetries_that_agree_on_its_coordinates(
+    substitutions,
+):
+    # Y_g(x1) reads only g's exponent on x1, so (1, 0) and (1, 1) give one
+    # field, built once.
+    field = twisted_field(y(1), DiagAutomorphism(2, (1, 0)), 3)
+    assert twisted_field(y(1), DiagAutomorphism(2, (1, 1)), 3) is field
+    assert len(substitutions) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +573,59 @@ def test_twisted_entry_points_refuse_a_scheme_that_does_not_fit(entry, spec, mes
     # whose one coordinate is x2, G2's exponent went to x2.
     with pytest.raises(ValueError, match=message):
         entry(spec)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: twisted_field(y(1), DiagAutomorphism(3, (1,)), 2),
+            "source and symmetry orders differ",
+        ),
+        (
+            lambda: twisted_field(y(1) + y(2), G2P, 2),
+            "twisted field source must be character-homogeneous",
+        ),
+        (
+            lambda: check_twisted_borcherds(
+                y(1) + y(2), y(1), G2P, 0, 0, Fraction(1, 2), 2
+            ),
+            "Borcherds sources must be character-homogeneous",
+        ),
+        (
+            lambda: check_twisted_borcherds(
+                y(1), y(1), G2P, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 2
+            ),
+            "the first Borcherds index must be an integer",
+        ),
+        (
+            lambda: check_twisted_borcherds(y(1), y(1), G2P, 0, 0, Fraction(1, 2), 2),
+            "index m = 0 must lie in 1/2 + Z",
+        ),
+        (
+            lambda: check_twisted_borcherds(y(1), y(1), G2P, 0, Fraction(1, 2), 0, 2),
+            "index n = 0 must lie in 1/2 + Z",
+        ),
+        (
+            lambda: check_descent(
+                SchemeSpec.of(2, 2, [y(1) + y(2), y(1) - y(2)]), G2P, 1, 0, 2
+            ),
+            "relation is not character-homogeneous for this symmetry",
+        ),
+    ],
+    ids=[
+        "field-order",
+        "field-character",
+        "borcherds-character",
+        "borcherds-l",
+        "borcherds-m",
+        "borcherds-n",
+        "descent-character",
+    ],
+)
+def test_refusals_are_frozen(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

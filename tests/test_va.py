@@ -5,6 +5,7 @@ computed by hand from the divided-power formula a_(-n-1) b = (T^n a / n!) b.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -319,3 +320,35 @@ def test_borcherds_random_states(seed, m_idx, n_idx, k_idx):
 
     res = check_borcherds(rand_state(), rand_state(), m_idx, n_idx, k_idx, 12)
     assert res.passed
+
+
+def test_borcherds_reads_the_fields_the_axiom_checks_built(substitutions):
+    # The axiom checks run at the trivial symmetry of a and both samples,
+    # three coordinates long, the Borcherds check at that of a alone, one
+    # long.  Both read the fields of a and a^2 on x1's exponent alone.
+    a = JetPoly.var(2, 1) * JetPoly.var(2, 1, -1)
+    assert all_passed(check_va_axioms(a, 3, samples=[a, JetPoly.var(2, 3)]))
+    built = len(substitutions)
+    assert check_borcherds(a, a, -1, -1, -1, 3).passed
+    assert len(substitutions) == built
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: mode(JetPoly.var(2, 1), Fraction(1, 2)),
+            "untwisted mode index must be an integer",
+        ),
+        (
+            lambda: check_borcherds(
+                JetPoly.var(2, 1), JetPoly.var(2, 1), Fraction(1, 2), 0, 0, 2
+            ),
+            "untwisted Borcherds indices must be integers",
+        ),
+    ],
+    ids=["mode", "borcherds"],
+)
+def test_untwisted_refusals_are_frozen(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
