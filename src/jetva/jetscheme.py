@@ -223,17 +223,26 @@ def jet_generators(
     return JetPresentation(_presentation_vars(spec, {}, W), gens)
 
 
-def twisted_jet_generators(
+def twisted_generators(
     spec: SchemeSpec, g: DiagAutomorphism, max_weight
-) -> JetPresentation:
+) -> tuple[JetGenerator, ...]:
     """Generators of the g-twisted jet ideal: the t^w coefficients of the
     relations expanded along the twisted jet, for all lattice weights w in
     [0, max_weight] where a coefficient survives."""
     require_preserved(spec, g)
     W = Fraction(max_weight)
     offsets = g.offsets()
-    gens = _expansion_generators(spec, lambda p: substitute_jets(p, offsets, W))
-    return JetPresentation(_presentation_vars(spec, offsets, W), gens)
+    return _expansion_generators(spec, lambda p: substitute_jets(p, offsets, W))
+
+
+def twisted_jet_generators(
+    spec: SchemeSpec, g: DiagAutomorphism, max_weight
+) -> JetPresentation:
+    """``twisted_generators`` with the jet variables they live in."""
+    gens = twisted_generators(spec, g, max_weight)
+    return JetPresentation(
+        _presentation_vars(spec, g.offsets(), Fraction(max_weight)), gens
+    )
 
 
 # ---------------------------------------------------------------------------

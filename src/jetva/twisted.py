@@ -43,7 +43,7 @@ from .jetscheme import (
     SchemeSpec,
     SpanBasis,
     require_fits,
-    twisted_jet_generators,
+    twisted_generators,
 )
 from .reports import CheckResult
 
@@ -376,7 +376,30 @@ def _descent_basis(
     """The twisted jet-equation generators up to the weight: the basis of
     the span that ``check_descent`` tests against.  Only the generators are
     kept; a failing check eliminates their span itself."""
-    return twisted_jet_generators(spec, g, max_weight).generators
+    return twisted_generators(spec, g, max_weight)
+
+
+def _is_binomial_multiple(
+    lhs: JetPoly, base: JetPoly, u: int, b: int, n: int
+) -> bool:
+    """Is lhs C(u/b, n) times base?  The binomial is an int numerator num
+    over den (``binom_units``); with it nonzero, both polynomials must have
+    the same monomials in the same order, and each coefficient nums/d of
+    lhs must equal base's nums'/d' times num/den: nums*d'*den = nums'*num*d,
+    coordinate by coordinate, on ints."""
+    num, den = binom_units(u, b, n)
+    if not num:
+        return lhs.is_zero
+    if len(lhs.terms) != len(base.terms):
+        return False
+    for (ml, cl), (mg, cg) in zip(lhs.terms, base.terms):
+        if ml is not mg and ml != mg:
+            return False
+        left, right = cg.den * den, num * cl.den
+        for x, y in zip(cl.nums, cg.nums):
+            if x * left != y * right:
+                return False
+    return True
 
 
 def check_descent(
@@ -401,10 +424,21 @@ def check_descent(
     check then holds by this certificate, with no elimination.  Only when
     the first check fails is the generators' span eliminated and every
     coefficient tested against it.
+
+    The first check runs on ints: each field exponent is read as its
+    numerator and denominator, looked up in a table of the relation's
+    generators keyed the same way, and compared term by term with
+    ``_is_binomial_multiple``.  No polynomial is scaled and no binomial
+    made a Fraction unless the check fails, when the witness is the
+    difference lhs - rhs at the lowest failing exponent.
     """
     W = Fraction(window)
+    if isinstance(rel_index, bool) or not isinstance(rel_index, int):
+        raise ValueError(f"relation index {rel_index!r} must be an int")
     if not 1 <= rel_index <= len(spec.relations):
         raise ValueError(f"relation index {rel_index} out of range")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"translate {n!r} must be an int")
     if n < 0:
         raise ValueError(f"translate {n} must be >= 0")
     gens = _descent_basis(spec, g, W + n)
@@ -413,21 +447,34 @@ def check_descent(
         raise ValueError("relation is not character-homogeneous for this symmetry")
 
     fld = substitute_jets(divided_t_power(rel, n), g.offsets(), W)
-    table = {(gen.relation, gen.weight): gen.poly for gen in gens}
-
-    # Every generator weight u lies in [0, W + n], so u - n lies in [-n, W].
-    exponents = set(fld.support())
-    exponents.update(u - n for (ri, u) in table if ri == rel_index)
-    ok = True
-    witness = None
-    for w in sorted(exponents):
-        lhs = fld.coefficient(w)
-        base = table.get((rel_index, w + n), JetPoly.zero(spec.order))
-        rhs = base.scale(binom(w + n, n))
-        if lhs != rhs:
-            ok = False
-            witness = f"z^{w}: {lhs - rhs}"
+    # The relation's generators keyed on their weight u as (numerator,
+    # denominator).  Every u lies in [0, W + n], so u - n lies in [-n, W].
+    table = {
+        (gen.weight.numerator, gen.weight.denominator): gen.poly
+        for gen in gens
+        if gen.relation == rel_index
+    }
+    pending = dict(table)  # the generators no coefficient of the field met
+    fails = []  # exponents where the check fails
+    for w, lhs in fld.coeffs:
+        # w = a/b in lowest terms, so u = w + n = (a + n*b)/b is too
+        b = w.denominator
+        u = w.numerator + n * b
+        base = pending.pop((u, b), None)
+        if base is None or not _is_binomial_multiple(lhs, base, u, b, n):
+            fails.append(w)  # the lowest one of the field: stop here
             break
+    # A generator left pending lies above a failing exponent or meets a zero
+    # coefficient, which matches it only when C(u, n) = 0: when u is an
+    # integer in [0, n).
+    fails += [Fraction(u, b) - n for u, b in pending if not (b == 1 and 0 <= u < n)]
+    ok = not fails
+    witness = None
+    if not ok:
+        w = min(fails)
+        u = w + n
+        base = table.get((u.numerator, u.denominator), JetPoly.zero(spec.order))
+        witness = f"z^{w}: {fld.coefficient(w) - base.scale(binom(u, n))}"
     results = [
         CheckResult(
             f"descent coefficients: rel {rel_index}, translate {n}", ok, witness

@@ -83,6 +83,8 @@ def empty_caches():
     on what ran before."""
     for cached in (
         jetpoly._jet_expansion,
+        jetpoly._jet_var,
+        jetpoly._monomial,
         jetpoly._divided_translate,
         twisted._build_field,
         twisted._descent_basis,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import empty_caches
 from jetva import jetpoly
 from jetva.jetpoly import (
     JetPoly,
@@ -691,6 +692,28 @@ def test_substitution_matches_product_of_factor_series(data):
     # equality is structural, so the terms must also be in canonical order
     for _, p in got.coeffs:
         assert p.terms == JetPoly._from_dict(m, dict(p.terms)).terms
+    # Neither the shared variables and monomials nor their absence changes
+    # the output: the same string and term order from empty tables.
+    empty_caches()
+    again = substitute_jets(src, offsets, W)
+    assert str(again) == str(got)
+    assert [[str(mon) for mon, _ in p.terms] for _, p in again.coeffs] == [
+        [str(mon) for mon, _ in p.terms] for _, p in got.coeffs
+    ]
+
+
+def test_substitutions_share_their_output_monomials():
+    # Each term of x1*x2 at z^2 is also one of x1*x2 + x1^2 there: each
+    # monomial, and each of its variables, is one object, made once.
+    empty_caches()
+    first = substitute_jets(x(1) * x(2), {}, 3).coefficient(2)
+    second = substitute_jets(x(1) * x(2) + x(1) ** 2, {}, 3).coefficient(2)
+    shared = {str(mon): mon for mon, _ in first.terms}
+    common = [mon for mon, _ in second.terms if str(mon) in shared]
+    assert [str(mon) for mon in common] == [str(mon) for mon, _ in first.terms]
+    for mon in common:
+        assert mon is shared[str(mon)]
+        assert mon.factors[0][0] is shared[str(mon)].factors[0][0]
 
 
 def test_substitution_twisted_coefficients_frozen():
@@ -798,8 +821,12 @@ def test_jet_expansion_binomials_are_int_numerators(m):
             assert den == q**d * factorial(d)
             levels = admissible_levels(offset, Fraction(hi, q))
             nonzero = [(k, n) for k, n in enumerate(levels) if _binom_reference(-n, d)]
-            assert [(k, -n) for k, n in nonzero] == [(k, ml) for _, k, ml in entries]
-            for num, _, minus_level in entries:
+            assert [(k, -n) for k, n in nonzero] == [
+                (k, Fraction(top, bottom)) for _, k, top, bottom in entries
+            ]
+            for num, _, top, bottom in entries:
+                minus_level = Fraction(top, bottom)
+                assert (minus_level.numerator, minus_level.denominator) == (top, bottom)
                 assert type(num) is int
                 assert Fraction(num, den) == binom(minus_level, d)
                 assert Fraction(num, den) == _binom_reference(minus_level, d)

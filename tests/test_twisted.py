@@ -612,6 +612,24 @@ def test_twisted_entry_points_refuse_a_scheme_that_does_not_fit(entry, spec, mes
             ),
             "relation is not character-homogeneous for this symmetry",
         ),
+        # A bool used to pass as "rel True" or "translate True", and a float
+        # ended in a bare TypeError.
+        (
+            lambda: check_descent(_parabola(), G2P, True, 1, 2),
+            "relation index True must be an int",
+        ),
+        (
+            lambda: check_descent(_parabola(), G2P, 1.0, 1, 2),
+            "relation index 1.0 must be an int",
+        ),
+        (
+            lambda: check_descent(_parabola(), G2P, 1, True, 2),
+            "translate True must be an int",
+        ),
+        (
+            lambda: check_descent(_parabola(), G2P, 1, 2.0, 2),
+            "translate 2.0 must be an int",
+        ),
     ],
     ids=[
         "field-order",
@@ -621,6 +639,10 @@ def test_twisted_entry_points_refuse_a_scheme_that_does_not_fit(entry, spec, mes
         "borcherds-m",
         "borcherds-n",
         "descent-character",
+        "descent-rel-bool",
+        "descent-rel-float",
+        "descent-translate-bool",
+        "descent-translate-float",
     ],
 )
 def test_refusals_are_frozen(call, message):
@@ -633,8 +655,12 @@ def test_refusals_are_frozen(call, message):
 # ---------------------------------------------------------------------------
 
 
+def _parabola():
+    return SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
+
+
 def test_descent_parabola():
-    spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
+    spec = _parabola()
     for n in range(0, 3):
         results = check_descent(spec, G2P, 1, n, 4 - n)
         assert all_passed(results), (n, [r for r in results if not r.passed])
@@ -736,6 +762,144 @@ def test_a_passing_descent_check_eliminates_nothing(eliminations):
     for n in range(0, 3):
         assert all_passed(check_descent(spec, G2P, 1, n, 4 - n))
     assert eliminations == {"add": 0, "contains": 0}
+
+
+def test_a_passing_descent_check_scales_nothing(monkeypatch):
+    # Each coefficient is compared with its generator on ints: a passing
+    # check scales no polynomial and makes no Fraction binomial.  Only a
+    # failing one does, once, to build its witness.  The translates are
+    # taken first, since the translate memo scales each new entry by 1/n.
+    spec = _parabola()
+    for n in range(0, 3):
+        divided_t_power(spec.relations[0], n)
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    count(JetPoly, "scale")
+    count(twisted, "binom")
+    twisted._descent_basis.cache_clear()
+    for n in range(0, 3):
+        assert all_passed(check_descent(spec, G2P, 1, n, 4 - n))
+    assert calls == Counter()
+
+    _perturb_field(monkeypatch, divided_t_power(spec.relations[0], 1), Fraction(1), y(2, -3))
+    assert _failures(check_descent(spec, G2P, 1, 1, 3)) == {
+        "descent coefficients: rel 1, translate 1": "z^1: x2[-3]",
+        "descent span: rel 1, translate 1, coefficients in the twisted "
+        "generator span": "coefficient at z^1",
+    }
+    assert calls == Counter({"scale": 1, "binom": 1})
+
+
+def _reference_descent_coefficients(spec, g, rel_index, n, window):
+    """The first check of ``check_descent`` as it was first written, kept
+    as the oracle of its int comparison: over every exponent of the
+    translate's field or of a generator of the relation, lowest first, the
+    generator scaled by the Fraction C(w + n, n) is compared with the
+    field's coefficient as a polynomial.  The field is substituted as
+    ``twisted`` substitutes it, so a patched field reaches both."""
+    W = Fraction(window)
+    rel = spec.relations[rel_index - 1]
+    fld = twisted.substitute_jets(divided_t_power(rel, n), g.offsets(), W)
+    gens = twisted_jet_generators(spec, g, W + n).generators
+    table = {(gen.relation, gen.weight): gen.poly for gen in gens}
+    exponents = set(fld.support())
+    exponents.update(u - n for (ri, u) in table if ri == rel_index)
+    name = f"descent coefficients: rel {rel_index}, translate {n}"
+    for w in sorted(exponents):
+        lhs = fld.coefficient(w)
+        base = table.get((rel_index, w + n), JetPoly.zero(spec.order))
+        rhs = base.scale(binom(w + n, n))
+        if lhs != rhs:
+            return name, False, f"z^{w}: {lhs - rhs}"
+    return name, True, None
+
+
+def _edited(fld, w, edit):
+    """fld with its z^w coefficient p replaced by edit(p)."""
+    coeffs = dict(fld.coeffs)
+    coeffs[w] = edit(fld.coefficient(w))
+    return PuiseuxSeries.from_dict(fld.order, coeffs, fld.trunc)
+
+
+def _term(p, j):
+    return JetPoly(p.order, (p.terms[j],))
+
+
+def _descent_perturbations(fld, gen_weights, n):
+    """(kind, change of the translate field) for every perturbation of
+    the oracle test: each coefficient with one term doubled, with one term
+    dropped and with a stray term; a stray term at each exponent u - n of
+    an integer weight u < n, where C(u, n) = 0; and one at exponents that
+    no generator has."""
+    m = fld.order
+    stray = JetPoly.var(m, 2, -9).scale(zeta_pow(m, 1))
+    out = [("none", lambda f: f)]
+    for k, (w, p) in enumerate(fld.coeffs):
+        j = k % len(p.terms)
+        out += [
+            ("double", lambda f, w=w, j=j: _edited(f, w, lambda q: q + _term(q, j))),
+            ("drop", lambda f, w=w, j=j: _edited(f, w, lambda q: q - _term(q, j))),
+            ("stray", lambda f, w=w: _edited(f, w, lambda q: q + stray)),
+        ]
+    for u in range(n):
+        kind = "zero binomial" if u in gen_weights else "no generator"
+        out.append((kind, lambda f, w=u - n: _edited(f, Fraction(w), lambda q: q + stray)))
+    for w in (Fraction(-1, 7), Fraction(1, 7)):
+        out.append(("no generator", lambda f, w=w: _edited(f, w, lambda q: q + stray)))
+    return out
+
+
+_ZETA_SCHEMES = [
+    (_parabola(), G2P),
+    (
+        SchemeSpec.of(3, 2, [JetPoly.var(3, 1) ** 3 - JetPoly.var(3, 2) ** 3 * zeta_pow(3, 1)]),
+        DiagAutomorphism(3, (1, 1)),
+    ),
+    (
+        SchemeSpec.of(4, 2, [JetPoly.var(4, 1) ** 2 - JetPoly.var(4, 2) ** 2 * zeta_pow(4, 1)]),
+        DiagAutomorphism(4, (1, 1)),
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, g", _ZETA_SCHEMES, ids=["m2", "m3", "m4"])
+def test_descent_coefficients_match_the_scale_and_compare_oracle(monkeypatch, spec, g):
+    # The same (name, passed, witness) as the oracle on every perturbed
+    # translate field, at every translate n <= 4.
+    real = twisted.substitute_jets
+    change = {}
+    monkeypatch.setattr(
+        twisted,
+        "substitute_jets",
+        lambda p, offsets, window: change.get(p, lambda f: f)(real(p, offsets, window)),
+    )
+    rel, window = spec.relations[0], 3
+    verdicts = Counter()
+    for n in range(0, 5):
+        source = divided_t_power(rel, n)
+        gens = twisted_jet_generators(spec, g, window + n).generators
+        fld = real(source, g.offsets(), window)
+        for kind, edit in _descent_perturbations(fld, {gen.weight for gen in gens}, n):
+            change[source] = edit
+            got = check_descent(spec, g, 1, n, window)[0]
+            expected = _reference_descent_coefficients(spec, g, 1, n, window)
+            assert (got.name, got.passed, got.witness) == expected, (kind, n)
+            verdicts[kind, got.passed] += 1
+        del change[source]
+    # The unperturbed fields pass, and every perturbation is caught.
+    assert {key for key in verdicts if key[1]} == {("none", True)}
+    assert verdicts["none", True] == 5
+    if spec.order != 4:  # m = 4 has only half-integer generator weights
+        assert verdicts["zero binomial", False] > 0
 
 
 def test_descent_coefficients_fail_where_the_span_holds(monkeypatch, eliminations):
