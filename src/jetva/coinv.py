@@ -111,16 +111,16 @@ def residue_relation(mon: Monomial, setup: OrbiSetup) -> dict[int, JetPoly]:
     """The nonzero relations of the sections of one monomial, keyed by j.
 
     Both fields are built at the weight window W.  The coefficient of
-    Y_g(p) at an exponent 0 < e <= W is the relation of j = -m e - 1, the
-    one of Y_g^-1(p) at e, moved to alphabet 1 and negated, that of
-    j = m e - 1, and the two constant coefficients glue at j = -1.
+    Y_g(p) at an exponent k/m, 0 < k/m <= W, is the relation of j = -k - 1,
+    the one of Y_g^-1(p) there, moved to alphabet 1 and negated, that of
+    j = k - 1, and the two constant coefficients glue at j = -1.
     """
     spec, g, W = setup.spec, setup.auto, setup.max_weight
     m = g.order
     p = JetPoly(spec.order, ((mon, CycScalar.one(spec.order)),))
-    rels = {int(-m * w) - 1: c for w, c in twisted_field(p, g, W).coeffs}
-    for w, c in twisted_field(p, g.inverse(), W).coeffs:
-        j = int(m * w) - 1
+    rels = {-k - 1: c for k, c in twisted_field(p, g, W).terms.items()}
+    for k, c in twisted_field(p, g.inverse(), W).terms.items():
+        j = k - 1
         c = retag_point(c, 1)
         rels[j] = rels[j] - c if j in rels else -c
     for j, rel in rels.items():

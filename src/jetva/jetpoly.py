@@ -550,9 +550,8 @@ def translation_series(p: JetPoly, window) -> PuiseuxSeries:
     a repeat while the memo still holds the translates applies it none.
     """
     W = Fraction(window)
-    return PuiseuxSeries.from_dict(
-        p.order, dict(enumerate(_translates(p, math.floor(W)))), W
-    )
+    terms = {n * p.order: t for n, t in enumerate(_translates(p, math.floor(W)))}
+    return PuiseuxSeries(p.order, terms, W)
 
 
 def divided_t_power(p: JetPoly, n: int) -> JetPoly:
@@ -626,82 +625,90 @@ def _product_window(a: PuiseuxSeries, b: PuiseuxSeries):
     return a.trunc + low
 
 
+def _last_unit(trunc, order: int) -> int | None:
+    """The largest k with k/order <= trunc; None when trunc is."""
+    return None if trunc is None else trunc.numerator * order // trunc.denominator
+
+
 @dataclasses.dataclass(frozen=True)
 class PuiseuxSeries:
-    """Series sum coeff_w * z^w with JetPoly coefficients.
+    """Series sum coeff_w * z^w with JetPoly coefficients, w in (1/order)Z.
 
-    ``trunc`` is the last exponent known exactly (None = exact everywhere).
-    Finitely many negative exponents are allowed.  Read as a field, the
-    series has the mode a_(n) as its coefficient of z^(-n-1).
+    ``terms`` maps k to the coefficient of z^(k/order); the constructor
+    sorts it by k and drops zeros, and ``support`` gives the exponents as
+    Fractions.  ``trunc`` is the last exponent known exactly (None = exact
+    everywhere), on the lattice or not.  Read as a field, the mode a_(n)
+    is the coefficient of z^(-n-1).
+
+    >>> s = PuiseuxSeries.from_dict(3, {2: JetPoly.var(3, 1)}, Fraction(5, 2))
+    >>> list(s.terms), s.support()
+    ([6], (Fraction(2, 1),))
+    >>> s.at(7), s.at(8)  # z^(7/3) is a known zero, z^(8/3) beyond 5/2
+    (JetPoly(3, 0), None)
     """
 
     order: int
-    coeffs: tuple[tuple[Fraction, JetPoly], ...]  # sorted by exponent, nonzero
+    terms: dict[int, JetPoly]
     trunc: Fraction | None
-    # On first read: the index (numerator, denominator) of an exponent -> its
-    # coefficient, and trunc as (numerator, denominator) or None
-    _by_exponent: tuple | None = _cache_slot(default=None)
+    _top: int | None = _cache_slot(default=None)  # the last k inside the window
+
+    def __post_init__(self):
+        acc = self.terms
+        terms = {k: acc[k] for k in sorted(acc) if not acc[k].is_zero}
+        top = _last_unit(self.trunc, self.order)
+        if top is not None and terms and next(reversed(terms)) > top:
+            raise ValueError("series supported beyond its own window")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_top", top)
 
     @classmethod
     def from_dict(cls, order: int, acc, trunc) -> PuiseuxSeries:
-        items = tuple(
-            sorted((Fraction(w), p) for w, p in acc.items() if not p.is_zero)
-        )
-        t = Fraction(trunc) if trunc is not None else None
-        if t is not None and items and items[-1][0] > t:
-            raise ValueError("series supported beyond its own window")
-        return cls(order, items, t)
+        """The series with acc[w] at z^w, zeros dropped; every exponent w
+        must be a multiple of 1/order."""
+        units = {}
+        for w, p in acc.items():
+            k = Fraction(w) * order
+            if k.denominator != 1:
+                raise ValueError(f"exponent {w} is not a multiple of 1/{order}")
+            units[k.numerator] = p
+        return cls(order, units, None if trunc is None else Fraction(trunc))
 
     def support(self) -> tuple[Fraction, ...]:
-        return tuple(w for w, _ in self.coeffs)
+        return tuple(Fraction(k, self.order) for k in self.terms)
 
     def min_support(self):
-        return self.coeffs[0][0] if self.coeffs else None
+        k = next(iter(self.terms), None)
+        return None if k is None else Fraction(k, self.order)
 
-    def _read(self, num: int, den: int) -> JetPoly | None:
-        """The coefficient of z^(num/den), given in lowest terms, or None
-        beyond the window: the one window rule every read goes through."""
-        cache = self._by_exponent
-        if cache is None:
-            t = self.trunc
-            cache = (
-                {(w.numerator, w.denominator): p for w, p in self.coeffs},
-                None if t is None else (t.numerator, t.denominator),
-            )
-            object.__setattr__(self, "_by_exponent", cache)
-        index, window = cache
-        p = index.get((num, den))
+    def at(self, k: int) -> JetPoly | None:
+        """The coefficient of z^(k/order), or None beyond the window: the
+        one window rule every read goes through."""
+        p = self.terms.get(k)
         if p is not None:
             return p
-        if window is not None and num * window[1] > window[0] * den:
+        if self._top is not None and k > self._top:
             return None
         return JetPoly.zero(self.order)
 
     def coefficient(self, w) -> JetPoly:
         """The coefficient of z^w; beyond the window it raises."""
         w = Fraction(w)
-        p = self._read(w.numerator, w.denominator)
+        k = w * self.order
+        p = None
+        if k.denominator == 1:
+            p = self.at(k.numerator)
+        elif self.trunc is None or w <= self.trunc:
+            p = JetPoly.zero(self.order)  # off the lattice, inside the window
         if p is None:
             raise TruncationError(
                 f"coefficient of z^{w} is beyond the window (trunc {self.trunc})"
             )
         return p
 
-    def known_mode(self, n) -> JetPoly | None:
-        """The mode a_(n), the coefficient of z^(-n-1), or None beyond the
-        window."""
-        if not isinstance(n, (int, Fraction)):
-            n = Fraction(n)
-        # For n = p/q in lowest terms, -n-1 = (-p-q)/q in lowest terms.
-        return self._read(-n.numerator - n.denominator, n.denominator)
-
     def mode(self, n) -> JetPoly:
-        """The mode a_(n); an exact zero off the support is honest, beyond
-        the window it raises."""
-        p = self.known_mode(n)
-        if p is None:
-            return self.coefficient(-Fraction(n) - 1)  # raises
-        return p
+        """The mode a_(n), the coefficient of z^(-n-1); an exact zero off
+        the support is honest, beyond the window it raises."""
+        return self.coefficient(-Fraction(n) - 1)
 
     def _check(self, other: PuiseuxSeries) -> None:
         if self.order != other.order:
@@ -713,30 +720,28 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         self._check(other)
+        m = self.order
         t = _min_trunc(_product_window(self, other), _product_window(other, self))
-        acc: dict[Fraction, dict] = {}
-        for wa, pa in self.coeffs:
-            for wb, pb in other.coeffs:
-                w = wa + wb
-                if t is not None and w > t:
+        top = _last_unit(t, m)
+        acc: dict[int, dict] = {}
+        for ka, pa in self.terms.items():
+            for kb, pb in other.terms.items():
+                k = ka + kb
+                if top is not None and k > top:
                     continue
-                mul_into(acc.setdefault(w, {}), pa.terms, pb.terms)
-        return PuiseuxSeries.from_dict(
-            self.order,
-            {w: JetPoly._from_dict(self.order, terms) for w, terms in acc.items()},
-            t,
+                mul_into(acc.setdefault(k, {}), pa.terms, pb.terms)
+        return PuiseuxSeries(
+            m, {k: JetPoly._from_dict(m, terms) for k, terms in acc.items()}, t
         )
 
     __rmul__ = __mul__
 
     def differentiate(self) -> PuiseuxSeries:
         """Formal d/dz; the window shrinks by one."""
-        acc = {}
-        for w, p in self.coeffs:
-            if w != 0:
-                acc[w - 1] = p.scale(w)
+        m = self.order
+        acc = {k - m: p.scale(Fraction(k, m)) for k, p in self.terms.items() if k}
         t = None if self.trunc is None else self.trunc - 1
-        return PuiseuxSeries.from_dict(self.order, acc, t)
+        return PuiseuxSeries(m, acc, t)
 
     def truncate(self, new_trunc) -> PuiseuxSeries:
         nt = Fraction(new_trunc)
@@ -744,10 +749,9 @@ class PuiseuxSeries:
             raise TruncationError(
                 f"cannot widen window from {self.trunc} to {nt}"
             )
+        top = _last_unit(nt, self.order)
         return PuiseuxSeries(
-            self.order,
-            tuple((w, p) for w, p in self.coeffs if w <= nt),
-            nt,
+            self.order, {k: p for k, p in self.terms.items() if k <= top}, nt
         )
 
     def first_mismatch(self, other: PuiseuxSeries) -> str | None:
@@ -755,18 +759,18 @@ class PuiseuxSeries:
         two disagree, compared on the overlap of the known windows, or None
         when they agree there."""
         self._check(other)
-        t = _min_trunc(self.trunc, other.trunc)
-        exps = {w for w, _ in self.coeffs} | {w for w, _ in other.coeffs}
-        for w in sorted(exps):
-            if t is not None and w > t:
+        top = _last_unit(_min_trunc(self.trunc, other.trunc), self.order)
+        for k in sorted(self.terms.keys() | other.terms.keys()):
+            if top is not None and k > top:
                 break
-            d = self.coefficient(w) - other.coefficient(w)
+            d = self.at(k) - other.at(k)
             if not d.is_zero:
-                return f"z^{w}: {d}"
+                return f"z^{Fraction(k, self.order)}: {d}"
         return None
 
     def __str__(self) -> str:
-        bits = [f"({p})" if w == 0 else f"({p})*z^{w}" for w, p in self.coeffs]
+        pairs = zip(self.support(), self.terms.values())
+        bits = [f"({p})" if w == 0 else f"({p})*z^{w}" for w, p in pairs]
         body = " + ".join(bits) if bits else "0"
         if self.trunc is not None:
             body += f" + O(z^{self.trunc + 1})"
@@ -848,9 +852,10 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     binomials; no series is multiplied.
 
     The work runs on ints, coefficients included.  Exponents are counted
-    in units of 1/D, D a common denominator of the window and the offsets.
-    Each binomial C(-n, d) is an int numerator over a denominator fixed by
-    the offset and d, so an assignment's product is an int.  A source term
+    in units of 1/m, m the order, as the series keeps them; an offset that
+    is not a multiple of 1/m raises ValueError.  Each binomial C(-n, d) is
+    an int numerator over a denominator fixed by the offset and d, so an
+    assignment's product is an int.  A source term
     c * mon, with den the product of its factors' binomial denominators,
     adds q * c.nums * (L // (c.den * den)) into the phi(m) int coordinates
     of an output term, where q is the assignment's int product and L the
@@ -881,13 +886,15 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     """
     m = p.order
     W = Fraction(window)
+    for i, off in offsets.items():
+        if m % off.denominator:
+            raise ValueError(f"offset {off} of x{i} is not a multiple of 1/{m}")
     top = W + max((mon.weight for mon, _ in p.terms), default=0)
     # No factor of an assignment that fits the window has -n above ``top``,
     # so no coordinate has more than floor(top) + 1 levels.
     K = max(math.floor(top), 0) + 2
-    D = math.lcm(W.denominator, *(o.denominator for o in offsets.values()))
-    top_w = W.numerator * (D // W.denominator)  # the window in units of 1/D
-    # (i, d) -> (lowest exponent in units of 1/D, binomial denominator,
+    top_w = _last_unit(W, m)  # the window in units of 1/m
+    # (i, d) -> (lowest exponent in units of 1/m, binomial denominator,
     # [(binomial numerator, code of x[i,n])] by rising exponent).  The
     # binomial vanishes only for the integer levels with -n < d, which come
     # first, so consecutive entries differ by one in the exponent.
@@ -920,7 +927,7 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
                 for _, k, num, dn in exp:
                     level_of[base + k] = (num, dn)
                 entry = expansions[(i, d)] = (
-                    first * (D // q),
+                    first * (m // q),
                     b_den,
                     [(b, base + k) for b, k, _, _ in exp],
                 )
@@ -933,16 +940,16 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     # Every output coefficient is a sum of integer coordinates over the one
     # denominator L.
     L = math.lcm(*(c.den * den for c, den, _, _, _ in kept))
-    # exponent in units of 1/D -> sorted code tuple -> [weight of its
+    # exponent in units of 1/m -> sorted code tuple -> [weight of its
     # source monomial, coordinates over L]
     by_exp: dict[int, dict[tuple[int, ...], list]] = {}
     for c, den, src_weight, lowest, slots in kept:
-        room = (top_w - lowest) // D
+        room = (top_w - lowest) // m
         found: dict[tuple[int, tuple[int, ...]], int] = {}
         _assign(slots, 0, room, 1, [], found)
         f = L // (c.den * den)
         nums = [a * f for a in c.nums]
-        buckets = [by_exp.setdefault(lowest + j * D, {}) for j in range(room, -1, -1)]
+        buckets = [by_exp.setdefault(lowest + j * m, {}) for j in range(room, -1, -1)]
         for (left, codes), q in found.items():
             bucket = buckets[left]
             cur = bucket.get(codes)
@@ -954,7 +961,7 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
                     acc[j] += q * a
     jet_vars: dict[int, JetVar] = {}  # code -> x[i,n], from ``_jet_var``
     made: dict[tuple[int, ...], tuple] = {}  # codes -> (runs, Monomial)
-    coeffs = []
+    coeffs = {}
     for w in sorted(by_exp):
         rows = []
         for codes, (src_weight, acc) in by_exp[w].items():
@@ -975,10 +982,8 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
             )
         if rows:
             rows.sort(key=itemgetter(0))
-            coeffs.append(
-                (Fraction(w, D), JetPoly(m, tuple((mon, val) for _, mon, val in rows)))
-            )
-    return PuiseuxSeries(m, tuple(coeffs), W)
+            coeffs[w] = JetPoly(m, tuple((mon, val) for _, mon, val in rows))
+    return PuiseuxSeries(m, coeffs, W)
 
 
 # The variables and monomials of substitutions, shared across calls: the

@@ -194,9 +194,9 @@ def _expansion_generators(spec: SchemeSpec, expand) -> tuple[JetGenerator, ...]:
     """The coefficients of every relation's series ``expand(P)``, zeros
     dropped, sorted by weight, then relation."""
     gens = [
-        JetGenerator(w, i, coeff)
+        JetGenerator(Fraction(k, spec.order), i, coeff)
         for i, p in enumerate(spec.relations, start=1)
-        for w, coeff in expand(p).coeffs
+        for k, coeff in expand(p).terms.items()
     ]
     gens.sort(key=lambda gg: (gg.weight, gg.relation))
     return tuple(gens)

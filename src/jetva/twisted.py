@@ -12,11 +12,12 @@ extended multiplicatively over monomial factors and linearly over terms.
 The source must be homogeneous for the diagonal character; the resulting
 field is then supported on the matching coset of (1/m)Z.  A field is its
 series, a ``PuiseuxSeries`` known up to the window: the mode a_(n) is its
-coefficient of z^(-n-1), read through the series' one exponent index,
-which also knows where the window ends.  Checkers verify the
-twisted-module axioms, the twisted Borcherds identity (evaluated on the
-vacuum with every mode exact), and the descent of jet-equation generators
-into the twisted field coefficients.
+coefficient of z^(-n-1).  Exponents and mode indices are ints in units
+of 1/m, as the series keeps them, so the mode at k/m is the series'
+windowed read ``at(-k - m)``, which also knows where the window ends.
+Checkers verify the twisted-module axioms, the twisted Borcherds identity
+(evaluated on the vacuum with every mode exact), and the descent of
+jet-equation generators into the twisted field coefficients.
 """
 
 from __future__ import annotations
@@ -143,12 +144,12 @@ def check_twisted_axioms(
 
     fa = twisted_field(a, g, W, spec)  # checks the scheme once
     r = eigen_index(a, g.exponents)
-    stray = next((w for w in fa.support() if (w + Fraction(r, m)) % 1 != 0), None)
+    stray = next((k for k in fa.terms if (k + r) % m), None)
     out.append(
         CheckResult(
             f"support coset: exponents of Y_g(a) lie in -{r}/{m} + Z",
             stray is None,
-            None if stray is None else f"stray exponent {stray}",
+            None if stray is None else f"stray exponent {Fraction(stray, m)}",
         )
     )
 
@@ -177,27 +178,18 @@ def _in_units(idx: Fraction, r: int, m: int) -> int | None:
     return k if (k - r) % m == 0 else None
 
 
-def _known(fld: PuiseuxSeries, k: int, m: int) -> JetPoly | None:
-    """The mode at k/m, the coefficient of z^((-k-m)/m), or None beyond the
-    window."""
-    g = math.gcd(k + m, m)
-    return fld._read((-k - m) // g, m // g)
-
-
 def _mode(fld: PuiseuxSeries, k: int, m: int) -> JetPoly:
-    """The mode at k/m; beyond the window it raises TruncationError."""
-    p = _known(fld, k, m)
+    """The mode at k/m, the coefficient of z^((-k-m)/m); beyond the window
+    it raises TruncationError."""
+    p = fld.at(-k - m)
     return fld.mode(Fraction(k, m)) if p is None else p
 
 
 def _dead(fld: PuiseuxSeries, k: int, m: int) -> bool:
     """Is the mode at k/m provably zero, and every mode above it too?  So
     it is when it lies inside the window and below every visible term."""
-    if _known(fld, k, m) is None:
-        return False
-    ms = fld.min_support()
-    # -k/m - 1 < ms, cross-multiplied by the positive m * ms.denominator
-    return ms is None or (-k - m) * ms.denominator < ms.numerator * m
+    known = fld.at(-k - m) is not None
+    return known and (not fld.terms or -k - m < next(iter(fld.terms)))
 
 
 class _PairContext:
@@ -245,7 +237,7 @@ class _PairContext:
         key = (i, j)
         if key not in self._products:
             m = self._order
-            p, q = _known(self.fa, i, m), _known(self.fb, j, m)
+            p, q = self.fa.at(-i - m), self.fb.at(-j - m)
             if (p is not None and p.is_zero) or (q is not None and q.is_zero):
                 self._products[key] = None
             else:
@@ -295,12 +287,15 @@ def check_twisted_borcherds(
     as a ``JetPoly``, lhs - rhs.
 
     The sums run on the indices in units of 1/m, as ints, and read each
-    mode straight off the field's exponent index; a Fraction index is built
-    only to raise TruncationError.  C(m, i) is worked out from m*order as
-    an int numerator over order^i * i!, and made a Fraction once, when it
-    is not zero.
+    mode straight off the field's int-keyed terms; a Fraction index is
+    built only to raise TruncationError.  C(m, i) is worked out from
+    m*order as an int numerator over order^i * i!, and made a Fraction
+    once, when it is not zero.
     """
     order = g.order
+    for label, idx in (("l", l_idx), ("m", m_idx), ("n", n_idx)):
+        if isinstance(idx, bool):
+            raise ValueError(f"index {label} = {idx!r} must not be a bool")
     if not isinstance(l_idx, int):
         if Fraction(l_idx).denominator != 1:
             raise ValueError("the first Borcherds index must be an integer")
@@ -383,10 +378,10 @@ def _is_binomial_multiple(
     lhs: JetPoly, base: JetPoly, u: int, b: int, n: int
 ) -> bool:
     """Is lhs C(u/b, n) times base?  The binomial is an int numerator num
-    over den (``binom_units``); with it nonzero, both polynomials must have
-    the same monomials in the same order, and each coefficient nums/d of
-    lhs must equal base's nums'/d' times num/den: nums*d'*den = nums'*num*d,
-    coordinate by coordinate, on ints."""
+    over den (``binom_units``, u/b not reduced); with it nonzero, both
+    polynomials must have the same monomials in the same order, and each
+    coefficient nums/d of lhs must equal base's nums'/d' times num/den:
+    nums*d'*den = nums'*num*d, coordinate by coordinate, on ints."""
     num, den = binom_units(u, b, n)
     if not num:
         return lhs.is_zero
@@ -425,9 +420,9 @@ def check_descent(
     the first check fails is the generators' span eliminated and every
     coefficient tested against it.
 
-    The first check runs on ints: each field exponent is read as its
-    numerator and denominator, looked up in a table of the relation's
-    generators keyed the same way, and compared term by term with
+    The first check runs on ints: each field exponent k, in units of 1/m,
+    is looked up as k + n*m in a table of the relation's generators keyed
+    on their weight in the same units, and compared term by term with
     ``_is_binomial_multiple``.  No polynomial is scaled and no binomial
     made a Fraction unless the check fails, when the witness is the
     difference lhs - rhs at the lowest failing exponent.
@@ -447,34 +442,33 @@ def check_descent(
         raise ValueError("relation is not character-homogeneous for this symmetry")
 
     fld = substitute_jets(divided_t_power(rel, n), g.offsets(), W)
-    # The relation's generators keyed on their weight u as (numerator,
-    # denominator).  Every u lies in [0, W + n], so u - n lies in [-n, W].
+    m = fld.order
+    # The relation's generators keyed on their weight u in units of 1/m.
+    # Every u lies in [0, (W + n)m], so u - nm lies in [-nm, Wm].
     table = {
-        (gen.weight.numerator, gen.weight.denominator): gen.poly
+        gen.weight.numerator * (m // gen.weight.denominator): gen.poly
         for gen in gens
         if gen.relation == rel_index
     }
     pending = dict(table)  # the generators no coefficient of the field met
-    fails = []  # exponents where the check fails
-    for w, lhs in fld.coeffs:
-        # w = a/b in lowest terms, so u = w + n = (a + n*b)/b is too
-        b = w.denominator
-        u = w.numerator + n * b
-        base = pending.pop((u, b), None)
-        if base is None or not _is_binomial_multiple(lhs, base, u, b, n):
-            fails.append(w)  # the lowest one of the field: stop here
+    fails = []  # exponents, in units of 1/m, where the check fails
+    for k, lhs in fld.terms.items():
+        u = k + n * m
+        base = pending.pop(u, None)
+        if base is None or not _is_binomial_multiple(lhs, base, u, m, n):
+            fails.append(k)  # the lowest one of the field: stop here
             break
     # A generator left pending lies above a failing exponent or meets a zero
-    # coefficient, which matches it only when C(u, n) = 0: when u is an
+    # coefficient, which matches it only when C(u/m, n) = 0: when u/m is an
     # integer in [0, n).
-    fails += [Fraction(u, b) - n for u, b in pending if not (b == 1 and 0 <= u < n)]
+    fails += [u - n * m for u in pending if u % m or not 0 <= u < n * m]
     ok = not fails
     witness = None
     if not ok:
-        w = min(fails)
-        u = w + n
-        base = table.get((u.numerator, u.denominator), JetPoly.zero(spec.order))
-        witness = f"z^{w}: {fld.coefficient(w) - base.scale(binom(u, n))}"
+        k = min(fails)
+        w = Fraction(k, m)
+        base = table.get(k + n * m, JetPoly.zero(spec.order))
+        witness = f"z^{w}: {fld.coefficient(w) - base.scale(binom(w + n, n))}"
     results = [
         CheckResult(
             f"descent coefficients: rel {rel_index}, translate {n}", ok, witness
@@ -484,8 +478,8 @@ def check_descent(
     stray = None
     if not ok:
         basis = SpanBasis(spec.order, (gen.poly for gen in gens))
-        k = basis.first_outside(p for _, p in fld.coeffs)
-        stray = None if k is None else fld.coeffs[k][0]
+        k = basis.first_outside(fld.terms.values())
+        stray = None if k is None else fld.support()[k]
     results.append(
         CheckResult(
             f"descent span: rel {rel_index}, translate {n}, coefficients in "

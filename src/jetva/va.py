@@ -139,7 +139,7 @@ def check_borcherds(
     the jet ring itself, with (l, m, n) there = (n, m, k) here.
     """
     for idx in (m_idx, n_idx, k_idx):
-        if not isinstance(idx, int):
+        if isinstance(idx, bool) or not isinstance(idx, int):
             raise ValueError("untwisted Borcherds indices must be integers")
     g1 = _trivial_symmetry(a, b)
     res = check_twisted_borcherds(a, b, g1, n_idx, m_idx, k_idx, window)

@@ -367,7 +367,7 @@ def test_criterion_8_order_one_consistency():
 
         tw = twisted_field(p, g1, W)
         pl = translation_series(p, W)
-        if tw.coeffs != pl.coeffs:
+        if tw.terms != pl.terms:
             failures.append((trial, "field"))
 
         n = Fraction(rng.randint(-W, 1))

@@ -4,6 +4,7 @@ T x[i,n] = (1-n) x[i,n-1], weight(x[i,n]) = -n, divided powers
 x[i,-n] = T^n x[i,0] / n!.
 """
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -430,6 +431,42 @@ def test_product_of_truncations_without_visible_terms():
     assert (zero * at).trunc is None
 
 
+def test_a_product_keeps_an_off_lattice_window():
+    # The window 1/3 lies off (1/2)Z.  The square of a series with no
+    # visible term knows up to the sum of the windows, 2/3: z^(1/2) is a
+    # known zero there, and z^1 lies beyond.
+    s = PuiseuxSeries.from_dict(2, {}, Fraction(1, 3))
+    sq = s * s
+    assert sq.trunc == Fraction(2, 3)
+    assert sq.coefficient(Fraction(1, 2)).is_zero
+    assert sq.at(1).is_zero and sq.at(2) is None
+    with pytest.raises(
+        TruncationError, match=r"^coefficient of z\^1 is beyond the window \(trunc 2/3\)$"
+    ):
+        sq.coefficient(1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: PuiseuxSeries.from_dict(2, {Fraction(1, 3): x(1, m=2)}, None),
+            "exponent 1/3 is not a multiple of 1/2",
+        ),
+        (
+            lambda: substitute_jets(x(1), {1: Fraction(1, 2)}, 2),
+            "offset 1/2 of x1 is not a multiple of 1/1",
+        ),
+    ],
+    ids=["series-exponent", "substitution-offset"],
+)
+def test_exponents_off_the_lattice_are_refused(call, message):
+    # Exponents are ints in units of 1/order.  The substitution used to
+    # return an order-1 series with exponents 1/2 and 3/2.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 _exact_series = st.dictionaries(
     st.integers(min_value=-6, max_value=6),  # exponent times m
     st.tuples(
@@ -481,13 +518,16 @@ def test_one_window_rule_for_coefficients_and_modes(m, terms, t):
         n = Fraction(k, m)
         w = -n - 1  # the mode a_(n) is the coefficient of z^(-n-1)
         beyond = t is not None and w > Fraction(t, m)
+        # the windowed read of z^(-n-1), in units of 1/m
+        if beyond:
+            assert s.at(-k - m) is None, k
+        else:
+            assert s.at(-k - m) == exact.coefficient(w), k
         for idx in (n, int(n)) if n.denominator == 1 else (n,):
             if beyond:
-                assert s.known_mode(idx) is None, idx
                 with pytest.raises(TruncationError, match=r"is beyond the window"):
                     s.mode(idx)
             else:
-                assert s.known_mode(idx) == exact.coefficient(w), idx
                 assert s.mode(idx) == exact.coefficient(w), idx
         if beyond:
             with pytest.raises(TruncationError, match=r"is beyond the window"):
@@ -685,20 +725,21 @@ def test_substitution_matches_product_of_factor_series(data):
             factor = _jet_factor(m, v.index, d, offsets[v.index], W + mon.weight)
             for _ in range(e):
                 product = product * factor
-        for w, q in product.truncate(W).coeffs:
-            expected[w] = expected.get(w, JetPoly.zero(m)) + q
+        product = product.truncate(W)
+        for w in product.support():
+            expected[w] = expected.get(w, JetPoly.zero(m)) + product.coefficient(w)
     got = substitute_jets(src, offsets, W)
     assert got == PuiseuxSeries.from_dict(m, expected, W)
     # equality is structural, so the terms must also be in canonical order
-    for _, p in got.coeffs:
+    for p in got.terms.values():
         assert p.terms == JetPoly._from_dict(m, dict(p.terms)).terms
     # Neither the shared variables and monomials nor their absence changes
     # the output: the same string and term order from empty tables.
     empty_caches()
     again = substitute_jets(src, offsets, W)
     assert str(again) == str(got)
-    assert [[str(mon) for mon, _ in p.terms] for _, p in again.coeffs] == [
-        [str(mon) for mon, _ in p.terms] for _, p in got.coeffs
+    assert [[str(mon) for mon, _ in p.terms] for p in again.terms.values()] == [
+        [str(mon) for mon, _ in p.terms] for p in got.terms.values()
     ]
 
 
@@ -841,5 +882,5 @@ def test_twisted_substitution_builds_no_fraction_per_assignment(fraction_calls):
     src = x(1, m=m) ** 2 * x(2, -1, m=m) - x(2, -2, m=m) * x(3, m=m) * zeta_pow(m, 1)
     offsets = {1: Fraction(1, 4), 2: Fraction(3, 4), 3: Fraction(1, 2)}
     calls, series = fraction_calls(substitute_jets, src, offsets, 6)
-    assert sum(len(p.terms) for _, p in series.coeffs) == 70
+    assert sum(len(p.terms) for p in series.terms.values()) == 70
     assert calls <= 88

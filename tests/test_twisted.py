@@ -57,7 +57,7 @@ G2P = DiagAutomorphism(2, (1, 0))
 
 def test_generator_field_frozen():
     s = twisted_field(y(1), G2, Fraction(5, 2))
-    assert {str(w): str(p) for w, p in s.coeffs} == {
+    assert {str(w): str(s.coefficient(w)) for w in s.support()} == {
         "1/2": "x1[-1/2]",
         "3/2": "x1[-3/2]",
         "5/2": "x1[-5/2]",
@@ -67,7 +67,7 @@ def test_generator_field_frozen():
 def test_derivative_field_frozen():
     # Y(x[-1]) = d/dz Y(x): coefficient of z^(n-1) picks up a factor n
     s = twisted_field(y(1, -1), G2, Fraction(5, 2))
-    assert {str(w): str(p) for w, p in s.coeffs} == {
+    assert {str(w): str(s.coefficient(w)) for w in s.support()} == {
         "-1/2": "1/2*x1[-1/2]",
         "1/2": "3/2*x1[-3/2]",
         "3/2": "5/2*x1[-5/2]",
@@ -91,6 +91,17 @@ def test_field_rejects_fractional_level_source():
     bad = JetPoly.var(2, 1, Fraction(-1, 2))
     with pytest.raises(ValueError):
         twisted_field(bad, G2, 3)
+
+
+def test_an_off_lattice_window_is_kept_as_given():
+    # W = 5/2 lies off (1/3)Z.  The field keeps it as its window, and
+    # z^(8/3), the next exponent of the coset, lies beyond it.
+    f = twisted_field(JetPoly.var(3, 1) ** 2, DiagAutomorphism(3, (1,)), Fraction(5, 2))
+    assert f.trunc == Fraction(5, 2)
+    assert f.support() == (Fraction(4, 3), Fraction(7, 3))
+    message = r"^coefficient of z\^8/3 is beyond the window \(trunc 5/2\)$"
+    with pytest.raises(TruncationError, match=message):
+        f.coefficient(Fraction(8, 3))
 
 
 def test_modes_and_window_guard():
@@ -235,7 +246,7 @@ def test_order_one_degenerates_to_plain_algebra():
     # fields coincide
     tw = twisted_field(a, g1, 4)
     pl = translation_series(a, 4)
-    assert tw.coeffs == pl.coeffs
+    assert tw.terms == pl.terms
     # modes coincide
     for n in range(-4, 2):
         assert twisted_field(a, g1, 5).mode(n) == translation_series(a, 5).mode(n)
@@ -271,7 +282,7 @@ def _perturb_field(monkeypatch, source, exponent, extra):
         fld = real_substitute(a, offsets, window)
         if a != source:
             return fld
-        coeffs = dict(fld.coeffs)
+        coeffs = {w: fld.coefficient(w) for w in fld.support()}
         coeffs[exponent] = fld.coefficient(exponent) + extra
         return PuiseuxSeries.from_dict(a.order, coeffs, fld.trunc)
 
@@ -358,8 +369,8 @@ def test_borcherds_zero_factor_settles_a_truncated_product():
     # At window 0, a_(-3/2) needs z^(1/2), beyond the window; b_(-1) is the
     # z^0 coefficient of Y_g(x1^2), exactly zero, so a_(-3/2) b_(-1) is zero.
     fa, fb = twisted_field(a, G2P, 0), twisted_field(b, G2P, 0)
-    assert fa.known_mode(Fraction(-3, 2)) is None
-    assert fb.known_mode(-1).is_zero
+    assert fa.at(1) is None  # a_(-3/2), at z^(1/2)
+    assert fb.at(0).is_zero  # b_(-1), at z^0
     assert check_twisted_borcherds(a, b, G2P, 0, Fraction(-3, 2), -1, 0).passed
     # b_(-2), at z^1, lies beyond the window too: nothing settles the
     # product, and the first factor raises.
@@ -606,6 +617,17 @@ def test_twisted_entry_points_refuse_a_scheme_that_does_not_fit(entry, spec, mes
             lambda: check_twisted_borcherds(y(1), y(1), G2P, 0, Fraction(1, 2), 0, 2),
             "index n = 0 must lie in 1/2 + Z",
         ),
+        # A bool index used to pass and be printed as "l=True".
+        (
+            lambda: check_twisted_borcherds(
+                y(1), y(1), G2, True, Fraction(1, 2), Fraction(1, 2), 2
+            ),
+            "index l = True must not be a bool",
+        ),
+        (
+            lambda: check_twisted_borcherds(y(1), y(1), G2, 0, True, Fraction(1, 2), 2),
+            "index m = True must not be a bool",
+        ),
         (
             lambda: check_descent(
                 SchemeSpec.of(2, 2, [y(1) + y(2), y(1) - y(2)]), G2P, 1, 0, 2
@@ -638,6 +660,8 @@ def test_twisted_entry_points_refuse_a_scheme_that_does_not_fit(entry, spec, mes
         "borcherds-l",
         "borcherds-m",
         "borcherds-n",
+        "borcherds-l-bool",
+        "borcherds-m-bool",
         "descent-character",
         "descent-rel-bool",
         "descent-rel-float",
@@ -825,7 +849,7 @@ def _reference_descent_coefficients(spec, g, rel_index, n, window):
 
 def _edited(fld, w, edit):
     """fld with its z^w coefficient p replaced by edit(p)."""
-    coeffs = dict(fld.coeffs)
+    coeffs = {v: fld.coefficient(v) for v in fld.support()}
     coeffs[w] = edit(fld.coefficient(w))
     return PuiseuxSeries.from_dict(fld.order, coeffs, fld.trunc)
 
@@ -838,12 +862,13 @@ def _descent_perturbations(fld, gen_weights, n):
     """(kind, change of the translate field) for every perturbation of
     the oracle test: each coefficient with one term doubled, with one term
     dropped and with a stray term; a stray term at each exponent u - n of
-    an integer weight u < n, where C(u, n) = 0; and one at exponents that
-    no generator has."""
+    an integer weight u < n, where C(u, n) = 0; and one at z^(-1/m) and
+    z^(1/m), which lie in no generator's coset for the schemes below."""
     m = fld.order
     stray = JetPoly.var(m, 2, -9).scale(zeta_pow(m, 1))
     out = [("none", lambda f: f)]
-    for k, (w, p) in enumerate(fld.coeffs):
+    for k, w in enumerate(fld.support()):
+        p = fld.coefficient(w)
         j = k % len(p.terms)
         out += [
             ("double", lambda f, w=w, j=j: _edited(f, w, lambda q: q + _term(q, j))),
@@ -853,7 +878,7 @@ def _descent_perturbations(fld, gen_weights, n):
     for u in range(n):
         kind = "zero binomial" if u in gen_weights else "no generator"
         out.append((kind, lambda f, w=u - n: _edited(f, Fraction(w), lambda q: q + stray)))
-    for w in (Fraction(-1, 7), Fraction(1, 7)):
+    for w in (Fraction(-1, m), Fraction(1, m)):
         out.append(("no generator", lambda f, w=w: _edited(f, w, lambda q: q + stray)))
     return out
 

@@ -35,7 +35,7 @@ def x(i, level=0):
 
 def test_field_of_generator_frozen():
     s = vertex_op(x(1), 4)
-    assert {w: str(p) for w, p in s.coeffs} == {
+    assert {w: str(s.coefficient(w)) for w in s.support()} == {
         Fraction(0): "x1[0]",
         Fraction(1): "x1[-1]",
         Fraction(2): "x1[-2]",
@@ -46,7 +46,7 @@ def test_field_of_generator_frozen():
 
 def test_field_of_square_frozen():
     s = vertex_op(x(1) ** 2, 3)
-    assert {w: str(p) for w, p in s.coeffs} == {
+    assert {w: str(s.coefficient(w)) for w in s.support()} == {
         Fraction(0): "x1[0]^2",
         Fraction(1): "2*x1[0]*x1[-1]",
         Fraction(2): "2*x1[0]*x1[-2] + x1[-1]^2",
@@ -346,8 +346,17 @@ def test_borcherds_reads_the_fields_the_axiom_checks_built(substitutions):
             ),
             "untwisted Borcherds indices must be integers",
         ),
+        # A bool index used to pass and be printed as "m=True".
+        (
+            lambda: check_borcherds(JetPoly.var(2, 1), JetPoly.var(2, 1), True, -1, 0, 2),
+            "untwisted Borcherds indices must be integers",
+        ),
+        (
+            lambda: check_borcherds(JetPoly.var(2, 1), JetPoly.var(2, 1), 0, -1, False, 2),
+            "untwisted Borcherds indices must be integers",
+        ),
     ],
-    ids=["mode", "borcherds"],
+    ids=["mode", "borcherds", "borcherds-m-bool", "borcherds-k-bool"],
 )
 def test_untwisted_refusals_are_frozen(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
