@@ -70,14 +70,13 @@ import dataclasses
 from fractions import Fraction
 
 from .cyclo import CycScalar
-from .jetpoly import JetPoly, JetVar, Monomial, retag_point
+from .jetpoly import JetPoly, JetVar, Monomial, jet_var, retag_point, retag_var
 from .jetscheme import (
     DiagAutomorphism,
     SchemeSpec,
     enumerate_monomials,
     fixed_point_ring,
     graded_quotient_dims,
-    jet_var,
     require_fits,
     twisted_jet_generators,
 )
@@ -132,10 +131,6 @@ def residue_relation(mon: Monomial, setup: OrbiSetup) -> dict[int, JetPoly]:
     return dict(sorted(rels.items()))
 
 
-def _retag_vars(vars_: tuple[JetVar, ...], point: int) -> tuple[JetVar, ...]:
-    return tuple(JetVar(point, v.index, v.minus_level) for v in vars_)
-
-
 def _base_generators(setup: OrbiSetup) -> tuple[tuple[JetVar, ...], list[JetPoly]]:
     """The ambient variables and the linear generators: the twisted jet
     generators at both points and the relations of the degree-1
@@ -143,7 +138,7 @@ def _base_generators(setup: OrbiSetup) -> tuple[tuple[JetVar, ...], list[JetPoly
     spec, g, W = setup.spec, setup.auto, setup.max_weight
     pres0 = twisted_jet_generators(spec, g, W)
     presinf = twisted_jet_generators(spec, g.inverse(), W)
-    ambient = pres0.variables + _retag_vars(presinf.variables, 1)
+    ambient = pres0.variables + tuple(retag_var(v, 1) for v in presinf.variables)
 
     gens: list[JetPoly] = [gen.poly for gen in pres0.generators]
     gens.extend(retag_point(gen.poly, 1) for gen in presinf.generators)

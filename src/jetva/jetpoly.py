@@ -2,8 +2,11 @@
 
 The ambient ring is the polynomial ring over Q(zeta_m) in jet variables
 x[i, n]: ``i`` is the 1-based coordinate index of the base scheme and the
-level ``n`` is an exact rational <= 0 whose denominator divides m.  Level 0
-variables are the coordinates themselves; level -n carries weight n.  A
+level ``n`` <= 0 lies in (1/m)Z.  Level 0 variables are the coordinates
+themselves; level -n carries weight n, which a variable holds as two ints,
+num/den in lowest terms.  ``floor_units`` and ``exact_units`` turn a
+rational into ints in units of 1/q, and a Fraction is made only where a
+level or a weight is printed or asked for.  A
 second disjoint alphabet (``point = 1``, printed ``xinf``) holds the copy of
 the variables attached to the marked point at infinity in the coinvariant
 computation.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import groupby
 from operator import itemgetter
 
@@ -60,45 +63,65 @@ def binom_units(top: int, q: int, k: int) -> tuple[int, int]:
     return num, q**k * math.factorial(k)
 
 
+def floor_units(x, q: int) -> int:
+    """x in units of 1/q, rounded down: the largest k with k/q <= x, for an
+    int or Fraction x.
+
+    >>> floor_units(Fraction(5, 2), 3), floor_units(Fraction(-1, 2), 3)
+    (7, -2)
+    """
+    return x.numerator * q // x.denominator
+
+
+def exact_units(x, q: int) -> int | None:
+    """x in units of 1/q, x*q, when that is an int, else None; for an int
+    or Fraction x.
+
+    >>> exact_units(Fraction(2, 3), 6), exact_units(Fraction(1, 2), 3)
+    (4, None)
+    """
+    d = x.denominator
+    return None if q % d else x.numerator * (q // d)
+
+
 def _cache_slot(**default):
     """A slot holding a value worked out from the fields, kept out of
     ``__init__``, ``repr`` and comparisons."""
     return dataclasses.field(init=False, repr=False, compare=False, **default)
 
 
+@total_ordering
 @dataclasses.dataclass(frozen=True, slots=True)
 class JetVar:
     """A jet variable x[index, level] (or xinf[...] when point = 1).
 
-    Variables compare as the tuples (point, index, minus_level) do, so by
-    alphabet, coordinate, then weight.  The comparisons run on the level's
-    numerator and denominator, kept as ints, never on the Fraction.
+    The weight -level is held as the ints num/den in lowest terms, den >= 1
+    and num >= 0; ``level`` and ``weight`` make the Fraction on demand.
+    Variables compare as the tuples (point, index, weight) do, so by
+    alphabet, coordinate, then weight, on ints.
     """
 
     point: int
     index: int
-    minus_level: Fraction  # stored negated so natural ordering is by weight
+    num: int
+    den: int
     _hash: int = _cache_slot()
-    _num: int = _cache_slot()  # minus_level is _num/_den in lowest terms
-    _den: int = _cache_slot()
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("variable index must be >= 1")
-        ml = self.minus_level
-        num, den = ml.numerator, ml.denominator
-        if num < 0:
+        if self.num < 0:
             raise ValueError("level must be <= 0")
+        if self.den < 1 or math.gcd(self.num, self.den) != 1:
+            raise ValueError(
+                f"weight {self.num}/{self.den} is not in lowest terms over den >= 1"
+            )
         if self.point not in (0, 1):
             raise ValueError("point must be 0 or 1")
-        # The dataclass hash, worked out once: every dict lookup would
-        # otherwise rehash the Fraction level.  An integral level hashes as
-        # its numerator does, so its Fraction hash is skipped.
+        # Worked out once: every dict lookup would otherwise rehash the tuple.
         object.__setattr__(
-            self, "_hash", hash((self.point, self.index, num if den == 1 else ml))
+            self, "_hash", hash((self.point, self.index, self.num, self.den))
         )
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
 
     def __hash__(self) -> int:
         return self._hash
@@ -115,8 +138,8 @@ class JetVar:
         return (
             self.index == other.index
             and self.point == other.point
-            and self._num == other._num
-            and self._den == other._den
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __lt__(self, other):
@@ -126,41 +149,33 @@ class JetVar:
             return self.point < other.point
         if self.index != other.index:
             return self.index < other.index
-        return self._num * other._den < other._num * self._den
-
-    def __gt__(self, other):
-        if type(other) is not JetVar:
-            return NotImplemented
-        return other < self
-
-    def __le__(self, other):
-        if type(other) is not JetVar:
-            return NotImplemented
-        return not other < self
-
-    def __ge__(self, other):
-        if type(other) is not JetVar:
-            return NotImplemented
-        return not self < other
+        return self.num * other.den < other.num * self.den
 
     @property
     def level(self) -> Fraction:
-        return -self.minus_level
+        return Fraction(-self.num, self.den)
 
     @property
     def weight(self) -> Fraction:
-        return self.minus_level
+        return Fraction(self.num, self.den)
 
     def __str__(self) -> str:
         name = "x" if self.point == 0 else "xinf"
-        level = -self._num if self._den == 1 else f"{-self._num}/{self._den}"
+        level = -self.num if self.den == 1 else f"{-self.num}/{self.den}"
         return f"{name}{self.index}[{level}]"
 
 
 def jet_var(index: int, level, point: int = 0) -> JetVar:
-    if type(level) is not Fraction:
-        level = Fraction(level)
-    return JetVar(point, index, -level)
+    """x[index, level]: the one constructor that takes a rational level."""
+    if type(level) is int:
+        return JetVar(point, index, -level, 1)
+    level = Fraction(level)
+    return JetVar(point, index, -level.numerator, level.denominator)
+
+
+def retag_var(v: JetVar, point: int) -> JetVar:
+    """The same variable on the given alphabet."""
+    return JetVar(point, v.index, v.num, v.den)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -208,11 +223,11 @@ class Monomial:
             # The weight sum runs on ints, as num/den; one Fraction at the end.
             num, den = 0, 1
             for v, e in self.factors:
-                d = v._den
+                d = v.den
                 if d == den:
-                    num += v._num * e
+                    num += v.num * e
                 else:
-                    num = num * d + v._num * e * den
+                    num = num * d + v.num * e * den
                     den *= d
             key = (Fraction(num, den), self.degree, self.factors)
             object.__setattr__(self, "_key", key)
@@ -313,9 +328,7 @@ class JetPoly:
         return max((mon.degree for mon, _ in self.terms), default=0)
 
     def is_level_zero(self) -> bool:
-        return all(
-            v.minus_level == 0 for mon, _ in self.terms for v, _ in mon.factors
-        )
+        return all(v.num == 0 for mon, _ in self.terms for v, _ in mon.factors)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -446,10 +459,7 @@ def retag_point(p: JetPoly, point: int) -> JetPoly:
         tuple(
             (
                 Monomial(
-                    tuple(
-                        (JetVar(point, v.index, v.minus_level), e)
-                        for v, e in mon.factors
-                    )
+                    tuple((retag_var(v, point), e) for v, e in mon.factors)
                 ),
                 c,
             )
@@ -479,16 +489,17 @@ def shift_derivation(p: JetPoly, b: int, factor: int) -> JetPoly:
         for slot, (v, e) in enumerate(factors):
             hit = landing.get(v, False)
             if hit is False:
-                num, den = v._num, v._den
+                num, den = v.num, v.den
                 t = b * den - num
                 # Strictly positive landing levels are cut; at exactly zero
                 # the coefficient -(l+b) vanishes on its own.
                 if t >= 0:
                     hit = None
                 else:
+                    # gcd(t, den) = gcd(num, den) = 1: already lowest terms
                     q = -factor * t
                     hit = (
-                        JetVar(v.point, v.index, Fraction(-t, den)),
+                        JetVar(v.point, v.index, -t, den),
                         q if den == 1 else Fraction(q, den),
                     )
                 landing[v] = hit
@@ -543,7 +554,7 @@ def translation_series(p: JetPoly, window) -> PuiseuxSeries:
 
     Its z^n coefficient is the plain field's, the mode p_(-n-1) and the
     jet-equation generator P[n] at once, and the series is the oracle of
-    ``substitute_jets`` at every offset zero.  The divided translates come
+    ``substitute_jets`` at every exponent zero.  The divided translates come
     from one bounded memo, shared with ``divided_t_power``: each is one
     ``derivation_T`` of the one before, worked out only when the memo does
     not hold it.  A cold call applies ``derivation_T`` floor(window) times;
@@ -627,7 +638,7 @@ def _product_window(a: PuiseuxSeries, b: PuiseuxSeries):
 
 def _last_unit(trunc, order: int) -> int | None:
     """The largest k with k/order <= trunc; None when trunc is."""
-    return None if trunc is None else trunc.numerator * order // trunc.denominator
+    return None if trunc is None else floor_units(trunc, order)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -667,10 +678,10 @@ class PuiseuxSeries:
         must be a multiple of 1/order."""
         units = {}
         for w, p in acc.items():
-            k = Fraction(w) * order
-            if k.denominator != 1:
+            k = exact_units(Fraction(w), order)
+            if k is None:
                 raise ValueError(f"exponent {w} is not a multiple of 1/{order}")
-            units[k.numerator] = p
+            units[k] = p
         return cls(order, units, None if trunc is None else Fraction(trunc))
 
     def support(self) -> tuple[Fraction, ...]:
@@ -692,11 +703,12 @@ class PuiseuxSeries:
 
     def coefficient(self, w) -> JetPoly:
         """The coefficient of z^w; beyond the window it raises."""
-        w = Fraction(w)
-        k = w * self.order
+        if not isinstance(w, (int, Fraction)):
+            w = Fraction(w)
+        k = exact_units(w, self.order)
         p = None
-        if k.denominator == 1:
-            p = self.at(k.numerator)
+        if k is not None:
+            p = self.at(k)
         elif self.trunc is None or w <= self.trunc:
             p = JetPoly.zero(self.order)  # off the lattice, inside the window
         if p is None:
@@ -782,12 +794,11 @@ class PuiseuxSeries:
 # ---------------------------------------------------------------------------
 
 
-def admissible_levels(offset: Fraction, max_weight) -> list[Fraction]:
-    """Levels n <= 0 with n = offset mod 1 and weight -n <= max_weight,
-    highest level first."""
-    q = offset.denominator
-    hi = max_weight.numerator * q // max_weight.denominator
-    return [Fraction(-u, q) for u in _weight_units(offset.numerator, q, hi)]
+def admissible_levels(exponent: int, order: int, max_weight) -> list[Fraction]:
+    """Levels n <= 0 in the coset exponent/order + Z with weight -n <=
+    max_weight, highest level first."""
+    hi = floor_units(max_weight, order)
+    return [Fraction(-u, order) for u in _weight_units(exponent, order, hi)]
 
 
 def _weight_units(a: int, q: int, hi: int) -> range:
@@ -802,7 +813,7 @@ def _weight_units(a: int, q: int, hi: int) -> range:
     return range(-a % q, hi + 1, q)
 
 
-# One entry per (offset, d, window); each benchmark workload meets at most a
+# One entry per (coset, d, window); each benchmark workload meets at most a
 # few dozen.
 @lru_cache(maxsize=256)
 def _jet_expansion(a: int, q: int, d: int, hi: int) -> tuple:
@@ -810,7 +821,7 @@ def _jet_expansion(a: int, q: int, d: int, hi: int) -> tuple:
     down to the weight hi/q: (first, den, entries).
 
     ``entries`` holds (C(-n,d)*den, k, num, dn) for every level n of
-    ``admissible_levels(a/q, hi/q)`` with a nonzero binomial, k being the
+    ``admissible_levels(a, q, hi/q)`` with a nonzero binomial, k being the
     position of n in that list and -n = num/dn in lowest terms.  Every
     binomial has the one denominator den = q^d * d!, so each numerator is
     an int.  ``first`` is the exponent -n-d of the first entry in units of
@@ -831,13 +842,14 @@ def _jet_expansion(a: int, q: int, d: int, hi: int) -> tuple:
     return first, den, tuple(out)
 
 
-def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
+def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
     """Expand p along the generic (twisted) jet, exact up to the window.
 
     Coordinate x_i goes to its jet sum over admissible levels n of
-    x[i,n] z^(-n), the levels running over offsets[i] + Z (``offsets`` maps
-    the 1-based coordinate index to its coset offset in [0,1); a missing
-    index means offset 0, the untwisted jet).  A source variable x[i,-d]
+    x[i,n] z^(-n), the levels running over exponents[i-1]/m + Z, m the
+    order (``exponents`` is a tuple of ints read by position; a coordinate
+    beyond it has exponent 0, the untwisted jet, and a non-int or bool
+    exponent raises ValueError).  A source variable x[i,-d]
     goes to the d-th divided z-derivative of that sum,
 
         x[i,-d]  ->  sum_n C(-n, d) x[i,n] z^(-n-d),
@@ -852,9 +864,8 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     binomials; no series is multiplied.
 
     The work runs on ints, coefficients included.  Exponents are counted
-    in units of 1/m, m the order, as the series keeps them; an offset that
-    is not a multiple of 1/m raises ValueError.  Each binomial C(-n, d) is
-    an int numerator over a denominator fixed by the offset and d, so an
+    in units of 1/m, as the series keeps them.  Each binomial C(-n, d) is
+    an int numerator over a denominator fixed by the coset and d, so an
     assignment's product is an int.  A source term
     c * mon, with den the product of its factors' binomial denominators,
     adds q * c.nums * (L // (c.den * den)) into the phi(m) int coordinates
@@ -872,7 +883,7 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     from a source monomial of weight s has weight w + s, and its degree is
     the source's, so every key is made of ints.  Each variable of the
     result comes from a shared table keyed on (index, numerator,
-    denominator) of its minus level, and each monomial from one keyed on
+    denominator) of its weight, and each monomial from one keyed on
     its factors, so equal monomials of different calls are one object.
 
     Both terms below give x1[-1]*x2[-1] at z^1, with coordinates zeta/2
@@ -881,14 +892,14 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     >>> x1, x2 = JetPoly.var(3, 1), JetPoly.var(3, 2)
     >>> p = JetPoly.var(3, 1, -1) * x2 - x1 * JetPoly.var(3, 2, -1)
     >>> half_zeta = CycScalar.zeta(3) * Fraction(1, 2)
-    >>> print(substitute_jets(p.scale(half_zeta), {}, 1).coefficient(1))
+    >>> print(substitute_jets(p.scale(half_zeta), (), 1).coefficient(1))
     (-1*zeta)*x1[0]*x2[-2] + (zeta)*x1[-2]*x2[0]
     """
     m = p.order
     W = Fraction(window)
-    for i, off in offsets.items():
-        if m % off.denominator:
-            raise ValueError(f"offset {off} of x{i} is not a multiple of 1/{m}")
+    for i, a in enumerate(exponents, start=1):
+        if type(a) is not int:
+            raise ValueError(f"exponent {a} of x{i} is not an int")
     top = W + max((mon.weight for mon, _ in p.terms), default=0)
     # No factor of an assignment that fits the window has -n above ``top``,
     # so no coordinate has more than floor(top) + 1 levels.
@@ -899,7 +910,7 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
     # binomial vanishes only for the integer levels with -n < d, which come
     # first, so consecutive entries differ by one in the exponent.
     expansions: dict[tuple[int, int], tuple] = {}
-    level_of: dict[int, tuple[int, int]] = {}  # code -> minus level, num/den
+    level_of: dict[int, tuple[int, int]] = {}  # code -> weight, num/den
     # The source terms that reach the window: (coefficient, binomial
     # denominator, weight, lowest exponent, slots).
     kept = []
@@ -909,25 +920,27 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
         den = 1
         src_weight = 0
         for v, e in mon.factors:
-            if v.point != 0 or v._den != 1:
+            if v.point != 0 or v.den != 1:
                 raise ValueError(
                     "substitute_jets expects origin-alphabet variables with "
                     "integer levels"
                 )
-            i, d = v.index, v._num
+            i, d = v.index, v.num
             src_weight += d * e
             entry = expansions.get((i, d))
             if entry is None:
-                off = offsets.get(i, 0)
-                q = off.denominator
+                # the coset a/m + Z of x_i is a'/q + Z in lowest terms
+                a = exponents[i - 1] if i <= len(exponents) else 0
+                g = math.gcd(a, m)
+                q = m // g
                 first, b_den, exp = _jet_expansion(
-                    off.numerator % q, q, d, top.numerator * q // top.denominator
+                    a // g % q, q, d, floor_units(top, q)
                 )
                 base = i * K
                 for _, k, num, dn in exp:
                     level_of[base + k] = (num, dn)
                 entry = expansions[(i, d)] = (
-                    first * (m // q),
+                    first * g,
                     b_den,
                     [(b, base + k) for b, k, _, _ in exp],
                 )
@@ -998,7 +1011,7 @@ def substitute_jets(p: JetPoly, offsets, window) -> PuiseuxSeries:
 @lru_cache(maxsize=128)
 def _jet_var(index: int, num: int, den: int) -> JetVar:
     """x[index, -num/den] on the origin alphabet, num/den in lowest terms."""
-    return JetVar(0, index, Fraction(num, den))
+    return JetVar(0, index, num, den)
 
 
 _monomial = lru_cache(maxsize=1024)(Monomial)

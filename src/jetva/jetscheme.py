@@ -22,10 +22,12 @@ from .jetpoly import (
     JetPoly,
     JetVar,
     Monomial,
+    _jet_var,
     _mono_key,
-    admissible_levels,
+    _weight_units,
     apply_automorphism,
-    jet_var,
+    exact_units,
+    floor_units,
     mul_into,
     substitute_jets,
     translation_series,
@@ -85,12 +87,6 @@ class DiagAutomorphism:
         return DiagAutomorphism(
             self.order, tuple((-a) % self.order for a in self.exponents)
         )
-
-    def offsets(self) -> dict[int, Fraction]:
-        """Coset offset alpha_i/m in [0,1) for each coordinate i = 1..k."""
-        return {
-            i: Fraction(a, self.order) for i, a in enumerate(self.exponents, start=1)
-        }
 
     def alpha_by_index(self, spec: SchemeSpec) -> tuple[int, ...]:
         """The exponents, once ``require_fits`` has passed: positioned by
@@ -171,9 +167,13 @@ def require_preserved(spec: SchemeSpec, g: DiagAutomorphism) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class JetGenerator:
-    weight: Fraction
+    units: int  # the weight in units of 1/order, the order of poly
     relation: int  # 1-based index into spec.relations
     poly: JetPoly
+
+    @property
+    def weight(self) -> Fraction:
+        return Fraction(self.units, self.poly.order)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,11 +182,17 @@ class JetPresentation:
     generators: tuple[JetGenerator, ...]
 
 
-def _presentation_vars(spec, offsets, max_weight) -> tuple[JetVar, ...]:
+def _presentation_vars(spec, exponents, max_weight) -> tuple[JetVar, ...]:
+    """The variables x[i,n] of weight -n <= max_weight, with n in the coset
+    exponents[i-1]/m + Z (0 beyond the tuple), sorted."""
+    m = spec.order
+    hi = floor_units(max_weight, m)
     out = []
     for idx in spec.variables:
-        for n in admissible_levels(offsets.get(idx, Fraction(0)), max_weight):
-            out.append(jet_var(idx, n))
+        a = exponents[idx - 1] if idx <= len(exponents) else 0
+        for u in _weight_units(a % m, m, hi):
+            g = math.gcd(u, m)
+            out.append(_jet_var(idx, u // g, m // g))
     return tuple(sorted(out))
 
 
@@ -194,11 +200,11 @@ def _expansion_generators(spec: SchemeSpec, expand) -> tuple[JetGenerator, ...]:
     """The coefficients of every relation's series ``expand(P)``, zeros
     dropped, sorted by weight, then relation."""
     gens = [
-        JetGenerator(Fraction(k, spec.order), i, coeff)
+        JetGenerator(k, i, coeff)
         for i, p in enumerate(spec.relations, start=1)
         for k, coeff in expand(p).terms.items()
     ]
-    gens.sort(key=lambda gg: (gg.weight, gg.relation))
+    gens.sort(key=lambda gg: (gg.units, gg.relation))
     return tuple(gens)
 
 
@@ -211,16 +217,16 @@ def jet_generators(
     translation series e^(tT) P_i, whose t^n coefficient is P[i,n] =
     T(P[i,n-1])/n, while ``substitution`` expands P_i along the generic jet
     and reads off the t^n coefficient (the twisted expansion with every
-    offset zero).  Exact zeros contribute nothing and are dropped.
+    exponent zero).  Exact zeros contribute nothing and are dropped.
     """
     if method not in ("T_recursion", "substitution"):
         raise ValueError(f"unknown method {method!r}")
     W = int(max_weight)
     if method == "substitution":
-        gens = _expansion_generators(spec, lambda p: substitute_jets(p, {}, W))
+        gens = _expansion_generators(spec, lambda p: substitute_jets(p, (), W))
     else:
         gens = _expansion_generators(spec, lambda p: translation_series(p, W))
-    return JetPresentation(_presentation_vars(spec, {}, W), gens)
+    return JetPresentation(_presentation_vars(spec, (), W), gens)
 
 
 def twisted_generators(
@@ -231,8 +237,7 @@ def twisted_generators(
     [0, max_weight] where a coefficient survives."""
     require_preserved(spec, g)
     W = Fraction(max_weight)
-    offsets = g.offsets()
-    return _expansion_generators(spec, lambda p: substitute_jets(p, offsets, W))
+    return _expansion_generators(spec, lambda p: substitute_jets(p, g.exponents, W))
 
 
 def twisted_jet_generators(
@@ -240,9 +245,8 @@ def twisted_jet_generators(
 ) -> JetPresentation:
     """``twisted_generators`` with the jet variables they live in."""
     gens = twisted_generators(spec, g, max_weight)
-    return JetPresentation(
-        _presentation_vars(spec, g.offsets(), Fraction(max_weight)), gens
-    )
+    W = Fraction(max_weight)
+    return JetPresentation(_presentation_vars(spec, g.exponents, W), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +295,11 @@ def _packed_box(ambient: tuple[JetVar, ...], max_weight, max_degree: int):
     """
     D = int(max_degree)
     bits = max(1, D.bit_length())
-    L = math.lcm(*(v.weight.denominator for v in ambient))
-    W = math.floor(Fraction(max_weight) * L)
+    L = math.lcm(*(v.den for v in ambient))
+    W = floor_units(Fraction(max_weight), L)
     box = [(0, 0, 0)] if W >= 0 else []  # (weight, degree, code)
     for j, v in enumerate(ambient):
-        wv = int(v.weight * L)
+        wv = v.num * (L // v.den)
         grown = []
         for w, d, code in box:
             e = 0
@@ -338,12 +342,12 @@ def _box_weights(ambient: tuple[JetVar, ...], max_weight, max_degree: int):
     """The weights of the box's monomials, ascending, as ``_packed_box``
     would find them, from a walk over the distinct ambient weights: each
     reachable weight keeps the least degree that reaches it."""
-    L = math.lcm(*(v.weight.denominator for v in ambient))
-    W = math.floor(Fraction(max_weight) * L)
+    L = math.lcm(*(v.den for v in ambient))
+    W = floor_units(Fraction(max_weight), L)
     if W < 0:
         return []
     least = {0: 0}  # weight in units of 1/L -> least degree reaching it
-    for wv in sorted({int(v.weight * L) for v in ambient} - {0}):
+    for wv in sorted({v.num * (L // v.den) for v in ambient} - {0}):
         for w in range(W - wv + 1):  # ascending, so multiples of wv chain
             d = least.get(w)
             if d is not None and d < max_degree and d + 1 < least.get(w + wv, d + 2):
@@ -525,7 +529,7 @@ def _box_dims(
     # (weight, degree room left for the multiplier, [(term code, coeff)])
     packed_gens = [
         (
-            int(g.homogeneous_weight() * L),
+            exact_units(g.homogeneous_weight(), L),
             room,
             [(sum(e << shift_of[v] for v, e in mon.factors), c) for mon, c in g.terms],
         )

@@ -36,9 +36,8 @@ def _check_shift(b: int) -> None:
 
 def L_op(b: int, p: JetPoly) -> JetPoly:
     """The untwisted weight-shift derivation L_b, b >= 0."""
-    for v in p.variables():
-        if v.level.denominator != 1:
-            raise ValueError("L_b acts on the ring with integer levels")
+    if any(v.den != 1 for v in p.variables()):
+        raise ValueError("L_b acts on the ring with integer levels")
     _check_shift(b)
     return shift_derivation(p, b, 1)
 
@@ -68,7 +67,7 @@ def check_commutators(
     twisted = [
         JetPoly.var(m, i, n)
         for i in range(1, k + 1)
-        for n in admissible_levels(Fraction(g.exponents[i - 1], m), W)
+        for n in admissible_levels(g.exponents[i - 1], m, W)
     ]
 
     def Lt(b, p):

@@ -35,6 +35,7 @@ from .jetpoly import (
     derivation_T,
     divided_t_power,
     eigen_index,
+    exact_units,
     mul_into,
     substitute_jets,
 )
@@ -55,13 +56,12 @@ def _max_weight(a: JetPoly) -> Fraction:
 
 def require_coordinates(a: JetPoly, exponents) -> tuple[int, ...]:
     """The exponents of a's own coordinates x_1, ..., read by position, the
-    i-th acting on x_i; refuse a coordinate that has no exponent."""
-    top = 0
-    for v in a.variables():
-        if v.index > len(exponents):
-            raise ValueError(f"no exponent known for coordinate {v.index}")
-        top = max(top, v.index)
-    return tuple(exponents[:top])
+    i-th acting on x_i; refuse the lowest coordinate that has no exponent."""
+    indices = {v.index for v in a.variables()}
+    missing = [i for i in indices if i > len(exponents)]
+    if missing:
+        raise ValueError(f"no exponent known for coordinate {min(missing)}")
+    return tuple(exponents[: max(indices, default=0)])
 
 
 # Sweeps reuse a few recent fields; an unbounded cache keeps every one.
@@ -73,8 +73,7 @@ def _build_field(
     """The field of a, at its coordinates' exponents, up to num/den."""
     if eigen_index(a, exponents) is None:
         raise ValueError("twisted field source must be character-homogeneous")
-    offsets = {i: Fraction(e, a.order) for i, e in enumerate(exponents, start=1)}
-    return substitute_jets(a, offsets, Fraction(num, den))
+    return substitute_jets(a, exponents, Fraction(num, den))
 
 
 def twisted_field(
@@ -167,15 +166,6 @@ def check_twisted_axioms(
     out.append(check_translation(a, g, W, "Y_g"))
     out.append(check_multiplicative(a, b, g, W, "Y_g"))
     return out
-
-
-def _in_units(idx: Fraction, r: int, m: int) -> int | None:
-    """idx*m when idx lies in the coset r/m + Z, else None."""
-    d = idx.denominator
-    if m % d:
-        return None
-    k = idx.numerator * (m // d)
-    return k if (k - r) % m == 0 else None
 
 
 def _mode(fld: PuiseuxSeries, k: int, m: int) -> JetPoly:
@@ -309,11 +299,11 @@ def check_twisted_borcherds(
     pair = _pair_context(a, b, g, window)
     # The indices in units of 1/order: l*order, m*order, n*order.
     L = l_idx * order
-    M = _in_units(m_idx, pair.r_a, order)
-    if M is None:
+    M = exact_units(m_idx, order)
+    if M is None or (M - pair.r_a) % order:
         raise ValueError(f"index m = {m_idx} must lie in {pair.r_a}/{order} + Z")
-    N = _in_units(n_idx, pair.r_b, order)
-    if N is None:
+    N = exact_units(n_idx, order)
+    if N is None or (N - pair.r_b) % order:
         raise ValueError(f"index n = {n_idx} must lie in {pair.r_b}/{order} + Z")
     name = f"twisted borcherds(l={l_idx}, m={m_idx}, n={n_idx})"
 
@@ -441,15 +431,11 @@ def check_descent(
     if eigen_index(rel, g.exponents) is None:
         raise ValueError("relation is not character-homogeneous for this symmetry")
 
-    fld = substitute_jets(divided_t_power(rel, n), g.offsets(), W)
+    fld = substitute_jets(divided_t_power(rel, n), g.exponents, W)
     m = fld.order
     # The relation's generators keyed on their weight u in units of 1/m.
     # Every u lies in [0, (W + n)m], so u - nm lies in [-nm, Wm].
-    table = {
-        gen.weight.numerator * (m // gen.weight.denominator): gen.poly
-        for gen in gens
-        if gen.relation == rel_index
-    }
+    table = {gen.units: gen.poly for gen in gens if gen.relation == rel_index}
     pending = dict(table)  # the generators no coefficient of the field met
     fails = []  # exponents, in units of 1/m, where the check fails
     for k, lhs in fld.terms.items():

@@ -32,9 +32,9 @@ ModeIndex = Union[int, Fraction]
 
 
 def _require_untwisted(a: JetPoly) -> None:
-    for v in a.variables():
-        if v.point != 0 or v.level.denominator != 1:
-            raise ValueError(f"not an untwisted jet polynomial (variable {v})")
+    bad = [v for v in a.variables() if v.point != 0 or v.den != 1]
+    if bad:
+        raise ValueError(f"not an untwisted jet polynomial (variable {min(bad)})")
 
 
 # A sweep runs the whole index box of one pair before the next pair.

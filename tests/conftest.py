@@ -37,7 +37,7 @@ def unpruned_coinvariant_args():
         pres0 = jetscheme.twisted_jet_generators(spec, g, W)
         presinf = jetscheme.twisted_jet_generators(spec, g.inverse(), W)
         ambient = pres0.variables + tuple(
-            jetpoly.JetVar(1, v.index, v.minus_level) for v in presinf.variables
+            jetpoly.retag_var(v, 1) for v in presinf.variables
         )
         gens = [gen.poly for gen in pres0.generators]
         gens += [jetpoly.retag_point(gen.poly, 1) for gen in presinf.generators]
@@ -102,9 +102,9 @@ def substitutions(monkeypatch):
     made = []
     real = twisted.substitute_jets
 
-    def recorded(p, offsets, window):
+    def recorded(p, exponents, window):
         made.append((p, window))
-        return real(p, offsets, window)
+        return real(p, exponents, window)
 
     monkeypatch.setattr(twisted, "substitute_jets", recorded)
     return made

@@ -125,11 +125,14 @@ _monomials = st.lists(
 def _rebuilt(mon: Monomial) -> Monomial:
     """An equal monomial made from fresh objects, nothing cached yet."""
     return Monomial(
-        tuple(
-            (JetVar(v.point, v.index, Fraction(str(v.minus_level))), e)
-            for v, e in mon.factors
-        )
+        tuple((JetVar(v.point, v.index, v.num, v.den), e) for v, e in mon.factors)
     )
+
+
+def _fraction_tuple(v: JetVar) -> tuple:
+    """What a variable stands for: (point, index, weight), the weight a
+    Fraction."""
+    return (v.point, v.index, v.weight)
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,11 +142,18 @@ def _rebuilt(mon: Monomial) -> Monomial:
     m=st.integers(min_value=1, max_value=4),
 )
 def test_cached_hashes_and_keys_match_the_fields(mons, coeffs, m):
-    # The cached values are the dataclass-generated hashes and the key they
-    # replace, so dict and set orders are what they were without caching.
+    # Variables compare as their Fraction tuples do and hash alike when
+    # equal, and a monomial's cached key is the one worked out from the
+    # factors' Fraction weights, so dict and set contents and every sort
+    # are what the Fraction tuples give.
+    variables = [v for mon in mons for v, _ in mon.factors]
+    for u in variables:
+        for v in variables:
+            assert (u == v) == (_fraction_tuple(u) == _fraction_tuple(v))
+            assert (u < v) == (_fraction_tuple(u) < _fraction_tuple(v))
+            if u == v:
+                assert hash(u) == hash(v)
     for mon in mons:
-        for v, _ in mon.factors:
-            assert hash(v) == hash((v.point, v.index, v.minus_level))
         assert hash(mon) == hash((mon.factors,))
         twin = _rebuilt(mon)
         assert twin == mon and hash(twin) == hash(mon)
@@ -180,26 +190,41 @@ _levels = st.builds(
     )
 )
 def test_jet_var_equality_hash_and_order_match_the_field_tuple(specs):
-    # Each level also comes as a second Fraction object of the same value,
-    # built from a non-reduced numerator and denominator, so equal variables
-    # hold distinct level objects.
-    vs = []
+    # A variable stands for the Fraction tuple (point, index, weight) it is
+    # made from, and compares, hashes, prints and keys as that tuple says.
+    # Each comes twice, the second from a level Fraction built from a
+    # non-reduced numerator and denominator, so equal variables are
+    # distinct objects.
+    made = []
     for point, index, level, k in specs:
-        minus = -level
-        twin = Fraction(-level.numerator * k, level.denominator * k)
-        assert twin == minus and twin is not minus
-        vs += [JetVar(point, index, minus), JetVar(point, index, twin)]
-    for u in vs:
-        tu = (u.point, u.index, u.minus_level)
-        for v in vs:
-            tv = (v.point, v.index, v.minus_level)
+        ref = (point, index, -level)
+        twin = Fraction(level.numerator * k, level.denominator * k)
+        made += [(jet_var(index, lv, point), ref) for lv in (level, twin)]
+    for u, tu in made:
+        assert (u.point, u.index, u.weight, u.level) == (*tu, -tu[2])
+        assert str(u) == f"{('x', 'xinf')[tu[0]]}{tu[1]}[{-tu[2]}]"
+        assert Monomial.of((u, 2)).sort_key == (2 * tu[2], 2, ((u, 2),))
+        for v, tv in made:
             assert (u == v) == (tu == tv)
             assert (u != v) == (tu != tv)
             assert (u < v) == (tu < tv)
             assert (u <= v) == (tu <= tv)
+            assert (u > v) == (tu > tv)
+            assert (u >= v) == (tu >= tv)
             if u == v:
                 assert hash(u) == hash(v)
-        assert u != (u.point, u.index, u.minus_level)
+        assert u != tu
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [(2, 4), (0, 2), (3, 0), (1, -2), (-1, 1)],
+    ids=["not-lowest", "zero-not-lowest", "den-zero", "den-negative", "num-negative"],
+)
+def test_jet_var_refuses_a_weight_off_its_lowest_terms(num, den):
+    message = "level must be <= 0" if num < 0 else "is not in lowest terms"
+    with pytest.raises(ValueError, match=message):
+        JetVar(0, 1, num, den)
 
 
 def test_level_must_be_nonpositive():
@@ -340,7 +365,7 @@ def _retag_by_rebuilding(p: JetPoly, point: int) -> JetPoly:
     acc = {}
     for mon, c in p.terms:
         mon2 = Monomial.of(
-            *((JetVar(point, v.index, v.minus_level), e) for v, e in mon.factors)
+            *((JetVar(point, v.index, v.num, v.den), e) for v, e in mon.factors)
         )
         acc[mon2] = acc.get(mon2, CycScalar.zero(p.order)) + c
     return JetPoly._from_dict(p.order, acc)
@@ -454,15 +479,20 @@ def test_a_product_keeps_an_off_lattice_window():
             "exponent 1/3 is not a multiple of 1/2",
         ),
         (
-            lambda: substitute_jets(x(1), {1: Fraction(1, 2)}, 2),
-            "offset 1/2 of x1 is not a multiple of 1/1",
+            lambda: substitute_jets(x(1, m=2), (Fraction(1, 2),), 2),
+            "exponent 1/2 of x1 is not an int",
+        ),
+        (
+            lambda: substitute_jets(x(1, m=2), (True,), 2),
+            "exponent True of x1 is not an int",
         ),
     ],
-    ids=["series-exponent", "substitution-offset"],
+    ids=["series-exponent", "substitution-offset", "substitution-bool"],
 )
 def test_exponents_off_the_lattice_are_refused(call, message):
-    # Exponents are ints in units of 1/order.  The substitution used to
-    # return an order-1 series with exponents 1/2 and 3/2.
+    # Exponents are ints in units of 1/order.  A substitution takes each
+    # coordinate's coset as an int exponent, x_i's being exponents[i-1]/m + Z,
+    # so a Fraction or a bool there is refused.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
@@ -555,12 +585,12 @@ def test_differentiate_shrinks_window():
 
 
 def test_admissible_levels():
-    assert admissible_levels(Fraction(0), 2) == [0, -1, -2]
-    assert admissible_levels(Fraction(1, 2), 2) == [
+    assert admissible_levels(0, 1, 2) == [0, -1, -2]
+    assert admissible_levels(1, 2, 2) == [
         Fraction(-1, 2),
         Fraction(-3, 2),
     ]
-    assert admissible_levels(Fraction(1, 3), Fraction(5, 3)) == [
+    assert admissible_levels(1, 3, Fraction(5, 3)) == [
         Fraction(-2, 3),
         Fraction(-5, 3),
     ]
@@ -568,7 +598,7 @@ def test_admissible_levels():
 
 def test_generator_series_support():
     # the bare coordinate at offset 1/2: one variable per exponent of its coset
-    s = substitute_jets(x(1, m=2), {1: Fraction(1, 2)}, 3)
+    s = substitute_jets(x(1, m=2), (1,), 3)
     assert s.support() == (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
     assert s.coefficient(Fraction(1, 2)) == x(1, Fraction(-1, 2), m=2)
 
@@ -576,7 +606,7 @@ def test_generator_series_support():
 def test_substitution_matches_divided_powers():
     # The t^n coefficient of P(x(t)) equals T^n(P)/n! for untwisted jets.
     P = x(1) ** 2 * x(2) - 3 * x(2) ** 2
-    s = substitute_jets(P, {}, 5)
+    s = substitute_jets(P, (), 5)
     for n in range(0, 6):
         assert s.coefficient(n) == divided_t_power(P, n)
 
@@ -589,7 +619,7 @@ def test_substitution_matches_divided_powers():
 )
 def test_substitution_cross_oracle_random(e, c, n):
     P = c * x(1) ** e + x(2)
-    s = substitute_jets(P, {}, 4)
+    s = substitute_jets(P, (), 4)
     assert s.coefficient(n) == divided_t_power(P, n)
 
 
@@ -621,7 +651,7 @@ def test_substitution_matches_vertex_operator(m, window, terms):
         for i, d in factors:
             mono = mono * x(i, -d, m=m)
         a = a + mono
-    assert substitute_jets(a, {}, window) == translation_series(a, window)
+    assert substitute_jets(a, (), window) == translation_series(a, window)
 
 
 _fraction_terms = st.lists(
@@ -667,16 +697,16 @@ def test_integer_coefficient_sums_match_the_translation_series(
     # monomial with a = b, where they cancel exactly.
     s = _integer_level_poly(m, antisymmetric)
     p = _integer_level_poly(m, terms) + s - _integer_level_poly(m, antisymmetric, True)
-    assert substitute_jets(p, {}, window) == translation_series(p, window)
+    assert substitute_jets(p, (), window) == translation_series(p, window)
 
 
-def _jet_factor(m, i, d, offset, top):
+def _jet_factor(m, i, d, exponent, top):
     # x[i,-d] -> sum_n C(-n,d) x[i,n] z^(-n-d), levels up to weight top
     return PuiseuxSeries.from_dict(
         m,
         {
             -n - d: x(i, n, m=m).scale(binom(-n, d))
-            for n in admissible_levels(offset, top)
+            for n in admissible_levels(exponent, m, top)
         },
         top,
     )
@@ -689,10 +719,7 @@ def test_substitution_matches_product_of_factor_series(data):
     # factor series padded by the source weight s is exact up to W + s, and
     # no factor's exponent falls below -d, so the product is exact to W.
     m = data.draw(st.integers(min_value=1, max_value=4))
-    offsets = {
-        i: Fraction(data.draw(st.integers(min_value=0, max_value=m - 1)), m)
-        for i in (1, 2, 3)
-    }
+    exponents = tuple(data.draw(st.integers(min_value=0, max_value=m - 1)) for _ in "123")
     W = Fraction(data.draw(st.integers(min_value=0, max_value=4 * m)), m)
     terms = data.draw(
         st.lists(
@@ -722,13 +749,13 @@ def test_substitution_matches_product_of_factor_series(data):
         product = PuiseuxSeries.from_dict(m, {0: JetPoly.const(m, c)}, None)
         for v, e in mon.factors:
             d = int(v.weight)
-            factor = _jet_factor(m, v.index, d, offsets[v.index], W + mon.weight)
+            factor = _jet_factor(m, v.index, d, exponents[v.index - 1], W + mon.weight)
             for _ in range(e):
                 product = product * factor
         product = product.truncate(W)
         for w in product.support():
             expected[w] = expected.get(w, JetPoly.zero(m)) + product.coefficient(w)
-    got = substitute_jets(src, offsets, W)
+    got = substitute_jets(src, exponents, W)
     assert got == PuiseuxSeries.from_dict(m, expected, W)
     # equality is structural, so the terms must also be in canonical order
     for p in got.terms.values():
@@ -736,7 +763,7 @@ def test_substitution_matches_product_of_factor_series(data):
     # Neither the shared variables and monomials nor their absence changes
     # the output: the same string and term order from empty tables.
     empty_caches()
-    again = substitute_jets(src, offsets, W)
+    again = substitute_jets(src, exponents, W)
     assert str(again) == str(got)
     assert [[str(mon) for mon, _ in p.terms] for p in again.terms.values()] == [
         [str(mon) for mon, _ in p.terms] for p in got.terms.values()
@@ -747,8 +774,8 @@ def test_substitutions_share_their_output_monomials():
     # Each term of x1*x2 at z^2 is also one of x1*x2 + x1^2 there: each
     # monomial, and each of its variables, is one object, made once.
     empty_caches()
-    first = substitute_jets(x(1) * x(2), {}, 3).coefficient(2)
-    second = substitute_jets(x(1) * x(2) + x(1) ** 2, {}, 3).coefficient(2)
+    first = substitute_jets(x(1) * x(2), (), 3).coefficient(2)
+    second = substitute_jets(x(1) * x(2) + x(1) ** 2, (), 3).coefficient(2)
     shared = {str(mon): mon for mon, _ in first.terms}
     common = [mon for mon, _ in second.terms if str(mon) in shared]
     assert [str(mon) for mon in common] == [str(mon) for mon, _ in first.terms]
@@ -760,14 +787,14 @@ def test_substitutions_share_their_output_monomials():
 def test_substitution_twisted_coefficients_frozen():
     # x1^2 with half-integer levels: t^1 -> x[-1/2]^2, t^2 -> 2 x[-1/2]x[-3/2]
     P = x(1, m=2) ** 2
-    s = substitute_jets(P, {1: Fraction(1, 2)}, 3)
+    s = substitute_jets(P, (1,), 3)
     assert s.coefficient(0).is_zero
     assert str(s.coefficient(1)) == "x1[-1/2]^2"
     assert str(s.coefficient(2)) == "2*x1[-1/2]*x1[-3/2]"
     assert str(s.coefficient(3)) == "2*x1[-1/2]*x1[-5/2] + x1[-3/2]^2"
     # a level -1 factor is the divided z-derivative of its coordinate's jet:
     # x1[-1] -> sum C(c,1) x1[-c] z^(c-1), x2 -> sum x2[-c] z^c, c in 1/2 + N
-    s = substitute_jets(x(1, -1, m=2) * x(2, m=2), {1: Fraction(1, 2), 2: Fraction(1, 2)}, 2)
+    s = substitute_jets(x(1, -1, m=2) * x(2, m=2), (1, 1), 2)
     assert s.support() == (0, 1, 2)
     assert str(s.coefficient(0)) == "1/2*x1[-1/2]*x2[-1/2]"
     assert str(s.coefficient(1)) == "1/2*x1[-1/2]*x2[-3/2] + 3/2*x1[-3/2]*x2[-1/2]"
@@ -860,7 +887,7 @@ def test_jet_expansion_binomials_are_int_numerators(m):
             hi = 3 * m + 2
             first, den, entries = _jet_expansion(offset.numerator, q, d, hi)
             assert den == q**d * factorial(d)
-            levels = admissible_levels(offset, Fraction(hi, q))
+            levels = admissible_levels(a, m, Fraction(hi, q))
             nonzero = [(k, n) for k, n in enumerate(levels) if _binom_reference(-n, d)]
             assert [(k, -n) for k, n in nonzero] == [
                 (k, Fraction(top, bottom)) for _, k, top, bottom in entries
@@ -880,7 +907,6 @@ def test_twisted_substitution_builds_no_fraction_per_assignment(fraction_calls):
     # 8 exponents; a Fraction per assignment or per term breaks the bound.
     m = 4
     src = x(1, m=m) ** 2 * x(2, -1, m=m) - x(2, -2, m=m) * x(3, m=m) * zeta_pow(m, 1)
-    offsets = {1: Fraction(1, 4), 2: Fraction(3, 4), 3: Fraction(1, 2)}
-    calls, series = fraction_calls(substitute_jets, src, offsets, 6)
+    calls, series = fraction_calls(substitute_jets, src, (1, 3, 2), 6)
     assert sum(len(p.terms) for p in series.terms.values()) == 70
     assert calls <= 88

@@ -173,8 +173,24 @@ def test_a_symmetry_that_does_not_fit_the_scheme_is_refused(entry, spec, g, mess
 
 def test_offsets_are_positional():
     g = DiagAutomorphism(4, (1, 0, 3))
-    assert g.offsets() == {1: Fraction(1, 4), 2: Fraction(0), 3: Fraction(3, 4)}
     assert g.alpha_by_index(SchemeSpec.of(4, 3, [])) == (1, 0, 3)
+
+
+def test_twisted_jet_generators_build_no_fraction_per_variable_or_generator(
+    fraction_calls,
+):
+    # Measured at 4 Fraction.__new__ calls (Python 3.11) at every weight:
+    # the window, read twice, its copy in the substitution and the top
+    # weight there; jet variables and generator weights are ints.  At weight 8 the cusp
+    # has 17 variables and 9 generators, at weight 4 9 and 5, so a Fraction
+    # per variable or per generator breaks the equality.
+    spec = SchemeSpec.of(3, 2, [x(1, m=3) ** 3 - x(2, m=3) ** 2])
+    g = DiagAutomorphism(3, (2, 0))
+    calls, pres = fraction_calls(twisted_jet_generators, spec, g, 8)
+    assert (len(pres.variables), len(pres.generators)) == (17, 9)
+    assert [str(gen.weight) for gen in pres.generators] == [str(k) for k in range(9)]
+    assert calls <= 6
+    assert fraction_calls(twisted_jet_generators, spec, g, 4)[0] == calls
 
 
 def test_twisted_generators_parabola_frozen():

@@ -184,9 +184,9 @@ def test_multiplicative_factors_are_padded_by_the_other_pole(
     requested = []
     real = twisted.substitute_jets
 
-    def recorded(p, offsets, window):
+    def recorded(p, exponents, window):
         requested.append((str(p), window))
-        return real(p, offsets, window)
+        return real(p, exponents, window)
 
     monkeypatch.setattr(twisted, "substitute_jets", recorded)
     assert all_passed(check_twisted_axioms(y(1, -1), b, g, 4))
@@ -278,8 +278,8 @@ def _perturb_field(monkeypatch, source, exponent, extra):
         fresh = functools.lru_cache(**cached.cache_parameters())(cached.__wrapped__)
         monkeypatch.setattr(twisted, name, fresh)
 
-    def perturbed_substitute(a, offsets, window):
-        fld = real_substitute(a, offsets, window)
+    def perturbed_substitute(a, exponents, window):
+        fld = real_substitute(a, exponents, window)
         if a != source:
             return fld
         coeffs = {w: fld.coefficient(w) for w in fld.support()}
@@ -652,6 +652,12 @@ def test_twisted_entry_points_refuse_a_scheme_that_does_not_fit(entry, spec, mes
             lambda: check_descent(_parabola(), G2P, 1, 2.0, 2),
             "translate 2.0 must be an int",
         ),
+        # The lowest coordinate without an exponent is named, whatever the
+        # order of the variable set; it used to read "coordinate 7".
+        (
+            lambda: twisted_field(y(3) * y(4) * y(5) * y(6) * y(7) * y(8), G2P, 2),
+            "no exponent known for coordinate 3",
+        ),
     ],
     ids=[
         "field-order",
@@ -667,6 +673,7 @@ def test_twisted_entry_points_refuse_a_scheme_that_does_not_fit(entry, spec, mes
         "descent-rel-float",
         "descent-translate-bool",
         "descent-translate-float",
+        "field-lowest-missing-coordinate",
     ],
 )
 def test_refusals_are_frozen(call, message):
@@ -832,7 +839,7 @@ def _reference_descent_coefficients(spec, g, rel_index, n, window):
     ``twisted`` substitutes it, so a patched field reaches both."""
     W = Fraction(window)
     rel = spec.relations[rel_index - 1]
-    fld = twisted.substitute_jets(divided_t_power(rel, n), g.offsets(), W)
+    fld = twisted.substitute_jets(divided_t_power(rel, n), g.exponents, W)
     gens = twisted_jet_generators(spec, g, W + n).generators
     table = {(gen.relation, gen.weight): gen.poly for gen in gens}
     exponents = set(fld.support())
@@ -905,14 +912,14 @@ def test_descent_coefficients_match_the_scale_and_compare_oracle(monkeypatch, sp
     monkeypatch.setattr(
         twisted,
         "substitute_jets",
-        lambda p, offsets, window: change.get(p, lambda f: f)(real(p, offsets, window)),
+        lambda p, exponents, window: change.get(p, lambda f: f)(real(p, exponents, window)),
     )
     rel, window = spec.relations[0], 3
     verdicts = Counter()
     for n in range(0, 5):
         source = divided_t_power(rel, n)
         gens = twisted_jet_generators(spec, g, window + n).generators
-        fld = real(source, g.offsets(), window)
+        fld = real(source, g.exponents, window)
         for kind, edit in _descent_perturbations(fld, {gen.weight for gen in gens}, n):
             change[source] = edit
             got = check_descent(spec, g, 1, n, window)[0]

@@ -206,9 +206,9 @@ def test_plain_axioms_build_no_field_past_the_translation_window(monkeypatch):
     windows = []
     real = twisted.substitute_jets
 
-    def recorded(a, offsets, window):
+    def recorded(a, exponents, window):
         windows.append(window)
-        return real(a, offsets, window)
+        return real(a, exponents, window)
 
     monkeypatch.setattr(twisted, "substitute_jets", recorded)
     sources = [x(1), x(2) ** 2, x(1) * x(2, -1) + x(1, -2)]
@@ -355,8 +355,19 @@ def test_borcherds_reads_the_fields_the_axiom_checks_built(substitutions):
             lambda: check_borcherds(JetPoly.var(2, 1), JetPoly.var(2, 1), 0, -1, False, 2),
             "untwisted Borcherds indices must be integers",
         ),
+        # The lowest twisted variable is named, whatever the order of the
+        # variable set; it used to read x2[-1/2].
+        (
+            lambda: mode(
+                JetPoly.var(2, 1, Fraction(-1, 2))
+                * JetPoly.var(2, 2, Fraction(-1, 2))
+                * JetPoly.var(2, 3, Fraction(-3, 2)),
+                -1,
+            ),
+            "not an untwisted jet polynomial (variable x1[-1/2])",
+        ),
     ],
-    ids=["mode", "borcherds", "borcherds-m-bool", "borcherds-k-bool"],
+    ids=["mode", "borcherds", "borcherds-m-bool", "borcherds-k-bool", "mode-lowest-twisted"],
 )
 def test_untwisted_refusals_are_frozen(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
