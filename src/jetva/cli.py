@@ -374,66 +374,91 @@ def _render_obj(obj, lines: list[str], indent: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SWEEP_FLAGS = (
+    ("--window", {"type": int, "default": 6}),
+    ("--index-bound", {"type": int, "default": 1}),
+    ("--random-samples", {"type": int, "default": 1}),
+)
+
+# Each subcommand: its help, its runner, and its flags beyond --input,
+# --format and --seed, as (flag, ``add_argument`` keywords).
+_SUBCOMMANDS = {
+    "jet": (
+        "jet-equation generators, two ways",
+        cmd_jet,
+        (("--max-weight", {"default": "4"}),),
+    ),
+    "twisted-jet": (
+        "twisted jet-equation generators",
+        cmd_twisted_jet,
+        (("--max-weight", {"default": "4"}),),
+    ),
+    "fixed-points": ("fixed subscheme presentation", cmd_fixed_points, ()),
+    "check-va": ("vertex-algebra axioms at a window", cmd_check_va, _SWEEP_FLAGS),
+    "check-twisted": (
+        "twisted-module axioms at a window",
+        cmd_check_twisted,
+        _SWEEP_FLAGS,
+    ),
+    "check-quasiconf": (
+        "weight-shift commutators",
+        cmd_check_quasiconf,
+        (
+            ("--max-weight", {"default": "4"}),
+            ("--index-bound", {"type": int, "default": 3}),
+        ),
+    ),
+    "coinvariants": (
+        "orbifold coinvariant dimensions",
+        cmd_coinvariants,
+        (
+            ("--max-weight", {"default": "3"}),
+            ("--max-degree", {"type": int, "default": 3}),
+        ),
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand's parser, or with only
+    the parser of ``command`` when that names one.
+
+    The top parser's usage lists every subcommand either way, so a usage
+    error after a known subcommand reads the same; ``main`` builds one
+    subcommand's parser only when its arguments start with that name.
+    """
     top = argparse.ArgumentParser(
         prog="jetva",
         description="Exact jet-scheme fields, their axioms, and orbifold "
         "coinvariants.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    if command in _SUBCOMMANDS:
+        # the usage text argparse makes from every name
+        sub = top.add_subparsers(
+            dest="command", required=True, metavar="{%s}" % ",".join(_SUBCOMMANDS)
+        )
+        names = (command,)
+    else:
+        sub = top.add_subparsers(dest="command", required=True)
+        names = tuple(_SUBCOMMANDS)
+    for name in names:
+        help_text, run, flags = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="scheme description JSON")
         p.add_argument(
             "--format", choices=("json", "text"), default="text", help="report format"
         )
         p.add_argument("--seed", type=int, default=0, help="sampling seed")
-
-    p = sub.add_parser("jet", help="jet-equation generators, two ways")
-    common(p)
-    p.add_argument("--max-weight", default="4")
-    p.set_defaults(run=cmd_jet)
-
-    p = sub.add_parser("twisted-jet", help="twisted jet-equation generators")
-    common(p)
-    p.add_argument("--max-weight", default="4")
-    p.set_defaults(run=cmd_twisted_jet)
-
-    p = sub.add_parser("fixed-points", help="fixed subscheme presentation")
-    common(p)
-    p.set_defaults(run=cmd_fixed_points)
-
-    p = sub.add_parser("check-va", help="vertex-algebra axioms at a window")
-    common(p)
-    p.add_argument("--window", type=int, default=6)
-    p.add_argument("--index-bound", type=int, default=1)
-    p.add_argument("--random-samples", type=int, default=1)
-    p.set_defaults(run=cmd_check_va)
-
-    p = sub.add_parser("check-twisted", help="twisted-module axioms at a window")
-    common(p)
-    p.add_argument("--window", type=int, default=6)
-    p.add_argument("--index-bound", type=int, default=1)
-    p.add_argument("--random-samples", type=int, default=1)
-    p.set_defaults(run=cmd_check_twisted)
-
-    p = sub.add_parser("check-quasiconf", help="weight-shift commutators")
-    common(p)
-    p.add_argument("--max-weight", default="4")
-    p.add_argument("--index-bound", type=int, default=3)
-    p.set_defaults(run=cmd_check_quasiconf)
-
-    p = sub.add_parser("coinvariants", help="orbifold coinvariant dimensions")
-    common(p)
-    p.add_argument("--max-weight", default="3")
-    p.add_argument("--max-degree", type=int, default=3)
-    p.set_defaults(run=cmd_coinvariants)
-
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(run=run)
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         report, checks = args.run(args)
     except TruncationError as e:

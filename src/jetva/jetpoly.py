@@ -22,7 +22,6 @@ import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from itertools import groupby
 from operator import itemgetter
 
 from .cyclo import CycScalar, FieldMismatchError, _canon, ratio_str
@@ -479,7 +478,8 @@ def shift_derivation(p: JetPoly, b: int, factor: int) -> JetPoly:
 
     With l = -num/den, the landing level l+b is t/den for t = b*den - num,
     so the cut, the landing variable and its coefficient -factor*t/den are
-    worked out on ints, once per variable of p.
+    worked out on ints, once per variable of p.  A landing variable on the
+    origin alphabet comes from the table that substitutions share.
     """
     acc: dict[Monomial, CycScalar] = {}
     # variable -> (x[i,l+b], -factor*(l+b)), or None when l+b >= 0
@@ -499,7 +499,9 @@ def shift_derivation(p: JetPoly, b: int, factor: int) -> JetPoly:
                     # gcd(t, den) = gcd(num, den) = 1: already lowest terms
                     q = -factor * t
                     hit = (
-                        JetVar(v.point, v.index, -t, den),
+                        _jet_var(v.index, -t, den)
+                        if v.point == 0
+                        else JetVar(v.point, v.index, -t, den),
                         q if den == 1 else Fraction(q, den),
                     )
                 landing[v] = hit
@@ -858,33 +860,43 @@ def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
     source may be any origin-alphabet polynomial with integer levels.
 
     Window rule: the result holds every z^w coefficient with w <= window,
-    each exact, and asking it for one beyond raises TruncationError.  A
-    coefficient is summed directly, over the level assignments of each
-    monomial's factors whose exponents add up to w, of the product of the
-    binomials; no series is multiplied.
+    each exact, and asking it for one beyond raises TruncationError.  No
+    series is multiplied: each source term is expanded as the product of
+    its factors' expansions truncated at the window, on ints.
 
-    The work runs on ints, coefficients included.  Exponents are counted
-    in units of 1/m, as the series keeps them.  Each binomial C(-n, d) is
-    an int numerator over a denominator fixed by the coset and d, so an
-    assignment's product is an int.  A source term
-    c * mon, with den the product of its factors' binomial denominators,
-    adds q * c.nums * (L // (c.den * den)) into the phi(m) int coordinates
-    of an output term, where q is the assignment's int product and L the
-    lcm of c.den * den over the source terms that reach the window.  Each
-    output coefficient is then put in canonical form over L once, so it is
-    the very ``CycScalar`` that summing scalars would give, and a term whose
-    coordinates sum to zero is dropped.  Within one call the variable
-    x[i,n] is coded i*K + k, where k is the position of n among the
-    admissible levels of coordinate i and K exceeds their number, so codes
-    sort as the variables do, and an assignment is keyed by its sorted code
-    tuple.  Each expansion of a source variable comes from a shared cache,
-    bounded at 256 entries.  A coefficient's terms are sorted as
-    ``JetPoly`` keeps them, by weight, degree and factors: at z^w a term
-    from a source monomial of weight s has weight w + s, and its degree is
-    the source's, so every key is made of ints.  Each variable of the
-    result comes from a shared table keyed on (index, numerator,
-    denominator) of its weight, and each monomial from one keyed on
-    its factors, so equal monomials of different calls are one object.
+    The window, the exponents and the source weights are read as ints in
+    units of 1/m once per call.  Each binomial C(-n, d) is an int numerator
+    over a denominator fixed by the coset and d, so every multiplicity is
+    an int.  A monomial is one int code: x[i,-u/q] owns the bit field
+    [B*f, B*(f+1)) of its exponent, f = u*k + i - 1, where k is the
+    highest coordinate index of the source, B the bit length of its
+    highest degree and q the lcm of the denominators of its coordinates'
+    cosets (1 when none is twisted, whatever m).  No output exponent
+    exceeds that degree, so the code of a product is the sum of its
+    factors' codes, with no carry between fields, and the codes of a
+    monomial do not depend on the window.
+
+    A source term c * mon is expanded slot by slot, one slot per factor
+    and repetition, over a list of dicts {code: multiplicity}, one dict
+    per step of 1 in the exponent above the term's lowest, cut at the
+    window; equal partial products merge as they form, so an assignment of
+    levels that only permutes repeated factors is never visited twice.
+    With den the product of its binomial denominators, the term adds
+    q * c.nums * (L // (c.den * den)) into the phi(m) int coordinates of
+    an output term, where q is the multiplicity and L the lcm of c.den *
+    den over the source terms that reach the window.  Each output
+    coefficient is then put in canonical form over L once, so it is the
+    very ``CycScalar`` that summing scalars would give, and a term whose
+    coordinates sum to zero is dropped.
+
+    Each output code is read through one shared memo, ``_coded_monomial``,
+    which gives the ``Monomial``, built once from shared variables, and an
+    int key that orders the monomials of one weight and degree as their
+    factors do.  A coefficient's terms are sorted as ``JetPoly`` keeps
+    them, by weight, degree and factors: at z^w a term from a source
+    monomial of weight s has weight w + s, and its degree is the source's,
+    so every sort key is made of ints.  Each expansion of a source variable
+    comes from a shared cache, bounded at 256 entries.
 
     Both terms below give x1[-1]*x2[-1] at z^1, with coordinates zeta/2
     and -zeta/2; they cancel exactly, and the term is dropped:
@@ -896,147 +908,170 @@ def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
     (-1*zeta)*x1[0]*x2[-2] + (zeta)*x1[-2]*x2[0]
     """
     m = p.order
-    W = Fraction(window)
     for i, a in enumerate(exponents, start=1):
         if type(a) is not int:
             raise ValueError(f"exponent {a} of x{i} is not an int")
-    top = W + max((mon.weight for mon, _ in p.terms), default=0)
-    # No factor of an assignment that fits the window has -n above ``top``,
-    # so no coordinate has more than floor(top) + 1 levels.
-    K = max(math.floor(top), 0) + 2
-    top_w = _last_unit(W, m)  # the window in units of 1/m
-    # (i, d) -> (lowest exponent in units of 1/m, binomial denominator,
-    # [(binomial numerator, code of x[i,n])] by rising exponent).  The
-    # binomial vanishes only for the integer levels with -n < d, which come
-    # first, so consecutive entries differ by one in the exponent.
-    expansions: dict[tuple[int, int], tuple] = {}
-    level_of: dict[int, tuple[int, int]] = {}  # code -> weight, num/den
-    # The source terms that reach the window: (coefficient, binomial
-    # denominator, weight, lowest exponent, slots).
-    kept = []
+    W = Fraction(window)
+    top_w = floor_units(W, m)  # the window in units of 1/m
+    # (coefficient, factors, weight, degree) of each source term, on ints
+    sources = []
+    # coordinate -> its coset a/m + Z as a'/q + Z in lowest terms: (a', q)
+    cosets = {}
     for mon, c in p.terms:
-        slots = []
-        lowest = 0
-        den = 1
-        src_weight = 0
+        weight = degree = 0
         for v, e in mon.factors:
             if v.point != 0 or v.den != 1:
                 raise ValueError(
                     "substitute_jets expects origin-alphabet variables with "
                     "integer levels"
                 )
+            weight += v.num * e
+            degree += e
+            if v.index not in cosets:
+                a = exponents[v.index - 1] if v.index <= len(exponents) else 0
+                q = m // math.gcd(a, m)
+                cosets[v.index] = (a * q // m % q, q)
+        sources.append((c, mon.factors, weight, degree))
+    # No factor of an assignment that fits the window has a weight above
+    # ``top``, in units of 1/m.
+    top = top_w + m * max((s[2] for s in sources), default=0)
+    bits = max(1, max((s[3] for s in sources), default=0).bit_length())
+    k = max(cosets, default=1)
+    unit = math.lcm(*(q for _, q in cosets.values()))  # codes count 1/unit
+    # (i, d) -> (lowest exponent in units of 1/m, binomial denominator,
+    # [(binomial numerator, code of x[i,n])] by rising exponent).  The
+    # binomial vanishes only for the integer levels with -n < d, which come
+    # first, so consecutive entries differ by one in the exponent.
+    expansions: dict[tuple[int, int], tuple] = {}
+    # The source terms that reach the window: (coefficient, binomial
+    # denominator, weight, degree, lowest exponent, slots).
+    kept = []
+    for c, factors, weight, degree in sources:
+        slots = []
+        lowest = 0
+        den = 1
+        for v, e in factors:
             i, d = v.index, v.num
-            src_weight += d * e
             entry = expansions.get((i, d))
             if entry is None:
-                # the coset a/m + Z of x_i is a'/q + Z in lowest terms
-                a = exponents[i - 1] if i <= len(exponents) else 0
-                g = math.gcd(a, m)
-                q = m // g
-                first, b_den, exp = _jet_expansion(
-                    a // g % q, q, d, floor_units(top, q)
-                )
-                base = i * K
-                for _, k, num, dn in exp:
-                    level_of[base + k] = (num, dn)
+                a, q = cosets[i]
+                first, b_den, exp = _jet_expansion(a, q, d, top * q // m)
                 entry = expansions[(i, d)] = (
-                    first * g,
+                    first * (m // q),
                     b_den,
-                    [(b, base + k) for b, k, _, _ in exp],
+                    [
+                        (b, 1 << bits * (num * (unit // dn) * k + i - 1))
+                        for b, _, num, dn in exp
+                    ],
                 )
             first, b_den, terms = entry
             lowest += first * e
             den *= b_den**e
             slots.extend([terms] * e)
         if all(slots) and lowest <= top_w:
-            kept.append((c, den, src_weight, lowest, slots))
+            kept.append((c, den, weight, degree, lowest, slots))
     # Every output coefficient is a sum of integer coordinates over the one
     # denominator L.
-    L = math.lcm(*(c.den * den for c, den, _, _, _ in kept))
-    # exponent in units of 1/m -> sorted code tuple -> [weight of its
-    # source monomial, coordinates over L]
-    by_exp: dict[int, dict[tuple[int, ...], list]] = {}
-    for c, den, src_weight, lowest, slots in kept:
-        room = (top_w - lowest) // m
-        found: dict[tuple[int, tuple[int, ...]], int] = {}
-        _assign(slots, 0, room, 1, [], found)
+    L = math.lcm(*(c.den * den for c, den, *_ in kept))
+    # exponent in units of 1/m -> code -> (weight and degree of its source
+    # monomial, coordinates over L)
+    by_exp: dict[int, dict[int, tuple]] = {}
+    for c, den, weight, degree, lowest, slots in kept:
         f = L // (c.den * den)
         nums = [a * f for a in c.nums]
-        buckets = [by_exp.setdefault(lowest + j * m, {}) for j in range(room, -1, -1)]
-        for (left, codes), q in found.items():
-            bucket = buckets[left]
-            cur = bucket.get(codes)
-            if cur is None:
-                bucket[codes] = [src_weight, [q * a for a in nums]]
-            else:
-                acc = cur[1]
-                for j, a in enumerate(nums):
-                    acc[j] += q * a
-    jet_vars: dict[int, JetVar] = {}  # code -> x[i,n], from ``_jet_var``
-    made: dict[tuple[int, ...], tuple] = {}  # codes -> (runs, Monomial)
+        for step, part in enumerate(_expand(slots, (top_w - lowest) // m)):
+            bucket = by_exp.setdefault(lowest + step * m, {})
+            for code, q in part.items():
+                cur = bucket.get(code)
+                if cur is None:
+                    bucket[code] = (weight, degree, [q * a for a in nums])
+                else:
+                    acc = cur[2]
+                    for j, a in enumerate(nums):
+                        acc[j] += q * a
     coeffs = {}
     for w in sorted(by_exp):
         rows = []
-        for codes, (src_weight, acc) in by_exp[w].items():
+        for code, (weight, degree, acc) in by_exp[w].items():
             if not any(acc):
                 continue
-            entry = made.get(codes)
-            if entry is None:
-                runs = _runs(codes)
-                factors = []
-                for code, e in runs:
-                    var = jet_vars.get(code)
-                    if var is None:
-                        var = jet_vars[code] = _jet_var(code // K, *level_of[code])
-                    factors.append((var, e))
-                entry = made[codes] = (runs, _monomial(tuple(factors)))
-            rows.append(
-                ((src_weight, len(codes), entry[0]), entry[1], _canon(m, tuple(acc), L))
-            )
+            mon, key = _coded_monomial(code, bits, k, unit)
+            rows.append(((weight, degree, key), mon, _canon(m, tuple(acc), L)))
         if rows:
             rows.sort(key=itemgetter(0))
             coeffs[w] = JetPoly(m, tuple((mon, val) for _, mon, val in rows))
     return PuiseuxSeries(m, coeffs, W)
 
 
+def _expand(slots, room: int) -> list[dict[int, int]]:
+    """The product of the slots' expansions, each a list of (binomial
+    numerator, code) by rising exponent, truncated at ``room`` steps: entry
+    t maps the code of each monomial t steps above the lowest exponent to
+    its int multiplicity."""
+    steps = [{0: 1}]
+    for terms in slots:
+        reach = min(room, len(steps) + len(terms) - 2)
+        grown: list[dict[int, int]] = [{} for _ in range(reach + 1)]
+        for t, part in enumerate(steps):
+            for extra, (b, var_code) in enumerate(terms[: reach - t + 1]):
+                out = grown[t + extra]
+                for code, q in part.items():
+                    code += var_code
+                    out[code] = out.get(code, 0) + q * b
+        steps = grown
+    return steps
+
+
 # The variables and monomials of substitutions, shared across calls: the
 # translates of a relation and its generators meet the same monomials, so
 # each is built, hashed and given its sort key once, and comparing the
-# terms of two series hits identity.  The keys are ints and factor tuples
-# of shared variables, never a Fraction.  A descent-sweep job meets 98
-# variables and 1,190 monomials, an axioms-zeta4 job 37 and 1,551.  With
-# 1,024 monomials the peak memory of both fell (12.07 -> 11.95 MB and
-# 12.63 -> 12.41 MB, one benchmark run each); 512 entries read 12.46 MB on
-# axioms-zeta4, and 2,048 and 4,096 gave back part of the fall on both.
+# terms of two series hits identity.  Variables are keyed on ints, never a
+# Fraction; ``shift_derivation`` and the presentations take theirs from the
+# same table.
 @lru_cache(maxsize=128)
 def _jet_var(index: int, num: int, den: int) -> JetVar:
     """x[index, -num/den] on the origin alphabet, num/den in lowest terms."""
     return JetVar(0, index, num, den)
 
 
-_monomial = lru_cache(maxsize=1024)(Monomial)
+# One entry per (code, layout) of a substitution's output, read once per
+# output term.  Per job at seed 7, a descent-sweep job makes 9,163 reads
+# for 1,382 distinct keys (1,190 distinct monomials; a source's layout
+# moves with its highest coordinate and its cosets) and misses 1,832 of
+# them; an axioms-zeta4 job makes 5,202 reads and misses 1,583, every key
+# once.  Peak memory (one benchmark run each, descent-sweep and
+# axioms-zeta4): 11.99 and 12.41 MB at 1,024 entries, against 11.95 and
+# 12.36 MB for the factor-keyed table this one replaced; 512 entries read
+# 11.92 and 12.39 MB but missed 4,166 and 2,563 reads, with descent-sweep
+# 13% slower, and 2,048 entries read 12.20 and 12.68 MB.
+@lru_cache(maxsize=1024)
+def _coded_monomial(code: int, bits: int, k: int, unit: int) -> tuple[Monomial, int]:
+    """The monomial of a ``substitute_jets`` code and its sort key.
 
-
-def _runs(codes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Run-length form ((code, multiplicity), ...) of a sorted code tuple."""
-    return tuple((code, len(list(run))) for code, run in groupby(codes))
-
-
-def _assign(slots, k, room: int, q: int, chosen, found) -> None:
-    """Add q times the binomial numerators of every assignment of slots[k:]
-    that raises the exponents above their minima by at most ``room`` in all
-    into ``found``, keyed by the room left and the sorted chosen codes; ints
-    only."""
-    if k == len(slots):
-        key = (room, tuple(sorted(chosen)))
-        found[key] = found.get(key, 0) + q
-        return
-    last = k + 1 == len(slots)
-    for extra, (b, code) in enumerate(slots[k][: room + 1]):
-        if last:
-            key = (room - extra, tuple(sorted([*chosen, code])))
-            found[key] = found.get(key, 0) + q * b
-        else:
-            chosen.append(code)
-            _assign(slots, k + 1, room - extra, q * b, chosen, found)
-            chosen.pop()
+    The exponent of x[i,-u/unit] is the bit field [bits*f, bits*(f+1)) of
+    the code, f = u*k + i - 1.  The key packs one field of ``span`` bits
+    per factor, (i-1)*(U+1) + u then the exponent, the first factor
+    highest, and is shifted up to ``degree`` fields, U being the weight of
+    the monomial in units of 1/unit.  So among monomials of one weight and
+    degree, where span is the same and no factor tuple is a prefix of
+    another, the keys compare as the factor tuples do.
+    """
+    mask = (1 << bits) - 1
+    found = []  # (i, u, exponent)
+    while code:
+        f = ((code & -code).bit_length() - 1) // bits
+        e = code >> bits * f & mask
+        code -= e << bits * f
+        u, r = divmod(f, k)
+        found.append((r + 1, u, e))
+    found.sort()
+    weight = sum(u * e for _, u, e in found)
+    degree = sum(e for _, _, e in found)
+    span = (k * (weight + 1)).bit_length() + bits
+    factors = []
+    key = 0
+    for i, u, e in found:
+        g = math.gcd(u, unit)
+        factors.append((_jet_var(i, u // g, unit // g), e))
+        key = key << span | ((i - 1) * (weight + 1) + u) << bits | e
+    return Monomial(tuple(factors)), key << span * (degree - len(found))

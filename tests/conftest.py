@@ -84,7 +84,7 @@ def empty_caches():
     for cached in (
         jetpoly._jet_expansion,
         jetpoly._jet_var,
-        jetpoly._monomial,
+        jetpoly._coded_monomial,
         jetpoly._divided_translate,
         twisted._build_field,
         twisted._descent_basis,

@@ -2,6 +2,7 @@
 and determinism.
 """
 
+import argparse
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import jetva
-from jetva.cli import InputError, load_spec, main
+from jetva.cli import InputError, build_parser, load_spec, main
 
 
 PARABOLA = {
@@ -328,6 +329,54 @@ def test_text_format_lists_checks(spec_file, capsys):
     assert code == 0
     assert "command: jet" in out
     assert "[PASS]" in out
+
+
+_COMMANDS = (
+    "jet", "twisted-jet", "fixed-points", "check-va", "check-twisted",
+    "check-quasiconf", "coinvariants",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["bogus"],
+        ["-h", "coinvariants"],
+        *([command, "--help"] for command in _COMMANDS),
+        *([command] for command in _COMMANDS),
+        ["coinvariants", "--input", "x.json", "--bogus"],
+        ["check-va", "--input", "x.json", "--window", "six"],
+        ["jet", "--input", "x.json", "--format", "yaml"],
+    ],
+)
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
+    # ``main`` builds only the named subcommand's parser; what it prints
+    # and its exit status are those of the parser with every subcommand.
+    def run(parse):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        printed = capsys.readouterr()
+        return stop.value.code, printed.out, printed.err
+
+    assert run(main) == run(build_parser().parse_args)
+
+
+def test_a_known_subcommand_builds_its_parser_alone():
+    for command in _COMMANDS:
+        (sub,) = (
+            action
+            for action in build_parser(command)._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert list(sub.choices) == [command]
+    (sub,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert tuple(sub.choices) == _COMMANDS
 
 
 def test_console_entry_point(spec_file, tmp_path):

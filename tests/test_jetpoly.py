@@ -6,7 +6,8 @@ x[i,-n] = T^n x[i,0] / n!.
 
 import re
 from fractions import Fraction
-from math import factorial
+from itertools import groupby
+from math import factorial, floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -770,18 +771,153 @@ def test_substitution_matches_product_of_factor_series(data):
     ]
 
 
+def _assert_shared(first: JetPoly, second: JetPoly) -> None:
+    """Each monomial of ``first`` is a term of ``second`` too, in the same
+    order, as the same object with the same variable objects."""
+    shared = {str(mon): mon for mon, _ in first.terms}
+    common = [mon for mon, _ in second.terms if str(mon) in shared]
+    assert [str(mon) for mon in common] == [str(mon) for mon, _ in first.terms]
+    for mon in common:
+        assert mon is shared[str(mon)]
+        for (v, _), (u, _) in zip(mon.factors, shared[str(mon)].factors):
+            assert v is u
+
+
+def _substitute_by_enumeration(p: JetPoly, exponents, window) -> PuiseuxSeries:
+    """The former ``substitute_jets``: every ordered assignment of levels to
+    the factor slots enumerated by recursion, keyed by its sorted tuple of
+    per-call variable codes, with no table shared across calls."""
+    m = p.order
+    W = Fraction(window)
+    top = W + max((mon.weight for mon, _ in p.terms), default=0)
+    K = max(floor(top), 0) + 2  # code of x[i,n]: i*K + position of n
+    top_w = floor(W * m)
+    expansions, level_of, kept = {}, {}, []
+    for mon, c in p.terms:
+        slots, lowest, den, src_weight = [], 0, 1, 0
+        for v, e in mon.factors:
+            i, d = v.index, v.num
+            src_weight += d * e
+            if (i, d) not in expansions:
+                a = exponents[i - 1] if i <= len(exponents) else 0
+                g = gcd(a, m)
+                q = m // g
+                first, b_den, exp = _jet_expansion(a // g % q, q, d, floor(top * q))
+                for _, k, num, dn in exp:
+                    level_of[i * K + k] = (num, dn)
+                expansions[i, d] = (first * g, b_den, [(b, i * K + k) for b, k, _, _ in exp])
+            first, b_den, terms = expansions[i, d]
+            lowest += first * e
+            den *= b_den**e
+            slots.extend([terms] * e)
+        if all(slots) and lowest <= top_w:
+            kept.append((c, den, src_weight, lowest, slots))
+
+    def assign(k, room, q, chosen, found):
+        if k == len(slots):
+            key = (room, tuple(sorted(chosen)))
+            found[key] = found.get(key, 0) + q
+            return
+        for extra, (b, code) in enumerate(slots[k][: room + 1]):
+            assign(k + 1, room - extra, q * b, [*chosen, code], found)
+
+    L = lcm(*(c.den * den for c, den, _, _, _ in kept))
+    by_exp = {}
+    for c, den, src_weight, lowest, slots in kept:
+        room = (top_w - lowest) // m
+        found = {}
+        assign(0, room, 1, [], found)
+        nums = [a * (L // (c.den * den)) for a in c.nums]
+        for (left, codes), q in found.items():
+            bucket = by_exp.setdefault(lowest + (room - left) * m, {})
+            acc = bucket.setdefault(codes, [src_weight, [0] * len(nums)])[1]
+            for j, a in enumerate(nums):
+                acc[j] += q * a
+    coeffs = {}
+    for w in sorted(by_exp):
+        rows = []
+        for codes, (src_weight, acc) in by_exp[w].items():
+            if any(acc):
+                runs = tuple((code, len(list(run))) for code, run in groupby(codes))
+                mon = Monomial(
+                    tuple((JetVar(0, code // K, *level_of[code]), e) for code, e in runs)
+                )
+                scalar = CycScalar(m, tuple(Fraction(a, L) for a in acc))
+                rows.append(((src_weight, len(codes), runs), mon, scalar))
+        if rows:
+            rows.sort(key=lambda row: row[0])
+            coeffs[w] = JetPoly(m, tuple((mon, c) for _, mon, c in rows))
+    return PuiseuxSeries(m, coeffs, W)
+
+
+def _assert_matches_enumeration(p: JetPoly, exponents, window) -> None:
+    got = substitute_jets(p, exponents, window)
+    want = _substitute_by_enumeration(p, exponents, window)
+    assert got == want
+    # the same exponents in the same order, and in each coefficient the
+    # same terms in the same order
+    assert list(got.terms) == list(want.terms)
+    for k, coeff in got.terms.items():
+        assert coeff.terms == want.terms[k].terms
+
+
+@st.composite
+def _degree_sources(draw, m):
+    """Sums of up to three terms, each of a degree in {1, 3, 4, 7, 8}, over
+    x1..x3 at levels 0 to -2 (at most two factors off level 0, so that the
+    recursion stays small), with zeta and fractional coefficients."""
+    out = JetPoly.zero(m)
+    # one coordinate a third of the time, so that whole fields fill
+    index = st.integers(min_value=1, max_value=draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        degree = draw(st.sampled_from((1, 3, 4, 7, 8)))
+        pairs = [(draw(index), 0) for _ in range(degree)]
+        for slot in draw(st.lists(st.integers(0, degree - 1), max_size=2)):
+            pairs[slot] = (pairs[slot][0], draw(st.integers(min_value=1, max_value=2)))
+        mon = Monomial.of(*((jet_var(i, -d), 1) for i, d in pairs))
+        c = zeta_pow(m, draw(st.integers(0, m - 1))) * Fraction(
+            draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 6))
+        )
+        out = out + JetPoly(m, ((mon, c),))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_substitution_matches_the_recursive_enumeration(data):
+    m = data.draw(st.sampled_from((1, 2, 3, 4, 6)))
+    exponents = tuple(data.draw(st.integers(0, m - 1)) for _ in range(3))
+    window = Fraction(data.draw(st.integers(min_value=0, max_value=2 * m)), m)
+    _assert_matches_enumeration(data.draw(_degree_sources(m)), exponents, window)
+
+
+@pytest.mark.parametrize("m, exponents", [(1, ()), (2, (1, 0)), (3, (1, 2)), (6, (5, 3))])
+@pytest.mark.parametrize("degree", [3, 4, 7, 8])
+def test_exponent_fields_full_and_one_past_full(m, exponents, degree):
+    # Degrees 3 and 7 fill a bit field exactly (2^B - 1, B = 2 and 3), 4
+    # and 8 are one past it: x1^d reaches x1[n]^d, and the two other terms
+    # reach x1[n]^(d-1) and x2[n]^(d-1) beside a second field.
+    x1, x2 = x(1, m=m), x(2, m=m)
+    p = x1**degree + 3 * x1 ** (degree - 1) * x(2, -1, m=m) - x1 * x2 ** (degree - 1)
+    _assert_matches_enumeration(p, exponents, Fraction(5, 2))
+
+
 def test_substitutions_share_their_output_monomials():
     # Each term of x1*x2 at z^2 is also one of x1*x2 + x1^2 there: each
     # monomial, and each of its variables, is one object, made once.
     empty_caches()
     first = substitute_jets(x(1) * x(2), (), 3).coefficient(2)
     second = substitute_jets(x(1) * x(2) + x(1) ** 2, (), 3).coefficient(2)
-    shared = {str(mon): mon for mon, _ in first.terms}
-    common = [mon for mon, _ in second.terms if str(mon) in shared]
-    assert [str(mon) for mon in common] == [str(mon) for mon, _ in first.terms]
-    for mon in common:
-        assert mon is shared[str(mon)]
-        assert mon.factors[0][0] is shared[str(mon)].factors[0][0]
+    _assert_shared(first, second)
+    # One twisted source at two windows: the codes of a monomial do not
+    # depend on the window, so the wider one reads the same objects.
+    src = x(1, -1, m=3) * x(2, m=3) ** 2
+    narrow = substitute_jets(src, (1, 2), 2)
+    wide = substitute_jets(src, (1, 2), Fraction(17, 3))
+    assert list(narrow.terms) == list(wide.terms)[: len(narrow.terms)]
+    for k, p in narrow.terms.items():
+        assert p == wide.terms[k]
+        _assert_shared(p, wide.terms[k])
 
 
 def test_substitution_twisted_coefficients_frozen():
@@ -870,6 +1006,21 @@ def test_shift_derivation_matches_a_fraction_reference(data):
         assert L_op(b, q) == _shift_reference(q, b, 1)
 
 
+def test_translates_share_their_landing_variables():
+    # Two calls on one polynomial land on the same variable objects, on the
+    # origin alphabet from the table that substitutions share.
+    p = x(1, -1, m=2) * x(2, m=2) + JetPoly.var(2, 1, Fraction(-1, 2))
+    first, second = derivation_T(p), derivation_T(p)
+    assert first == second
+    for (mon, _), (again, _) in zip(first.terms, second.terms):
+        for (v, _), (u, _) in zip(mon.factors, again.factors):
+            assert v is u
+    assert jetpoly._jet_var(1, 3, 2) in first.variables()
+    # the point at infinity keeps its own variables
+    inf = retag_point(p, 1)
+    assert derivation_T(inf) == retag_point(first, 1)
+
+
 def _binom_reference(top, k):
     """C(top, k) as a Fraction product."""
     out = Fraction(1)
@@ -903,8 +1054,9 @@ def test_jet_expansion_binomials_are_int_numerators(m):
 
 
 def test_twisted_substitution_builds_no_fraction_per_assignment(fraction_calls):
-    # Measured at 44 Fraction.__new__ calls (Python 3.11) for 70 terms over
-    # 8 exponents; a Fraction per assignment or per term breaks the bound.
+    # Measured at 1 Fraction.__new__ call (Python 3.11), the window's, for
+    # 70 terms over 8 exponents; a Fraction per assignment or per term
+    # breaks the bound.
     m = 4
     src = x(1, m=m) ** 2 * x(2, -1, m=m) - x(2, -2, m=m) * x(3, m=m) * zeta_pow(m, 1)
     calls, series = fraction_calls(substitute_jets, src, (1, 3, 2), 6)
