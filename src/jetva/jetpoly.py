@@ -204,22 +204,48 @@ class Monomial:
         return cls(tuple([(v, acc[v]) for v in sorted(acc) if acc[v]]))
 
     def __mul__(self, other: Monomial) -> Monomial:
-        if not other.factors:
+        """The product, by one merge of the two sorted factor tuples: a
+        variable of both gets the sum of its exponents."""
+        left, right = self.factors, other.factors
+        if not right:
             return self
-        if not self.factors:
+        if not left:
             return other
-        return Monomial.of(*self.factors, *other.factors)
+        out = []
+        i = j = 0
+        while i < len(left) and j < len(right):
+            u, e = left[i]
+            v, f = right[j]
+            if u is not v:
+                if u < v:
+                    out.append(left[i])
+                    i += 1
+                    continue
+                if v < u:
+                    out.append(right[j])
+                    j += 1
+                    continue
+            # one variable, as one object or as two equal ones
+            out.append((u, e + f))
+            i += 1
+            j += 1
+        out += left[i:]
+        out += right[j:]
+        return Monomial(tuple(out))
 
     @property
-    def weight(self) -> Fraction:
+    def weight(self) -> int | Fraction:
+        """The weight: an int when it is integral, else a Fraction."""
         return self.sort_key[0]
 
     @property
     def sort_key(self) -> tuple:
-        """The order of ``JetPoly`` terms: weight, degree, factors."""
+        """The order of ``JetPoly`` terms: weight, degree, factors.  The
+        weight is an int when it is integral and a Fraction only when it
+        is not; the two compare exactly, so the order is the same."""
         key = self._key
         if key is None:
-            # The weight sum runs on ints, as num/den; one Fraction at the end.
+            # The weight sum runs on ints, as num/den.
             num, den = 0, 1
             for v, e in self.factors:
                 d = v.den
@@ -228,7 +254,8 @@ class Monomial:
                 else:
                     num = num * d + v.num * e * den
                     den *= d
-            key = (Fraction(num, den), self.degree, self.factors)
+            weight = num // den if num % den == 0 else Fraction(num, den)
+            key = (weight, self.degree, self.factors)
             object.__setattr__(self, "_key", key)
         return key
 
@@ -409,15 +436,6 @@ class JetPoly:
 
 def _mono_key(mon: Monomial):
     return mon.sort_key
-
-
-def add_into(acc: dict, terms, coef) -> None:
-    """Add coef times the terms of a polynomial into a Monomial -> scalar
-    dict."""
-    for mon, c in terms:
-        c = c * coef
-        cur = acc.get(mon)
-        acc[mon] = c if cur is None else cur + c
 
 
 def mul_into(acc: dict, left, right) -> None:
@@ -613,6 +631,13 @@ def eigen_index(p: JetPoly, alpha):
 # ---------------------------------------------------------------------------
 
 
+# One zero per order, the known-zero coefficient every windowed read of a
+# series of that order returns; a JetPoly is immutable, so it is shared.
+@lru_cache(maxsize=16)
+def _zero(m: int) -> JetPoly:
+    return JetPoly.zero(m)
+
+
 def _min_trunc(a, b):
     if a is None:
         return b
@@ -701,7 +726,7 @@ class PuiseuxSeries:
             return p
         if self._top is not None and k > self._top:
             return None
-        return JetPoly.zero(self.order)
+        return _zero(self.order)
 
     def coefficient(self, w) -> JetPoly:
         """The coefficient of z^w; beyond the window it raises."""
@@ -712,7 +737,7 @@ class PuiseuxSeries:
         if k is not None:
             p = self.at(k)
         elif self.trunc is None or w <= self.trunc:
-            p = JetPoly.zero(self.order)  # off the lattice, inside the window
+            p = _zero(self.order)  # off the lattice, inside the window
         if p is None:
             raise TruncationError(
                 f"coefficient of z^{w} is beyond the window (trunc {self.trunc})"
@@ -771,13 +796,17 @@ class PuiseuxSeries:
     def first_mismatch(self, other: PuiseuxSeries) -> str | None:
         """The witness "z^w: difference" at the lowest exponent where the
         two disagree, compared on the overlap of the known windows, or None
-        when they agree there."""
+        when they agree there.  Coefficients are subtracted only where
+        they differ."""
         self._check(other)
         top = _last_unit(_min_trunc(self.trunc, other.trunc), self.order)
         for k in sorted(self.terms.keys() | other.terms.keys()):
             if top is not None and k > top:
                 break
-            d = self.at(k) - other.at(k)
+            x, y = self.at(k), other.at(k)
+            if x == y:
+                continue
+            d = x - y
             if not d.is_zero:
                 return f"z^{Fraction(k, self.order)}: {d}"
         return None
@@ -822,25 +851,23 @@ def _jet_expansion(a: int, q: int, d: int, hi: int) -> tuple:
     """The expansion of x[i,-d] along a jet whose levels run over a/q + Z,
     down to the weight hi/q: (first, den, entries).
 
-    ``entries`` holds (C(-n,d)*den, k, num, dn) for every level n of
-    ``admissible_levels(a, q, hi/q)`` with a nonzero binomial, k being the
-    position of n in that list and -n = num/dn in lowest terms.  Every
-    binomial has the one denominator den = q^d * d!, so each numerator is
-    an int.  ``first`` is the exponent -n-d of the first entry in units of
-    1/q (0 with no entry).
+    ``entries`` holds (C(-n,d)*den, num, dn) for every level n of
+    ``admissible_levels(a, q, hi/q)`` with a nonzero binomial, highest
+    level first, -n = num/dn in lowest terms.  Every binomial has the one
+    denominator den = q^d * d!, so each numerator is an int.  ``first`` is
+    the exponent -n-d of the first entry in units of 1/q (0 with no entry).
 
     >>> _jet_expansion(1, 2, 1, 5)  # x[-1] along the levels -1/2, -3/2, -5/2
-    (-1, 2, ((1, 0, 1, 2), (3, 1, 3, 2), (5, 2, 5, 2)))
+    (-1, 2, ((1, 1, 2), (3, 3, 2), (5, 5, 2)))
     """
     out = []
     den = 1
-    weights = _weight_units(a, q, hi)
-    for k, u in enumerate(weights):
+    for u in _weight_units(a, q, hi):
         b, den = binom_units(u, q, d)
         if b:
             g = math.gcd(u, q)
-            out.append((b, k, u // g, q // g))
-    first = weights[out[0][1]] - d * q if out else 0
+            out.append((b, u // g, q // g))
+    first = out[0][1] * (q // out[0][2]) - d * q if out else 0
     return first, den, tuple(out)
 
 
@@ -961,7 +988,7 @@ def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
                     b_den,
                     [
                         (b, 1 << bits * (num * (unit // dn) * k + i - 1))
-                        for b, _, num, dn in exp
+                        for b, num, dn in exp
                     ],
                 )
             first, b_den, terms = entry

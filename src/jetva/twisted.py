@@ -26,10 +26,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .cyclo import _canon, euler_phi
 from .jetpoly import (
     JetPoly,
     PuiseuxSeries,
-    add_into,
     binom,
     binom_units,
     derivation_T,
@@ -182,18 +182,38 @@ def _dead(fld: PuiseuxSeries, k: int, m: int) -> bool:
     return known and (not fld.terms or -k - m < next(iter(fld.terms)))
 
 
+# The field width a pair starts with, in bits.  The largest bound of an
+# axioms-zeta4 job (seed 7) is below 2^17, so none of its pairs widens.
+_START_BITS = 32
+
+
 class _PairContext:
     """What every Borcherds check of one pair (a, b) shares at one
     symmetry and window: the characters r_a and r_b, the fields fa and fb,
-    the field of each inner product a_(-k-1) b = T^k(a)/k! * b, and the
-    product of every two modes met so far.
+    the field of each inner product a_(-k-1) b = T^k(a)/k! * b, and two
+    memos of packed polynomials: the modes of the inner fields met so far,
+    keyed on (k, index), and the product of every two modes met so far.
 
-    The memo is keyed on (i, j), for a's mode at i/m times b's at j/m.
-    The modes commute, so the identity's rhs term b_(l+n-i) a_(m+i) is read
-    as a_(m+i) b_(l+n-i): one entry serves every term over the same two
-    modes, whichever order the identity writes them in.  A product enters
-    the memo only once both factors are read: a zero factor settles it,
-    while a mode beyond the window raises on every check that needs it.
+    The product memo is keyed on (i, j), for a's mode at i/m times b's at
+    j/m.  The modes commute, so the identity's rhs term b_(l+n-i) a_(m+i)
+    is read as a_(m+i) b_(l+n-i): one entry serves every term over the
+    same two modes, whichever order the identity writes them in.  A
+    product enters the memo only once both factors are read: a zero factor
+    settles it, while a mode beyond the window raises on every check that
+    needs it.
+
+    A memo entry is a polynomial packed into one int, (den, packed, top).
+    The pair numbers every monomial it meets, in the order met, by one
+    column map (monomial -> slot); ``den`` is the lcm of the polynomial's
+    coefficient denominators, so each of its phi(m) coordinates at a
+    monomial is an int over den, and coordinate j at slot s sits in the
+    signed field of B bits at offset B*(s*phi(m) + j) of ``packed``:
+    packed is the sum of coordinate * 2^offset.  ``top`` is the largest
+    |coordinate|.  An exactly zero polynomial is kept as None.  A pair
+    starts at B = ``_START_BITS`` and widens only when a check's sum could
+    carry from one field into the next (see ``check_twisted_borcherds``):
+    ``widen`` drops both packed memos, which refill at the new width as
+    the checks read them.  The column map does not depend on B and stays.
     """
 
     def __init__(self, a, b, g, window):
@@ -208,8 +228,63 @@ class _PairContext:
         self.fb = twisted_field(b, g, window)
         self._source = (a, b, g, window)
         self._order = g.order
+        self._phi = euler_phi(g.order)
+        self.bits = _START_BITS
+        self._columns: dict = {}  # monomial -> slot, in the order met
         self._inner: dict = {}  # k -> field of a_(-k-1) b, None when it is 0
-        self._products: dict = {}  # (i, j) -> terms, None when 0
+        self._modes: dict = {}  # (k, index) -> packed mode, None when 0
+        self._products: dict = {}  # (i, j) -> packed product, None when 0
+
+    def _pack(self, terms):
+        """(den, packed, top) of a polynomial given by its terms, or None
+        when every coefficient is zero."""
+        den = math.lcm(*(c.den for _, c in terms))
+        columns, phi, bits = self._columns, self._phi, self.bits
+        packed = top = 0
+        for mon, c in terms:
+            slot = columns.get(mon)
+            if slot is None:
+                slot = columns[mon] = len(columns)
+            f = den // c.den
+            offset = slot * phi * bits
+            for x in c.nums:
+                if x:
+                    x *= f
+                    packed += x << offset
+                    if abs(x) > top:
+                        top = abs(x)
+                offset += bits
+        # top, not packed: coordinates wider than a field may sum to 0
+        return (den, packed, top) if top else None
+
+    def widen(self, bound: int) -> None:
+        """Make the fields wide enough for a sum of |values| up to bound:
+        B at least doubles, to above bound's bit length, and the packed
+        memos, made at the old width, are dropped."""
+        self.bits = max(2 * self.bits, bound.bit_length() + 1)
+        self._modes.clear()
+        self._products.clear()
+
+    def unpack(self, total: int, den: int) -> JetPoly:
+        """The polynomial whose coordinates, over den, are the signed
+        B-bit fields of total, each in [-2^(B-1), 2^(B-1))."""
+        bits, phi, m = self.bits, self._phi, self._order
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        columns = list(self._columns)
+        found: dict = {}  # slot -> coordinates
+        field = 0
+        while total:
+            x = total & mask
+            if x >= half:
+                x -= 1 << bits
+            if x:
+                slot, j = divmod(field, phi)
+                found.setdefault(slot, [0] * phi)[j] = x
+            total = (total - x) >> bits
+            field += 1
+        return JetPoly._from_dict(
+            m, {columns[s]: _canon(m, tuple(x), den) for s, x in found.items()}
+        )
 
     def inner_field(self, k: int) -> PuiseuxSeries | None:
         """The field of a_(-k-1) b, or None when that product is zero."""
@@ -219,11 +294,23 @@ class _PairContext:
             self._inner[k] = None if inner.is_zero else twisted_field(inner, g, window)
         return self._inner[k]
 
+    def inner_mode(self, k: int, index: int):
+        """The packed mode at index/m of the field of a_(-k-1) b, or None
+        when the product or the mode is zero; a mode beyond the window
+        raises TruncationError."""
+        key = (k, index)
+        if key not in self._modes:
+            fld = self.inner_field(k)
+            if fld is not None:
+                fld = self._pack(_mode(fld, index, self._order).terms)
+            self._modes[key] = fld
+        return self._modes[key]
+
     def product(self, i: int, j: int):
-        """The terms of a's mode at i/m times b's at j/m, or None when a
-        factor is exactly zero: a zero factor settles the product even when
-        the other lies beyond the window.  Otherwise a mode beyond the
-        window raises TruncationError, a's before b's."""
+        """The packed product of a's mode at i/m and b's at j/m, or None
+        when it is zero.  A factor that is exactly zero settles the product
+        even when the other lies beyond the window.  Otherwise a mode
+        beyond the window raises TruncationError, a's before b's."""
         key = (i, j)
         if key not in self._products:
             m = self._order
@@ -235,7 +322,7 @@ class _PairContext:
                 q = _mode(self.fb, j, m) if q is None else q
                 acc: dict = {}
                 mul_into(acc, p.terms, q.terms)
-                self._products[key] = tuple(acc.items())
+                self._products[key] = self._pack(acc.items())
         return self._products[key]
 
 
@@ -243,6 +330,62 @@ class _PairContext:
 # entries serve it.  Each entry holds its memo of products: with 64 entries
 # an axiom sweep's peak memory grew by a fifth.
 _pair_context = lru_cache(maxsize=2)(_PairContext)
+
+
+def _borcherds_parts(pair: _PairContext, l_idx: int, L: int, M: int, N: int):
+    """The terms of lhs - rhs as (numerator, denominator, packed entry):
+    the lhs modes first, then the rhs products in the order of the sum, a's
+    mode before b's within each, which is the order in which a mode beyond
+    the window raises.  The indices are in units of 1/m, l's as L."""
+    order = pair._order
+    parts = []
+    i = 0
+    while l_idx + i <= -1:
+        entry = pair.inner_mode(-(l_idx + i) - 1, M + N - i * order)
+        if entry is not None:
+            num, den = binom_units(M, order, i)
+            if num:
+                parts.append((num, den, entry))
+        i += 1
+
+    sign_l = -1 if l_idx % 2 else 1
+    i = 0
+    while True:
+        di = i * order
+        if l_idx >= 0:
+            if i > l_idx:
+                break
+        elif _dead(pair.fb, N + di, order) and _dead(pair.fa, M + di, order):
+            break
+        # (-1)^i C(l, i), an integer: C(l, i) = (-1)^i C(i - l - 1, i) for l < 0
+        if l_idx >= 0:
+            c = -math.comb(l_idx, i) if i % 2 else math.comb(l_idx, i)
+        else:
+            c = math.comb(i - l_idx - 1, i)
+        if c:
+            t1 = pair.product(L + M - di, N + di)
+            if t1 is not None:
+                parts.append((-c, 1, t1))
+            t2 = pair.product(M + di, L + N - di)
+            if t2 is not None:
+                parts.append((c * sign_l, 1, t2))
+        i += 1
+    return parts
+
+
+def _packed_sum(parts) -> tuple[int, int, int]:
+    """(total, den, bound) for terms (num, d, (den_t, packed_t, top_t)):
+    over the lcm den of the d * den_t, each term's coefficient is the int
+    c_t = num * den / (d * den_t); total is the sum of c_t * packed_t and
+    bound the sum of |c_t| * top_t."""
+    dens = [d * entry[0] for _, d, entry in parts]
+    den = math.lcm(*dens)
+    total = bound = 0
+    for (num, _, (_, packed, top)), d in zip(parts, dens):
+        c = num * (den // d)
+        total += c * packed
+        bound += abs(c) * top
+    return total, den, bound
 
 
 def check_twisted_borcherds(
@@ -263,24 +406,43 @@ def check_twisted_borcherds(
     with l an integer and m, n in the cosets picked out by the characters
     of a and b.
 
-    Both sides go into one Monomial -> scalar sum, lhs minus rhs.  Every
-    product of two modes is read a's mode first, b_(l+n-i) a_(m+i) as
-    a_(m+i) b_(l+n-i), and multiplied out once per pair (a, b), symmetry
-    and window: a ``_PairContext``, which also holds the fields, memoizes
-    it on (a's index, b's index) in units of 1/m.  It is added into the
-    sum times its integer coefficient.  A product with a factor that is
-    exactly zero adds nothing, even when its other factor lies beyond the
-    window; otherwise a mode beyond the window raises TruncationError: the
-    lhs modes first, then the rhs products in the order of the sum, a's
-    mode before b's within each.  The identity holds
-    when every coefficient of the sum is zero; else the witness is the sum
-    as a ``JetPoly``, lhs - rhs.
+    Both sides are summed as one packed int, lhs minus rhs.  A
+    ``_PairContext``, per pair (a, b), symmetry and window, holds the
+    fields and two memos of polynomials packed into ints at a field width
+    of B bits: the lhs modes of the inner fields, keyed on (k, index), and
+    every product of two modes, read a's mode first (b_(l+n-i) a_(m+i) as
+    a_(m+i) b_(l+n-i)), multiplied out once and keyed on (a's index, b's
+    index) in units of 1/m.  A product with a factor that is exactly zero
+    adds nothing, even when its other factor lies beyond the window;
+    otherwise a mode beyond the window raises TruncationError: the lhs
+    modes first, then the rhs products in the order of the sum, a's mode
+    before b's within each.
 
-    The sums run on the indices in units of 1/m, as ints, and read each
-    mode straight off the field's int-keyed terms; a Fraction index is
-    built only to raise TruncationError.  C(m, i) is worked out from
-    m*order as an int numerator over order^i * i!, and made a Fraction
-    once, when it is not zero.
+    Each term is an int numerator over an int denominator times a packed
+    entry (den_t, packed_t, top_t): C(m, i) is ``binom_units``' numerator
+    over order^i * i!, worked out from m*order on ints, and the rhs
+    coefficients are ints.  Over the lcm D of the term denominators times
+    the entries' den_t, each term gets the int coefficient c_t, and
+
+        total = sum_t c_t * packed_t,   bound = sum_t |c_t| * top_t.
+
+    Why total decides the identity when bound < 2^(B-1): write packed_t as
+    the sum over fields f of x_tf * 2^(B*f), |x_tf| <= top_t.  Then total
+    is the sum of v_f * 2^(B*f) with v_f = sum_t c_t * x_tf, which is D
+    times the coordinate of lhs - rhs that field f stands for, and
+    |v_f| <= bound < 2^(B-1).  If some v_f were not zero, take the lowest
+    such f: total = v_f * 2^(B*f) + a multiple of 2^(B*(f+1)), and 2^B does
+    not divide v_f, as 0 < |v_f| < 2^B, so total would not be zero.  So
+    total == 0 exactly when every coefficient of lhs - rhs is, and when it
+    is not, each v_f is read back as the signed residue of its field.
+    When bound reaches 2^(B-1), the pair widens B past the bound, drops its
+    packed memos, and the check collects its terms again at the new width;
+    the bound does not depend on B, so it then holds.
+
+    The identity holds when total is zero; else the witness is lhs - rhs
+    as a ``JetPoly``, read back from total over D.  No Fraction is made:
+    the indices are ints in units of 1/m, and a Fraction index is built
+    only to raise TruncationError.
     """
     order = g.order
     for label, idx in (("l", l_idx), ("m", m_idx), ("n", n_idx)):
@@ -307,43 +469,14 @@ def check_twisted_borcherds(
         raise ValueError(f"index n = {n_idx} must lie in {pair.r_b}/{order} + Z")
     name = f"twisted borcherds(l={l_idx}, m={m_idx}, n={n_idx})"
 
-    acc: dict = {}  # lhs - rhs
-    i = 0
-    while l_idx + i <= -1:
-        fld = pair.inner_field(-(l_idx + i) - 1)
-        if fld is not None:
-            num, den = binom_units(M, order, i)
-            mode = _mode(fld, M + N - i * order, order)
-            if num:
-                add_into(acc, mode.terms, Fraction(num, den))
-        i += 1
-
-    sign_l = -1 if l_idx % 2 else 1
-    i = 0
     while True:
-        di = i * order
-        if l_idx >= 0:
-            if i > l_idx:
-                break
-        elif _dead(pair.fb, N + di, order) and _dead(pair.fa, M + di, order):
+        total, den, bound = _packed_sum(_borcherds_parts(pair, l_idx, L, M, N))
+        if bound < 1 << (pair.bits - 1):
             break
-        # (-1)^i C(l, i), an integer: C(l, i) = (-1)^i C(i - l - 1, i) for l < 0
-        if l_idx >= 0:
-            c = -math.comb(l_idx, i) if i % 2 else math.comb(l_idx, i)
-        else:
-            c = math.comb(i - l_idx - 1, i)
-        if c:
-            t1 = pair.product(L + M - di, N + di)
-            if t1 is not None:
-                add_into(acc, t1, -c)
-            t2 = pair.product(M + di, L + N - di)
-            if t2 is not None:
-                add_into(acc, t2, c * sign_l)
-        i += 1
-
-    if not any(acc.values()):
+        pair.widen(bound)
+    if not total:
         return CheckResult(name, True, None)
-    return CheckResult(name, False, str(JetPoly._from_dict(order, acc)))
+    return CheckResult(name, False, str(pair.unpack(total, den)))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,7 @@ def empty_caches():
         jetpoly._jet_var,
         jetpoly._coded_monomial,
         jetpoly._divided_translate,
+        jetpoly._zero,
         twisted._build_field,
         twisted._descent_basis,
         twisted._pair_context,

@@ -175,6 +175,39 @@ def test_cached_hashes_and_keys_match_the_fields(mons, coeffs, m):
     assert [_mono_key(mon) for mon in mons] == [uncached(mon) for mon in mons]
 
 
+@settings(max_examples=300, deadline=None)
+@given(m1=_monomials, m2=_monomials)
+def test_monomial_product_is_the_merged_factor_tuple(m1, m2):
+    # The merge gives what ``Monomial.of`` gives on the two factor lists:
+    # the variables sorted, a shared one once with the summed exponent,
+    # whether the two factors hold it as one object or as two equal ones.
+    for left, right in ((m1, m2), (m2, m1), (m1, _rebuilt(m2)), (m1, m1)):
+        want = Monomial.of(*left.factors, *right.factors)
+        got = left * right
+        assert got == want and got.factors == want.factors
+        assert _mono_key(got) == _mono_key(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mon=_monomials)
+def test_monomial_key_weight_is_an_int_when_integral(mon):
+    weight = sum((v.weight * e for v, e in mon.factors), Fraction(0))
+    key_weight = mon.sort_key[0]
+    assert key_weight == weight
+    assert type(key_weight) is (int if weight.denominator == 1 else Fraction)
+
+
+def test_known_zero_reads_share_one_zero_per_order():
+    s = PuiseuxSeries.from_dict(3, {2: JetPoly.var(3, 1)}, Fraction(5, 2))
+    t = PuiseuxSeries.from_dict(3, {}, 4)
+    zero = s.at(7)
+    assert zero == JetPoly.zero(3)
+    # z^(7/3), z^(5/3), z^0 of another series, and z^(1/2), off the lattice
+    assert s.at(5) is zero and t.at(0) is zero
+    assert s.coefficient(Fraction(1, 2)) is zero
+    assert PuiseuxSeries.from_dict(2, {}, 1).at(0) == JetPoly.zero(2)
+
+
 _levels = st.builds(
     Fraction,
     st.integers(min_value=-6, max_value=0),
@@ -790,9 +823,8 @@ def _substitute_by_enumeration(p: JetPoly, exponents, window) -> PuiseuxSeries:
     m = p.order
     W = Fraction(window)
     top = W + max((mon.weight for mon, _ in p.terms), default=0)
-    K = max(floor(top), 0) + 2  # code of x[i,n]: i*K + position of n
     top_w = floor(W * m)
-    expansions, level_of, kept = {}, {}, []
+    expansions, kept = {}, []
     for mon, c in p.terms:
         slots, lowest, den, src_weight = [], 0, 1, 0
         for v, e in mon.factors:
@@ -803,9 +835,9 @@ def _substitute_by_enumeration(p: JetPoly, exponents, window) -> PuiseuxSeries:
                 g = gcd(a, m)
                 q = m // g
                 first, b_den, exp = _jet_expansion(a // g % q, q, d, floor(top * q))
-                for _, k, num, dn in exp:
-                    level_of[i * K + k] = (num, dn)
-                expansions[i, d] = (first * g, b_den, [(b, i * K + k) for b, k, _, _ in exp])
+                # code of x[i,n]: (i, -n), ordered as the variables are
+                codes = [(b, (i, Fraction(num, dn))) for b, num, dn in exp]
+                expansions[i, d] = (first * g, b_den, codes)
             first, b_den, terms = expansions[i, d]
             lowest += first * e
             den *= b_den**e
@@ -840,7 +872,10 @@ def _substitute_by_enumeration(p: JetPoly, exponents, window) -> PuiseuxSeries:
             if any(acc):
                 runs = tuple((code, len(list(run))) for code, run in groupby(codes))
                 mon = Monomial(
-                    tuple((JetVar(0, code // K, *level_of[code]), e) for code, e in runs)
+                    tuple(
+                        (JetVar(0, i, w.numerator, w.denominator), e)
+                        for (i, w), e in runs
+                    )
                 )
                 scalar = CycScalar(m, tuple(Fraction(a, L) for a in acc))
                 rows.append(((src_weight, len(codes), runs), mon, scalar))
@@ -1039,18 +1074,18 @@ def test_jet_expansion_binomials_are_int_numerators(m):
             first, den, entries = _jet_expansion(offset.numerator, q, d, hi)
             assert den == q**d * factorial(d)
             levels = admissible_levels(a, m, Fraction(hi, q))
-            nonzero = [(k, n) for k, n in enumerate(levels) if _binom_reference(-n, d)]
-            assert [(k, -n) for k, n in nonzero] == [
-                (k, Fraction(top, bottom)) for _, k, top, bottom in entries
+            nonzero = [n for n in levels if _binom_reference(-n, d)]
+            assert [-n for n in nonzero] == [
+                Fraction(top, bottom) for _, top, bottom in entries
             ]
-            for num, _, top, bottom in entries:
+            for num, top, bottom in entries:
                 minus_level = Fraction(top, bottom)
                 assert (minus_level.numerator, minus_level.denominator) == (top, bottom)
                 assert type(num) is int
                 assert Fraction(num, den) == binom(minus_level, d)
                 assert Fraction(num, den) == _binom_reference(minus_level, d)
             if entries:
-                assert Fraction(first, q) == -nonzero[0][1] - d
+                assert Fraction(first, q) == -nonzero[0] - d
 
 
 def test_twisted_substitution_builds_no_fraction_per_assignment(fraction_calls):

@@ -23,6 +23,7 @@ from jetva.jetpoly import (
     binom_units,
     divided_t_power,
     eigen_index,
+    exact_units,
     translation_series,
 )
 from jetva.jetscheme import (
@@ -1040,3 +1041,126 @@ def test_borcherds_box_builds_no_fraction_per_field_read(fraction_calls):
     calls, results = fraction_calls(run)
     assert len(results) == 80 and all(r.passed for r in results)
     assert calls <= 264
+
+
+def _borcherds_by_scalars(a, b, g, l, m_idx, n_idx, window):
+    """(passed, witness) of the twisted Borcherds identity with lhs - rhs
+    summed term by term as ``CycScalar``s: every mode read by ``mode`` at
+    its Fraction index, every binomial a Fraction, every product a
+    ``JetPoly`` product.  It is the oracle of the packed sum; it reads a
+    product's second factor only when its first is not zero, so it must
+    not meet a mode beyond the window."""
+    m = g.order
+    fa, fb = twisted_field(a, g, window), twisted_field(b, g, window)
+    acc = {}
+
+    def add(poly, coef):
+        for mon, c in poly.terms:
+            c = c * coef
+            acc[mon] = acc[mon] + c if mon in acc else c
+
+    i = 0
+    while l + i <= -1:
+        inner = divided_t_power(a, -(l + i) - 1) * b
+        if not inner.is_zero:
+            mode = twisted_field(inner, g, window).mode(m_idx + n_idx - i)
+            add(mode, binom(m_idx, i))
+        i += 1
+    # For l < 0 the sum ends once b_(n+i) and a_(m+i) vanish: the sources
+    # below have weight at most 1, so well before i = 12.
+    sign_l = -1 if l % 2 else 1
+    for i in range(l + 1 if l >= 0 else 12):
+        c = (-1) ** i * binom(l, i)
+        b_mode = fb.mode(n_idx + i)
+        if not b_mode.is_zero:
+            add(fa.mode(l + m_idx - i) * b_mode, -c)
+        a_mode = fa.mode(m_idx + i)
+        if not a_mode.is_zero:
+            add(fb.mode(l + n_idx - i) * a_mode, c * sign_l)
+    if not any(acc.values()):
+        return True, None
+    return False, str(JetPoly._from_dict(m, acc))
+
+
+_HUGE = 2**71 + 5  # above 2^70: products of two such coefficients need 143 bits
+# (symmetry, a, b, (exponent, extra term) of the perturbation of a's field)
+_HUGE_BOXES = {
+    2: (
+        G2P,
+        y(1).scale(_HUGE),
+        (y(1) ** 2).scale(3**45),
+        (Fraction(1, 2), y(2).scale(2**80 + 1)),
+    ),
+    4: (
+        DiagAutomorphism(4, (1, 1)),
+        JetPoly.var(4, 1).scale(zeta_pow(4, 1) * _HUGE - 3),
+        JetPoly.var(4, 2, -1).scale(_HUGE),
+        (Fraction(3, 4), JetPoly.var(4, 1).scale(zeta_pow(4, 1) * 2**75)),
+    ),
+}
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+@pytest.mark.parametrize("order", [2, 4])
+def test_borcherds_huge_coefficients_widen_and_match_the_scalar_sum(
+    monkeypatch, order, perturbed
+):
+    # Coefficients above 2^70 overflow the starting field width on the
+    # first nonzero sum, so the pair widens; every verdict and witness of
+    # the box is the term-by-term CycScalar sum's.
+    g, a, b, (exponent, extra) = _HUGE_BOXES[order]
+    if perturbed:
+        _perturb_field(monkeypatch, a, exponent, extra)
+    else:
+        twisted._pair_context.cache_clear()
+    W = 8
+    ra, rb = (eigen_index(p, g.exponents) for p in (a, b))
+    results = {}
+    for l in range(-2, 3):
+        for m_idx in (Fraction(k * order + ra, order) for k in range(-2, 2)):
+            for n_idx in (Fraction(k * order + rb, order) for k in range(-2, 2)):
+                res = check_twisted_borcherds(a, b, g, l, m_idx, n_idx, W)
+                want = _borcherds_by_scalars(a, b, g, l, m_idx, n_idx, W)
+                assert (res.passed, res.witness) == want, res.name
+                results[res.name] = res.passed
+    assert twisted._pair_context(a, b, g, W).bits > twisted._START_BITS
+    assert len(results) == 80
+    assert (not all(results.values())) == perturbed
+
+
+def test_borcherds_lhs_binomials_build_no_fraction(fraction_calls):
+    # l = -6 .. -4 gives the lhs 4 to 6 nonzero binomials C(m, i) per
+    # identity, 150 over the box.  Measured at 26 Fraction.__new__ calls
+    # (Python 3.11), made by the field builds and the divided translates;
+    # a Fraction per binomial breaks the bound.
+    a, b = y(1), y(1) ** 2
+    box = [
+        (l, Fraction(2 * dm + 1, 2), dn)
+        for l in range(-6, -3)
+        for dm in range(-2, 0)
+        for dn in range(-2, 3)
+    ]
+    binomials = sum(
+        1
+        for l, m_idx, _ in box
+        for i in range(-l)
+        if binom_units(exact_units(m_idx, 2), 2, i)[0]
+    )
+
+    def run():
+        return [check_twisted_borcherds(a, b, G2P, *idx, 12) for idx in box]
+
+    calls, results = fraction_calls(run)
+    assert all(res.passed for res in results)
+    assert binomials == 150
+    assert calls <= 30
+
+
+def test_pair_packing_keeps_coordinates_that_overflow_their_fields():
+    # 2^B at one slot and -1 at the next pack to the int 0 at width B; the
+    # entry is still kept, with its top, so the bound sees it and widens.
+    pair = twisted._PairContext(y(1), y(1) ** 2, G2P, 2)
+    bits = pair.bits
+    p = y(1, -7).scale(2**bits) - y(1, -8)
+    den, packed, top = pair._pack(p.terms)
+    assert (den, packed, top) == (1, 0, 2**bits)
