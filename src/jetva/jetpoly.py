@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from operator import itemgetter
 
-from .cyclo import CycScalar, FieldMismatchError, _canon, ratio_str
+from .cyclo import CycScalar, FieldMismatchError, _canon, euler_phi, ratio_str
 
 
 class TruncationError(ValueError):
@@ -64,11 +64,13 @@ def binom_units(top: int, q: int, k: int) -> tuple[int, int]:
 
 def floor_units(x, q: int) -> int:
     """x in units of 1/q, rounded down: the largest k with k/q <= x, for an
-    int or Fraction x.
+    int, a Fraction or anything else ``Fraction`` reads.
 
     >>> floor_units(Fraction(5, 2), 3), floor_units(Fraction(-1, 2), 3)
     (7, -2)
     """
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     return x.numerator * q // x.denominator
 
 
@@ -580,9 +582,10 @@ def translation_series(p: JetPoly, window) -> PuiseuxSeries:
     not hold it.  A cold call applies ``derivation_T`` floor(window) times;
     a repeat while the memo still holds the translates applies it none.
     """
-    W = Fraction(window)
-    terms = {n * p.order: t for n, t in enumerate(_translates(p, math.floor(W)))}
-    return PuiseuxSeries(p.order, terms, W)
+    m = p.order
+    top = floor_units(window, m)
+    terms = {n * m: t for n, t in enumerate(_translates(p, top // m))}
+    return PuiseuxSeries(m, terms, top)
 
 
 def divided_t_power(p: JetPoly, n: int) -> JetPoly:
@@ -638,34 +641,26 @@ def _zero(m: int) -> JetPoly:
     return JetPoly.zero(m)
 
 
-def _min_trunc(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _product_window(a: PuiseuxSeries, b: PuiseuxSeries):
+def _product_top(a: PuiseuxSeries, b: PuiseuxSeries) -> int | None:
     """How far the unknown coefficients of a leave a product a*b exact.
 
-    They sit beyond a's window and meet b's lowest coefficient that may be
-    nonzero: its lowest visible term or, with none visible, one beyond its
-    own window.  None when a is exact everywhere or b is exactly zero.
+    They sit at a.top + 1 and beyond, and meet b's lowest coefficient that
+    may be nonzero: its lowest visible term or, with none visible, b.top + 1.
+    None when a is exact everywhere or b is exactly zero.
     """
-    if a.trunc is None:
+    if a.top is None:
         return None
-    low = b.min_support()
+    low = next(iter(b.terms), None)
     if low is None:
-        low = b.trunc
-        if low is None:
+        if b.top is None:
             return None
-    return a.trunc + low
+        low = b.top + 1
+    return a.top + low
 
 
-def _last_unit(trunc, order: int) -> int | None:
-    """The largest k with k/order <= trunc; None when trunc is."""
-    return None if trunc is None else floor_units(trunc, order)
+def _min_top(*tops) -> int | None:
+    """The smallest window, None (exact everywhere) being the widest."""
+    return min((t for t in tops if t is not None), default=None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -674,34 +669,36 @@ class PuiseuxSeries:
 
     ``terms`` maps k to the coefficient of z^(k/order); the constructor
     sorts it by k and drops zeros, and ``support`` gives the exponents as
-    Fractions.  ``trunc`` is the last exponent known exactly (None = exact
-    everywhere), on the lattice or not.  Read as a field, the mode a_(n)
-    is the coefficient of z^(-n-1).
+    Fractions.  ``top`` is the window, also in units of 1/order: the last
+    k whose coefficient is known exactly, or None when the series is exact
+    everywhere.  ``trunc`` is the window as a Fraction, for messages.  Read
+    as a field, the mode a_(n) is the coefficient of z^(-n-1).
 
     >>> s = PuiseuxSeries.from_dict(3, {2: JetPoly.var(3, 1)}, Fraction(5, 2))
-    >>> list(s.terms), s.support()
-    ([6], (Fraction(2, 1),))
-    >>> s.at(7), s.at(8)  # z^(7/3) is a known zero, z^(8/3) beyond 5/2
+    >>> list(s.terms), s.support(), s.top, s.trunc  # 5/2 floors to 7/3
+    ([6], (Fraction(2, 1),), 7, Fraction(7, 3))
+    >>> s.at(7), s.at(8)  # z^(7/3) is a known zero, z^(8/3) lies beyond
     (JetPoly(3, 0), None)
     """
 
     order: int
     terms: dict[int, JetPoly]
-    trunc: Fraction | None
-    _top: int | None = _cache_slot(default=None)  # the last k inside the window
+    top: int | None
 
     def __post_init__(self):
+        top = self.top
+        if top is not None and type(top) is not int:
+            raise TypeError(f"window {top!r} must be an int in units of 1/order")
         acc = self.terms
         terms = {k: acc[k] for k in sorted(acc) if not acc[k].is_zero}
-        top = _last_unit(self.trunc, self.order)
         if top is not None and terms and next(reversed(terms)) > top:
             raise ValueError("series supported beyond its own window")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_top", top)
 
     @classmethod
     def from_dict(cls, order: int, acc, trunc) -> PuiseuxSeries:
-        """The series with acc[w] at z^w, zeros dropped; every exponent w
+        """The series with acc[w] at z^w, zeros dropped, known up to the
+        rational window trunc (None = exact everywhere); every exponent w
         must be a multiple of 1/order."""
         units = {}
         for w, p in acc.items():
@@ -709,7 +706,12 @@ class PuiseuxSeries:
             if k is None:
                 raise ValueError(f"exponent {w} is not a multiple of 1/{order}")
             units[k] = p
-        return cls(order, units, None if trunc is None else Fraction(trunc))
+        return cls(order, units, None if trunc is None else floor_units(trunc, order))
+
+    @property
+    def trunc(self) -> Fraction | None:
+        """The last exponent known exactly, top/order; None when exact."""
+        return None if self.top is None else Fraction(self.top, self.order)
 
     def support(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(k, self.order) for k in self.terms)
@@ -724,7 +726,7 @@ class PuiseuxSeries:
         p = self.terms.get(k)
         if p is not None:
             return p
-        if self._top is not None and k > self._top:
+        if self.top is not None and k > self.top:
             return None
         return _zero(self.order)
 
@@ -736,7 +738,9 @@ class PuiseuxSeries:
         p = None
         if k is not None:
             p = self.at(k)
-        elif self.trunc is None or w <= self.trunc:
+        elif (
+            self.top is None or w.numerator * self.order <= self.top * w.denominator
+        ):
             p = _zero(self.order)  # off the lattice, inside the window
         if p is None:
             raise TruncationError(
@@ -760,8 +764,7 @@ class PuiseuxSeries:
             return NotImplemented
         self._check(other)
         m = self.order
-        t = _min_trunc(_product_window(self, other), _product_window(other, self))
-        top = _last_unit(t, m)
+        top = _min_top(_product_top(self, other), _product_top(other, self))
         acc: dict[int, dict] = {}
         for ka, pa in self.terms.items():
             for kb, pb in other.terms.items():
@@ -770,28 +773,20 @@ class PuiseuxSeries:
                     continue
                 mul_into(acc.setdefault(k, {}), pa.terms, pb.terms)
         return PuiseuxSeries(
-            m, {k: JetPoly._from_dict(m, terms) for k, terms in acc.items()}, t
+            m, {k: JetPoly._from_dict(m, terms) for k, terms in acc.items()}, top
         )
 
     __rmul__ = __mul__
 
     def differentiate(self) -> PuiseuxSeries:
-        """Formal d/dz; the window shrinks by one."""
+        """Formal d/dz; the window shrinks by one.  The factor k/order of
+        the coefficient at k is a scalar made from ints."""
         m = self.order
-        acc = {k - m: p.scale(Fraction(k, m)) for k, p in self.terms.items() if k}
-        t = None if self.trunc is None else self.trunc - 1
-        return PuiseuxSeries(m, acc, t)
-
-    def truncate(self, new_trunc) -> PuiseuxSeries:
-        nt = Fraction(new_trunc)
-        if self.trunc is not None and nt > self.trunc:
-            raise TruncationError(
-                f"cannot widen window from {self.trunc} to {nt}"
-            )
-        top = _last_unit(nt, self.order)
-        return PuiseuxSeries(
-            self.order, {k: p for k, p in self.terms.items() if k <= top}, nt
-        )
+        rest = (0,) * (euler_phi(m) - 1)
+        acc = {
+            k - m: p.scale(_canon(m, (k, *rest), m)) for k, p in self.terms.items() if k
+        }
+        return PuiseuxSeries(m, acc, None if self.top is None else self.top - m)
 
     def first_mismatch(self, other: PuiseuxSeries) -> str | None:
         """The witness "z^w: difference" at the lowest exponent where the
@@ -799,7 +794,7 @@ class PuiseuxSeries:
         when they agree there.  Coefficients are subtracted only where
         they differ."""
         self._check(other)
-        top = _last_unit(_min_trunc(self.trunc, other.trunc), self.order)
+        top = _min_top(self.top, other.top)
         for k in sorted(self.terms.keys() | other.terms.keys()):
             if top is not None and k > top:
                 break
@@ -815,8 +810,8 @@ class PuiseuxSeries:
         pairs = zip(self.support(), self.terms.values())
         bits = [f"({p})" if w == 0 else f"({p})*z^{w}" for w, p in pairs]
         body = " + ".join(bits) if bits else "0"
-        if self.trunc is not None:
-            body += f" + O(z^{self.trunc + 1})"
+        if self.top is not None:
+            body += f" + O(z^{Fraction(self.top + self.order, self.order)})"
         return body
 
 
@@ -887,7 +882,8 @@ def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
     source may be any origin-alphabet polynomial with integer levels.
 
     Window rule: the result holds every z^w coefficient with w <= window,
-    each exact, and asking it for one beyond raises TruncationError.  No
+    each exact; its window is the last such w in (1/m)Z, and asking it for
+    a coefficient beyond raises TruncationError.  No
     series is multiplied: each source term is expanded as the product of
     its factors' expansions truncated at the window, on ints.
 
@@ -938,8 +934,7 @@ def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
     for i, a in enumerate(exponents, start=1):
         if type(a) is not int:
             raise ValueError(f"exponent {a} of x{i} is not an int")
-    W = Fraction(window)
-    top_w = floor_units(W, m)  # the window in units of 1/m
+    top_w = floor_units(window, m)  # the window in units of 1/m
     # (coefficient, factors, weight, degree) of each source term, on ints
     sources = []
     # coordinate -> its coset a/m + Z as a'/q + Z in lowest terms: (a', q)
@@ -1027,7 +1022,7 @@ def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
         if rows:
             rows.sort(key=itemgetter(0))
             coeffs[w] = JetPoly(m, tuple((mon, val) for _, mon, val in rows))
-    return PuiseuxSeries(m, coeffs, W)
+    return PuiseuxSeries(m, coeffs, top_w)
 
 
 def _expand(slots, room: int) -> list[dict[int, int]]:

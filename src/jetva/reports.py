@@ -20,6 +20,3 @@ class CheckResult:
             d["witness"] = self.witness
         return d
 
-
-def all_passed(results) -> bool:
-    return all(r.passed for r in results)

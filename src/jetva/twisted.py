@@ -36,6 +36,7 @@ from .jetpoly import (
     divided_t_power,
     eigen_index,
     exact_units,
+    floor_units,
     mul_into,
     substitute_jets,
 )
@@ -67,13 +68,11 @@ def require_coordinates(a: JetPoly, exponents) -> tuple[int, ...]:
 # Sweeps reuse a few recent fields; an unbounded cache keeps every one.
 # A descent check's translate field is read once, so it bypasses this cache.
 @lru_cache(maxsize=32)
-def _build_field(
-    a: JetPoly, exponents: tuple[int, ...], num: int, den: int
-) -> PuiseuxSeries:
-    """The field of a, at its coordinates' exponents, up to num/den."""
+def _build_field(a: JetPoly, exponents: tuple[int, ...], top: int) -> PuiseuxSeries:
+    """The field of a, at its coordinates' exponents, up to top/m."""
     if eigen_index(a, exponents) is None:
         raise ValueError("twisted field source must be character-homogeneous")
-    return substitute_jets(a, exponents, Fraction(num, den))
+    return substitute_jets(a, exponents, Fraction(top, a.order))
 
 
 def twisted_field(
@@ -81,17 +80,16 @@ def twisted_field(
 ) -> PuiseuxSeries:
     """The field of a up to the window.  A given scheme must fit g (see
     ``require_fits``); g's i-th exponent acts on x_i.  Fields are cached on
-    the exponents of a's own coordinates and the window's numerator and
-    denominator, so every g that agrees there, at an int or Fraction
-    window, reads a field, not rebuilds it."""
+    the exponents of a's own coordinates and the window floored to (1/m)Z,
+    in units of 1/m, so every g that agrees there, at every window with
+    that floor, reads a field, not rebuilds it."""
     if spec is not None:
         require_fits(spec, g)
-    if not isinstance(window, (int, Fraction)):
-        window = Fraction(window)
+    top = floor_units(window, g.order)
     if a.order != g.order:
         raise ValueError("source and symmetry orders differ")
     exponents = require_coordinates(a, g.exponents)
-    return _build_field(a, exponents, window.numerator, window.denominator)
+    return _build_field(a, exponents, top)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +442,6 @@ def check_twisted_borcherds(
     the indices are ints in units of 1/m, and a Fraction index is built
     only to raise TruncationError.
     """
-    order = g.order
     for label, idx in (("l", l_idx), ("m", m_idx), ("n", n_idx)):
         if isinstance(idx, bool):
             raise ValueError(f"index {label} = {idx!r} must not be a bool")
@@ -458,6 +455,18 @@ def check_twisted_borcherds(
         n_idx = Fraction(n_idx)
     if spec is not None:
         require_fits(spec, g)
+    bad = _borcherds_witness(a, b, g, l_idx, m_idx, n_idx, window)
+    return CheckResult(
+        f"twisted borcherds(l={l_idx}, m={m_idx}, n={n_idx})", bad is None, bad
+    )
+
+
+def _borcherds_witness(a, b, g, l_idx: int, m_idx, n_idx, window) -> str | None:
+    """The packed sum of ``check_twisted_borcherds``, and of
+    ``va.check_borcherds`` at the trivial symmetry, for l an int and m, n
+    ints or Fractions: None when the identity holds, else the witness
+    lhs - rhs.  An index m or n off its coset is refused."""
+    order = g.order
     pair = _pair_context(a, b, g, window)
     # The indices in units of 1/order: l*order, m*order, n*order.
     L = l_idx * order
@@ -467,16 +476,12 @@ def check_twisted_borcherds(
     N = exact_units(n_idx, order)
     if N is None or (N - pair.r_b) % order:
         raise ValueError(f"index n = {n_idx} must lie in {pair.r_b}/{order} + Z")
-    name = f"twisted borcherds(l={l_idx}, m={m_idx}, n={n_idx})"
-
     while True:
         total, den, bound = _packed_sum(_borcherds_parts(pair, l_idx, L, M, N))
         if bound < 1 << (pair.bits - 1):
             break
         pair.widen(bound)
-    if not total:
-        return CheckResult(name, True, None)
-    return CheckResult(name, False, str(pair.unpack(total, den)))
+    return str(pair.unpack(total, den)) if total else None
 
 
 # ---------------------------------------------------------------------------

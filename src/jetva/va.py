@@ -20,9 +20,9 @@ from .jetpoly import JetPoly, PuiseuxSeries, apply_automorphism, divided_t_power
 from .jetscheme import DiagAutomorphism
 from .reports import CheckResult
 from .twisted import (
+    _borcherds_witness,
     check_multiplicative,
     check_translation,
-    check_twisted_borcherds,
     check_vacuum,
     require_coordinates,
     twisted_field,
@@ -136,12 +136,12 @@ def check_borcherds(
       = sum_j (-1)^j C(n,j) [ a_(m+n-j) b_(k+j) - (-1)^n b_(n+k-j) a_(m+j) ]
 
     This is the twisted identity at the trivial symmetry, whose module is
-    the jet ring itself, with (l, m, n) there = (n, m, k) here.
+    the jet ring itself, with (l, m, n) there = (n, m, k) here, summed by
+    the same core.
     """
     for idx in (m_idx, n_idx, k_idx):
         if isinstance(idx, bool) or not isinstance(idx, int):
             raise ValueError("untwisted Borcherds indices must be integers")
     g1 = _trivial_symmetry(a, b)
-    res = check_twisted_borcherds(a, b, g1, n_idx, m_idx, k_idx, window)
-    name = f"borcherds(m={m_idx}, n={n_idx}, k={k_idx})"
-    return CheckResult(name, res.passed, res.witness)
+    bad = _borcherds_witness(a, b, g1, n_idx, m_idx, k_idx, window)
+    return CheckResult(f"borcherds(m={m_idx}, n={n_idx}, k={k_idx})", bad is None, bad)

@@ -1,10 +1,13 @@
 """Shared fixtures."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from jetva import coinv, jetpoly, jetscheme, twisted, va
+import jetva
+from jetva import coinv, jetpoly, jetscheme, twisted
 from jetva.linalg import RowReducer
 
 
@@ -78,20 +81,31 @@ def counted_reducers(monkeypatch):
     return made
 
 
+def package_caches() -> dict:
+    """Every ``lru_cache``-wrapped function defined in a jetva module, by
+    its qualified name, found by walking the package's modules."""
+    found = {}
+    for info in pkgutil.iter_modules(jetva.__path__, "jetva."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == info.name:
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def bounded_caches() -> dict:
+    """The caches of ``package_caches`` that hold a bounded number of entries."""
+    return {
+        name: f
+        for name, f in package_caches().items()
+        if f.cache_parameters()["maxsize"] is not None
+    }
+
+
 def empty_caches():
     """Empty the package's bounded caches, so that a count does not depend
     on what ran before."""
-    for cached in (
-        jetpoly._jet_expansion,
-        jetpoly._jet_var,
-        jetpoly._coded_monomial,
-        jetpoly._divided_translate,
-        jetpoly._zero,
-        twisted._build_field,
-        twisted._descent_basis,
-        twisted._pair_context,
-        va._trivial_symmetry,
-    ):
+    for cached in bounded_caches().values():
         cached.cache_clear()
 
 

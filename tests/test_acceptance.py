@@ -21,7 +21,6 @@ from jetva.jetscheme import (
     twisted_jet_generators,
 )
 from jetva.quasiconf import L_op, Ltilde_op, check_commutators
-from jetva.reports import all_passed
 from jetva.twisted import (
     check_descent,
     check_twisted_axioms,

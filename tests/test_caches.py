@@ -2,42 +2,20 @@
 ``cyclo``, and the ``fraction_calls`` fixture empties every bounded one, so
 a Fraction count does not depend on the order the tests run in."""
 
-import importlib
 import inspect
-import pkgutil
 from fractions import Fraction
 
-import jetva
+from conftest import bounded_caches, package_caches
 from jetva.jetpoly import JetPoly
 from jetva.jetscheme import DiagAutomorphism, SchemeSpec
 from jetva.twisted import check_descent, check_twisted_borcherds
 from jetva.va import check_borcherds
 
 
-def _caches() -> dict:
-    """Every ``lru_cache``-wrapped function defined in a jetva module, by
-    its qualified name."""
-    found = {}
-    for info in pkgutil.iter_modules(jetva.__path__, "jetva."):
-        module = importlib.import_module(info.name)
-        for name, obj in vars(module).items():
-            if hasattr(obj, "cache_parameters") and obj.__module__ == info.name:
-                found[f"{info.name}.{name}"] = obj
-    return found
-
-
-def _bounded() -> dict:
-    return {
-        name: f
-        for name, f in _caches().items()
-        if f.cache_parameters()["maxsize"] is not None
-    }
-
-
 def test_only_the_per_order_tables_are_unbounded():
     unbounded = {
         name: f
-        for name, f in _caches().items()
+        for name, f in package_caches().items()
         if f.cache_parameters()["maxsize"] is None
     }
     assert unbounded, "the walk found none of cyclo's per-order tables"
@@ -47,7 +25,7 @@ def test_only_the_per_order_tables_are_unbounded():
 
 
 def test_fraction_calls_empties_every_bounded_cache(fraction_calls):
-    bounded = _bounded()
+    bounded = bounded_caches()
     x1, x2 = JetPoly.var(2, 1), JetPoly.var(2, 2)
     spec = SchemeSpec.of(2, 2, [x1**2 - x2])
     g = DiagAutomorphism(2, (1, 0))

@@ -21,7 +21,6 @@ from jetva import cli, coinv, jetscheme
 from jetva.cyclo import CycScalar
 from jetva.jetpoly import JetPoly, retag_point
 from jetva.jetscheme import DiagAutomorphism, SchemeSpec
-from jetva.reports import all_passed
 from jetva.twisted import twisted_field
 
 
@@ -125,7 +124,7 @@ def test_fixture_tables(label, order, k, rels, exps, row):
     dims, checks = verify_fixed_ring(setup)
     assert weight0_row(dims, 3) == row
     assert positive_weight_total(dims) == 0
-    assert all_passed(checks), [c for c in checks if not c.passed]
+    assert all(r.passed for r in checks), [c for c in checks if not c.passed]
 
 
 WEIGHT0 = "weight 0: coinvariant dimensions equal the fixed-ring table"
@@ -201,7 +200,7 @@ def test_empty_fixed_locus_certifies_every_slice(
     with monkeypatch.context() as patch:
         patch.setattr(jetscheme, "_box_dims", box_dims)
         dims, checks = verify_fixed_ring(setup)
-    assert all_passed(checks)
+    assert all(r.passed for r in checks)
     assert not any(dims.values())
     assert len(boxes) == 2
     assert all(red.rank == n for red, n in boxes)

@@ -466,6 +466,14 @@ def test_series_coefficient_window_guard():
         s.coefficient(Fraction(5, 2))
 
 
+def test_a_series_window_is_an_int_in_units_of_the_order():
+    # The constructor takes the window as the last known k; a rational
+    # window goes through from_dict, which floors it.
+    with pytest.raises(TypeError, match=r"^window Fraction\(1, 2\) must be an int"):
+        PuiseuxSeries(2, {}, Fraction(1, 2))
+    assert PuiseuxSeries.from_dict(2, {}, Fraction(1, 2)) == PuiseuxSeries(2, {}, 1)
+
+
 def test_product_window_shrinks_with_min_support():
     a = PuiseuxSeries.from_dict(1, {-1: JetPoly.one(1)}, 3)
     b = PuiseuxSeries.from_dict(1, {0: JetPoly.one(1)}, 3)
@@ -475,14 +483,22 @@ def test_product_window_shrinks_with_min_support():
     assert prod.coefficient(-1) == JetPoly.one(1)
 
 
+def _truncated(s: PuiseuxSeries, top: int) -> PuiseuxSeries:
+    """s known only up to the window top, in units of 1/order."""
+    return PuiseuxSeries(s.order, {k: p for k, p in s.terms.items() if k <= top}, top)
+
+
 def test_product_of_truncations_without_visible_terms():
     # z^(-1/2) truncated at -1 shows no term; its square is z^(-1), which
-    # the product of the truncations must not claim to know.
+    # the product of the truncations must not claim to know.  Each factor's
+    # lowest coefficient that may be nonzero is at -1/2, one step above its
+    # window, so the product knows up to -1 - 1/2.
     a = PuiseuxSeries.from_dict(2, {Fraction(-1, 2): JetPoly.one(2)}, None)
-    at = a.truncate(-1)
+    at = _truncated(a, -2)
+    assert at.terms == {}
     assert (a * a).coefficient(-1) == JetPoly.one(2)
     prod = at * at
-    assert prod.trunc == -2
+    assert prod.trunc == Fraction(-3, 2)
     with pytest.raises(TruncationError):
         prod.coefficient(-1)
     # an exactly zero factor leaves the product exact
@@ -491,16 +507,17 @@ def test_product_of_truncations_without_visible_terms():
 
 
 def test_a_product_keeps_an_off_lattice_window():
-    # The window 1/3 lies off (1/2)Z.  The square of a series with no
-    # visible term knows up to the sum of the windows, 2/3: z^(1/2) is a
+    # The window 1/3 lies off (1/2)Z and acts as its floor 0.  The square of
+    # a series with no visible term knows up to one window plus the other
+    # factor's lowest coefficient that may be nonzero, at 1/2: z^(1/2) is a
     # known zero there, and z^1 lies beyond.
     s = PuiseuxSeries.from_dict(2, {}, Fraction(1, 3))
     sq = s * s
-    assert sq.trunc == Fraction(2, 3)
+    assert sq.trunc == Fraction(1, 2)
     assert sq.coefficient(Fraction(1, 2)).is_zero
     assert sq.at(1).is_zero and sq.at(2) is None
     with pytest.raises(
-        TruncationError, match=r"^coefficient of z\^1 is beyond the window \(trunc 2/3\)$"
+        TruncationError, match=r"^coefficient of z\^1 is beyond the window \(trunc 1/2\)$"
     ):
         sq.coefficient(1)
 
@@ -559,12 +576,59 @@ def test_product_of_truncations_claims_only_true_coefficients(
 
     a, b = series(a_terms), series(b_terms)
     exact = a * b
-    prod = a.truncate(Fraction(ta, m)) * b.truncate(Fraction(tb, m))
+    prod = _truncated(a, ta) * _truncated(b, tb)
     assert exact.trunc is None and prod.trunc is not None
     # every exponent of (1/m)Z from below both supports up to the window
     for k in range(-13 * m, int(prod.trunc * m) + 1):
         w = Fraction(k, m)
         assert prod.coefficient(w) == exact.coefficient(w), w
+
+
+def _rational_product_window(a, ta, b, tb):
+    """The window of a*b by the rule on rational windows ta and tb, as
+    given, on the lattice or not: a factor's window plus the other's lowest
+    visible exponent or, with none visible, its window; the smaller of the
+    two sides, None (exact everywhere) being the widest."""
+
+    def side(t, other, t_other):
+        if t is None:
+            return None
+        low = other.min_support()
+        if low is None:
+            low = t_other
+        return None if low is None else t + low
+
+    sides = [w for w in (side(ta, b, tb), side(tb, a, ta)) if w is not None]
+    return min(sides, default=None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=3),
+    a_terms=_exact_series,
+    b_terms=_exact_series,
+    ta=st.none() | st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    tb=st.none() | st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+def test_product_window_is_never_below_the_rational_rule(m, a_terms, b_terms, ta, tb):
+    # Oracle: floor((trunc_a + low_b) * m) on the windows as given.  The int
+    # window takes a factor with no visible term to be possibly nonzero one
+    # step above its window, not at it, so it may know more, never less.
+    def series(terms, t):
+        kept = {
+            Fraction(k, m): x(i, m=m).scale(c)
+            for k, (c, i) in terms.items()
+            if t is None or Fraction(k, m) <= t
+        }
+        return PuiseuxSeries.from_dict(m, kept, t)
+
+    a, b = series(a_terms, ta), series(b_terms, tb)
+    rule = _rational_product_window(a, ta, b, tb)
+    prod = a * b
+    if rule is None:
+        assert prod.top is None
+    else:
+        assert prod.top is not None and prod.top >= floor(rule * m), (rule, prod.top)
 
 
 @settings(max_examples=150, deadline=None)
@@ -577,7 +641,7 @@ def test_one_window_rule_for_coefficients_and_modes(m, terms, t):
     exact = PuiseuxSeries.from_dict(
         m, {Fraction(k, m): x(i, m=m).scale(c) for k, (c, i) in terms.items()}, None
     )
-    s = exact if t is None else exact.truncate(Fraction(t, m))
+    s = exact if t is None else _truncated(exact, t)
     for k in range(-10 * m, 10 * m + 1):
         n = Fraction(k, m)
         w = -n - 1  # the mode a_(n) is the coefficient of z^(-n-1)
@@ -786,7 +850,7 @@ def test_substitution_matches_product_of_factor_series(data):
             factor = _jet_factor(m, v.index, d, exponents[v.index - 1], W + mon.weight)
             for _ in range(e):
                 product = product * factor
-        product = product.truncate(W)
+        product = _truncated(product, floor(W * m))
         for w in product.support():
             expected[w] = expected.get(w, JetPoly.zero(m)) + product.coefficient(w)
     got = substitute_jets(src, exponents, W)
@@ -882,7 +946,7 @@ def _substitute_by_enumeration(p: JetPoly, exponents, window) -> PuiseuxSeries:
         if rows:
             rows.sort(key=lambda row: row[0])
             coeffs[w] = JetPoly(m, tuple((mon, c) for _, mon, c in rows))
-    return PuiseuxSeries(m, coeffs, W)
+    return PuiseuxSeries(m, coeffs, top_w)
 
 
 def _assert_matches_enumeration(p: JetPoly, exponents, window) -> None:
@@ -1089,9 +1153,8 @@ def test_jet_expansion_binomials_are_int_numerators(m):
 
 
 def test_twisted_substitution_builds_no_fraction_per_assignment(fraction_calls):
-    # Measured at 1 Fraction.__new__ call (Python 3.11), the window's, for
-    # 70 terms over 8 exponents; a Fraction per assignment or per term
-    # breaks the bound.
+    # Measured at 0 Fraction.__new__ calls (Python 3.11) for 70 terms over
+    # 8 exponents; a Fraction per assignment or per term breaks the bound.
     m = 4
     src = x(1, m=m) ** 2 * x(2, -1, m=m) - x(2, -2, m=m) * x(3, m=m) * zeta_pow(m, 1)
     calls, series = fraction_calls(substitute_jets, src, (1, 3, 2), 6)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from jetva.jetpoly import JetPoly
 from jetva.jetscheme import DiagAutomorphism
 from jetva.quasiconf import L_op, Ltilde_op, check_commutators
-from jetva.reports import all_passed
 
 
 def x(i, level=0, m=1):
@@ -65,7 +64,7 @@ def test_leibniz_rule():
 def test_commutator_sweep(order, exponents):
     results = check_commutators(DiagAutomorphism(order, exponents), 3, 4)
     assert results
-    assert all_passed(results), [r for r in results if not r.passed]
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def test_bracket_orientation_explicit():

@@ -21,6 +21,7 @@ from jetva.jetpoly import (
     TruncationError,
     binom,
     binom_units,
+    derivation_T,
     divided_t_power,
     eigen_index,
     exact_units,
@@ -33,7 +34,6 @@ from jetva.jetscheme import (
     twisted_jet_generators,
 )
 from jetva.linalg import RowReducer
-from jetva.reports import all_passed
 from jetva.twisted import (
     check_descent,
     check_twisted_axioms,
@@ -95,14 +95,23 @@ def test_field_rejects_fractional_level_source():
 
 
 def test_an_off_lattice_window_is_kept_as_given():
-    # W = 5/2 lies off (1/3)Z.  The field keeps it as its window, and
-    # z^(8/3), the next exponent of the coset, lies beyond it.
+    # W = 5/2 lies off (1/3)Z.  The field keeps its floor 7/3 as its window,
+    # and z^(8/3), the next exponent of the coset, lies beyond it.
     f = twisted_field(JetPoly.var(3, 1) ** 2, DiagAutomorphism(3, (1,)), Fraction(5, 2))
-    assert f.trunc == Fraction(5, 2)
+    assert f.trunc == Fraction(7, 3)
     assert f.support() == (Fraction(4, 3), Fraction(7, 3))
-    message = r"^coefficient of z\^8/3 is beyond the window \(trunc 5/2\)$"
+    message = r"^coefficient of z\^8/3 is beyond the window \(trunc 7/3\)$"
     with pytest.raises(TruncationError, match=message):
         f.coefficient(Fraction(8, 3))
+
+
+def test_windows_with_one_floor_share_a_field():
+    # 5/2 and 7/3 both floor to 7/3 in (1/3)Z: one cache entry, one field.
+    twisted._build_field.cache_clear()
+    src, g = JetPoly.var(3, 1) ** 2, DiagAutomorphism(3, (1,))
+    f = twisted_field(src, g, Fraction(5, 2))
+    assert twisted_field(src, g, Fraction(7, 3)) is f
+    assert twisted._build_field.cache_info().currsize == 1
 
 
 def test_modes_and_window_guard():
@@ -139,7 +148,7 @@ def test_axioms_on_parabola_states():
     ]
     for a, b in pairs:
         results = check_twisted_axioms(a, b, G2P, 4, spec)
-        assert all_passed(results), [r for r in results if not r.passed]
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def test_axioms_catch_support_coset():
@@ -157,7 +166,7 @@ def test_twisted_axiom_names_are_frozen():
         "translation: Y_g(Ta,z) = d/dz Y_g(a,z)",
         "multiplicative: Y_g(ab,z) = Y_g(a,z)Y_g(b,z)",
     ]
-    assert all_passed(results)
+    assert all(r.passed for r in results)
 
 
 @pytest.mark.parametrize(
@@ -190,7 +199,7 @@ def test_multiplicative_factors_are_padded_by_the_other_pole(
         return real(p, exponents, window)
 
     monkeypatch.setattr(twisted, "substitute_jets", recorded)
-    assert all_passed(check_twisted_axioms(y(1, -1), b, g, 4))
+    assert all(r.passed for r in check_twisted_axioms(y(1, -1), b, g, 4))
     assert {p: [w for q, w in requested if q == p] for p in windows} == windows
 
 
@@ -695,7 +704,7 @@ def test_descent_parabola():
     spec = _parabola()
     for n in range(0, 3):
         results = check_descent(spec, G2P, 1, n, 4 - n)
-        assert all_passed(results), (n, [r for r in results if not r.passed])
+        assert all(r.passed for r in results), (n, [r for r in results if not r.passed])
 
 
 def test_descent_cusp_order3():
@@ -705,7 +714,7 @@ def test_descent_cusp_order3():
     g = DiagAutomorphism(3, (2, 0))  # 3*2 = 2*0 + 6 = 0 mod 3: eigenvector
     for n in range(0, 2):
         results = check_descent(spec, g, 1, n, 3 - n)
-        assert all_passed(results), (n, [r for r in results if not r.passed])
+        assert all(r.passed for r in results), (n, [r for r in results if not r.passed])
 
 
 @pytest.mark.parametrize(
@@ -743,7 +752,7 @@ def test_descent_fails_on_a_wrong_translation():
     # The translate's field is a fresh substitution of T^n(rel)/n!, not a
     # derivative of the relation's field: a wrong T spares n = 0 alone.
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
-    assert all_passed(check_descent(spec, G2P, 1, 0, 3))
+    assert all(r.passed for r in check_descent(spec, G2P, 1, 0, 3))
     witnesses = {
         1: "z^0: -x2[-1] + x1[-1/2]^2",
         2: "z^0: -3*x2[-2] + 6*x1[-1/2]*x1[-3/2]",
@@ -792,7 +801,7 @@ def test_a_passing_descent_check_eliminates_nothing(eliminations):
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
     twisted._descent_basis.cache_clear()
     for n in range(0, 3):
-        assert all_passed(check_descent(spec, G2P, 1, n, 4 - n))
+        assert all(r.passed for r in check_descent(spec, G2P, 1, n, 4 - n))
     assert eliminations == {"add": 0, "contains": 0}
 
 
@@ -819,7 +828,7 @@ def test_a_passing_descent_check_scales_nothing(monkeypatch):
     count(twisted, "binom")
     twisted._descent_basis.cache_clear()
     for n in range(0, 3):
-        assert all_passed(check_descent(spec, G2P, 1, n, 4 - n))
+        assert all(r.passed for r in check_descent(spec, G2P, 1, n, 4 - n))
     assert calls == Counter()
 
     _perturb_field(monkeypatch, divided_t_power(spec.relations[0], 1), Fraction(1), y(2, -3))
@@ -960,7 +969,7 @@ def test_descent_basis_is_left_as_it_was_by_a_stray_monomial(monkeypatch):
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
     twisted._descent_basis.cache_clear()
     fresh = check_descent(spec, G2P, 1, 1, 3)
-    assert all_passed(fresh)
+    assert all(r.passed for r in fresh)
     gens = twisted._descent_basis(spec, G2P, Fraction(4))
     with monkeypatch.context() as patch:
         _perturb_field(patch, divided_t_power(spec.relations[0], 1), Fraction(1), y(2, -9))
@@ -1154,6 +1163,25 @@ def test_borcherds_lhs_binomials_build_no_fraction(fraction_calls):
     assert all(res.passed for res in results)
     assert binomials == 150
     assert calls <= 30
+
+
+def test_series_products_and_derivatives_build_no_fraction(fraction_calls):
+    # The multiplicative and translation comparisons on twisted fields,
+    # fields built beforehand: windows, products, derivatives and the
+    # comparison all run on ints in units of 1/m.
+    g = DiagAutomorphism(2, (1,))
+    a = JetPoly.var(2, 1, -1)  # its field has a pole, at z^(-1/2)
+    ya = twisted_field(a, g, 5)
+    square, translate = twisted_field(a * a, g, 4), twisted_field(derivation_T(a), g, 4)
+
+    def run():
+        return (ya * ya).first_mismatch(square), translate.first_mismatch(
+            ya.differentiate()
+        )
+
+    calls, mismatches = fraction_calls(run)
+    assert mismatches == (None, None)
+    assert calls == 0
 
 
 def test_pair_packing_keeps_coordinates_that_overflow_their_fields():

@@ -20,7 +20,7 @@ from jetva.jetpoly import (
     divided_t_power,
     translation_series,
 )
-from jetva.reports import all_passed
+from jetva.reports import CheckResult
 from jetva.va import check_borcherds, check_va_axioms, mode, vertex_op
 
 
@@ -97,11 +97,12 @@ def _count_translations(monkeypatch) -> list:
 
 @pytest.mark.parametrize("window", [0, 1, Fraction(5, 2), 4])
 def test_translation_series_translates_floor_window_times(monkeypatch, window):
-    # T^n(a)/n! is computed for n = 0..floor(W) and no further
+    # T^n(a)/n! is computed for n = 0..floor(W) and no further; the series
+    # has order 1, so its window is floor(W) too
     calls = _count_translations(monkeypatch)
     s = translation_series(x(1) * x(2, -1), window)
     assert len(calls) == math.floor(window)
-    assert s.trunc == window
+    assert s.trunc == math.floor(window)
     assert s.support() == tuple(Fraction(n) for n in range(math.floor(window) + 1))
 
 
@@ -143,7 +144,7 @@ def test_axioms_on_rich_sample():
     sources = [x(1), x(2) ** 2, x(1) * x(2, -1) + x(1, -2)]
     for a in sources:
         results = check_va_axioms(a, 6, samples=sources)
-        assert all_passed(results), [r for r in results if not r.passed]
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def test_axioms_with_symmetry():
@@ -151,7 +152,7 @@ def test_axioms_with_symmetry():
     y1 = JetPoly.var(4, 1)
     y2 = JetPoly.var(4, 2, -1)
     results = check_va_axioms(y1 * y2, 6, alpha=(1, 2), samples=[y1, y2])
-    assert all_passed(results)
+    assert all(r.passed for r in results)
     assert any("equivariance" in r.name for r in results)
 
 
@@ -213,7 +214,7 @@ def test_plain_axioms_build_no_field_past_the_translation_window(monkeypatch):
     monkeypatch.setattr(twisted, "substitute_jets", recorded)
     sources = [x(1), x(2) ** 2, x(1) * x(2, -1) + x(1, -2)]
     for a in sources:
-        assert all_passed(check_va_axioms(a, 4, samples=sources))
+        assert all(r.passed for r in check_va_axioms(a, 4, samples=sources))
     assert set(windows) == {4, 5}
 
 
@@ -227,7 +228,7 @@ def test_axioms_with_no_samples_check_no_sample():
         "vacuum: Y(1,z) = id",
         "creation: Y(a,z)1 regular and a_(-1)1 = a",
     ]
-    assert all_passed(results)
+    assert all(r.passed for r in results)
 
 
 def test_equivariance_fails_on_a_perturbed_mode(monkeypatch):
@@ -276,6 +277,21 @@ def test_borcherds_known_nonzero_instance():
     # the instance is not vacuous: its leading term a_(-1)b = x^3 has a
     # nonzero (-2) mode, namely T(x^3) = 3 x[0]^2 x[-1]
     assert str(mode(a * b, -2)) == "3*x1[0]^2*x1[-1]"
+
+
+def test_a_plain_borcherds_check_builds_one_result(monkeypatch):
+    # One CheckResult per check, passing or failing: the plain check does
+    # not rebuild a twisted result under its own name.
+    made = []
+    real = CheckResult.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CheckResult, "__init__", counted)
+    res = check_borcherds(x(1) ** 2, x(1), -1, -1, -1, 8)
+    assert res.passed and made == [("borcherds(m=-1, n=-1, k=-1)", True, None)]
 
 
 def test_borcherds_odd_negative_n_regression():
@@ -327,7 +343,7 @@ def test_borcherds_reads_the_fields_the_axiom_checks_built(substitutions):
     # three coordinates long, the Borcherds check at that of a alone, one
     # long.  Both read the fields of a and a^2 on x1's exponent alone.
     a = JetPoly.var(2, 1) * JetPoly.var(2, 1, -1)
-    assert all_passed(check_va_axioms(a, 3, samples=[a, JetPoly.var(2, 3)]))
+    assert all(r.passed for r in check_va_axioms(a, 3, samples=[a, JetPoly.var(2, 3)]))
     built = len(substitutions)
     assert check_borcherds(a, a, -1, -1, -1, 3).passed
     assert len(substitutions) == built
