@@ -66,7 +66,6 @@ every section, eliminated in the box with no pivot removed.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from .cyclo import CycScalar
@@ -82,20 +81,30 @@ from .jetscheme import (
 )
 from .reports import CheckResult
 from .twisted import twisted_field
+from .value import Value, setters
 
 
-@dataclasses.dataclass(frozen=True)
-class OrbiSetup:
+class OrbiSetup(Value):
     """A scheme with symmetry plus the truncation box for coinvariants."""
 
-    spec: SchemeSpec
-    auto: DiagAutomorphism
-    max_weight: Fraction
-    max_degree: int
+    __slots__ = __match_args__ = ("spec", "auto", "max_weight", "max_degree")
 
-    def __post_init__(self):
-        object.__setattr__(self, "max_weight", Fraction(self.max_weight))
-        require_fits(self.spec, self.auto)
+    def __init__(
+        self,
+        spec: SchemeSpec,
+        auto: DiagAutomorphism,
+        max_weight: Fraction,
+        max_degree: int,
+    ):
+        max_weight = Fraction(max_weight)
+        require_fits(spec, auto)
+        _set_spec(self, spec)
+        _set_auto(self, auto)
+        _set_max_weight(self, max_weight)
+        _set_max_degree(self, max_degree)
+
+
+_set_spec, _set_auto, _set_max_weight, _set_max_degree = setters(OrbiSetup)
 
 
 def enumerate_sections(spec: SchemeSpec, max_degree: int) -> list[Monomial]:

@@ -18,6 +18,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
+from .value import Value, setters
+
 
 class FieldMismatchError(TypeError):
     """Arithmetic between scalars of different cyclotomic orders."""
@@ -154,14 +156,16 @@ def ratio_str(num: int, den: int) -> str:
 _new = object.__new__
 
 
-class CycScalar:
+class CycScalar(Value):
     """An element of Q(zeta_m), zeta_m = exp(2*pi*i/m), stored as the
     integer coordinates ``nums`` over one common denominator ``den``.
 
     The form is canonical: ``den > 0`` and gcd(den, *nums) == 1, so zero
     is (0, ..., 0) over 1 and equality and hashing are structural.
     ``CycScalar(m, coeffs)`` takes the phi(m) coordinates as ints or
-    Fractions, and ``coeffs`` gives them back as Fractions.
+    Fractions, and ``coeffs`` gives them back as Fractions.  Of ``Value``
+    it keeps only the immutability: equality, hash, repr and pickling are
+    its own.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -179,12 +183,6 @@ class CycScalar:
         _set_order(self, order)
         _set_nums(self, tuple(f.numerator * (den // f.denominator) for f in fracs))
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycScalar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("CycScalar is immutable")
 
     def __reduce__(self):
         return _make, (self.order, self.nums, self.den)
@@ -364,9 +362,7 @@ class CycScalar:
         return f"CycScalar({self.order}, {self})"
 
 
-_set_order = CycScalar.order.__set__
-_set_nums = CycScalar.nums.__set__
-_set_den = CycScalar.den.__set__
+_set_order, _set_nums, _set_den = setters(CycScalar)
 
 
 def _make(order: int, nums: tuple[int, ...], den: int) -> CycScalar:

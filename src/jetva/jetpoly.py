@@ -18,13 +18,13 @@ unknown, not zero, and asking for one raises TruncationError.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from operator import itemgetter
 
 from .cyclo import CycScalar, FieldMismatchError, _canon, euler_phi, ratio_str
+from .value import Value, setters
 
 
 class TruncationError(ValueError):
@@ -85,15 +85,8 @@ def exact_units(x, q: int) -> int | None:
     return None if q % d else x.numerator * (q // d)
 
 
-def _cache_slot(**default):
-    """A slot holding a value worked out from the fields, kept out of
-    ``__init__``, ``repr`` and comparisons."""
-    return dataclasses.field(init=False, repr=False, compare=False, **default)
-
-
 @total_ordering
-@dataclasses.dataclass(frozen=True, slots=True)
-class JetVar:
+class JetVar(Value):
     """A jet variable x[index, level] (or xinf[...] when point = 1).
 
     The weight -level is held as the ints num/den in lowest terms, den >= 1
@@ -102,27 +95,24 @@ class JetVar:
     alphabet, coordinate, then weight, on ints.
     """
 
-    point: int
-    index: int
-    num: int
-    den: int
-    _hash: int = _cache_slot()
+    __match_args__ = ("point", "index", "num", "den")
+    __slots__ = (*__match_args__, "_hash")
 
-    def __post_init__(self):
-        if self.index < 1:
+    def __init__(self, point: int, index: int, num: int, den: int):
+        if index < 1:
             raise ValueError("variable index must be >= 1")
-        if self.num < 0:
+        if num < 0:
             raise ValueError("level must be <= 0")
-        if self.den < 1 or math.gcd(self.num, self.den) != 1:
-            raise ValueError(
-                f"weight {self.num}/{self.den} is not in lowest terms over den >= 1"
-            )
-        if self.point not in (0, 1):
+        if den < 1 or math.gcd(num, den) != 1:
+            raise ValueError(f"weight {num}/{den} is not in lowest terms over den >= 1")
+        if point not in (0, 1):
             raise ValueError("point must be 0 or 1")
+        _set_point(self, point)
+        _set_index(self, index)
+        _set_num(self, num)
+        _set_den(self, den)
         # Worked out once: every dict lookup would otherwise rehash the tuple.
-        object.__setattr__(
-            self, "_hash", hash((self.point, self.index, self.num, self.den))
-        )
+        _set_var_hash(self, hash((point, index, num, den)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -166,6 +156,9 @@ class JetVar:
         return f"{name}{self.index}[{level}]"
 
 
+_set_point, _set_index, _set_num, _set_den, _set_var_hash = setters(JetVar)
+
+
 def jet_var(index: int, level, point: int = 0) -> JetVar:
     """x[index, level]: the one constructor that takes a rational level."""
     if type(level) is int:
@@ -179,20 +172,26 @@ def retag_var(v: JetVar, point: int) -> JetVar:
     return JetVar(point, v.index, v.num, v.den)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(Value):
     """A product of jet variables; its hash and its sort key (weight,
     degree, factors) are each worked out once."""
 
-    factors: tuple[tuple[JetVar, int], ...]  # sorted by variable, exponents > 0
-    _hash: int = _cache_slot()
-    _key: tuple | None = _cache_slot(default=None)
+    __match_args__ = ("factors",)
+    __slots__ = (*__match_args__, "_hash", "_key")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.factors,)))
+    def __init__(self, factors: tuple[tuple[JetVar, int], ...]):
+        # factors sorted by variable, exponents > 0
+        _set_factors(self, factors)
+        _set_mono_hash(self, hash((factors,)))
+        _set_key(self, None)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not Monomial:
+            return NotImplemented
+        return self.factors == other.factors
 
     @classmethod
     def unit(cls) -> Monomial:
@@ -258,7 +257,7 @@ class Monomial:
                     den *= d
             weight = num // den if num % den == 0 else Fraction(num, den)
             key = (weight, self.degree, self.factors)
-            object.__setattr__(self, "_key", key)
+            _set_key(self, key)
         return key
 
     @property
@@ -281,8 +280,10 @@ class Monomial:
         return "*".join(bits)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class JetPoly:
+_set_factors, _set_mono_hash, _set_key = setters(Monomial)
+
+
+class JetPoly(Value):
     """Sparse polynomial in jet variables with CycScalar coefficients.
 
     Immutable; terms are kept sorted with nonzero coefficients, so equality
@@ -290,16 +291,25 @@ class JetPoly:
     kept.
     """
 
-    order: int
-    terms: tuple[tuple[Monomial, CycScalar], ...]
-    _hash: int | None = _cache_slot(default=None)
+    __match_args__ = ("order", "terms")
+    __slots__ = (*__match_args__, "_hash")
+
+    def __init__(self, order: int, terms: tuple[tuple[Monomial, CycScalar], ...]):
+        _set_order(self, order)
+        _set_terms(self, terms)
+        _set_poly_hash(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.order, self.terms))
-            object.__setattr__(self, "_hash", h)
+            _set_poly_hash(self, h)
         return h
+
+    def __eq__(self, other):
+        if type(other) is not JetPoly:
+            return NotImplemented
+        return self.order == other.order and self.terms == other.terms
 
     # -- construction ------------------------------------------------------
 
@@ -434,6 +444,9 @@ class JetPoly:
 
     def __repr__(self) -> str:
         return f"JetPoly({self.order}, {self})"
+
+
+_set_order, _set_terms, _set_poly_hash = setters(JetPoly)
 
 
 def _mono_key(mon: Monomial):
@@ -663,8 +676,7 @@ def _min_top(*tops) -> int | None:
     return min((t for t in tops if t is not None), default=None)
 
 
-@dataclasses.dataclass(frozen=True)
-class PuiseuxSeries:
+class PuiseuxSeries(Value):
     """Series sum coeff_w * z^w with JetPoly coefficients, w in (1/order)Z.
 
     ``terms`` maps k to the coefficient of z^(k/order); the constructor
@@ -681,19 +693,17 @@ class PuiseuxSeries:
     (JetPoly(3, 0), None)
     """
 
-    order: int
-    terms: dict[int, JetPoly]
-    top: int | None
+    __slots__ = __match_args__ = ("order", "terms", "top")
 
-    def __post_init__(self):
-        top = self.top
+    def __init__(self, order: int, terms: dict[int, JetPoly], top: int | None):
         if top is not None and type(top) is not int:
             raise TypeError(f"window {top!r} must be an int in units of 1/order")
-        acc = self.terms
-        terms = {k: acc[k] for k in sorted(acc) if not acc[k].is_zero}
+        terms = {k: terms[k] for k in sorted(terms) if not terms[k].is_zero}
         if top is not None and terms and next(reversed(terms)) > top:
             raise ValueError("series supported beyond its own window")
-        object.__setattr__(self, "terms", terms)
+        _set_series_order(self, order)
+        _set_series_terms(self, terms)
+        _set_top(self, top)
 
     @classmethod
     def from_dict(cls, order: int, acc, trunc) -> PuiseuxSeries:
@@ -813,6 +823,9 @@ class PuiseuxSeries:
         if self.top is not None:
             body += f" + O(z^{Fraction(self.top + self.order, self.order)})"
         return body
+
+
+_set_series_order, _set_series_terms, _set_top = setters(PuiseuxSeries)
 
 
 # ---------------------------------------------------------------------------

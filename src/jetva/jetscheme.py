@@ -12,7 +12,6 @@ exact bigraded dimension tables of bounded quotients.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -33,33 +32,36 @@ from .jetpoly import (
     translation_series,
 )
 from .linalg import RowReducer
+from .value import Value, setters
 
 
 class IdealNotPreservedError(ValueError):
     """The diagonal action does not map the relation span to itself."""
 
 
-@dataclasses.dataclass(frozen=True)
-class SchemeSpec:
+class SchemeSpec(Value):
     """An affine scheme: variable indices plus level-0 relations."""
 
-    order: int
-    variables: tuple[int, ...]
-    relations: tuple[JetPoly, ...]
+    __slots__ = __match_args__ = ("order", "variables", "relations")
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(
+        self, order: int, variables: tuple[int, ...], relations: tuple[JetPoly, ...]
+    ):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable indices")
-        if any(i < 1 for i in self.variables):
+        if any(i < 1 for i in variables):
             raise ValueError("variable indices are 1-based")
-        allowed = set(self.variables)
-        for p in self.relations:
-            if p.order != self.order:
+        allowed = set(variables)
+        for p in relations:
+            if p.order != order:
                 raise ValueError("relation coefficient order does not match scheme")
             if not p.is_level_zero():
                 raise ValueError("relations must be level-0 polynomials")
             if any(v.index not in allowed or v.point != 0 for v in p.variables()):
                 raise ValueError("relation uses a variable outside the scheme")
+        _set_spec_order(self, order)
+        _set_variables(self, variables)
+        _set_relations(self, relations)
 
     @classmethod
     def of(cls, order: int, k: int, relations) -> SchemeSpec:
@@ -70,18 +72,21 @@ class SchemeSpec:
         return len(self.variables)
 
 
-@dataclasses.dataclass(frozen=True)
-class DiagAutomorphism:
+_set_spec_order, _set_variables, _set_relations = setters(SchemeSpec)
+
+
+class DiagAutomorphism(Value):
     """x_i -> zeta_m^(alpha_i) x_i, alpha_i the i-th exponent."""
 
-    order: int
-    exponents: tuple[int, ...]
+    __slots__ = __match_args__ = ("order", "exponents")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, exponents: tuple[int, ...]):
+        if order < 1:
             raise ValueError("order must be positive")
-        if any(not (0 <= a < self.order) for a in self.exponents):
+        if any(not (0 <= a < order) for a in exponents):
             raise ValueError("exponents must lie in 0..order-1")
+        _set_auto_order(self, order)
+        _set_exponents(self, exponents)
 
     def inverse(self) -> DiagAutomorphism:
         return DiagAutomorphism(
@@ -93,6 +98,9 @@ class DiagAutomorphism:
         coordinate, alpha[i-1] acting on x_i."""
         require_fits(spec, self)
         return self.exponents
+
+
+_set_auto_order, _set_exponents = setters(DiagAutomorphism)
 
 
 class SpanBasis:
@@ -165,21 +173,33 @@ def require_preserved(spec: SchemeSpec, g: DiagAutomorphism) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class JetGenerator:
-    units: int  # the weight in units of 1/order, the order of poly
-    relation: int  # 1-based index into spec.relations
-    poly: JetPoly
+class JetGenerator(Value):
+    __slots__ = __match_args__ = ("units", "relation", "poly")
+
+    def __init__(self, units: int, relation: int, poly: JetPoly):
+        _set_units(self, units)  # the weight in units of 1/order, the order of poly
+        _set_relation(self, relation)  # 1-based index into spec.relations
+        _set_poly(self, poly)
 
     @property
     def weight(self) -> Fraction:
         return Fraction(self.units, self.poly.order)
 
 
-@dataclasses.dataclass(frozen=True)
-class JetPresentation:
-    variables: tuple[JetVar, ...]
-    generators: tuple[JetGenerator, ...]
+_set_units, _set_relation, _set_poly = setters(JetGenerator)
+
+
+class JetPresentation(Value):
+    __slots__ = __match_args__ = ("variables", "generators")
+
+    def __init__(
+        self, variables: tuple[JetVar, ...], generators: tuple[JetGenerator, ...]
+    ):
+        _set_pres_variables(self, variables)
+        _set_generators(self, generators)
+
+
+_set_pres_variables, _set_generators = setters(JetPresentation)
 
 
 def _presentation_vars(spec, exponents, max_weight) -> tuple[JetVar, ...]:

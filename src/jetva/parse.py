@@ -22,11 +22,11 @@ emits strings that re-parse to the same polynomial.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from .cyclo import CycScalar
 from .jetpoly import JetPoly
+from .value import Value, setters
 
 
 class ParseError(ValueError):
@@ -38,12 +38,17 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclasses.dataclass(frozen=True)
-class Token:
-    kind: str  # "number", "name", "op", "end"
-    value: str
-    line: int
-    col: int
+class Token(Value):
+    __slots__ = __match_args__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        _set_kind(self, kind)  # "number", "name", "op", "end"
+        _set_value(self, value)
+        _set_line(self, line)
+        _set_col(self, col)
+
+
+_set_kind, _set_value, _set_line, _set_col = setters(Token)
 
 
 _OPS = set("+-*^()/")

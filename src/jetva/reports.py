@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-import dataclasses
+from .value import Value, setters
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     """One verified identity: name, outcome, and the exact discrepancy
     (already rendered) when it fails."""
 
-    name: str
-    passed: bool
-    witness: str | None = None
+    __slots__ = __match_args__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: str | None = None):
+        _set_name(self, name)
+        _set_passed(self, passed)
+        _set_witness(self, witness)
 
     def to_dict(self) -> dict:
         d: dict = {"name": self.name, "pass": self.passed}
@@ -20,3 +22,5 @@ class CheckResult:
             d["witness"] = self.witness
         return d
 
+
+_set_name, _set_passed, _set_witness = setters(CheckResult)

@@ -555,7 +555,7 @@ def check_descent(
     made a Fraction unless the check fails, when the witness is the
     difference lhs - rhs at the lowest failing exponent.
     """
-    W = Fraction(window)
+    W = window if type(window) is int else Fraction(window)
     if isinstance(rel_index, bool) or not isinstance(rel_index, int):
         raise ValueError(f"relation index {rel_index!r} must be an int")
     if not 1 <= rel_index <= len(spec.relations):

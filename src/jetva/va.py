@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
 from .jetpoly import JetPoly, PuiseuxSeries, apply_automorphism, divided_t_power
 from .jetscheme import DiagAutomorphism
@@ -27,8 +26,6 @@ from .twisted import (
     require_coordinates,
     twisted_field,
 )
-
-ModeIndex = Union[int, Fraction]
 
 
 def _require_untwisted(a: JetPoly) -> None:
@@ -53,7 +50,7 @@ def vertex_op(a: JetPoly, window) -> PuiseuxSeries:
     return twisted_field(a, _trivial_symmetry(a), window)
 
 
-def mode(a: JetPoly, n: ModeIndex) -> JetPoly:
+def mode(a: JetPoly, n: int | Fraction) -> JetPoly:
     """The multiplication element a_(n) 1: T^(-n-1)(a)/(-n-1)! for n <= -1,
     zero otherwise."""
     _require_untwisted(a)

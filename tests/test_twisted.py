@@ -840,6 +840,25 @@ def test_a_passing_descent_check_scales_nothing(monkeypatch):
     assert calls == Counter({"scale": 1, "binom": 1})
 
 
+def test_a_passing_int_window_descent_check_builds_no_fraction(fraction_calls):
+    # Measured at 5 Fraction.__new__ calls (Python 3.11) for a round of
+    # three checks from empty caches, all in the translate and generator
+    # caches, and none for a second round: an int window is used as given.
+    spec = _parabola()
+
+    def rounds(k):
+        return [
+            r
+            for _ in range(k)
+            for n in range(0, 3)
+            for r in check_descent(spec, G2P, 1, n, 4 - n)
+        ]
+
+    once, results = fraction_calls(rounds, 1)
+    assert len(results) == 6 and all(r.passed for r in results)
+    assert fraction_calls(rounds, 2)[0] == once
+
+
 def _reference_descent_coefficients(spec, g, rel_index, n, window):
     """The first check of ``check_descent`` as it was first written, kept
     as the oracle of its int comparison: over every exponent of the
