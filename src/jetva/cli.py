@@ -114,7 +114,9 @@ def _bound(value, flag: str) -> Fraction:
     bound or a sample count), which must be nonnegative."""
     try:
         bound = Fraction(value)
-    except (ValueError, ZeroDivisionError) as e:
+    except ZeroDivisionError as e:
+        raise InputError(f"invalid {flag} {value!r}: zero denominator") from e
+    except ValueError as e:
         raise InputError(f"invalid {flag} {value!r}: {e}") from e
     if bound < 0:
         raise InputError(f"{flag} must be nonnegative, got {value}")

@@ -879,6 +879,58 @@ def _jet_expansion(a: int, q: int, d: int, hi: int) -> tuple:
     return first, den, tuple(out)
 
 
+class CodedSeries(Value):
+    """A substitution before it is materialised: what ``substitute_coded``
+    returns and ``materialise`` turns into the ``PuiseuxSeries`` that
+    ``substitute_jets`` returns.
+
+    ``terms`` maps each exponent k, in units of 1/order and rising, whose
+    coefficient of z^(k/order) is not zero to a dict {code: coordinates}:
+    each output monomial, by its int code, with the tuple of the phi(order)
+    int coordinates of its coefficient over the one denominator ``den``,
+    not all zero.  ``layout`` is (bits, k, unit), which gives x[i,-u/unit]
+    the bit field [bits*f, bits*(f+1)) of its exponent, f = u*k + i - 1
+    (see ``substitute_coded``), and ``top`` is the window, the last k known
+    exactly.  The dicts are shared with caches and never changed.
+    """
+
+    __slots__ = __match_args__ = ("order", "top", "den", "layout", "terms")
+
+    def __init__(self, order: int, top: int, den: int, layout: tuple, terms: dict):
+        _set_coded_order(self, order)
+        _set_coded_top(self, top)
+        _set_coded_den(self, den)
+        _set_layout(self, layout)
+        _set_coded_terms(self, terms)
+
+    def materialise(self) -> PuiseuxSeries:
+        """The series: each code read once through ``_coded_monomial``, each
+        coefficient put in canonical form over ``den`` once, so it is the
+        very ``CycScalar`` that summing scalars would give, and the terms
+        of a coefficient sorted as ``JetPoly`` keeps them, by weight, degree
+        and factors, on the int sort key that comes with each code."""
+        m, L = self.order, self.den
+        bits, k, unit = self.layout
+        coeffs = {}
+        for w, row in self.terms.items():
+            rows = []
+            for code, acc in row.items():
+                mon, weight, degree, key = _coded_monomial(code, bits, k, unit)
+                rows.append(((weight, degree, key), mon, _canon(m, acc, L)))
+            rows.sort(key=itemgetter(0))
+            coeffs[w] = JetPoly(m, tuple((mon, val) for _, mon, val in rows))
+        return PuiseuxSeries(m, coeffs, self.top)
+
+
+(
+    _set_coded_order,
+    _set_coded_top,
+    _set_coded_den,
+    _set_layout,
+    _set_coded_terms,
+) = setters(CodedSeries)
+
+
 def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
     """Expand p along the generic (twisted) jet, exact up to the window.
 
@@ -896,43 +948,15 @@ def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
 
     Window rule: the result holds every z^w coefficient with w <= window,
     each exact; its window is the last such w in (1/m)Z, and asking it for
-    a coefficient beyond raises TruncationError.  No
-    series is multiplied: each source term is expanded as the product of
-    its factors' expansions truncated at the window, on ints.
+    a coefficient beyond raises TruncationError.
 
-    The window, the exponents and the source weights are read as ints in
-    units of 1/m once per call.  Each binomial C(-n, d) is an int numerator
-    over a denominator fixed by the coset and d, so every multiplicity is
-    an int.  A monomial is one int code: x[i,-u/q] owns the bit field
-    [B*f, B*(f+1)) of its exponent, f = u*k + i - 1, where k is the
-    highest coordinate index of the source, B the bit length of its
-    highest degree and q the lcm of the denominators of its coordinates'
-    cosets (1 when none is twisted, whatever m).  No output exponent
-    exceeds that degree, so the code of a product is the sum of its
-    factors' codes, with no carry between fields, and the codes of a
-    monomial do not depend on the window.
-
-    A source term c * mon is expanded slot by slot, one slot per factor
-    and repetition, over a list of dicts {code: multiplicity}, one dict
-    per step of 1 in the exponent above the term's lowest, cut at the
-    window; equal partial products merge as they form, so an assignment of
-    levels that only permutes repeated factors is never visited twice.
-    With den the product of its binomial denominators, the term adds
-    q * c.nums * (L // (c.den * den)) into the phi(m) int coordinates of
-    an output term, where q is the multiplicity and L the lcm of c.den *
-    den over the source terms that reach the window.  Each output
-    coefficient is then put in canonical form over L once, so it is the
-    very ``CycScalar`` that summing scalars would give, and a term whose
-    coordinates sum to zero is dropped.
-
-    Each output code is read through one shared memo, ``_coded_monomial``,
-    which gives the ``Monomial``, built once from shared variables, and an
-    int key that orders the monomials of one weight and degree as their
-    factors do.  A coefficient's terms are sorted as ``JetPoly`` keeps
-    them, by weight, degree and factors: at z^w a term from a source
-    monomial of weight s has weight w + s, and its degree is the source's,
-    so every sort key is made of ints.  Each expansion of a source variable
-    comes from a shared cache, bounded at 256 entries.
+    The work is split in two.  The int kernel, ``substitute_coded`` at the
+    window floored to (1/m)Z in units of 1/m, gives every output term as
+    an int code and int coordinates over one denominator (a
+    ``CodedSeries``); ``CodedSeries.materialise`` then builds the
+    ``JetPoly`` coefficients.  A caller that only compares two expansions
+    of one layout, as ``twisted.check_descent`` does, can stop at the
+    kernel.
 
     Both terms below give x1[-1]*x2[-1] at z^1, with coordinates zeta/2
     and -zeta/2; they cancel exactly, and the term is dropped:
@@ -943,11 +967,44 @@ def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
     >>> print(substitute_jets(p.scale(half_zeta), (), 1).coefficient(1))
     (-1*zeta)*x1[0]*x2[-2] + (zeta)*x1[-2]*x2[0]
     """
+    return substitute_coded(p, exponents, floor_units(window, p.order)).materialise()
+
+
+def substitute_coded(p: JetPoly, exponents, top_w: int) -> CodedSeries:
+    """The int kernel of ``substitute_jets``: p expanded along the jet of
+    the exponents, exact up to the window top_w/m, as a ``CodedSeries``.
+    No ``JetPoly``, ``Monomial`` or ``CycScalar`` is made.
+
+    The exponents and the source weights are read as ints in units of 1/m
+    once per call.  Each binomial C(-n, d) is an int numerator over a
+    denominator fixed by the coset and d, so every multiplicity is an int.
+    A monomial is one int code: x[i,-u/q] owns the bit field
+    [B*f, B*(f+1)) of its exponent, f = u*k + i - 1, where k is the
+    highest coordinate index of the source, B the bit length of its
+    highest degree and q the lcm of the denominators of its coordinates'
+    cosets (1 when none is twisted, whatever m).  No output exponent
+    exceeds that degree, so the code of a product is the sum of its
+    factors' codes, with no carry between fields, and the codes of a
+    monomial do not depend on the window.  The layout (B, k, q) reads
+    only the source's coordinates and degrees, so T^n(p)/n!, whose
+    monomials keep their coordinates and degrees, has the layout of p.
+
+    A source term c * mon is expanded slot by slot, one slot per factor
+    and repetition, over a list of dicts {code: multiplicity}, one dict
+    per step of 1 in the exponent above the term's lowest, cut at the
+    window; equal partial products merge as they form, so an assignment of
+    levels that only permutes repeated factors is never visited twice.
+    With den the product of its binomial denominators, the term adds
+    q * c.nums * (L // (c.den * den)) into the phi(m) int coordinates of
+    an output term, where q is the multiplicity and L the lcm of c.den *
+    den over the source terms that reach the window.  A term whose
+    coordinates sum to zero is dropped, and each expansion of a source
+    variable comes from a shared cache, bounded at 256 entries.
+    """
     m = p.order
     for i, a in enumerate(exponents, start=1):
         if type(a) is not int:
             raise ValueError(f"exponent {a} of x{i} is not an int")
-    top_w = floor_units(window, m)  # the window in units of 1/m
     # (coefficient, factors, weight, degree) of each source term, on ints
     sources = []
     # coordinate -> its coset a/m + Z as a'/q + Z in lowest terms: (a', q)
@@ -979,7 +1036,7 @@ def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
     # first, so consecutive entries differ by one in the exponent.
     expansions: dict[tuple[int, int], tuple] = {}
     # The source terms that reach the window: (coefficient, binomial
-    # denominator, weight, degree, lowest exponent, slots).
+    # denominator, lowest exponent, slots).
     kept = []
     for c, factors, weight, degree in sources:
         slots = []
@@ -1004,38 +1061,30 @@ def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
             den *= b_den**e
             slots.extend([terms] * e)
         if all(slots) and lowest <= top_w:
-            kept.append((c, den, weight, degree, lowest, slots))
+            kept.append((c, den, lowest, slots))
     # Every output coefficient is a sum of integer coordinates over the one
     # denominator L.
     L = math.lcm(*(c.den * den for c, den, *_ in kept))
-    # exponent in units of 1/m -> code -> (weight and degree of its source
-    # monomial, coordinates over L)
-    by_exp: dict[int, dict[int, tuple]] = {}
-    for c, den, weight, degree, lowest, slots in kept:
+    # exponent in units of 1/m -> code -> coordinates over L
+    by_exp: dict[int, dict[int, list[int]]] = {}
+    for c, den, lowest, slots in kept:
         f = L // (c.den * den)
         nums = [a * f for a in c.nums]
         for step, part in enumerate(_expand(slots, (top_w - lowest) // m)):
             bucket = by_exp.setdefault(lowest + step * m, {})
             for code, q in part.items():
-                cur = bucket.get(code)
-                if cur is None:
-                    bucket[code] = (weight, degree, [q * a for a in nums])
+                acc = bucket.get(code)
+                if acc is None:
+                    bucket[code] = [q * a for a in nums]
                 else:
-                    acc = cur[2]
                     for j, a in enumerate(nums):
                         acc[j] += q * a
-    coeffs = {}
+    terms = {}
     for w in sorted(by_exp):
-        rows = []
-        for code, (weight, degree, acc) in by_exp[w].items():
-            if not any(acc):
-                continue
-            mon, key = _coded_monomial(code, bits, k, unit)
-            rows.append(((weight, degree, key), mon, _canon(m, tuple(acc), L)))
-        if rows:
-            rows.sort(key=itemgetter(0))
-            coeffs[w] = JetPoly(m, tuple((mon, val) for _, mon, val in rows))
-    return PuiseuxSeries(m, coeffs, top_w)
+        row = {code: tuple(acc) for code, acc in by_exp[w].items() if any(acc)}
+        if row:
+            terms[w] = row
+    return CodedSeries(m, top_w, L, (bits, k, unit), terms)
 
 
 def _expand(slots, room: int) -> list[dict[int, int]]:
@@ -1070,26 +1119,29 @@ def _jet_var(index: int, num: int, den: int) -> JetVar:
 
 
 # One entry per (code, layout) of a substitution's output, read once per
-# output term.  Per job at seed 7, a descent-sweep job makes 9,163 reads
-# for 1,382 distinct keys (1,190 distinct monomials; a source's layout
-# moves with its highest coordinate and its cosets) and misses 1,832 of
-# them; an axioms-zeta4 job makes 5,202 reads and misses 1,583, every key
-# once.  Peak memory (one benchmark run each, descent-sweep and
+# output term that is materialised.  Per job at seed 7, a descent-sweep job
+# makes 2,506 reads and misses 1,515 of them (before its descent checks
+# compared codes, 9,163 reads for 1,382 distinct keys and 1,832 misses; a
+# source's layout moves with its highest coordinate and its cosets); an
+# axioms-zeta4 job makes 5,202 reads and misses 1,583, every key once.
+# Peak memory (one benchmark run each, descent-sweep and
 # axioms-zeta4): 11.99 and 12.41 MB at 1,024 entries, against 11.95 and
 # 12.36 MB for the factor-keyed table this one replaced; 512 entries read
 # 11.92 and 12.39 MB but missed 4,166 and 2,563 reads, with descent-sweep
 # 13% slower, and 2,048 entries read 12.20 and 12.68 MB.
 @lru_cache(maxsize=1024)
-def _coded_monomial(code: int, bits: int, k: int, unit: int) -> tuple[Monomial, int]:
-    """The monomial of a ``substitute_jets`` code and its sort key.
+def _coded_monomial(code: int, bits: int, k: int, unit: int) -> tuple:
+    """(monomial, U, degree, key) for a ``substitute_coded`` code: the
+    ``Monomial``, built once from shared variables, its weight U in units
+    of 1/unit, its degree, and an int key.  (U, degree, key) orders
+    monomials as ``JetPoly`` sorts its terms.
 
     The exponent of x[i,-u/unit] is the bit field [bits*f, bits*(f+1)) of
     the code, f = u*k + i - 1.  The key packs one field of ``span`` bits
     per factor, (i-1)*(U+1) + u then the exponent, the first factor
-    highest, and is shifted up to ``degree`` fields, U being the weight of
-    the monomial in units of 1/unit.  So among monomials of one weight and
-    degree, where span is the same and no factor tuple is a prefix of
-    another, the keys compare as the factor tuples do.
+    highest, and is shifted up to ``degree`` fields.  So among monomials
+    of one weight and degree, where span is the same and no factor tuple
+    is a prefix of another, the keys compare as the factor tuples do.
     """
     mask = (1 << bits) - 1
     found = []  # (i, u, exponent)
@@ -1109,4 +1161,4 @@ def _coded_monomial(code: int, bits: int, k: int, unit: int) -> tuple[Monomial, 
         g = math.gcd(u, unit)
         factors.append((_jet_var(i, u // g, unit // g), e))
         key = key << span | ((i - 1) * (weight + 1) + u) << bits | e
-    return Monomial(tuple(factors)), key << span * (degree - len(found))
+    return Monomial(tuple(factors)), weight, degree, key << span * (degree - len(found))

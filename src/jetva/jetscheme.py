@@ -16,8 +16,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from functools import lru_cache
+
 from .cyclo import CycScalar
 from .jetpoly import (
+    CodedSeries,
     JetPoly,
     JetVar,
     Monomial,
@@ -28,6 +31,7 @@ from .jetpoly import (
     exact_units,
     floor_units,
     mul_into,
+    substitute_coded,
     substitute_jets,
     translation_series,
 )
@@ -258,6 +262,22 @@ def twisted_generators(
     require_preserved(spec, g)
     W = Fraction(max_weight)
     return _expansion_generators(spec, lambda p: substitute_jets(p, g.exponents, W))
+
+
+# Keyed on (scheme, symmetry, window): the translates n of a descent sweep
+# at windows W - n share the entry at W + n.  64 entries hold every (order,
+# curve, symmetry) case of a sweep over the acceptance fixtures at orders 2-4.
+@lru_cache(maxsize=64)
+def coded_relations(
+    spec: SchemeSpec, g: DiagAutomorphism, top: int
+) -> tuple[CodedSeries, ...]:
+    """Each relation expanded along the twisted jet up to the window top/m
+    by the int kernel ``substitute_coded``, one ``CodedSeries`` per
+    relation, in order: the generators of ``twisted_generators`` at the
+    weight top/m before they are materialised.  The symmetry must
+    preserve the relation span, as there."""
+    require_preserved(spec, g)
+    return tuple(substitute_coded(p, g.exponents, top) for p in spec.relations)
 
 
 def twisted_jet_generators(

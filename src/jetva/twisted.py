@@ -38,15 +38,15 @@ from .jetpoly import (
     exact_units,
     floor_units,
     mul_into,
+    substitute_coded,
     substitute_jets,
 )
 from .jetscheme import (
     DiagAutomorphism,
-    JetGenerator,
     SchemeSpec,
     SpanBasis,
+    coded_relations,
     require_fits,
-    twisted_generators,
 )
 from .reports import CheckResult
 
@@ -66,7 +66,7 @@ def require_coordinates(a: JetPoly, exponents) -> tuple[int, ...]:
 
 
 # Sweeps reuse a few recent fields; an unbounded cache keeps every one.
-# A descent check's translate field is read once, so it bypasses this cache.
+# A descent check compares its translate on codes, outside this cache.
 @lru_cache(maxsize=32)
 def _build_field(a: JetPoly, exponents: tuple[int, ...], top: int) -> PuiseuxSeries:
     """The field of a, at its coordinates' exponents, up to top/m."""
@@ -173,11 +173,13 @@ def _mode(fld: PuiseuxSeries, k: int, m: int) -> JetPoly:
     return fld.mode(Fraction(k, m)) if p is None else p
 
 
-def _dead(fld: PuiseuxSeries, k: int, m: int) -> bool:
-    """Is the mode at k/m provably zero, and every mode above it too?  So
-    it is when it lies inside the window and below every visible term."""
-    known = fld.at(-k - m) is not None
-    return known and (not fld.terms or -k - m < next(iter(fld.terms)))
+def _dead_from(fld: PuiseuxSeries, m: int) -> int:
+    """The lowest k from which every mode at k/m of a field with a window
+    is known and zero.  The mode at k/m is the coefficient at -k-m, known
+    when -k-m <= top and zero below the lowest visible term, at ``low``;
+    a field with no term is zero up to its window, as if low were top + 1."""
+    low = next(iter(fld.terms), fld.top + 1)
+    return max(-fld.top, 1 - low) - m
 
 
 # The field width a pair starts with, in bits.  The largest bound of an
@@ -187,10 +189,12 @@ _START_BITS = 32
 
 class _PairContext:
     """What every Borcherds check of one pair (a, b) shares at one
-    symmetry and window: the characters r_a and r_b, the fields fa and fb,
-    the field of each inner product a_(-k-1) b = T^k(a)/k! * b, and two
-    memos of packed polynomials: the modes of the inner fields met so far,
-    keyed on (k, index), and the product of every two modes met so far.
+    symmetry and window: the characters r_a and r_b, the fields fa and fb
+    with the indices ``dead_a`` and ``dead_b``, in units of 1/m, from which
+    each field's modes are all known and zero, the field of each inner
+    product a_(-k-1) b = T^k(a)/k! * b, and two memos of packed
+    polynomials: the modes of the inner fields met so far, keyed on
+    (k, index), and the product of every two modes met so far.
 
     The product memo is keyed on (i, j), for a's mode at i/m times b's at
     j/m.  The modes commute, so the identity's rhs term b_(l+n-i) a_(m+i)
@@ -224,6 +228,8 @@ class _PairContext:
             raise ValueError("Borcherds sources must be character-homogeneous")
         self.fa = twisted_field(a, g, window)
         self.fb = twisted_field(b, g, window)
+        self.dead_a = _dead_from(self.fa, g.order)
+        self.dead_b = _dead_from(self.fb, g.order)
         self._source = (a, b, g, window)
         self._order = g.order
         self._phi = euler_phi(g.order)
@@ -334,8 +340,11 @@ def _borcherds_parts(pair: _PairContext, l_idx: int, L: int, M: int, N: int):
     """The terms of lhs - rhs as (numerator, denominator, packed entry):
     the lhs modes first, then the rhs products in the order of the sum, a's
     mode before b's within each, which is the order in which a mode beyond
-    the window raises.  The indices are in units of 1/m, l's as L."""
+    the window raises.  The indices are in units of 1/m, l's as L.  A
+    product is read from the pair's memo, and only a miss calls
+    ``pair.product``."""
     order = pair._order
+    products = pair._products
     parts = []
     i = 0
     while l_idx + i <= -1:
@@ -353,7 +362,7 @@ def _borcherds_parts(pair: _PairContext, l_idx: int, L: int, M: int, N: int):
         if l_idx >= 0:
             if i > l_idx:
                 break
-        elif _dead(pair.fb, N + di, order) and _dead(pair.fa, M + di, order):
+        elif N + di >= pair.dead_b and M + di >= pair.dead_a:
             break
         # (-1)^i C(l, i), an integer: C(l, i) = (-1)^i C(i - l - 1, i) for l < 0
         if l_idx >= 0:
@@ -361,10 +370,14 @@ def _borcherds_parts(pair: _PairContext, l_idx: int, L: int, M: int, N: int):
         else:
             c = math.comb(i - l_idx - 1, i)
         if c:
-            t1 = pair.product(L + M - di, N + di)
+            t1 = products.get((L + M - di, N + di), False)
+            if t1 is False:
+                t1 = pair.product(L + M - di, N + di)
             if t1 is not None:
                 parts.append((-c, 1, t1))
-            t2 = pair.product(M + di, L + N - di)
+            t2 = products.get((M + di, L + N - di), False)
+            if t2 is False:
+                t2 = pair.product(M + di, L + N - di)
             if t2 is not None:
                 parts.append((c * sign_l, 1, t2))
         i += 1
@@ -375,7 +388,9 @@ def _packed_sum(parts) -> tuple[int, int, int]:
     """(total, den, bound) for terms (num, d, (den_t, packed_t, top_t)):
     over the lcm den of the d * den_t, each term's coefficient is the int
     c_t = num * den / (d * den_t); total is the sum of c_t * packed_t and
-    bound the sum of |c_t| * top_t."""
+    bound the sum of |c_t| * top_t; an empty sum is (0, 1, 0)."""
+    if not parts:
+        return 0, 1, 0
     dens = [d * entry[0] for _, d, entry in parts]
     den = math.lcm(*dens)
     total = bound = 0
@@ -489,37 +504,19 @@ def _borcherds_witness(a, b, g, l_idx: int, m_idx, n_idx, window) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-# Keyed on (scheme, symmetry, generator weight W + n): the translates n of one
-# sweep at window W - n share an entry.  64 entries hold every (order,
-# curve, symmetry) case of a sweep over the acceptance fixtures at orders 2-4.
-@lru_cache(maxsize=64)
-def _descent_basis(
-    spec: SchemeSpec, g: DiagAutomorphism, max_weight: Fraction
-) -> tuple[JetGenerator, ...]:
-    """The twisted jet-equation generators up to the weight: the basis of
-    the span that ``check_descent`` tests against.  Only the generators are
-    kept; a failing check eliminates their span itself."""
-    return twisted_generators(spec, g, max_weight)
-
-
-def _is_binomial_multiple(
-    lhs: JetPoly, base: JetPoly, u: int, b: int, n: int
+def _is_coded_multiple(
+    lhs: dict, lhs_den: int, base: dict, base_den: int, num: int, den: int
 ) -> bool:
-    """Is lhs C(u/b, n) times base?  The binomial is an int numerator num
-    over den (``binom_units``, u/b not reduced); with it nonzero, both
-    polynomials must have the same monomials in the same order, and each
-    coefficient nums/d of lhs must equal base's nums'/d' times num/den:
-    nums*d'*den = nums'*num*d, coordinate by coordinate, on ints."""
-    num, den = binom_units(u, b, n)
-    if not num:
-        return lhs.is_zero
-    if len(lhs.terms) != len(base.terms):
+    """Is lhs num/den times base?  Both are one coefficient of a coded
+    expansion of one layout, {code: coordinates} over lhs_den and base_den,
+    with no zero entry.  With num nonzero they must have the same codes,
+    and each coordinate x/lhs_den of lhs must equal base's y/base_den times
+    num/den: x*base_den*den = y*num*lhs_den, on ints."""
+    if not num or lhs.keys() != base.keys():
         return False
-    for (ml, cl), (mg, cg) in zip(lhs.terms, base.terms):
-        if ml is not mg and ml != mg:
-            return False
-        left, right = cg.den * den, num * cl.den
-        for x, y in zip(cl.nums, cg.nums):
+    left, right = base_den * den, num * lhs_den
+    for code, xs in lhs.items():
+        for x, y in zip(xs, base[code]):
             if x * left != y * right:
                 return False
     return True
@@ -539,7 +536,7 @@ def check_descent(
     ``rel_index`` is 1-based, matching the generator records; the translate
     n must be >= 0.
 
-    The translate's field is a fresh substitution of T^n(rel)/n!, never a
+    The translate's field is a fresh expansion of T^n(rel)/n!, never a
     derivative of the relation's field, so that the first check compares
     two independent routes.  When it passes, every coefficient at z^w is
     C(w + n, n) times the generator (rel, w + n), or zero, and that
@@ -548,12 +545,17 @@ def check_descent(
     the first check fails is the generators' span eliminated and every
     coefficient tested against it.
 
-    The first check runs on ints: each field exponent k, in units of 1/m,
-    is looked up as k + n*m in a table of the relation's generators keyed
-    on their weight in the same units, and compared term by term with
-    ``_is_binomial_multiple``.  No polynomial is scaled and no binomial
-    made a Fraction unless the check fails, when the witness is the
-    difference lhs - rhs at the lowest failing exponent.
+    The first check runs on the int kernel of ``substitute_jets``,
+    ``substitute_coded``: the translate at the window W, and every relation
+    at W + n from ``jetscheme.coded_relations``, cached on (scheme,
+    symmetry, window).  T^n keeps each monomial's coordinates and degree,
+    so the translate's codes have its relation's layout, and a translate
+    that does not is refused.  Each field exponent k, in units of 1/m, is
+    compared with the relation's exponent u = k + n*m: the two must have
+    the same nonzero codes, and their coordinates are cross-multiplied
+    with ``binom_units(u, m, n)``.  A passing check builds no ``JetPoly``.
+    A failing one materialises the translate once, for the witness lhs -
+    rhs at the lowest failing exponent, and the generators, for the span.
     """
     W = window if type(window) is int else Fraction(window)
     if isinstance(rel_index, bool) or not isinstance(rel_index, int):
@@ -564,52 +566,57 @@ def check_descent(
         raise ValueError(f"translate {n!r} must be an int")
     if n < 0:
         raise ValueError(f"translate {n} must be >= 0")
-    gens = _descent_basis(spec, g, W + n)
+    m = spec.order
+    top = floor_units(W, m)  # the window in units of 1/m
+    shift = n * m
+    relations = coded_relations(spec, g, top + shift)
     rel = spec.relations[rel_index - 1]
     if eigen_index(rel, g.exponents) is None:
         raise ValueError("relation is not character-homogeneous for this symmetry")
 
-    fld = substitute_jets(divided_t_power(rel, n), g.exponents, W)
-    m = fld.order
-    # The relation's generators keyed on their weight u in units of 1/m.
-    # Every u lies in [0, (W + n)m], so u - nm lies in [-nm, Wm].
-    table = {gen.units: gen.poly for gen in gens if gen.relation == rel_index}
-    pending = dict(table)  # the generators no coefficient of the field met
+    coded = substitute_coded(divided_t_power(rel, n), g.exponents, top)
+    expansion = relations[rel_index - 1]
+    if coded.layout != expansion.layout:
+        raise ValueError(
+            f"translate {n} of relation {rel_index} is coded as {coded.layout}, "
+            f"its relation as {expansion.layout}"
+        )
+    # Every relation exponent u lies in [0, top + shift], so u - shift lies
+    # in [-shift, top].
+    pending = dict(expansion.terms)  # the exponents no coefficient met
     fails = []  # exponents, in units of 1/m, where the check fails
-    for k, lhs in fld.terms.items():
-        u = k + n * m
+    for k, lhs in coded.terms.items():
+        u = k + shift
         base = pending.pop(u, None)
-        if base is None or not _is_binomial_multiple(lhs, base, u, m, n):
+        if base is None or not _is_coded_multiple(
+            lhs, coded.den, base, expansion.den, *binom_units(u, m, n)
+        ):
             fails.append(k)  # the lowest one of the field: stop here
             break
-    # A generator left pending lies above a failing exponent or meets a zero
+    # An exponent left pending lies above a failing exponent or meets a zero
     # coefficient, which matches it only when C(u/m, n) = 0: when u/m is an
     # integer in [0, n).
-    fails += [u - n * m for u in pending if u % m or not 0 <= u < n * m]
+    fails += [u - shift for u in pending if u % m or not 0 <= u < shift]
     ok = not fails
-    witness = None
+    witness = stray = None
     if not ok:
+        fld = coded.materialise()
+        gens = [series.materialise().terms for series in relations]
         k = min(fails)
         w = Fraction(k, m)
-        base = table.get(k + n * m, JetPoly.zero(spec.order))
+        base = gens[rel_index - 1].get(k + shift, JetPoly.zero(m))
         witness = f"z^{w}: {fld.coefficient(w) - base.scale(binom(w + n, n))}"
-    results = [
-        CheckResult(
-            f"descent coefficients: rel {rel_index}, translate {n}", ok, witness
-        )
-    ]
-
-    stray = None
-    if not ok:
-        basis = SpanBasis(spec.order, (gen.poly for gen in gens))
+        basis = SpanBasis(m, (p for terms in gens for p in terms.values()))
         k = basis.first_outside(fld.terms.values())
         stray = None if k is None else fld.support()[k]
-    results.append(
+    return [
+        CheckResult(
+            f"descent coefficients: rel {rel_index}, translate {n}", ok, witness
+        ),
         CheckResult(
             f"descent span: rel {rel_index}, translate {n}, coefficients in "
             "the twisted generator span",
             stray is None,
             None if stray is None else f"coefficient at z^{stray}",
-        )
-    )
-    return results
+        ),
+    ]

@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from jetva import twisted
+from jetva import jetscheme
 from jetva.coinv import OrbiSetup, coinvariant_dims, verify_fixed_ring
 from jetva.jetpoly import JetPoly, divided_t_power, eigen_index, translation_series
 from jetva.jetscheme import (
@@ -220,9 +220,10 @@ def test_criterion_4_descent():
 
 
 def test_descent_on_a_warm_basis_cache_matches_a_cold_one():
-    # Each (scheme, symmetry, W + n) key builds its twisted generators once;
-    # a warm cache must give the checks a cold one gives, and each entry
-    # must hold the generators as a fresh presentation lists them.
+    # Each (scheme, symmetry, W + n) key expands its relations once; a warm
+    # cache must give the checks a cold one gives, and each entry,
+    # materialised, must hold the generators as a fresh presentation lists
+    # them.
     sweep = [
         (spec, DiagAutomorphism(order, alpha), n)
         for order in (2, 3)
@@ -235,17 +236,22 @@ def test_descent_on_a_warm_basis_cache_matches_a_cold_one():
     def run():
         return [check_descent(spec, g, 1, n, 6 - n) for spec, g, n in sweep]
 
-    twisted._descent_basis.cache_clear()
+    jetscheme.coded_relations.cache_clear()
     cold = run()
-    hits = twisted._descent_basis.cache_info().hits
+    hits = jetscheme.coded_relations.cache_info().hits
     warm = run()
-    assert twisted._descent_basis.cache_info().hits == hits + len(sweep)
+    assert jetscheme.coded_relations.cache_info().hits == hits + len(sweep)
     assert warm == cold
     for spec, g, _ in sweep:
-        assert (
-            twisted._descent_basis(spec, g, Fraction(6))
-            == twisted_jet_generators(spec, g, 6).generators
+        cached = sorted(
+            (u, i, p)
+            for i, coded in enumerate(
+                jetscheme.coded_relations(spec, g, 6 * g.order), start=1
+            )
+            for u, p in coded.materialise().terms.items()
         )
+        fresh = twisted_jet_generators(spec, g, 6).generators
+        assert cached == [(gen.units, gen.relation, gen.poly) for gen in fresh]
 
 
 # ---------------------------------------------------------------------------

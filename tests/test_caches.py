@@ -26,6 +26,8 @@ def test_only_the_per_order_tables_are_unbounded():
 
 def test_fraction_calls_empties_every_bounded_cache(fraction_calls):
     bounded = bounded_caches()
+    # the coded relation expansions that the descent checks compare with
+    assert "jetva.jetscheme.coded_relations" in bounded
     x1, x2 = JetPoly.var(2, 1), JetPoly.var(2, 2)
     spec = SchemeSpec.of(2, 2, [x1**2 - x2])
     g = DiagAutomorphism(2, (1, 0))

@@ -230,6 +230,24 @@ def test_exit_2_on_negative_bounds(spec_file, capsys):
         assert captured.out == ""
 
 
+def test_exit_2_on_unreadable_bounds(spec_file, capsys):
+    # "1/0" used to print the exception's own text, "Fraction(1, 0)".
+    path = spec_file(PARABOLA)
+    cases = [
+        (["coinvariants", "--max-weight", "1/0"], "invalid --max-weight '1/0': zero denominator"),
+        (["twisted-jet", "--max-weight", "0/0"], "invalid --max-weight '0/0': zero denominator"),
+        (
+            ["coinvariants", "--max-weight", "abc"],
+            "invalid --max-weight 'abc': Invalid literal for Fraction: 'abc'",
+        ),
+    ]
+    for argv, message in cases:
+        assert main([*argv, "--input", path]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n", argv
+        assert captured.out == ""
+
+
 def test_exit_2_when_symmetry_moves_ideal(spec_file, capsys):
     payload = {
         "m": 2,

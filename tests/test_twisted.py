@@ -6,16 +6,20 @@ alpha/m + Z by hand and differentiating in z.
 
 import functools
 import itertools
+import math
 import random
 import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetva import jetpoly, jetscheme, twisted
 from jetva.cyclo import zeta_pow
 from jetva.jetpoly import (
+    CodedSeries,
     JetPoly,
     PuiseuxSeries,
     TruncationError,
@@ -25,12 +29,14 @@ from jetva.jetpoly import (
     divided_t_power,
     eigen_index,
     exact_units,
+    floor_units,
     translation_series,
 )
 from jetva.jetscheme import (
     DiagAutomorphism,
     IdealNotPreservedError,
     SchemeSpec,
+    preserves_ideal,
     twisted_jet_generators,
 )
 from jetva.linalg import RowReducer
@@ -276,12 +282,12 @@ def _perturb_field(monkeypatch, source, exponent, extra):
     """Make every field of ``source`` carry ``extra`` on top of its z^exponent
     coefficient; every other field is left as it is.  The one seam is
     ``substitute_jets`` as ``twisted`` calls it: it builds every field that
-    the field cache holds and the translate field of ``check_descent``.
-    Fields outlive a call in two caches, the field cache and the Borcherds
-    pair contexts, so the patch swaps in an empty one of each, dropped with
-    every perturbed field in it when the patch is undone: no field built
-    before the patch is read under it, and none built under it outlives
-    it."""
+    the field cache holds.  Fields outlive a call in two caches, the field
+    cache and the Borcherds pair contexts, so the patch swaps in an empty
+    one of each, dropped with every perturbed field in it when the patch is
+    undone: no field built before the patch is read under it, and none
+    built under it outlives it.  A descent translate is perturbed through
+    its own seam, ``_perturb_translate``."""
     real_substitute = twisted.substitute_jets
     for name in ("_build_field", "_pair_context"):
         cached = getattr(twisted, name)
@@ -297,6 +303,50 @@ def _perturb_field(monkeypatch, source, exponent, extra):
         return PuiseuxSeries.from_dict(a.order, coeffs, fld.trunc)
 
     monkeypatch.setattr(twisted, "substitute_jets", perturbed_substitute)
+
+
+def _recoded(fld, like):
+    """fld as ``substitute_coded`` gives a series, in the layout of the
+    ``CodedSeries`` ``like``: each monomial coded from its factors, each
+    coefficient's coordinates over the lcm of the denominators.  A monomial
+    that does not fit the layout raises ValueError."""
+    bits, k, unit = like.layout
+    den = math.lcm(*(c.den for p in fld.terms.values() for _, c in p.terms))
+    terms = {}
+    for w, p in fld.terms.items():
+        row = terms[w] = {}
+        for mon, c in p.terms:
+            code = 0
+            for v, e in mon.factors:
+                if v.point or v.index > k or unit % v.den or e >> bits:
+                    raise ValueError(f"{mon} does not fit the layout {like.layout}")
+                code += e << bits * (v.num * (unit // v.den) * k + v.index - 1)
+            row[code] = tuple(x * (den // c.den) for x in c.nums)
+    return CodedSeries(fld.order, fld.top, den, like.layout, terms)
+
+
+def _change_translates(monkeypatch, change):
+    """Make ``check_descent`` read the expansion of each source p in the
+    dict ``change`` as change[p] of its field, re-coded in the kernel's
+    layout.  The one seam is ``substitute_coded`` as ``twisted`` calls it,
+    which expands the translates and nothing else: the relations' cached
+    expansions are made in ``jetscheme`` and are never changed."""
+    real = twisted.substitute_coded
+
+    def changed(p, exponents, top):
+        coded = real(p, exponents, top)
+        edit = change.get(p)
+        return coded if edit is None else _recoded(edit(coded.materialise()), coded)
+
+    monkeypatch.setattr(twisted, "substitute_coded", changed)
+
+
+def _perturb_translate(monkeypatch, source, exponent, extra):
+    """Make the descent translate ``source`` carry ``extra`` on top of its
+    z^exponent coefficient."""
+    _change_translates(
+        monkeypatch, {source: lambda f: _edited(f, exponent, lambda q: q + extra)}
+    )
 
 
 def _failures(results):
@@ -372,6 +422,27 @@ def test_plain_borcherds_fails_on_a_perturbed_field(monkeypatch):
         "borcherds(m=0, n=-1, k=-2)": "-x1[-3]*x2[-1]",
         "borcherds(m=1, n=-2, k=-2)": "-2*x1[-3]*x2[-1]",
     }
+
+
+def _dead(fld, k, m):
+    """The per-check test that a pair's thresholds replaced, kept as their
+    oracle: is the mode at k/m provably zero, and every mode above it too?
+    So it is when it lies inside the window and below every visible term."""
+    known = fld.at(-k - m) is not None
+    return known and (not fld.terms or -k - m < next(iter(fld.terms)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    top=st.integers(-12, 12),
+    exponents=st.sets(st.integers(-20, 12), max_size=4),
+    k=st.integers(-30, 30),
+)
+def test_dead_threshold_agrees_with_the_per_mode_test(m, top, exponents, k):
+    terms = {e: JetPoly.var(m, 1, -abs(e)) for e in exponents if e <= top}
+    fld = PuiseuxSeries(m, terms, top)
+    assert (k >= twisted._dead_from(fld, m)) == _dead(fld, k, m)
 
 
 def test_borcherds_zero_factor_settles_a_truncated_product():
@@ -726,7 +797,7 @@ def test_descent_fails_on_a_perturbed_field(monkeypatch, extra, witness):
     # x2[-3] is a monomial of the weight-3 generator; no generator has x2[-9].
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
     n = 1
-    _perturb_field(monkeypatch, divided_t_power(spec.relations[0], n), Fraction(1), extra)
+    _perturb_translate(monkeypatch, divided_t_power(spec.relations[0], n), Fraction(1), extra)
     results = check_descent(spec, G2P, 1, n, 3)
     assert _failures(results) == {
         "descent coefficients: rel 1, translate 1": witness,
@@ -799,7 +870,7 @@ def test_a_passing_descent_check_eliminates_nothing(eliminations):
     # A passing coefficient check certifies the span: every coefficient is
     # a multiple of one generator, so no span is eliminated.
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
-    twisted._descent_basis.cache_clear()
+    jetscheme.coded_relations.cache_clear()
     for n in range(0, 3):
         assert all(r.passed for r in check_descent(spec, G2P, 1, n, 4 - n))
     assert eliminations == {"add": 0, "contains": 0}
@@ -826,12 +897,12 @@ def test_a_passing_descent_check_scales_nothing(monkeypatch):
 
     count(JetPoly, "scale")
     count(twisted, "binom")
-    twisted._descent_basis.cache_clear()
+    jetscheme.coded_relations.cache_clear()
     for n in range(0, 3):
         assert all(r.passed for r in check_descent(spec, G2P, 1, n, 4 - n))
     assert calls == Counter()
 
-    _perturb_field(monkeypatch, divided_t_power(spec.relations[0], 1), Fraction(1), y(2, -3))
+    _perturb_translate(monkeypatch, divided_t_power(spec.relations[0], 1), Fraction(1), y(2, -3))
     assert _failures(check_descent(spec, G2P, 1, 1, 3)) == {
         "descent coefficients: rel 1, translate 1": "z^1: x2[-3]",
         "descent span: rel 1, translate 1, coefficients in the twisted "
@@ -841,9 +912,10 @@ def test_a_passing_descent_check_scales_nothing(monkeypatch):
 
 
 def test_a_passing_int_window_descent_check_builds_no_fraction(fraction_calls):
-    # Measured at 5 Fraction.__new__ calls (Python 3.11) for a round of
-    # three checks from empty caches, all in the translate and generator
-    # caches, and none for a second round: an int window is used as given.
+    # Measured at 4 Fraction.__new__ calls (Python 3.11) for a round of
+    # three checks from empty caches, all in the translate memo (1/n and
+    # its scalar, for n = 1, 2), and none for a second round: an int window
+    # is used as given.
     spec = _parabola()
 
     def rounds(k):
@@ -864,11 +936,13 @@ def _reference_descent_coefficients(spec, g, rel_index, n, window):
     as the oracle of its int comparison: over every exponent of the
     translate's field or of a generator of the relation, lowest first, the
     generator scaled by the Fraction C(w + n, n) is compared with the
-    field's coefficient as a polynomial.  The field is substituted as
-    ``twisted`` substitutes it, so a patched field reaches both."""
+    field's coefficient as a polynomial.  The field is expanded as
+    ``check_descent`` expands it, through ``twisted.substitute_coded``, so a
+    changed field reaches both."""
     W = Fraction(window)
     rel = spec.relations[rel_index - 1]
-    fld = twisted.substitute_jets(divided_t_power(rel, n), g.exponents, W)
+    top = floor_units(W, spec.order)
+    fld = twisted.substitute_coded(divided_t_power(rel, n), g.exponents, top).materialise()
     gens = twisted_jet_generators(spec, g, W + n).generators
     table = {(gen.relation, gen.weight): gen.poly for gen in gens}
     exponents = set(fld.support())
@@ -894,14 +968,15 @@ def _term(p, j):
     return JetPoly(p.order, (p.terms[j],))
 
 
-def _descent_perturbations(fld, gen_weights, n):
+def _descent_perturbations(fld, gen_weights, n, coordinate=2):
     """(kind, change of the translate field) for every perturbation of
     the oracle test: each coefficient with one term doubled, with one term
     dropped and with a stray term; a stray term at each exponent u - n of
-    an integer weight u < n, where C(u, n) = 0; and one at z^(-1/m) and
-    z^(1/m), which lie in no generator's coset for the schemes below."""
+    an integer weight u < n, where C(u, n) = 0; and one at z^(-1/m) and,
+    inside the window, z^(1/m), which lie in no generator's coset for the
+    schemes below.  The stray term is zeta * x[coordinate, -9]."""
     m = fld.order
-    stray = JetPoly.var(m, 2, -9).scale(zeta_pow(m, 1))
+    stray = JetPoly.var(m, coordinate, -9).scale(zeta_pow(m, 1))
     out = [("none", lambda f: f)]
     for k, w in enumerate(fld.support()):
         p = fld.coefficient(w)
@@ -915,7 +990,8 @@ def _descent_perturbations(fld, gen_weights, n):
         kind = "zero binomial" if u in gen_weights else "no generator"
         out.append((kind, lambda f, w=u - n: _edited(f, Fraction(w), lambda q: q + stray)))
     for w in (Fraction(-1, m), Fraction(1, m)):
-        out.append(("no generator", lambda f, w=w: _edited(f, w, lambda q: q + stray)))
+        if w <= fld.trunc:
+            out.append(("no generator", lambda f, w=w: _edited(f, w, lambda q: q + stray)))
     return out
 
 
@@ -936,19 +1012,14 @@ _ZETA_SCHEMES = [
 def test_descent_coefficients_match_the_scale_and_compare_oracle(monkeypatch, spec, g):
     # The same (name, passed, witness) as the oracle on every perturbed
     # translate field, at every translate n <= 4.
-    real = twisted.substitute_jets
     change = {}
-    monkeypatch.setattr(
-        twisted,
-        "substitute_jets",
-        lambda p, exponents, window: change.get(p, lambda f: f)(real(p, exponents, window)),
-    )
+    _change_translates(monkeypatch, change)
     rel, window = spec.relations[0], 3
     verdicts = Counter()
     for n in range(0, 5):
         source = divided_t_power(rel, n)
         gens = twisted_jet_generators(spec, g, window + n).generators
-        fld = real(source, g.exponents, window)
+        fld = jetpoly.substitute_jets(source, g.exponents, window)
         for kind, edit in _descent_perturbations(fld, {gen.weight for gen in gens}, n):
             change[source] = edit
             got = check_descent(spec, g, 1, n, window)[0]
@@ -963,6 +1034,111 @@ def test_descent_coefficients_match_the_scale_and_compare_oracle(monkeypatch, sp
         assert verdicts["zero binomial", False] > 0
 
 
+# (exponent of x1, exponent of x2) of a term of a random relation
+_RELATION_MONOMIALS = [(a, b) for a in range(4) for b in range(4) if a + b <= 3]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    terms=st.lists(
+        st.tuples(
+            st.sampled_from(_RELATION_MONOMIALS),
+            st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    n=st.integers(0, 4),
+    window=st.fractions(min_value=0, max_value=3, max_denominator=6),
+    data=st.data(),
+)
+def test_descent_coefficients_match_the_oracle_on_random_relations(
+    m, terms, n, window, data
+):
+    # A random relation in x1, x2 over Q(zeta_m), at every exponent vector
+    # that preserves it, at a window on or off the 1/m lattice: the coded
+    # comparison gives the oracle's (name, passed, witness) on the clean
+    # translate and on one drawn edit of it.
+    rel = JetPoly.zero(m)
+    for (a, b), c, j in terms:
+        mon = JetPoly.var(m, 1) ** a * JetPoly.var(m, 2) ** b
+        rel = rel + mon.scale(zeta_pow(m, j)).scale(c)
+    spec = SchemeSpec.of(m, 2, [rel])
+    coordinate = max((v.index for v in rel.variables()), default=1)
+    source = divided_t_power(rel, n)
+    change = {}
+    with pytest.MonkeyPatch.context() as patch:
+        _change_translates(patch, change)
+        for alpha in itertools.product(range(m), repeat=2):
+            g = DiagAutomorphism(m, alpha)
+            if not preserves_ideal(spec, g):
+                continue
+            gens = twisted_jet_generators(spec, g, window + n).generators
+            fld = jetpoly.substitute_jets(source, g.exponents, window)
+            edits = _descent_perturbations(
+                fld, {gen.weight for gen in gens}, n, coordinate
+            )
+            for kind, edit in (edits[0], data.draw(st.sampled_from(edits))):
+                change[source] = edit
+                got = check_descent(spec, g, 1, n, window)[0]
+                expected = _reference_descent_coefficients(spec, g, 1, n, window)
+                assert (got.name, got.passed, got.witness) == expected, (kind, alpha)
+                if kind == "none":
+                    assert got.passed
+
+
+def test_a_passing_descent_check_materialises_nothing(monkeypatch):
+    # On warm caches a passing check decides on codes alone: it builds no
+    # JetPoly and reads no code back into a monomial.  A failing check
+    # materialises its translate once, for both its witness and its span.
+    spec = _parabola()
+
+    def checks():
+        return [r for n in range(0, 3) for r in check_descent(spec, G2P, 1, n, 4 - n)]
+
+    assert all(r.passed for r in checks())
+    counts = Counter()
+    real_init, real_read = JetPoly.__init__, jetpoly._coded_monomial
+
+    def init(self, *args):
+        counts["JetPoly"] += 1
+        real_init(self, *args)
+
+    def read(*args):
+        counts["_coded_monomial"] += 1
+        return real_read(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(JetPoly, "__init__", init)
+        patch.setattr(jetpoly, "_coded_monomial", read)
+        assert all(r.passed for r in checks())
+    assert counts == Counter()
+
+    _perturb_translate(monkeypatch, divided_t_power(spec.relations[0], 1), Fraction(1), y(2, -3))
+    translates, materialised = [], []
+    perturbed, real_materialise = twisted.substitute_coded, CodedSeries.materialise
+
+    def expand(*args):
+        translates.append(perturbed(*args))
+        return translates[-1]
+
+    def materialise(self):
+        materialised.append(self)
+        return real_materialise(self)
+
+    monkeypatch.setattr(twisted, "substitute_coded", expand)
+    monkeypatch.setattr(CodedSeries, "materialise", materialise)
+    assert set(_failures(check_descent(spec, G2P, 1, 1, 3))) == {
+        "descent coefficients: rel 1, translate 1",
+        "descent span: rel 1, translate 1, coefficients in the twisted "
+        "generator span",
+    }
+    assert len(translates) == 1
+    assert sum(c is translates[0] for c in materialised) == 1
+
+
 def test_descent_coefficients_fail_where_the_span_holds(monkeypatch, eliminations):
     # z^1 of the translate gains the whole weight-3 generator: it is no
     # longer 2 times the weight-2 one, but still lies in the span.  The
@@ -971,7 +1147,7 @@ def test_descent_coefficients_fail_where_the_span_holds(monkeypatch, elimination
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
     gens = twisted_jet_generators(spec, G2P, Fraction(4)).generators
     extra = next(gen.poly for gen in gens if gen.weight == 3)
-    _perturb_field(monkeypatch, divided_t_power(spec.relations[0], 1), Fraction(1), extra)
+    _perturb_translate(monkeypatch, divided_t_power(spec.relations[0], 1), Fraction(1), extra)
     results = check_descent(spec, G2P, 1, 1, 3)
     assert _failures(results) == {
         "descent coefficients: rel 1, translate 1": (
@@ -986,23 +1162,39 @@ def test_descent_basis_is_left_as_it_was_by_a_stray_monomial(monkeypatch):
     # of the cached generators without changing them, and a clean check
     # after it gives what fresh calls give.
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
-    twisted._descent_basis.cache_clear()
+    jetscheme.coded_relations.cache_clear()
     fresh = check_descent(spec, G2P, 1, 1, 3)
     assert all(r.passed for r in fresh)
-    gens = twisted._descent_basis(spec, G2P, Fraction(4))
+    gens = jetscheme.coded_relations(spec, G2P, 8)  # weight 4 in units of 1/2
     with monkeypatch.context() as patch:
-        _perturb_field(patch, divided_t_power(spec.relations[0], 1), Fraction(1), y(2, -9))
+        _perturb_translate(patch, divided_t_power(spec.relations[0], 1), Fraction(1), y(2, -9))
         failures = _failures(check_descent(spec, G2P, 1, 1, 3))
     assert failures == {
         "descent coefficients: rel 1, translate 1": "z^1: x2[-9]",
         "descent span: rel 1, translate 1, coefficients in the twisted "
         "generator span": "coefficient at z^1",
     }
-    assert twisted._descent_basis(spec, G2P, Fraction(4)) is gens
+    assert jetscheme.coded_relations(spec, G2P, 8) is gens
     assert check_descent(spec, G2P, 1, 1, 3) == fresh
-    twisted._descent_basis.cache_clear()
-    assert twisted._descent_basis(spec, G2P, Fraction(4)) == gens
+    jetscheme.coded_relations.cache_clear()
+    assert jetscheme.coded_relations(spec, G2P, 8) == gens
     assert check_descent(spec, G2P, 1, 1, 3) == fresh
+
+
+def test_descent_refuses_a_translate_coded_in_another_layout(monkeypatch):
+    # T^n keeps coordinates and degrees, so a translate shares its
+    # relation's layout; codes of two layouts are never compared.
+    real = twisted.substitute_coded
+
+    def widened(p, exponents, top):
+        coded = real(p, exponents, top)
+        bits, k, unit = coded.layout
+        return CodedSeries(coded.order, coded.top, coded.den, (bits + 1, k, unit), coded.terms)
+
+    monkeypatch.setattr(twisted, "substitute_coded", widened)
+    message = "translate 1 of relation 1 is coded as (3, 2, 2), its relation as (2, 2, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_descent(_parabola(), G2P, 1, 1, 3)
 
 
 def test_descent_raises_on_every_call_when_the_span_is_not_preserved():
