@@ -22,8 +22,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from operator import itemgetter
+from types import MappingProxyType
 
-from .cyclo import CycScalar, FieldMismatchError, _canon, euler_phi, ratio_str
+from .cyclo import CycScalar, FieldMismatchError, _canon, _product, euler_phi, ratio_str
 from .value import Value, setters
 
 
@@ -654,8 +655,17 @@ def _zero(m: int) -> JetPoly:
     return JetPoly.zero(m)
 
 
-def _product_top(a: PuiseuxSeries, b: PuiseuxSeries) -> int | None:
-    """How far the unknown coefficients of a leave a product a*b exact.
+def beyond_window(w, top: int, order: int) -> TruncationError:
+    """The error of a read of the coefficient of z^w past the window top,
+    in units of 1/order: the one message of both kinds of series."""
+    return TruncationError(
+        f"coefficient of z^{w} is beyond the window (trunc {Fraction(top, order)})"
+    )
+
+
+def _product_top(a, b) -> int | None:
+    """How far the unknown coefficients of a leave a product a*b exact, for
+    two ``PuiseuxSeries`` or two ``CodedSeries``.
 
     They sit at a.top + 1 and beyond, and meet b's lowest coefficient that
     may be nonzero: its lowest visible term or, with none visible, b.top + 1.
@@ -753,9 +763,7 @@ class PuiseuxSeries(Value):
         ):
             p = _zero(self.order)  # off the lattice, inside the window
         if p is None:
-            raise TruncationError(
-                f"coefficient of z^{w} is beyond the window (trunc {self.trunc})"
-            )
+            raise beyond_window(w, self.top, self.order)
         return p
 
     def mode(self, n) -> JetPoly:
@@ -879,6 +887,11 @@ def _jet_expansion(a: int, q: int, d: int, hi: int) -> tuple:
     return first, den, tuple(out)
 
 
+# The known-zero coefficient every windowed read of a ``CodedSeries``
+# returns; read-only, so it is shared.
+_NO_TERMS = MappingProxyType({})
+
+
 class CodedSeries(Value):
     """A substitution before it is materialised: what ``substitute_coded``
     returns and ``materialise`` turns into the ``PuiseuxSeries`` that
@@ -892,6 +905,10 @@ class CodedSeries(Value):
     the bit field [bits*f, bits*(f+1)) of its exponent, f = u*k + i - 1
     (see ``substitute_coded``), and ``top`` is the window, the last k known
     exactly.  The dicts are shared with caches and never changed.
+
+    Series of one layout multiply without a ``JetPoly``: ``at`` reads a
+    coefficient by the window rule of ``PuiseuxSeries.at``, and ``*`` and
+    ``differentiate`` keep the windows of the ``PuiseuxSeries`` operations.
     """
 
     __slots__ = __match_args__ = ("order", "top", "den", "layout", "terms")
@@ -902,6 +919,48 @@ class CodedSeries(Value):
         _set_coded_den(self, den)
         _set_layout(self, layout)
         _set_coded_terms(self, terms)
+
+    def at(self, k: int):
+        """The coefficient of z^(k/order), {code: coordinates}, or None
+        beyond the window; a known zero is an empty read-only mapping."""
+        row = self.terms.get(k)
+        if row is not None:
+            return row
+        return None if k > self.top else _NO_TERMS
+
+    def __mul__(self, other):
+        """The product, over the product of the two denominators.  The code
+        of a product of monomials is the sum of their codes, which carries
+        from one field into the next unless the layout's bits cover the sum
+        of the two sources' degrees: the caller picks such a layout."""
+        if not isinstance(other, CodedSeries):
+            return NotImplemented
+        m = self.order
+        if (m, self.layout) != (other.order, other.layout):
+            raise ValueError(
+                f"mixed orders or layouts {(m, self.layout)} and "
+                f"{(other.order, other.layout)}"
+            )
+        top = min(_product_top(self, other), _product_top(other, self))
+        acc: dict[int, dict] = {}
+        for ka, ra in self.terms.items():
+            for kb, rb in other.terms.items():
+                k = ka + kb
+                if k > top:
+                    break
+                mul_rows(acc.setdefault(k, {}), ra, rb, m)
+        return CodedSeries(m, top, self.den * other.den, self.layout, _coded_terms(acc))
+
+    def differentiate(self) -> CodedSeries:
+        """Formal d/dz; the window shrinks by one.  The factor k/order of
+        the coefficient at k scales its coordinates by k, over den*order."""
+        m = self.order
+        terms = {
+            k - m: {code: tuple([x * k for x in xs]) for code, xs in row.items()}
+            for k, row in self.terms.items()
+            if k
+        }
+        return CodedSeries(m, self.top - m, self.den * m, self.layout, terms)
 
     def materialise(self) -> PuiseuxSeries:
         """The series: each code read once through ``_coded_monomial``, each
@@ -929,6 +988,30 @@ class CodedSeries(Value):
     _set_layout,
     _set_coded_terms,
 ) = setters(CodedSeries)
+
+
+def mul_rows(acc: dict, left, right, m: int) -> None:
+    """Add the product of two coded coefficients, {code: coordinates} of
+    one layout, into a dict {code: coordinates}: codes add, and coordinates
+    multiply in Z[zeta_m]."""
+    for c1, x1 in left.items():
+        for c2, x2 in right.items():
+            code = c1 + c2
+            x = _product(x1, x2, m)
+            cur = acc.get(code)
+            acc[code] = x if cur is None else tuple([a + b for a, b in zip(cur, x)])
+
+
+def _coded_terms(acc: dict) -> dict:
+    """The ``CodedSeries`` terms of a dict {k: {code: coordinates}}: by
+    rising k, the coordinates as tuples, every all-zero one and then every
+    empty coefficient dropped."""
+    terms = {}
+    for k in sorted(acc):
+        row = {code: tuple(xs) for code, xs in acc[k].items() if any(xs)}
+        if row:
+            terms[k] = row
+    return terms
 
 
 def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
@@ -970,7 +1053,9 @@ def substitute_jets(p: JetPoly, exponents, window) -> PuiseuxSeries:
     return substitute_coded(p, exponents, floor_units(window, p.order)).materialise()
 
 
-def substitute_coded(p: JetPoly, exponents, top_w: int) -> CodedSeries:
+def substitute_coded(
+    p: JetPoly, exponents, top_w: int, layout: tuple | None = None
+) -> CodedSeries:
     """The int kernel of ``substitute_jets``: p expanded along the jet of
     the exponents, exact up to the window top_w/m, as a ``CodedSeries``.
     No ``JetPoly``, ``Monomial`` or ``CycScalar`` is made.
@@ -988,6 +1073,12 @@ def substitute_coded(p: JetPoly, exponents, top_w: int) -> CodedSeries:
     monomial do not depend on the window.  The layout (B, k, q) reads
     only the source's coordinates and degrees, so T^n(p)/n!, whose
     monomials keep their coordinates and degrees, has the layout of p.
+
+    A caller that multiplies or compares expansions of several sources
+    passes one ``layout`` (bits, k, unit) for all of them.  It must cover
+    the source: bits at least B, k at least its k and unit a multiple of
+    its q; a layout that does not is refused with ValueError.  Without
+    one, the source's own (B, k, q) is used.
 
     A source term c * mon is expanded slot by slot, one slot per factor
     and repetition, over a list of dicts {code: multiplicity}, one dict
@@ -1030,6 +1121,13 @@ def substitute_coded(p: JetPoly, exponents, top_w: int) -> CodedSeries:
     bits = max(1, max((s[3] for s in sources), default=0).bit_length())
     k = max(cosets, default=1)
     unit = math.lcm(*(q for _, q in cosets.values()))  # codes count 1/unit
+    if layout is not None:
+        if layout[0] < bits or layout[1] < k or layout[2] % unit:
+            raise ValueError(
+                f"layout {layout} does not cover the source, which needs "
+                f"bits >= {bits}, k >= {k} and unit a multiple of {unit}"
+            )
+        bits, k, unit = layout
     # (i, d) -> (lowest exponent in units of 1/m, binomial denominator,
     # [(binomial numerator, code of x[i,n])] by rising exponent).  The
     # binomial vanishes only for the integer levels with -n < d, which come
@@ -1079,12 +1177,7 @@ def substitute_coded(p: JetPoly, exponents, top_w: int) -> CodedSeries:
                 else:
                     for j, a in enumerate(nums):
                         acc[j] += q * a
-    terms = {}
-    for w in sorted(by_exp):
-        row = {code: tuple(acc) for code, acc in by_exp[w].items() if any(acc)}
-        if row:
-            terms[w] = row
-    return CodedSeries(m, top_w, L, (bits, k, unit), terms)
+    return CodedSeries(m, top_w, L, (bits, k, unit), _coded_terms(by_exp))
 
 
 def _expand(slots, room: int) -> list[dict[int, int]]:
@@ -1119,16 +1212,17 @@ def _jet_var(index: int, num: int, den: int) -> JetVar:
 
 
 # One entry per (code, layout) of a substitution's output, read once per
-# output term that is materialised.  Per job at seed 7, a descent-sweep job
-# makes 2,506 reads and misses 1,515 of them (before its descent checks
-# compared codes, 9,163 reads for 1,382 distinct keys and 1,832 misses; a
-# source's layout moves with its highest coordinate and its cosets); an
-# axioms-zeta4 job makes 5,202 reads and misses 1,583, every key once.
-# Peak memory (one benchmark run each, descent-sweep and
-# axioms-zeta4): 11.99 and 12.41 MB at 1,024 entries, against 11.95 and
-# 12.36 MB for the factor-keyed table this one replaced; 512 entries read
-# 11.92 and 12.39 MB but missed 4,166 and 2,563 reads, with descent-sweep
-# 13% slower, and 2,048 entries read 12.20 and 12.68 MB.
+# output term that is materialised.  Per job at seed 7 (in-process, every
+# bounded cache emptied first): a descent-sweep job makes 2,506 reads for
+# 1,382 distinct keys and misses 1,515, so 133 reads rebuild an evicted
+# entry, nearly all in the weight-8 generator tables; an axioms-zeta4 job,
+# whose passing checks compare codes, makes none (5,202 reads and 1,583
+# misses when its fields were materialised); coinv-cusp makes 85.  At
+# 1,536 entries descent-sweep misses only its 1,382 keys but its peak
+# memory reads 11.04 MB against 10.85 MB here (three runs each, bytecode
+# cached), so the bound stays.  Older runs: 512 entries missed 4,166
+# descent-sweep reads with the job 13% slower, and 2,048 entries cost
+# +0.2 MB on both field-heavy workloads.
 @lru_cache(maxsize=1024)
 def _coded_monomial(code: int, bits: int, k: int, unit: int) -> tuple:
     """(monomial, U, degree, key) for a ``substitute_coded`` code: the

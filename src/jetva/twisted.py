@@ -11,13 +11,31 @@ is sent to the field
 extended multiplicatively over monomial factors and linearly over terms.
 The source must be homogeneous for the diagonal character; the resulting
 field is then supported on the matching coset of (1/m)Z.  A field is its
-series, a ``PuiseuxSeries`` known up to the window: the mode a_(n) is its
-coefficient of z^(-n-1).  Exponents and mode indices are ints in units
-of 1/m, as the series keeps them, so the mode at k/m is the series'
-windowed read ``at(-k - m)``, which also knows where the window ends.
-Checkers verify the twisted-module axioms, the twisted Borcherds identity
-(evaluated on the vacuum with every mode exact), and the descent of
-jet-equation generators into the twisted field coefficients.
+series known up to the window: the mode a_(n) is its coefficient of
+z^(-n-1).  Exponents and mode indices are ints in units of 1/m, so the
+mode at k/m is the windowed read ``at(-k - m)``, which also knows where
+the window ends.  Checkers verify the twisted-module axioms, the twisted
+Borcherds identity (evaluated on the vacuum with every mode exact), and
+the descent of jet-equation generators into the twisted field
+coefficients.
+
+The checkers read fields as the int kernel ``substitute_coded`` gives
+them, a ``CodedSeries``: each monomial one int code, each coefficient int
+coordinates over one denominator.  A check codes every field it compares
+in one layout (bits, k, unit), that of the product of its sources (see
+``_layout``): bits from the sum of their degrees, k and unit from the
+coordinates they use.  A monomial's code is the sum of its exponents
+shifted into fields of that many bits, so the code of a product of two
+monomials is the sum of their codes, and the sum cannot carry from one
+field into the next: no exponent of a product of the sources' fields
+exceeds the sum of their degrees, below 2^bits.  So products are sums of
+codes, with coordinates multiplied in Z[zeta_m], and coefficients are
+equal when their codes are and their coordinates cross-multiply to equal
+ints.  A translation check codes Ta in a's layout, since T keeps each
+monomial's coordinates and degree.  Only a failing check materialises
+its fields, once, and builds its witness from the ``PuiseuxSeries`` and
+``JetPoly`` values that ``twisted_field`` gives callers that want the
+series.
 """
 
 from __future__ import annotations
@@ -28,8 +46,11 @@ from functools import lru_cache
 
 from .cyclo import _canon, euler_phi
 from .jetpoly import (
+    CodedSeries,
     JetPoly,
     PuiseuxSeries,
+    _coded_monomial,
+    beyond_window,
     binom,
     binom_units,
     derivation_T,
@@ -37,9 +58,8 @@ from .jetpoly import (
     eigen_index,
     exact_units,
     floor_units,
-    mul_into,
+    mul_rows,
     substitute_coded,
-    substitute_jets,
 )
 from .jetscheme import (
     DiagAutomorphism,
@@ -65,31 +85,63 @@ def require_coordinates(a: JetPoly, exponents) -> tuple[int, ...]:
     return tuple(exponents[: max(indices, default=0)])
 
 
-# Sweeps reuse a few recent fields; an unbounded cache keeps every one.
-# A descent check compares its translate on codes, outside this cache.
-@lru_cache(maxsize=32)
-def _build_field(a: JetPoly, exponents: tuple[int, ...], top: int) -> PuiseuxSeries:
-    """The field of a, at its coordinates' exponents, up to top/m."""
+# One entry per coded field; an unbounded cache keeps every one.  An
+# axioms-zeta4 job (in-process, every bounded cache emptied first) reads
+# 390 fields for 113 distinct keys at seeds 7-9 (111 at seed 101): 32
+# entries build 125 fields (118), 40 build 115 (113) and 48 build each
+# key once.  Its peak memory, bytecode precompiled as the benchmark does
+# (three child runs each, seed 7), reads 10.30, 10.40 and 10.47 MB at 32,
+# 40 and 48 entries, against 11.10 MB for the field cache before fields
+# were coded.  A descent check compares its translate on codes, outside
+# this cache.
+@lru_cache(maxsize=48)
+def _coded_field(
+    a: JetPoly, exponents: tuple[int, ...], top: int, layout: tuple | None
+) -> CodedSeries:
+    """The field of a, at its coordinates' exponents, up to top/m, coded in
+    the layout (its own when None)."""
     if eigen_index(a, exponents) is None:
         raise ValueError("twisted field source must be character-homogeneous")
-    return substitute_jets(a, exponents, Fraction(top, a.order))
+    return substitute_coded(a, exponents, top, layout)
+
+
+def _field(a: JetPoly, g: DiagAutomorphism, top: int, layout=None) -> CodedSeries:
+    """The coded field of a up to top, in units of 1/m, from the cache."""
+    if a.order != g.order:
+        raise ValueError("source and symmetry orders differ")
+    return _coded_field(a, require_coordinates(a, g.exponents), top, layout)
+
+
+def _layout(g: DiagAutomorphism, *sources: JetPoly) -> tuple[int, int, int]:
+    """The layout (bits, k, unit) of the product of the sources: bits from
+    the sum of their degrees, and k and unit from the coordinates they use,
+    read through g's exponents.  It covers every polynomial on those
+    coordinates of at most that degree, T^n of each source among them."""
+    m = g.order
+    indices = set()
+    degree = 0
+    for p in sources:
+        if p.order != m:
+            raise ValueError("source and symmetry orders differ")
+        require_coordinates(p, g.exponents)
+        indices.update(v.index for v in p.variables())
+        degree += p.max_degree()
+    unit = math.lcm(*(m // math.gcd(g.exponents[i - 1], m) for i in indices))
+    return max(1, degree.bit_length()), max(indices, default=1), unit
 
 
 def twisted_field(
     a: JetPoly, g: DiagAutomorphism, window, spec: SchemeSpec | None = None
 ) -> PuiseuxSeries:
     """The field of a up to the window.  A given scheme must fit g (see
-    ``require_fits``); g's i-th exponent acts on x_i.  Fields are cached on
-    the exponents of a's own coordinates and the window floored to (1/m)Z,
-    in units of 1/m, so every g that agrees there, at every window with
-    that floor, reads a field, not rebuilds it."""
+    ``require_fits``); g's i-th exponent acts on x_i.  Fields are cached
+    coded, on the exponents of a's own coordinates and the window floored
+    to (1/m)Z, in units of 1/m, so every g that agrees there, at every
+    window with that floor, reads its codes, not rebuilds them; each call
+    materialises them."""
     if spec is not None:
         require_fits(spec, g)
-    top = floor_units(window, g.order)
-    if a.order != g.order:
-        raise ValueError("source and symmetry orders differ")
-    exponents = require_coordinates(a, g.exponents)
-    return _build_field(a, exponents, top)
+    return _field(a, g, floor_units(window, g.order)).materialise()
 
 
 # ---------------------------------------------------------------------------
@@ -98,31 +150,67 @@ def twisted_field(
 
 
 def check_translation(a, g, W, symbol) -> CheckResult:
-    """Y(Ta,z) = d/dz Y(a,z) up to W.  This check and the next two serve
-    both stacks: ``symbol`` prints Y as "Y_g" here and as "Y" in
-    ``va.check_va_axioms``, which runs them at the trivial symmetry."""
-    lhs = twisted_field(derivation_T(a), g, W)
-    bad = lhs.first_mismatch(twisted_field(a, g, W + 1).differentiate())
+    """Y(Ta,z) = d/dz Y(a,z) up to W, on codes in a's layout, which covers
+    Ta: T keeps each monomial's coordinates and degree.  This check and the
+    next two serve both stacks: ``symbol`` prints Y as "Y_g" here and as
+    "Y" in ``va.check_va_axioms``, which runs them at the trivial
+    symmetry."""
+    top = floor_units(W, g.order)
+    layout = _layout(g, a)
+    lhs = _field(derivation_T(a), g, top, layout)
+    fa = _field(a, g, top + g.order, layout)
+    bad = None
+    if _first_difference(lhs, fa.differentiate()) is not None:
+        bad = lhs.materialise().first_mismatch(fa.materialise().differentiate())
     name = f"translation: {symbol}(Ta,z) = d/dz {symbol}(a,z)"
     return CheckResult(name, bad is None, bad)
 
 
 def check_vacuum(g, W, symbol) -> CheckResult:
-    """Y(1,z) = id up to W."""
+    """Y(1,z) = id up to W: the one coefficient, at z^0, is the unit
+    monomial, code 0, with coordinates (den, 0, ...)."""
     one = JetPoly.one(g.order)
-    vac = twisted_field(one, g, W)
-    ok = vac.support() == (Fraction(0),) and vac.coefficient(0) == one
-    return CheckResult(f"vacuum: {symbol}(1,z) = id", ok, None if ok else str(vac))
+    vac = _field(one, g, floor_units(W, g.order), _layout(g, one))
+    unit = (vac.den,) + (0,) * (euler_phi(g.order) - 1)
+    ok = list(vac.terms) == [0] and vac.terms[0] == {0: unit}
+    witness = None if ok else str(vac.materialise())
+    return CheckResult(f"vacuum: {symbol}(1,z) = id", ok, witness)
+
+
+def _first_difference(f: CodedSeries, h: CodedSeries) -> int | None:
+    """The lowest k, on the overlap of the windows of two coded series of
+    one layout, at which their coefficients differ, or None: where
+    ``PuiseuxSeries.first_mismatch`` finds a witness, on ints."""
+    if f.layout != h.layout:
+        raise ValueError(f"mixed layouts {f.layout} and {h.layout}")
+    top = min(f.top, h.top)
+    for k in sorted(f.terms.keys() | h.terms.keys()):
+        if k > top:
+            break
+        if not _is_coded_multiple(f.at(k), f.den, h.at(k), h.den, 1, 1):
+            return k
+    return None
+
+
+def _low(fld: CodedSeries) -> int | None:
+    """The lowest exponent of a coded field, in units of 1/m; None for 0."""
+    return next(iter(fld.terms), None)
 
 
 def check_multiplicative(a, b, g, W, symbol) -> CheckResult:
-    """Y(ab,z) = Y(a,z)Y(b,z) up to W.  Each factor is built to W plus the
-    pole order of the other's field at W, so the product is exact up to W,
-    where the comparison ends; a field with no pole leaves its partner at W."""
-    prod = twisted_field(a * b, g, W)
-    poles = [-min(twisted_field(p, g, W).min_support() or 0, 0) for p in (a, b)]
-    fa = twisted_field(a, g, W + poles[1])
-    bad = prod.first_mismatch(fa * twisted_field(b, g, W + poles[0]))
+    """Y(ab,z) = Y(a,z)Y(b,z) up to W, on codes in the layout of ab.  Each
+    factor is built to W plus the pole order of the other's field at W, so
+    the product is exact up to W, where the comparison ends; a field with
+    no pole leaves its partner at W."""
+    top = floor_units(W, g.order)
+    layout = _layout(g, a, b)
+    prod = _field(a * b, g, top, layout)
+    poles = [-min(_low(_field(p, g, top, layout)) or 0, 0) for p in (a, b)]
+    fa = _field(a, g, top + poles[1], layout)
+    fb = _field(b, g, top + poles[0], layout)
+    bad = None
+    if _first_difference(prod, fa * fb) is not None:
+        bad = prod.materialise().first_mismatch(fa.materialise() * fb.materialise())
     name = f"multiplicative: {symbol}(ab,z) = {symbol}(a,z){symbol}(b,z)"
     return CheckResult(name, bad is None, bad)
 
@@ -134,12 +222,16 @@ def check_twisted_axioms(
     window,
     spec: SchemeSpec | None = None,
 ) -> list[CheckResult]:
-    """Support coset, pole bound, vacuum, translation, multiplicativity."""
+    """Support coset, pole bound, vacuum, translation, multiplicativity.
+    The coset and the pole bound read a's field in the layout of ab, where
+    the multiplicative check reads it again."""
     W = Fraction(window)
     m = g.order
     out: list[CheckResult] = []
 
-    fa = twisted_field(a, g, W, spec)  # checks the scheme once
+    if spec is not None:
+        require_fits(spec, g)  # checks the scheme once
+    fa = _field(a, g, floor_units(W, m), _layout(g, a, b))
     r = eigen_index(a, g.exponents)
     stray = next((k for k in fa.terms if (k + r) % m), None)
     out.append(
@@ -150,13 +242,13 @@ def check_twisted_axioms(
         )
     )
 
-    ms = fa.min_support()
-    pole_ok = ms is None or ms >= -_max_weight(a)
+    low = _low(fa)
+    pole_ok = low is None or Fraction(low, m) >= -_max_weight(a)
     out.append(
         CheckResult(
             "pole bound: order of pole of Y_g(a) at most the weight of a",
             pole_ok,
-            None if pole_ok else f"minimum exponent {ms}",
+            None if pole_ok else f"minimum exponent {Fraction(low, m)}",
         )
     )
 
@@ -166,14 +258,16 @@ def check_twisted_axioms(
     return out
 
 
-def _mode(fld: PuiseuxSeries, k: int, m: int) -> JetPoly:
-    """The mode at k/m, the coefficient of z^((-k-m)/m); beyond the window
-    it raises TruncationError."""
-    p = fld.at(-k - m)
-    return fld.mode(Fraction(k, m)) if p is None else p
+def _mode(fld: CodedSeries, k: int, m: int):
+    """The coded mode at k/m, the coefficient of z^((-k-m)/m); beyond the
+    window it raises TruncationError."""
+    row = fld.at(-k - m)
+    if row is None:
+        raise beyond_window(Fraction(-k - m, m), fld.top, m)
+    return row
 
 
-def _dead_from(fld: PuiseuxSeries, m: int) -> int:
+def _dead_from(fld: CodedSeries, m: int) -> int:
     """The lowest k from which every mode at k/m of a field with a window
     is known and zero.  The mode at k/m is the coefficient at -k-m, known
     when -k-m <= top and zero below the lowest visible term, at ``low``;
@@ -182,19 +276,31 @@ def _dead_from(fld: PuiseuxSeries, m: int) -> int:
     return max(-fld.top, 1 - low) - m
 
 
-# The field width a pair starts with, in bits.  The largest bound of an
-# axioms-zeta4 job (seed 7) is below 2^17, so none of its pairs widens.
+# The field width a pair starts with, in bits.  Coded coordinates sit over
+# an unreduced series denominator (a product of two for a mode product), so
+# bounds run larger than over reduced scalars: the largest of an
+# axioms-zeta4 job (seeds 7-9) is 373,680, below 2^19 (below 2^17 over
+# reduced scalars), and none of its pairs widens.
 _START_BITS = 32
 
 
 class _PairContext:
     """What every Borcherds check of one pair (a, b) shares at one
-    symmetry and window: the characters r_a and r_b, the fields fa and fb
-    with the indices ``dead_a`` and ``dead_b``, in units of 1/m, from which
-    each field's modes are all known and zero, the field of each inner
-    product a_(-k-1) b = T^k(a)/k! * b, and two memos of packed
-    polynomials: the modes of the inner fields met so far, keyed on
+    symmetry and window: the characters r_a and r_b, the coded fields fa
+    and fb with the indices ``dead_a`` and ``dead_b``, in units of 1/m,
+    from which each field's modes are all known and zero, the coded field
+    of each inner product a_(-k-1) b = T^k(a)/k! * b, and two memos of
+    packed polynomials: the modes of the inner fields met so far, keyed on
     (k, index), and the product of every two modes met so far.
+
+    Every field of the pair is coded in one layout, that of ab (see
+    ``_layout``): bits from deg a + deg b, k and unit from the coordinates
+    of a and b.  A product of a mode of a and one of b has degree at most
+    deg a + deg b, so its code is the sum of the two codes, with no carry
+    from one exponent field into the next, and an inner field, on the same
+    coordinates and of the same degree as ab, has codes in that layout too.
+    So a mode is its coded coefficient as it is, and a product of two
+    modes is worked out on codes and int coordinates, over fa.den * fb.den.
 
     The product memo is keyed on (i, j), for a's mode at i/m times b's at
     j/m.  The modes commute, so the identity's rhs term b_(l+n-i) a_(m+i)
@@ -205,55 +311,54 @@ class _PairContext:
     needs it.
 
     A memo entry is a polynomial packed into one int, (den, packed, top).
-    The pair numbers every monomial it meets, in the order met, by one
-    column map (monomial -> slot); ``den`` is the lcm of the polynomial's
-    coefficient denominators, so each of its phi(m) coordinates at a
-    monomial is an int over den, and coordinate j at slot s sits in the
-    signed field of B bits at offset B*(s*phi(m) + j) of ``packed``:
-    packed is the sum of coordinate * 2^offset.  ``top`` is the largest
-    |coordinate|.  An exactly zero polynomial is kept as None.  A pair
-    starts at B = ``_START_BITS`` and widens only when a check's sum could
-    carry from one field into the next (see ``check_twisted_borcherds``):
-    ``widen`` drops both packed memos, which refill at the new width as
-    the checks read them.  The column map does not depend on B and stays.
+    The pair numbers every monomial code it meets, in the order met, by one
+    column map (code -> slot); each of the polynomial's phi(m) coordinates
+    at a code is an int over ``den``, the denominator of its field or of
+    the product, and coordinate j at slot s sits in the signed field of B
+    bits at offset B*(s*phi(m) + j) of ``packed``: packed is the sum of
+    coordinate * 2^offset.  ``top`` is the largest |coordinate|.  An
+    exactly zero polynomial is kept as None.  A pair starts at B =
+    ``_START_BITS`` and widens only when a check's sum could carry from one
+    field into the next (see ``check_twisted_borcherds``): ``widen`` drops
+    both packed memos, which refill at the new width as the checks read
+    them.  The column map does not depend on B and stays.  Codes become
+    monomials, through ``_coded_monomial``, only in ``unpack``, for a
+    failing check's witness.
     """
 
     def __init__(self, a, b, g, window):
         # before the characters, which read g's exponents by position
-        require_coordinates(a, g.exponents)
-        require_coordinates(b, g.exponents)
+        self.layout = _layout(g, a, b)
         self.r_a = eigen_index(a, g.exponents)
         self.r_b = eigen_index(b, g.exponents)
         if self.r_a is None or self.r_b is None:
             raise ValueError("Borcherds sources must be character-homogeneous")
-        self.fa = twisted_field(a, g, window)
-        self.fb = twisted_field(b, g, window)
+        self._top = floor_units(window, g.order)
+        self.fa = _field(a, g, self._top, self.layout)
+        self.fb = _field(b, g, self._top, self.layout)
         self.dead_a = _dead_from(self.fa, g.order)
         self.dead_b = _dead_from(self.fb, g.order)
-        self._source = (a, b, g, window)
+        self._source = (a, b, g)
         self._order = g.order
         self._phi = euler_phi(g.order)
         self.bits = _START_BITS
-        self._columns: dict = {}  # monomial -> slot, in the order met
+        self._columns: dict = {}  # code -> slot, in the order met
         self._inner: dict = {}  # k -> field of a_(-k-1) b, None when it is 0
         self._modes: dict = {}  # (k, index) -> packed mode, None when 0
         self._products: dict = {}  # (i, j) -> packed product, None when 0
 
-    def _pack(self, terms):
-        """(den, packed, top) of a polynomial given by its terms, or None
-        when every coefficient is zero."""
-        den = math.lcm(*(c.den for _, c in terms))
+    def _pack(self, row, den: int):
+        """(den, packed, top) of a coded polynomial {code: coordinates} over
+        den, or None when every coordinate is zero."""
         columns, phi, bits = self._columns, self._phi, self.bits
         packed = top = 0
-        for mon, c in terms:
-            slot = columns.get(mon)
+        for code, xs in row.items():
+            slot = columns.get(code)
             if slot is None:
-                slot = columns[mon] = len(columns)
-            f = den // c.den
+                slot = columns[code] = len(columns)
             offset = slot * phi * bits
-            for x in c.nums:
+            for x in xs:
                 if x:
-                    x *= f
                     packed += x << offset
                     if abs(x) > top:
                         top = abs(x)
@@ -271,7 +376,8 @@ class _PairContext:
 
     def unpack(self, total: int, den: int) -> JetPoly:
         """The polynomial whose coordinates, over den, are the signed
-        B-bit fields of total, each in [-2^(B-1), 2^(B-1))."""
+        B-bit fields of total, each in [-2^(B-1), 2^(B-1)); each code is
+        read as its monomial here, and only here."""
         bits, phi, m = self.bits, self._phi, self._order
         half, mask = 1 << (bits - 1), (1 << bits) - 1
         columns = list(self._columns)
@@ -287,15 +393,21 @@ class _PairContext:
             total = (total - x) >> bits
             field += 1
         return JetPoly._from_dict(
-            m, {columns[s]: _canon(m, tuple(x), den) for s, x in found.items()}
+            m,
+            {
+                _coded_monomial(columns[s], *self.layout)[0]: _canon(m, tuple(x), den)
+                for s, x in found.items()
+            },
         )
 
-    def inner_field(self, k: int) -> PuiseuxSeries | None:
-        """The field of a_(-k-1) b, or None when that product is zero."""
+    def inner_field(self, k: int) -> CodedSeries | None:
+        """The coded field of a_(-k-1) b, or None when that product is zero."""
         if k not in self._inner:
-            a, b, g, window = self._source
+            a, b, g = self._source
             inner = divided_t_power(a, k) * b
-            self._inner[k] = None if inner.is_zero else twisted_field(inner, g, window)
+            self._inner[k] = (
+                None if inner.is_zero else _field(inner, g, self._top, self.layout)
+            )
         return self._inner[k]
 
     def inner_mode(self, k: int, index: int):
@@ -306,7 +418,7 @@ class _PairContext:
         if key not in self._modes:
             fld = self.inner_field(k)
             if fld is not None:
-                fld = self._pack(_mode(fld, index, self._order).terms)
+                fld = self._pack(_mode(fld, index, self._order), fld.den)
             self._modes[key] = fld
         return self._modes[key]
 
@@ -318,15 +430,16 @@ class _PairContext:
         key = (i, j)
         if key not in self._products:
             m = self._order
-            p, q = self.fa.at(-i - m), self.fb.at(-j - m)
-            if (p is not None and p.is_zero) or (q is not None and q.is_zero):
+            fa, fb = self.fa, self.fb
+            p, q = fa.at(-i - m), fb.at(-j - m)
+            if (p is not None and not p) or (q is not None and not q):
                 self._products[key] = None
             else:
-                p = _mode(self.fa, i, m) if p is None else p
-                q = _mode(self.fb, j, m) if q is None else q
+                p = _mode(fa, i, m) if p is None else p
+                q = _mode(fb, j, m) if q is None else q
                 acc: dict = {}
-                mul_into(acc, p.terms, q.terms)
-                self._products[key] = self._pack(acc.items())
+                mul_rows(acc, p, q, m)
+                self._products[key] = self._pack(acc, fa.den * fb.den)
         return self._products[key]
 
 
@@ -421,11 +534,16 @@ def check_twisted_borcherds(
 
     Both sides are summed as one packed int, lhs minus rhs.  A
     ``_PairContext``, per pair (a, b), symmetry and window, holds the
-    fields and two memos of polynomials packed into ints at a field width
-    of B bits: the lhs modes of the inner fields, keyed on (k, index), and
-    every product of two modes, read a's mode first (b_(l+n-i) a_(m+i) as
-    a_(m+i) b_(l+n-i)), multiplied out once and keyed on (a's index, b's
-    index) in units of 1/m.  A product with a factor that is exactly zero
+    coded fields, all in the layout of ab, and two memos of polynomials
+    packed into ints at a field width of B bits: the lhs modes of the inner
+    fields, keyed on (k, index), and every product of two modes, read a's
+    mode first (b_(l+n-i) a_(m+i) as a_(m+i) b_(l+n-i)), multiplied out
+    once on codes and keyed on (a's index, b's index) in units of 1/m.  A
+    mode product's monomial codes are sums of its factors' codes, with no
+    carry, since the layout's bits cover deg a + deg b; each code gets a
+    slot of the pair's column map, so the two kinds of field do not mix:
+    exponent fields within a code, coordinate fields of B bits within a
+    packed int.  A product with a factor that is exactly zero
     adds nothing, even when its other factor lies beyond the window;
     otherwise a mode beyond the window raises TruncationError: the lhs
     modes first, then the rhs products in the order of the sum, a's mode
@@ -453,7 +571,8 @@ def check_twisted_borcherds(
     the bound does not depend on B, so it then holds.
 
     The identity holds when total is zero; else the witness is lhs - rhs
-    as a ``JetPoly``, read back from total over D.  No Fraction is made:
+    as a ``JetPoly``, read back from total over D, its codes read as
+    monomials through ``_coded_monomial``.  No Fraction is made:
     the indices are ints in units of 1/m, and a Fraction index is built
     only to raise TruncationError.
     """
@@ -505,7 +624,7 @@ def _borcherds_witness(a, b, g, l_idx: int, m_idx, n_idx, window) -> str | None:
 
 
 def _is_coded_multiple(
-    lhs: dict, lhs_den: int, base: dict, base_den: int, num: int, den: int
+    lhs, lhs_den: int, base, base_den: int, num: int, den: int
 ) -> bool:
     """Is lhs num/den times base?  Both are one coefficient of a coded
     expansion of one layout, {code: coordinates} over lhs_den and base_den,

@@ -15,11 +15,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .jetpoly import JetPoly, PuiseuxSeries, apply_automorphism, divided_t_power
+from .jetpoly import (
+    JetPoly,
+    PuiseuxSeries,
+    apply_automorphism,
+    divided_t_power,
+    floor_units,
+)
 from .jetscheme import DiagAutomorphism
 from .reports import CheckResult
 from .twisted import (
     _borcherds_witness,
+    _field,
+    _layout,
     check_multiplicative,
     check_translation,
     check_vacuum,
@@ -86,10 +94,11 @@ def check_va_axioms(a: JetPoly, window, alpha=None, samples=None) -> list[CheckR
 
     out = [check_translation(a, g, W, "Y"), check_vacuum(g, W, "Y")]
 
-    # Y(a) up to W + 1 is in the field cache: the translation check built it.
-    low = twisted_field(a, g, W + 1).min_support()
+    # Y(a) up to W + 1, coded in a's layout, is in the field cache: the
+    # translation check built it.
+    fa = _field(a, g, floor_units(W, g.order) + g.order, _layout(g, a))
     created = mode(a, -1)
-    ok = (low is None or low >= 0) and created == a
+    ok = next(iter(fa.terms), 0) >= 0 and created == a
     name = "creation: Y(a,z)1 regular and a_(-1)1 = a"
     out.append(CheckResult(name, ok, None if ok else str(created - a)))
 

@@ -111,17 +111,18 @@ def empty_caches():
 
 @pytest.fixture
 def substitutions(monkeypatch):
-    """The caches emptied, and a list that gets (source, window) for every
-    substitution ``twisted`` makes from then on."""
+    """The caches emptied, and a list that gets (source, top) for every
+    substitution ``twisted`` makes from then on, top being the window in
+    units of 1/m."""
     empty_caches()
     made = []
-    real = twisted.substitute_jets
+    real = twisted.substitute_coded
 
-    def recorded(p, exponents, window):
-        made.append((p, window))
-        return real(p, exponents, window)
+    def recorded(p, exponents, top, layout=None):
+        made.append((p, top))
+        return real(p, exponents, top, layout)
 
-    monkeypatch.setattr(twisted, "substitute_jets", recorded)
+    monkeypatch.setattr(twisted, "substitute_coded", recorded)
     return made
 
 

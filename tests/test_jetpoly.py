@@ -33,6 +33,7 @@ from jetva.jetpoly import (
     jet_var,
     retag_point,
     shift_derivation,
+    substitute_coded,
     substitute_jets,
     translation_series,
 )
@@ -1043,6 +1044,26 @@ def test_substitution_twisted_coefficients_frozen():
 # ---------------------------------------------------------------------------
 # integer-coded levels, weights and binomials
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "layout, needs",
+    [
+        ((1, 2, 2), "bits >= 2"),  # degree 3 needs two bits per exponent
+        ((2, 1, 2), "k >= 2"),  # x2 has no field with one coordinate
+        ((2, 2, 3), "unit a multiple of 2"),  # the coset 1/2 + Z of x1
+    ],
+)
+def test_a_layout_that_does_not_cover_its_source_is_refused(layout, needs):
+    src = x(1, 0, m=2) ** 2 * x(2, -1, m=2)
+    assert substitute_coded(src, (1, 0), 4, (2, 2, 2)).layout == (2, 2, 2)
+    assert substitute_coded(src, (1, 0), 4, (3, 5, 4)).materialise() == (
+        substitute_jets(src, (1, 0), 2)
+    )
+    message = "^" + re.escape(f"layout {layout} does not cover the source, which needs")
+    with pytest.raises(ValueError, match=message) as err:
+        substitute_coded(src, (1, 0), 4, layout)
+    assert needs in str(err.value)
 
 
 def test_negative_translate_raises():

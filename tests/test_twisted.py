@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetva import jetpoly, jetscheme, twisted
+from jetva import jetpoly, jetscheme, twisted, va
 from jetva.cyclo import zeta_pow
 from jetva.jetpoly import (
     CodedSeries,
@@ -112,12 +112,14 @@ def test_an_off_lattice_window_is_kept_as_given():
 
 
 def test_windows_with_one_floor_share_a_field():
-    # 5/2 and 7/3 both floor to 7/3 in (1/3)Z: one cache entry, one field.
-    twisted._build_field.cache_clear()
+    # 5/2 and 7/3 both floor to 7/3 in (1/3)Z: one cache entry, one field,
+    # which the second call reads.
+    twisted._coded_field.cache_clear()
     src, g = JetPoly.var(3, 1) ** 2, DiagAutomorphism(3, (1,))
     f = twisted_field(src, g, Fraction(5, 2))
-    assert twisted_field(src, g, Fraction(7, 3)) is f
-    assert twisted._build_field.cache_info().currsize == 1
+    assert twisted_field(src, g, Fraction(7, 3)) == f
+    info = twisted._coded_field.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
 
 
 def test_modes_and_window_guard():
@@ -136,7 +138,7 @@ def test_a_field_is_shared_by_symmetries_that_agree_on_its_coordinates(
     # Y_g(x1) reads only g's exponent on x1, so (1, 0) and (1, 1) give one
     # field, built once.
     field = twisted_field(y(1), DiagAutomorphism(2, (1, 0)), 3)
-    assert twisted_field(y(1), DiagAutomorphism(2, (1, 1)), 3) is field
+    assert twisted_field(y(1), DiagAutomorphism(2, (1, 1)), 3) == field
     assert len(substitutions) == 1
 
 
@@ -176,37 +178,34 @@ def test_twisted_axiom_names_are_frozen():
 
 
 @pytest.mark.parametrize(
-    "b, g, windows",
+    "b, g, tops",
     [
-        (y(1, -1), G2, {"x1[-1]": [4, 5, Fraction(9, 2)]}),
-        (y(2), G2P, {"x1[-1]": [4, 5], "x2[0]": [4, Fraction(9, 2)]}),
-        (
-            y(1, -2),
-            G2,
-            {"x1[-1]": [4, 5, Fraction(11, 2)], "x1[-2]": [4, Fraction(9, 2)]},
-        ),
+        (y(1, -1), G2, {"x1[-1]": [8, 10, 9]}),
+        (y(2), G2P, {"x1[-1]": [8, 10], "x2[0]": [8, 9]}),
+        (y(1, -2), G2, {"x1[-1]": [8, 10, 11], "x1[-2]": [8, 9]}),
     ],
     ids=["square", "pole-free-partner", "unequal-poles"],
 )
 def test_multiplicative_factors_are_padded_by_the_other_pole(
-    monkeypatch, b, g, windows
+    monkeypatch, b, g, tops
 ):
-    # Y_g(x1[-1]) has a pole of order 1/2, so its partner is built to
-    # W + 1/2, not to W + wt(a) + wt(b) + 1; a partner with no pole leaves
-    # it at W, and Y_g(x1[-2])'s pole of order 3/2 takes it to W + 3/2.  The
-    # other windows of x1[-1] are the coset check's W and the translation
+    # Windows are int tops in units of 1/2, W = 4 being 8.  Y_g(x1[-1]) has
+    # a pole of order 1/2, so its partner is built to W + 1/2, not to
+    # W + wt(a) + wt(b) + 1; a partner with no pole leaves it at W, and
+    # Y_g(x1[-2])'s pole of order 3/2 takes it to W + 3/2.  The other
+    # windows of x1[-1] are the coset check's W and the translation
     # check's W + 1.
-    twisted._build_field.cache_clear()
+    twisted._coded_field.cache_clear()
     requested = []
-    real = twisted.substitute_jets
+    real = twisted.substitute_coded
 
-    def recorded(p, exponents, window):
-        requested.append((str(p), window))
-        return real(p, exponents, window)
+    def recorded(p, exponents, top, layout=None):
+        requested.append((str(p), top))
+        return real(p, exponents, top, layout)
 
-    monkeypatch.setattr(twisted, "substitute_jets", recorded)
+    monkeypatch.setattr(twisted, "substitute_coded", recorded)
     assert all(r.passed for r in check_twisted_axioms(y(1, -1), b, g, 4))
-    assert {p: [w for q, w in requested if q == p] for p in windows} == windows
+    assert {p: [t for q, t in requested if q == p] for p in tops} == tops
 
 
 # ---------------------------------------------------------------------------
@@ -281,47 +280,70 @@ def test_order_one_degenerates_to_plain_algebra():
 def _perturb_field(monkeypatch, source, exponent, extra):
     """Make every field of ``source`` carry ``extra`` on top of its z^exponent
     coefficient; every other field is left as it is.  The one seam is
-    ``substitute_jets`` as ``twisted`` calls it: it builds every field that
-    the field cache holds.  Fields outlive a call in two caches, the field
-    cache and the Borcherds pair contexts, so the patch swaps in an empty
-    one of each, dropped with every perturbed field in it when the patch is
-    undone: no field built before the patch is read under it, and none
-    built under it outlives it.  A descent translate is perturbed through
-    its own seam, ``_perturb_translate``."""
-    real_substitute = twisted.substitute_jets
-    for name in ("_build_field", "_pair_context"):
+    ``substitute_coded`` as ``twisted`` calls it: it builds every field that
+    the field cache holds, and the perturbed field is re-coded in the
+    layout asked for.  So that extra fits it, every check's layout is
+    widened to cover extra, as ``twisted._layout`` covers a source, and so
+    is the source's own layout, which ``twisted_field`` asks for.
+    Fields outlive a call in two caches, the field cache and the Borcherds
+    pair contexts, so the patch swaps in an empty one of each, dropped with
+    every perturbed field in it when the patch is undone: no field built
+    before the patch is read under it, and none built under it outlives it.
+    A descent translate is perturbed through its own seam,
+    ``_perturb_translate``."""
+    real_substitute, real_layout = twisted.substitute_coded, twisted._layout
+    for name in ("_coded_field", "_pair_context"):
         cached = getattr(twisted, name)
         fresh = functools.lru_cache(**cached.cache_parameters())(cached.__wrapped__)
         monkeypatch.setattr(twisted, name, fresh)
 
-    def perturbed_substitute(a, exponents, window):
-        fld = real_substitute(a, exponents, window)
-        if a != source:
-            return fld
-        coeffs = {w: fld.coefficient(w) for w in fld.support()}
-        coeffs[exponent] = fld.coefficient(exponent) + extra
-        return PuiseuxSeries.from_dict(a.order, coeffs, fld.trunc)
+    def covering(layout):
+        # bits for a sum of degrees up to 2^bits - 1 plus extra's degree
+        bits, k, unit = layout
+        levels = extra.variables()
+        return (
+            bits + extra.max_degree().bit_length(),
+            max([k, *(v.index for v in levels)]),
+            math.lcm(unit, *(v.den for v in levels)),
+        )
 
-    monkeypatch.setattr(twisted, "substitute_jets", perturbed_substitute)
+    def perturbed_substitute(a, exponents, top, layout=None):
+        if a != source:
+            return real_substitute(a, exponents, top, layout)
+        if layout is None:
+            layout = covering(real_substitute(a, exponents, top).layout)
+        coded = real_substitute(a, exponents, top, layout)
+        return _recoded(_edited(coded.materialise(), exponent, lambda p: p + extra), coded)
+
+    monkeypatch.setattr(twisted, "substitute_coded", perturbed_substitute)
+    monkeypatch.setattr(twisted, "_layout", lambda g, *ps: covering(real_layout(g, *ps)))
+
+
+def _code(mon, layout):
+    """The code of a monomial in a layout (bits, k, unit), as
+    ``substitute_coded`` gives it; a monomial that does not fit the layout
+    raises ValueError."""
+    bits, k, unit = layout
+    code = 0
+    for v, e in mon.factors:
+        if v.point or v.index > k or unit % v.den or e >> bits:
+            raise ValueError(f"{mon} does not fit the layout {layout}")
+        code += e << bits * (v.num * (unit // v.den) * k + v.index - 1)
+    return code
 
 
 def _recoded(fld, like):
     """fld as ``substitute_coded`` gives a series, in the layout of the
     ``CodedSeries`` ``like``: each monomial coded from its factors, each
-    coefficient's coordinates over the lcm of the denominators.  A monomial
-    that does not fit the layout raises ValueError."""
-    bits, k, unit = like.layout
+    coefficient's coordinates over the lcm of the denominators."""
     den = math.lcm(*(c.den for p in fld.terms.values() for _, c in p.terms))
-    terms = {}
-    for w, p in fld.terms.items():
-        row = terms[w] = {}
-        for mon, c in p.terms:
-            code = 0
-            for v, e in mon.factors:
-                if v.point or v.index > k or unit % v.den or e >> bits:
-                    raise ValueError(f"{mon} does not fit the layout {like.layout}")
-                code += e << bits * (v.num * (unit // v.den) * k + v.index - 1)
-            row[code] = tuple(x * (den // c.den) for x in c.nums)
+    terms = {
+        w: {
+            _code(mon, like.layout): tuple(x * (den // c.den) for x in c.nums)
+            for mon, c in p.terms
+        }
+        for w, p in fld.terms.items()
+    }
     return CodedSeries(fld.order, fld.top, den, like.layout, terms)
 
 
@@ -421,6 +443,41 @@ def test_plain_borcherds_fails_on_a_perturbed_field(monkeypatch):
         "borcherds(m=0, n=-2, k=-1)": "-x1[-3]*x2[-1]",
         "borcherds(m=0, n=-1, k=-2)": "-x1[-3]*x2[-1]",
         "borcherds(m=1, n=-2, k=-2)": "-2*x1[-3]*x2[-1]",
+    }
+
+
+G4 = DiagAutomorphism(4, (1, 1))
+
+
+def test_multiplicative_check_fails_on_a_perturbed_product_field(monkeypatch):
+    # Y_g(ab) carries an irrational stray term at z^(1/2), inside its coset
+    # 1/2 + Z; Y_g(a) and Y_g(b) do not, so the product of the two fields
+    # misses it there and the check names it.  Every other check passes.
+    a, b = JetPoly.var(4, 1), JetPoly.var(4, 2, -1)
+    extra = (JetPoly.var(4, 1, Fraction(-1, 4)) * JetPoly.var(4, 2, -1)).scale(
+        zeta_pow(4, 1) - 2
+    )
+    _perturb_field(monkeypatch, a * b, Fraction(1, 2), extra)
+    assert _failures(check_twisted_axioms(a, b, G4, 3)) == {
+        "multiplicative: Y_g(ab,z) = Y_g(a,z)Y_g(b,z)": (
+            "z^1/2: (-2 + zeta)*x1[-1/4]*x2[-1]"
+        ),
+    }
+
+
+def test_translation_check_fails_on_a_perturbed_translate_field(monkeypatch):
+    # Y_g(Ta) carries a stray term at z^(3/4), so it is no longer the
+    # derivative of Y_g(a) there; the plain checks see the same through
+    # Y(Ta) at the trivial symmetry.
+    a, b = JetPoly.var(4, 1), JetPoly.var(4, 2, -1)
+    _perturb_field(monkeypatch, derivation_T(a), Fraction(3, 4), JetPoly.var(4, 2, -2))
+    assert _failures(check_twisted_axioms(a, b, G4, 3)) == {
+        "translation: Y_g(Ta,z) = d/dz Y_g(a,z)": "z^3/4: x2[-2]",
+    }
+    plain = JetPoly.var(1, 1, -1)
+    _perturb_field(monkeypatch, derivation_T(plain), Fraction(2), JetPoly.var(1, 1) * 3)
+    assert _failures(va.check_va_axioms(plain, 3)) == {
+        "translation: Y(Ta,z) = d/dz Y(a,z)": "z^2: 3*x1[0]",
     }
 
 
@@ -605,14 +662,14 @@ def test_pair_box_multiplies_each_product_of_two_modes_once(monkeypatch):
     # the product a_(m+i) b_(l+n-i), so it shares one memo entry with every
     # other term over the same two modes, in whichever order the identity
     # writes them.
-    real_mul_into = twisted.mul_into
+    real_mul_rows = twisted.mul_rows
     products = Counter()
 
-    def counted_mul_into(acc, left, right):
-        products[frozenset((left, right))] += 1
-        real_mul_into(acc, left, right)
+    def counted_mul_rows(acc, left, right, m):
+        products[frozenset((tuple(left.items()), tuple(right.items())))] += 1
+        real_mul_rows(acc, left, right, m)
 
-    monkeypatch.setattr(twisted, "mul_into", counted_mul_into)
+    monkeypatch.setattr(twisted, "mul_rows", counted_mul_rows)
     twisted._pair_context.cache_clear()
     a, b = y(1), y(2)
     # m in 1/2 + Z and n in Z, |m|, |n| <= 2
@@ -1395,11 +1452,116 @@ def test_series_products_and_derivatives_build_no_fraction(fraction_calls):
     assert calls == 0
 
 
+def _homogeneous_source(data, m, exponents):
+    """A random source that is homogeneous for the character of g: terms
+    on x1..x3 at integer levels, with zeta-power coefficients, those off
+    the first term's character dropped."""
+    terms = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(-3, 3).filter(bool),
+                st.integers(0, 3),
+                st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), max_size=3),
+            ),
+            max_size=3,
+        )
+    )
+    p = JetPoly.zero(m)
+    for c, k, factors in terms:
+        mono = JetPoly.const(m, zeta_pow(m, k)).scale(c)
+        for i, d in factors:
+            mono = mono * JetPoly.var(m, i, -d)
+        p = p + mono
+    chars = [mon.character(exponents) % m for mon, _ in p.terms]
+    keep = [t for t, ch in zip(p.terms, chars) if ch == chars[0]]
+    return JetPoly(m, tuple(keep))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_coded_products_derivatives_and_comparisons_match_the_series(data):
+    # The materialised route is the oracle: for two coded fields in the
+    # layout of their product, the coded product, d/dz and first difference
+    # agree with PuiseuxSeries.__mul__, differentiate and first_mismatch,
+    # windows and known zeros included.
+    m = data.draw(st.sampled_from((1, 2, 3, 4)))
+    g = DiagAutomorphism(m, tuple(data.draw(st.integers(0, m - 1)) for _ in "123"))
+    a, b = (_homogeneous_source(data, m, g.exponents) for _ in "ab")
+    ta, tb = (data.draw(st.integers(-m, 4 * m)) for _ in "ab")
+    layout = twisted._layout(g, a, b)
+    fa = jetpoly.substitute_coded(a, g.exponents, ta, layout)
+    fb = jetpoly.substitute_coded(b, g.exponents, tb, layout)
+    sa, sb = fa.materialise(), fb.materialise()
+    assert (fa * fb).materialise() == sa * sb
+    assert fa.differentiate().materialise() == sa.differentiate()
+    prod = jetpoly.substitute_coded(a * b, g.exponents, ta, layout)
+    for f, h in (
+        (fa, fb),
+        (fb, fa),
+        (prod, fa * fb),
+        (fa.differentiate(), fb),
+        (fa, jetpoly.substitute_coded(a, g.exponents, tb, layout)),
+    ):
+        k = twisted._first_difference(f, h)
+        witness = f.materialise().first_mismatch(h.materialise())
+        assert (k is None) == (witness is None)
+        if k is not None:
+            assert witness.startswith(f"z^{Fraction(k, m)}: ")
+    # the product of the fields is exact up to its window, as Y_g(ab) is
+    assert twisted._first_difference(prod, fa * fb) is None
+    if fa.terms and m > 2:
+        # one coefficient changed in its last coordinate alone, by zeta^(phi-1)
+        k, row = next(iter(fa.terms.items()))
+        code, xs = next(iter(row.items()))
+        edited = dict(fa.terms)
+        edited[k] = {**row, code: (*xs[:-1], xs[-1] + fa.den)}
+        edited = CodedSeries(m, fa.top, fa.den, fa.layout, edited)
+        assert twisted._first_difference(fa, edited) == k
+        assert fa.materialise().first_mismatch(edited.materialise()).startswith(
+            f"z^{Fraction(k, m)}: "
+        )
+
+
+def test_passing_axiom_and_borcherds_checks_materialise_no_field(monkeypatch):
+    # Every field these checks read is compared, multiplied and packed on
+    # codes: a passing check builds no JetPoly from a field.
+    calls = []
+    real = CodedSeries.materialise
+
+    def materialise(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CodedSeries, "materialise", materialise)
+    twisted._pair_context.cache_clear()
+    spec = SchemeSpec.of(2, 2, [y(1) ** 2 - y(2)])
+    x1x2 = JetPoly.var(1, 1) * JetPoly.var(1, 2)
+    results = [
+        *check_twisted_axioms(y(1), y(2), G2P, 4, spec),
+        *check_twisted_axioms(y(1, -1), y(1) * y(2, -2), G2P, 4, spec),
+        *va.check_va_axioms(x1x2, 4, alpha=(0, 0)),
+        *(
+            check_twisted_borcherds(y(1), y(1) ** 2, G2P, l, Fraction(2 * dm + 1, 2), dn, 6)
+            for l in range(-2, 3)
+            for dm in range(-2, 2)
+            for dn in range(-2, 2)
+        ),
+        *(
+            check_borcherds(x1x2, JetPoly.var(1, 2, -1), mi, ni, ki, 6)
+            for mi, ni, ki in itertools.product(range(-2, 2), repeat=3)
+        ),
+    ]
+    assert len(results) == 5 + 5 + 15 + 80 + 64
+    assert all(r.passed for r in results)
+    assert calls == []
+
+
 def test_pair_packing_keeps_coordinates_that_overflow_their_fields():
     # 2^B at one slot and -1 at the next pack to the int 0 at width B; the
     # entry is still kept, with its top, so the bound sees it and widens.
     pair = twisted._PairContext(y(1), y(1) ** 2, G2P, 2)
     bits = pair.bits
     p = y(1, -7).scale(2**bits) - y(1, -8)
-    den, packed, top = pair._pack(p.terms)
+    row = {_code(mon, pair.layout): c.nums for mon, c in p.terms}
+    den, packed, top = pair._pack(row, 1)
     assert (den, packed, top) == (1, 0, 2**bits)

@@ -109,7 +109,7 @@ def test_translation_series_translates_floor_window_times(monkeypatch, window):
 def test_vertex_op_is_built_by_substitution(monkeypatch):
     # Y(a, z) is the twisted field at the trivial symmetry: no translate
     calls = _count_translations(monkeypatch)
-    twisted._build_field.cache_clear()
+    twisted._coded_field.cache_clear()
     a = x(1) * x(2, -1)
     s = vertex_op(a, 4)
     assert calls == []
@@ -203,19 +203,20 @@ def test_axioms_refuse_a_coordinate_beyond_alpha(monkeypatch, a, samples):
 def test_plain_axioms_build_no_field_past_the_translation_window(monkeypatch):
     # At the trivial symmetry no field has a pole, so the multiplicative
     # factors are built to W; only the translation check reads W + 1.
-    twisted._build_field.cache_clear()
-    windows = []
-    real = twisted.substitute_jets
+    # At order 1 the int tops are the windows.
+    twisted._coded_field.cache_clear()
+    tops = []
+    real = twisted.substitute_coded
 
-    def recorded(a, exponents, window):
-        windows.append(window)
-        return real(a, exponents, window)
+    def recorded(a, exponents, top, layout=None):
+        tops.append(top)
+        return real(a, exponents, top, layout)
 
-    monkeypatch.setattr(twisted, "substitute_jets", recorded)
+    monkeypatch.setattr(twisted, "substitute_coded", recorded)
     sources = [x(1), x(2) ** 2, x(1) * x(2, -1) + x(1, -2)]
     for a in sources:
         assert all(r.passed for r in check_va_axioms(a, 4, samples=sources))
-    assert set(windows) == {4, 5}
+    assert set(tops) == {4, 5}
 
 
 def test_axioms_with_no_samples_check_no_sample():
