@@ -564,25 +564,33 @@ def derivation_T(p: JetPoly) -> JetPoly:
     return shift_derivation(p, -1, 1)
 
 
-# One entry per divided translate (p, n), n >= 1.  A sweep re-reads the
-# translates of a few recent sources: with 32 entries a descent-sweep job
-# applies derivation_T 223 times, not 648 as with one entry (96 distinct),
-# for +0.4% peak memory; 40 and 48 entries cost +0.5% and +0.7% and cut the
-# calls only to 159 and 128.  An axiom sweep substitutes its fields: on
-# axioms-zeta4 the memo costs +0.2% and T runs 30 times at each bound.
-@lru_cache(maxsize=32)
-def _divided_translate(p: JetPoly, n: int) -> JetPoly:
-    """T^n(p)/n! for n >= 1: one ``derivation_T`` of the entry n - 1."""
-    prev = p if n == 1 else _divided_translate(p, n - 1)
-    return derivation_T(prev).scale(Fraction(1, n))
+# One entry per polynomial: the chain [p, T(p), ..., T^N(p)/N!] of its
+# divided translates, grown in place as longer prefixes are read.  Per job
+# at seed 7 (in-process, every bounded cache emptied first), a descent-sweep
+# job reads the chains of its 12 relations 292 times, to n = 8 for the
+# generator tables and to n <= 4 for the shuffled descent checks, and
+# applies derivation_T 96 times, once per distinct translate; 32 entries
+# keyed on (p, n) applied it 223 times, since the shuffle evicts translates
+# still to be read.  Holding the 96 raises the job's `peak_rss_mb` in
+# perfbench/run.py by 0.21 MB (10.84 -> 11.05 MB, +2.0%, Python 3.11).  An
+# axioms-zeta4 job reads 10 chains 135 times and builds 20 links, as many
+# as the (p, n) memo did.
+@lru_cache(maxsize=16)
+def _translate_chain(p: JetPoly) -> list[JetPoly]:
+    """The memo's chain of p's divided translates, [p] when new; only
+    ``_divided_translates`` grows it."""
+    return [p]
 
 
-def _translates(p: JetPoly, top: int):
-    """T^n(p)/n! for n = 0..top, in order.  Each memo read finds the entry
-    n - 1 just read, so no call recurses more than one level, whatever top."""
-    yield p
-    for n in range(1, top + 1):
-        yield _divided_translate(p, n)
+def _divided_translates(p: JetPoly, top: int) -> list[JetPoly]:
+    """p's memo chain, grown to hold T^n(p)/n! at index n for n = 0..top;
+    it may hold more.  Each new link is one ``derivation_T`` of the last,
+    appended only once it is built, so a T that raises leaves the chain a
+    correct prefix.  No call recurses, whatever top."""
+    chain = _translate_chain(p)
+    while len(chain) <= top:
+        chain.append(derivation_T(chain[-1]).scale(Fraction(1, len(chain))))
+    return chain
 
 
 def translation_series(p: JetPoly, window) -> PuiseuxSeries:
@@ -598,7 +606,8 @@ def translation_series(p: JetPoly, window) -> PuiseuxSeries:
     """
     m = p.order
     top = floor_units(window, m)
-    terms = {n * m: t for n, t in enumerate(_translates(p, top // m))}
+    chain = _divided_translates(p, top // m)
+    terms = {n * m: chain[n] for n in range(top // m + 1)}
     return PuiseuxSeries(m, terms, top)
 
 
@@ -608,9 +617,7 @@ def divided_t_power(p: JetPoly, n: int) -> JetPoly:
     n <= W it applies ``derivation_T`` no more."""
     if n < 0:
         raise ValueError(f"negative translate {n}: T^n/n! needs n >= 0")
-    for cur in _translates(p, n):
-        pass
-    return cur
+    return _divided_translates(p, n)[n]
 
 
 # ---------------------------------------------------------------------------

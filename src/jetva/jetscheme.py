@@ -82,7 +82,8 @@ _set_spec_order, _set_variables, _set_relations = setters(SchemeSpec)
 class DiagAutomorphism(Value):
     """x_i -> zeta_m^(alpha_i) x_i, alpha_i the i-th exponent."""
 
-    __slots__ = __match_args__ = ("order", "exponents")
+    __match_args__ = ("order", "exponents")
+    __slots__ = (*__match_args__, "_hash")
 
     def __init__(self, order: int, exponents: tuple[int, ...]):
         if order < 1:
@@ -91,6 +92,23 @@ class DiagAutomorphism(Value):
             raise ValueError("exponents must lie in 0..order-1")
         _set_auto_order(self, order)
         _set_exponents(self, exponents)
+        # Worked out once: the field, pair and relation caches hash it in
+        # every key.
+        _set_auto_hash(self, hash((order, exponents)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not DiagAutomorphism:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.order == other.order
+            and self.exponents == other.exponents
+        )
 
     def inverse(self) -> DiagAutomorphism:
         return DiagAutomorphism(
@@ -104,7 +122,7 @@ class DiagAutomorphism(Value):
         return self.exponents
 
 
-_set_auto_order, _set_exponents = setters(DiagAutomorphism)
+_set_auto_order, _set_exponents, _set_auto_hash = setters(DiagAutomorphism)
 
 
 class SpanBasis:
@@ -155,6 +173,10 @@ def require_fits(spec: SchemeSpec, g: DiagAutomorphism) -> None:
         raise ValueError("scheme and symmetry orders differ")
 
 
+# Keyed on (scheme, symmetry), bounded like ``coded_relations``: the
+# generator table and the descent checks of one case both require the test,
+# so its span is eliminated once per case, not once per caller.
+@lru_cache(maxsize=64)
 def preserves_ideal(spec: SchemeSpec, g: DiagAutomorphism) -> bool:
     """Does the diagonal action map span{P_1..P_r} into itself?"""
     require_fits(spec, g)

@@ -293,13 +293,39 @@ def test_divided_power_frozen_square():
 
 
 def test_long_windows_are_not_capped_by_the_recursion_limit():
-    # The memo is filled from n = 1 upward, so no call recurses deeply.
+    # The memo chain grows in a loop, so no call recurses deeply.
     for window in (1200, 1500):
-        jetpoly._divided_translate.cache_clear()
+        jetpoly._translate_chain.cache_clear()
         s = translation_series(x(1), window)
         assert s.coefficient(window) == x(1, -window)
-    jetpoly._divided_translate.cache_clear()
+    jetpoly._translate_chain.cache_clear()
     assert divided_t_power(x(2), 1500) == x(2, -1500)
+
+
+def test_a_translation_that_raises_leaves_the_chain_a_correct_prefix(monkeypatch):
+    # Each link is appended once it is built: a T that raises on its third
+    # call leaves T^0..T^2, and a retry builds T^3.. from them.
+    p = x(1) ** 2 * x(2, -1)
+    want = [p]
+    for n in range(1, 6):
+        want.append(derivation_T(want[-1]).scale(Fraction(1, n)))
+    jetpoly._translate_chain.cache_clear()
+    real = jetpoly.derivation_T
+    calls = []
+
+    def failing(q):
+        calls.append(q)
+        if len(calls) == 3:
+            raise RuntimeError("T fails")
+        return real(q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jetpoly, "derivation_T", failing)
+        with pytest.raises(RuntimeError, match="T fails"):
+            divided_t_power(p, 5)
+    assert jetpoly._translate_chain(p) == want[:3]
+    assert [divided_t_power(p, n) for n in range(6)] == want
+    assert translation_series(p, 5).terms == dict(enumerate(want))
 
 
 @settings(max_examples=50, deadline=None)
@@ -751,6 +777,14 @@ def test_substitution_matches_vertex_operator(m, window, terms):
             mono = mono * x(i, -d, m=m)
         a = a + mono
     assert substitute_jets(a, (), window) == translation_series(a, window)
+
+
+def test_a_negative_window_holds_no_translate():
+    # Below z^0 both routes give the empty series; T is never applied.
+    a = x(1) ** 2 * x(2, -1)
+    for window in (-1, Fraction(-1, 2)):
+        s = translation_series(a, window)
+        assert s == substitute_jets(a, (), window) and not s.terms
 
 
 _fraction_terms = st.lists(

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import empty_caches
 from jetva import jetpoly
 from jetva.coinv import OrbiSetup
 from jetva.cyclo import CycScalar
@@ -87,7 +88,7 @@ def test_T_recursion_translates_max_weight_times_per_relation(monkeypatch):
     # P[i,0..W] are read off one translation series per relation, which
     # applies T exactly W times
     spec = SchemeSpec.of(1, 2, [x(1) ** 2 - x(2), x(1) * x(2)])
-    jetpoly._divided_translate.cache_clear()
+    jetpoly._translate_chain.cache_clear()
     calls = []
     real = jetpoly.derivation_T
 
@@ -122,6 +123,18 @@ def test_preserves_ideal():
     assert not preserves_ideal(spec, DiagAutomorphism(2, (1, 1)))
     with pytest.raises(IdealNotPreservedError):
         twisted_jet_generators(spec, DiagAutomorphism(2, (1, 1)), 2)
+
+
+def test_generators_and_descent_eliminate_the_relation_span_once(counted_reducers):
+    # The table and the check of one (scheme, symmetry) both require the
+    # preservation test, whose span of two relations is the only one
+    # eliminated: a passing descent check certifies its own span.
+    spec = SchemeSpec.of(2, 2, [x(1, m=2) ** 2 - x(2, m=2), x(1, m=2) * x(2, m=2)])
+    g = DiagAutomorphism(2, (1, 0))
+    empty_caches()
+    assert twisted_jet_generators(spec, g, 3).generators
+    assert all(r.passed for r in check_descent(spec, g, 1, 1, 2))
+    assert [red.ranks_before for red in counted_reducers] == [[0, 1]]
 
 
 @pytest.mark.parametrize(

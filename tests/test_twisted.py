@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import empty_caches
 from jetva import jetpoly, jetscheme, twisted, va
 from jetva.cyclo import zeta_pow
 from jetva.jetpoly import (
@@ -863,16 +864,41 @@ def test_descent_fails_on_a_perturbed_field(monkeypatch, extra, witness):
     }
 
 
+def test_a_shuffled_descent_sweep_translates_each_polynomial_once(monkeypatch):
+    # 45 translates (relation, n >= 1), read in shuffled order, one chain
+    # per relation: T builds each translate once, from the one before.
+    specs = [
+        SchemeSpec.of(2, 2, [y(1) ** a * y(2) ** b])
+        for a, b in itertools.product(range(1, 4), repeat=2)
+    ]
+    sweep = [(spec, n) for spec in specs for n in range(6)]
+    random.Random(0).shuffle(sweep)
+    assert sum(n > 0 for _, n in sweep) > 32
+    empty_caches()
+    calls = Counter()
+    real = jetpoly.derivation_T
+
+    def counted(p):
+        calls[p] += 1
+        return real(p)
+
+    monkeypatch.setattr(jetpoly, "derivation_T", counted)
+    for spec, n in sweep:
+        assert all(r.passed for r in check_descent(spec, G2P, 1, n, 1))
+    assert sum(calls.values()) == 5 * len(specs)
+    assert set(calls.values()) == {1}
+
+
 @pytest.fixture
 def doubled_translation(monkeypatch):
     """``derivation_T`` replaced by twice itself, from an empty translate
     memo; the memo is emptied again afterwards, so no wrong translate
     reaches a later test."""
-    jetpoly._divided_translate.cache_clear()
+    jetpoly._translate_chain.cache_clear()
     real = jetpoly.derivation_T
     monkeypatch.setattr(jetpoly, "derivation_T", lambda p: real(p).scale(2))
     yield
-    jetpoly._divided_translate.cache_clear()
+    jetpoly._translate_chain.cache_clear()
 
 
 @pytest.mark.usefixtures("doubled_translation")

@@ -82,7 +82,7 @@ def test_mode_rejects_what_vertex_op_rejects(source):
 
 
 def _count_translations(monkeypatch) -> list:
-    jetpoly._divided_translate.cache_clear()
+    jetpoly._translate_chain.cache_clear()
     calls = []
     real = jetpoly.derivation_T
 

@@ -115,3 +115,15 @@ def test_value_types_pickle_copy_and_hash_as_their_fields(name):
 def test_value_types_keep_their_repr(name):
     build, _, text = CASES[name]
     assert repr(build()) == text
+
+
+@pytest.mark.parametrize("name", ["JetVar", "Monomial", "JetPoly", "DiagAutomorphism"])
+def test_kept_hashes_are_the_field_tuples_hash(name, monkeypatch):
+    # A type that keeps its hash in a slot gives the field tuple's hash, and
+    # compares an instance with itself by identity, reading no field.
+    build, fields, _ = CASES[name]
+    value, twin = build(), build()
+    assert hash(value) == value._hash == hash(tuple(getattr(value, f) for f in fields))
+    assert hash(twin) == twin._hash == value._hash
+    monkeypatch.setattr(type(value), "_fields", None)
+    assert value == value and value == twin

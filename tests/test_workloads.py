@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import empty_caches
+from jetva import jetpoly, twisted
+
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -32,3 +35,23 @@ def test_workload_matches_its_reference(name, tmp_path):
     )
     output = job.job(job.setup(random.Random(0), tmp_path))
     assert workloads.first_difference(output, reference) is None
+
+
+def test_descent_sweep_translates_each_polynomial_once(monkeypatch, tmp_path):
+    # The benchmark's descent traffic, from emptied caches: the generator
+    # tables and the shuffled descent checks read the translates of the
+    # same relations, and T builds each translate once.
+    job = workloads.WORKLOADS["descent-sweep"]
+    inputs = job.setup(random.Random(0), tmp_path)
+    empty_caches()
+    calls = []
+    real = jetpoly.derivation_T
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    for module in (jetpoly, twisted):
+        monkeypatch.setattr(module, "derivation_T", counted)
+    job.job(inputs)
+    assert calls and len(set(calls)) == len(calls)
