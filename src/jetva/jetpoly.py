@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from operator import itemgetter
+from operator import add, itemgetter
 from types import MappingProxyType
 
 from .cyclo import CycScalar, FieldMismatchError, _canon, _product, euler_phi, ratio_str
@@ -867,9 +867,6 @@ def _weight_units(a: int, q: int, hi: int) -> range:
     return range(-a % q, hi + 1, q)
 
 
-# One entry per (coset, d, window); each benchmark workload meets at most a
-# few dozen.
-@lru_cache(maxsize=256)
 def _jet_expansion(a: int, q: int, d: int, hi: int) -> tuple:
     """The expansion of x[i,-d] along a jet whose levels run over a/q + Z,
     down to the weight hi/q: (first, den, entries).
@@ -892,6 +889,35 @@ def _jet_expansion(a: int, q: int, d: int, hi: int) -> tuple:
             out.append((b, u // g, q // g))
     first = out[0][1] * (q // out[0][2]) - d * q if out else 0
     return first, den, tuple(out)
+
+
+# One entry per (coset, d, window, layout) of a substitution's source
+# variables.  Per job at seed 7 (in-process, every bounded cache emptied
+# first): descent-sweep makes 1,579 reads for 138 keys, axioms-zeta4 264
+# for 91, coinv-cusp and coinv-zeta4 8 for 6, so at 256 entries each key
+# misses once.  Keyed on the coordinate too, descent-sweep met 222 keys and
+# its `peak_rss_mb` in perfbench/run.py read 11.27 MB against 11.22 MB
+# here (Python 3.11); shifting the codes to x_i once per call costs it
+# about 0.5 ms a job.
+@lru_cache(maxsize=256)
+def _coded_slots(
+    a: int, q: int, d: int, hi: int, m: int, bits: int, k: int, unit: int
+) -> tuple:
+    """The slot of x[1,-d] in a ``substitute_coded`` term: the expansion
+    ``_jet_expansion(a, q, d, hi)`` with each level's code in the layout
+    (bits, k, unit), as (first exponent in units of 1/m, binomial
+    denominator, binomial numerators, codes of the x[1,n]), the last two
+    by rising exponent.  The codes of x[i,n] are these shifted up by
+    bits*(i-1).  The binomial vanishes only for the integer levels with
+    -n < d, which come first, so consecutive entries differ by one in the
+    exponent."""
+    first, den, entries = _jet_expansion(a, q, d, hi)
+    return (
+        first * (m // q),
+        den,
+        tuple([b for b, _, _ in entries]),
+        tuple([1 << bits * num * (unit // dn) * k for _, num, dn in entries]),
+    )
 
 
 # The known-zero coefficient every windowed read of a ``CodedSeries``
@@ -957,6 +983,17 @@ class CodedSeries(Value):
                     break
                 mul_rows(acc.setdefault(k, {}), ra, rb, m)
         return CodedSeries(m, top, self.den * other.den, self.layout, _coded_terms(acc))
+
+    def prefix(self, top: int) -> CodedSeries:
+        """The series known up to the window top, at most its own: its terms
+        with k <= top, over the same denominator.  At its own window it is
+        the series itself; a window beyond its own is refused."""
+        if top == self.top:
+            return self
+        if top > self.top:
+            raise ValueError(f"window {top} lies beyond the series' own, {self.top}")
+        terms = {k: row for k, row in self.terms.items() if k <= top}
+        return CodedSeries(self.order, top, self.den, self.layout, terms)
 
     def differentiate(self) -> CodedSeries:
         """Formal d/dz; the window shrinks by one.  The factor k/order of
@@ -1087,17 +1124,23 @@ def substitute_coded(
     its q; a layout that does not is refused with ValueError.  Without
     one, the source's own (B, k, q) is used.
 
-    A source term c * mon is expanded slot by slot, one slot per factor
-    and repetition, over a list of dicts {code: multiplicity}, one dict
-    per step of 1 in the exponent above the term's lowest, cut at the
-    window; equal partial products merge as they form, so an assignment of
-    levels that only permutes repeated factors is never visited twice.
-    With den the product of its binomial denominators, the term adds
-    q * c.nums * (L // (c.den * den)) into the phi(m) int coordinates of
-    an output term, where q is the multiplicity and L the lcm of c.den *
-    den over the source terms that reach the window.  A term whose
-    coordinates sum to zero is dropped, and each expansion of a source
-    variable comes from a shared cache, bounded at 256 entries.
+    Each source variable x[i,-d] has one slot, its binomial numerators
+    with the codes of its levels in the layout: those of x[1,-d] come from
+    a shared cache bounded at 256 entries (``_coded_slots``), shifted to
+    coordinate i once per call.  A source term c *
+    mon is expanded in one pass over its slots, one slot per factor and
+    repetition (see ``_expand_into``): the product starts from the first
+    slot, runs over one dict {code: multiplicity} per step of 1 in the
+    exponent above the term's lowest, cut at the window, and the last
+    slot adds straight into the output.  With den the product of the
+    term's binomial denominators and L the lcm of c.den * den over the
+    source terms that reach the window, the term's coordinates over L are
+    an int times the primitive direction of c.nums (first nonzero entry
+    positive): multiplicities accumulate as ints, one accumulator per
+    direction, scaled by that int, and each output code's phi(m) int
+    coordinates, the sum over directions of multiplicity times direction,
+    are built once at the end (``_coordinate_terms``).  A code whose
+    coordinates are all zero is dropped.
     """
     m = p.order
     for i, a in enumerate(exponents, start=1):
@@ -1135,75 +1178,123 @@ def substitute_coded(
                 f"bits >= {bits}, k >= {k} and unit a multiple of {unit}"
             )
         bits, k, unit = layout
-    # (i, d) -> (lowest exponent in units of 1/m, binomial denominator,
-    # [(binomial numerator, code of x[i,n])] by rising exponent).  The
-    # binomial vanishes only for the integer levels with -n < d, which come
-    # first, so consecutive entries differ by one in the exponent.
+    layout = (bits, k, unit)
+    # (i, d) -> the slot of x[i,-d] (see ``_coded_slots``)
     expansions: dict[tuple[int, int], tuple] = {}
     # The source terms that reach the window: (coefficient, binomial
-    # denominator, lowest exponent, slots).
+    # denominator, lowest exponent, steps spanned, slots).
     kept = []
     for c, factors, weight, degree in sources:
         slots = []
-        lowest = 0
+        lowest = span = 0
         den = 1
         for v, e in factors:
             i, d = v.index, v.num
             entry = expansions.get((i, d))
             if entry is None:
                 a, q = cosets[i]
-                first, b_den, exp = _jet_expansion(a, q, d, top * q // m)
-                entry = expansions[(i, d)] = (
-                    first * (m // q),
-                    b_den,
-                    [
-                        (b, 1 << bits * (num * (unit // dn) * k + i - 1))
-                        for b, num, dn in exp
-                    ],
+                first, b_den, nums, codes = _coded_slots(
+                    a, q, d, top * q // m, m, bits, k, unit
                 )
-            first, b_den, terms = entry
+                if i > 1:
+                    codes = tuple([code << bits * (i - 1) for code in codes])
+                entry = expansions[(i, d)] = first, b_den, nums, codes
+            first, b_den, nums, codes = entry
             lowest += first * e
+            span += (len(codes) - 1) * e
             den *= b_den**e
-            slots.extend([terms] * e)
-        if all(slots) and lowest <= top_w:
-            kept.append((c, den, lowest, slots))
+            slots.extend([(nums, codes)] * e)
+        if lowest <= top_w and all(codes for _, codes in slots):
+            kept.append((c, den, lowest, span, slots))
     # Every output coefficient is a sum of integer coordinates over the one
     # denominator L.
     L = math.lcm(*(c.den * den for c, den, *_ in kept))
-    # exponent in units of 1/m -> code -> coordinates over L
-    by_exp: dict[int, dict[int, list[int]]] = {}
-    for c, den, lowest, slots in kept:
-        f = L // (c.den * den)
-        nums = [a * f for a in c.nums]
-        for step, part in enumerate(_expand(slots, (top_w - lowest) // m)):
-            bucket = by_exp.setdefault(lowest + step * m, {})
-            for code, q in part.items():
-                acc = bucket.get(code)
-                if acc is None:
-                    bucket[code] = [q * a for a in nums]
-                else:
-                    for j, a in enumerate(nums):
-                        acc[j] += q * a
-    return CodedSeries(m, top_w, L, (bits, k, unit), _coded_terms(by_exp))
+    # A term's coordinates over L are an int times the primitive direction
+    # of its coefficient: direction -> exponent in units of 1/m -> code ->
+    # int multiplicity.
+    by_direction: dict[tuple, dict[int, dict[int, int]]] = {}
+    for c, den, lowest, span, slots in kept:
+        nums = c.nums
+        g = math.gcd(*nums)
+        if (nums[0] or next(a for a in nums if a)) < 0:
+            g = -g
+        direction = tuple([a // g for a in nums])
+        by_exp = by_direction.setdefault(direction, {})
+        reach = min((top_w - lowest) // m, span)
+        outs = [by_exp.setdefault(lowest + t * m, {}) for t in range(reach + 1)]
+        _expand_into(outs, slots, g * (L // (c.den * den)))
+    return CodedSeries(m, top_w, L, layout, _coordinate_terms(by_direction))
 
 
-def _expand(slots, room: int) -> list[dict[int, int]]:
-    """The product of the slots' expansions, each a list of (binomial
-    numerator, code) by rising exponent, truncated at ``room`` steps: entry
-    t maps the code of each monomial t steps above the lowest exponent to
-    its int multiplicity."""
-    steps = [{0: 1}]
-    for terms in slots:
-        reach = min(room, len(steps) + len(terms) - 2)
+def _expand_into(outs, slots, scale: int) -> None:
+    """Add scale times the product of the slots' expansions, each a pair
+    (binomial numerators, codes) by rising exponent, into ``outs``, whose
+    entry t maps the code of each monomial t steps above the lowest
+    exponent to its int multiplicity; the product is cut past the last
+    entry.
+
+    The slots but the last are multiplied first, from the first slot's
+    entries, over one dict per step in which equal partial products merge
+    as they form, so an assignment of levels that only permutes repeated
+    factors is never visited twice.  The last slot, scaled, is then added
+    straight into ``outs``."""
+    room = len(outs) - 1
+    if not slots:  # a constant term
+        outs[0][0] = outs[0].get(0, 0) + scale
+        return
+    *head, (last, last_codes) = slots
+    last = [b * scale for b in last[: room + 1]]
+    if not head:
+        for out, b, code in zip(outs, last, last_codes):
+            out[code] = out.get(code, 0) + b
+        return
+    nums, codes = head[0]
+    steps = [{code: b} for b, code in zip(nums[: room + 1], codes)]
+    for nums, codes in head[1:]:
+        reach = min(room, len(steps) + len(codes) - 2)
         grown: list[dict[int, int]] = [{} for _ in range(reach + 1)]
         for t, part in enumerate(steps):
-            for extra, (b, var_code) in enumerate(terms[: reach - t + 1]):
-                out = grown[t + extra]
+            for out, b, var_code in zip(grown[t:], nums, codes):
                 for code, q in part.items():
                     code += var_code
                     out[code] = out.get(code, 0) + q * b
         steps = grown
-    return steps
+    for t, part in enumerate(steps):
+        rest = outs[t:]
+        for base, q in part.items():
+            for out, b, var_code in zip(rest, last, last_codes):
+                code = base + var_code
+                out[code] = out.get(code, 0) + q * b
+
+
+def _coordinate_terms(by_direction: dict) -> dict:
+    """The ``CodedSeries`` terms of the multiplicities of ``substitute_coded``,
+    {direction: {k: {code: multiplicity}}}: by rising k, each code's
+    coordinates, the sum over directions of multiplicity times direction,
+    every all-zero one and then every empty coefficient dropped.  A
+    direction that is a unit vector, as every rational coefficient's is,
+    places its multiplicity between two zero tuples."""
+    scales = []
+    for direction, by_exp in by_direction.items():
+        j = direction.index(1) if direction.count(0) == len(direction) - 1 else None
+        if j is None:
+            scales.append((by_exp, direction, None))
+        else:
+            scales.append((by_exp, direction[:j], direction[j + 1 :]))
+    terms = {}
+    for k in sorted({k for by_exp in by_direction.values() for k in by_exp}):
+        row: dict[int, tuple] = {}
+        for by_exp, pre, post in scales:
+            for code, q in by_exp.get(k, _NO_TERMS).items():
+                if q:
+                    xs = tuple([q * x for x in pre]) if post is None else pre + (q,) + post
+                    cur = row.get(code)
+                    row[code] = xs if cur is None else tuple(map(add, cur, xs))
+        if len(scales) > 1:
+            row = {code: xs for code, xs in row.items() if any(xs)}
+        if row:
+            terms[k] = row
+    return terms
 
 
 # The variables and monomials of substitutions, shared across calls: the

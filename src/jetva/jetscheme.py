@@ -173,7 +173,7 @@ def require_fits(spec: SchemeSpec, g: DiagAutomorphism) -> None:
         raise ValueError("scheme and symmetry orders differ")
 
 
-# Keyed on (scheme, symmetry), bounded like ``coded_relations``: the
+# Keyed on (scheme, symmetry), bounded like ``_relation_expansions``: the
 # generator table and the descent checks of one case both require the test,
 # so its span is eliminated once per case, not once per caller.
 @lru_cache(maxsize=64)
@@ -242,13 +242,13 @@ def _presentation_vars(spec, exponents, max_weight) -> tuple[JetVar, ...]:
     return tuple(sorted(out))
 
 
-def _expansion_generators(spec: SchemeSpec, expand) -> tuple[JetGenerator, ...]:
-    """The coefficients of every relation's series ``expand(P)``, zeros
-    dropped, sorted by weight, then relation."""
+def _expansion_generators(expansions) -> tuple[JetGenerator, ...]:
+    """The coefficients of the relations' series, one per relation in
+    order, zeros dropped, sorted by weight, then relation."""
     gens = [
         JetGenerator(k, i, coeff)
-        for i, p in enumerate(spec.relations, start=1)
-        for k, coeff in expand(p).terms.items()
+        for i, series in enumerate(expansions, start=1)
+        for k, coeff in series.terms.items()
     ]
     gens.sort(key=lambda gg: (gg.units, gg.relation))
     return tuple(gens)
@@ -269,10 +269,10 @@ def jet_generators(
         raise ValueError(f"unknown method {method!r}")
     W = int(max_weight)
     if method == "substitution":
-        gens = _expansion_generators(spec, lambda p: substitute_jets(p, (), W))
+        series = (substitute_jets(p, (), W) for p in spec.relations)
     else:
-        gens = _expansion_generators(spec, lambda p: translation_series(p, W))
-    return JetPresentation(_presentation_vars(spec, (), W), gens)
+        series = (translation_series(p, W) for p in spec.relations)
+    return JetPresentation(_presentation_vars(spec, (), W), _expansion_generators(series))
 
 
 def twisted_generators(
@@ -280,16 +280,31 @@ def twisted_generators(
 ) -> tuple[JetGenerator, ...]:
     """Generators of the g-twisted jet ideal: the t^w coefficients of the
     relations expanded along the twisted jet, for all lattice weights w in
-    [0, max_weight] where a coefficient survives."""
+    [0, max_weight] where a coefficient survives.  They are the expansions
+    of ``coded_relations`` at that weight, materialised."""
     require_preserved(spec, g)
-    W = Fraction(max_weight)
-    return _expansion_generators(spec, lambda p: substitute_jets(p, g.exponents, W))
+    top = floor_units(max_weight, spec.order)
+    return _expansion_generators(
+        series.materialise() for series in coded_relations(spec, g, top)
+    )
 
 
-# Keyed on (scheme, symmetry, window): the translates n of a descent sweep
-# at windows W - n share the entry at W + n.  64 entries hold every (order,
-# curve, symmetry) case of a sweep over the acceptance fixtures at orders 2-4.
+# One entry per (scheme, symmetry), whatever the windows read from it: the
+# generator table and the descent checks of a case share it, a translate n
+# of a descent sweep at the window W - n reading it at W + n.  64 entries
+# hold every (order, curve, symmetry) case of a sweep over the acceptance
+# fixtures at orders 2-4.
 @lru_cache(maxsize=64)
+def _relation_expansions(spec: SchemeSpec, g: DiagAutomorphism) -> list[CodedSeries]:
+    """The entry that every ``coded_relations`` read of (spec, g) shares:
+    empty until the first read, then each relation's ``CodedSeries`` at the
+    widest window read so far, one per relation, in order.  A wider read
+    replaces the expansions in place.  The symmetry must preserve the
+    relation span."""
+    require_preserved(spec, g)
+    return []
+
+
 def coded_relations(
     spec: SchemeSpec, g: DiagAutomorphism, top: int
 ) -> tuple[CodedSeries, ...]:
@@ -297,9 +312,19 @@ def coded_relations(
     by the int kernel ``substitute_coded``, one ``CodedSeries`` per
     relation, in order: the generators of ``twisted_generators`` at the
     weight top/m before they are materialised.  The symmetry must
-    preserve the relation span, as there."""
-    require_preserved(spec, g)
-    return tuple(substitute_coded(p, g.exponents, top) for p in spec.relations)
+    preserve the relation span, as there.
+
+    The relations of (spec, g) are expanded once, at the widest window
+    read so far, in the entry ``_relation_expansions(spec, g)``: a window
+    beyond it expands them again there, and a window within it reads the
+    prefix of each expansion (``CodedSeries.prefix``).  A prefix keeps the
+    wider expansion's denominator, which may be a multiple of the one a
+    fresh expansion at top would have: readers cross-multiply coordinates
+    or put them in canonical form, so the two read alike."""
+    expansions = _relation_expansions(spec, g)
+    if spec.relations and (not expansions or expansions[0].top < top):
+        expansions[:] = [substitute_coded(p, g.exponents, top) for p in spec.relations]
+    return tuple(series.prefix(top) for series in expansions)
 
 
 def twisted_jet_generators(

@@ -21,6 +21,7 @@ satisfies [Lt_a, Lt_b] = m (b-a) Lt_{a+b}.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .jetpoly import JetPoly, admissible_levels, shift_derivation
 from .jetscheme import DiagAutomorphism
@@ -58,7 +59,9 @@ def check_commutators(
     variables forces agreement on the whole ring.  Each check runs for the
     plain family (factor 1, integer levels) and then for the twisted one
     (factor m, coset levels).  A family with no test vectors (no
-    coordinates, or no level within the window) adds no checks.
+    coordinates, or no level within the window) adds no checks.  The
+    brackets read L_b of each test vector and of its images many times, so
+    within a call each distinct L_b(p) is worked out once.
     """
     W = Fraction(max_weight)
     m = g.order
@@ -70,11 +73,12 @@ def check_commutators(
         for n in admissible_levels(g.exponents[i - 1], m, W)
     ]
 
+    @cache
     def Lt(b, p):
         return Ltilde_op(b, p, g)
 
     families = [
-        ("L", 1, "wt(v)", L_op, plain),
+        ("L", 1, "wt(v)", cache(L_op), plain),
         ("Lt", m, f"{m}*wt(v)", Lt, twisted),
     ]
     # A family with no test vectors would pass every check vacuously.

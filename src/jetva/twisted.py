@@ -665,11 +665,14 @@ def check_descent(
     coefficient tested against it.
 
     The first check runs on the int kernel of ``substitute_jets``,
-    ``substitute_coded``: the translate at the window W, and every relation
-    at W + n from ``jetscheme.coded_relations``, cached on (scheme,
-    symmetry, window).  T^n keeps each monomial's coordinates and degree,
-    so the translate's codes have its relation's layout, and a translate
-    that does not is refused.  Each field exponent k, in units of 1/m, is
+    ``substitute_coded``: the translate, n = 0 included, freshly at the
+    window W, and every relation at W + n from ``jetscheme.coded_relations``,
+    a prefix of the one expansion of (scheme, symmetry) that the translates
+    of a sweep and the generator table share.  The prefix may keep a wider
+    expansion's denominator, which the cross-multiplication below absorbs.
+    T^n keeps each monomial's coordinates and degree, so the translate's
+    codes have its relation's layout, and a translate that does not is
+    refused.  Each field exponent k, in units of 1/m, is
     compared with the relation's exponent u = k + n*m: the two must have
     the same nonzero codes, and their coordinates are cross-multiplied
     with ``binom_units(u, m, n)``.  A passing check builds no ``JetPoly``.

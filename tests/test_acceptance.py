@@ -13,7 +13,13 @@ from fractions import Fraction
 
 from jetva import jetscheme
 from jetva.coinv import OrbiSetup, coinvariant_dims, verify_fixed_ring
-from jetva.jetpoly import JetPoly, divided_t_power, eigen_index, translation_series
+from jetva.jetpoly import (
+    JetPoly,
+    eigen_index,
+    floor_units,
+    substitute_coded,
+    translation_series,
+)
 from jetva.jetscheme import (
     DiagAutomorphism,
     SchemeSpec,
@@ -219,39 +225,89 @@ def test_criterion_4_descent():
     )
 
 
-def test_descent_on_a_warm_basis_cache_matches_a_cold_one():
-    # Each (scheme, symmetry, W + n) key expands its relations once; a warm
-    # cache must give the checks a cold one gives, and each entry,
-    # materialised, must hold the generators as a fresh presentation lists
-    # them.
+def _descent_sweep(orders, seed):
+    """Every (scheme, symmetry, translate n <= 4) case of the fixtures at
+    the given orders, shuffled."""
     sweep = [
         (spec, DiagAutomorphism(order, alpha), n)
-        for order in (2, 3)
+        for order in orders
         for _, spec in fixtures(order)
         for alpha in admissible_alphas(spec)
         for n in range(0, 5)
     ]
-    random.Random(4).shuffle(sweep)
+    random.Random(seed).shuffle(sweep)
+    return sweep
+
+
+def _materialised(expansions):
+    """The (units, relation, generator) triples of a tuple of relation
+    expansions, one per relation, sorted."""
+    return sorted(
+        (u, i, p)
+        for i, series in enumerate(expansions, start=1)
+        for u, p in series.materialise().terms.items()
+    )
+
+
+def test_descent_on_a_warm_basis_cache_matches_a_cold_one():
+    # Each (scheme, symmetry) expands its relations once, at the widest
+    # window read; a warm cache must give the checks a cold one gives, and
+    # each entry, materialised, must hold the generators as a fresh
+    # presentation lists them.  A read at a narrower window, a prefix of
+    # the entry, must materialise to a fresh expansion at that window.
+    sweep = _descent_sweep((2, 3), 4)
 
     def run():
         return [check_descent(spec, g, 1, n, 6 - n) for spec, g, n in sweep]
 
-    jetscheme.coded_relations.cache_clear()
+    jetscheme._relation_expansions.cache_clear()
     cold = run()
-    hits = jetscheme.coded_relations.cache_info().hits
+    hits = jetscheme._relation_expansions.cache_info().hits
     warm = run()
-    assert jetscheme.coded_relations.cache_info().hits == hits + len(sweep)
+    assert jetscheme._relation_expansions.cache_info().hits == hits + len(sweep)
     assert warm == cold
     for spec, g, _ in sweep:
-        cached = sorted(
-            (u, i, p)
-            for i, coded in enumerate(
-                jetscheme.coded_relations(spec, g, 6 * g.order), start=1
-            )
-            for u, p in coded.materialise().terms.items()
-        )
+        cached = _materialised(jetscheme.coded_relations(spec, g, 6 * g.order))
         fresh = twisted_jet_generators(spec, g, 6).generators
         assert cached == [(gen.units, gen.relation, gen.poly) for gen in fresh]
+        for W in (0, Fraction(3, 2), 4):
+            top = floor_units(W, g.order)
+            prefix = jetscheme.coded_relations(spec, g, top)
+            assert _materialised(prefix) == _materialised(
+                substitute_coded(p, g.exponents, top) for p in spec.relations
+            )
+        assert [s.top for s in jetscheme._relation_expansions(spec, g)] == [6 * g.order]
+
+
+def test_descent_is_unchanged_by_a_wider_generator_table(monkeypatch):
+    # A generator table at weight 8 widens each case's entry in place; the
+    # descent checks then read their window W + n = 6 as a prefix of it,
+    # expand no relation again, and give what they gave before.
+    sweep = _descent_sweep((2, 3, 4), 5)
+
+    def run():
+        return [check_descent(spec, g, 1, n, 6 - n) for spec, g, n in sweep]
+
+    jetscheme._relation_expansions.cache_clear()
+    before = run()
+    narrow = {(spec, g): jetscheme.coded_relations(spec, g, 6 * g.order) for spec, g, _ in sweep}
+    for spec, g in narrow:
+        twisted_jet_generators(spec, g, 8)
+        assert [s.top for s in jetscheme._relation_expansions(spec, g)] == [8 * g.order]
+    expanded = []
+    real = jetscheme.substitute_coded
+
+    def counted(*args):
+        expanded.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jetscheme, "substitute_coded", counted)
+    assert run() == before
+    assert expanded == []
+    for (spec, g), expansions in narrow.items():
+        prefix = jetscheme.coded_relations(spec, g, 6 * g.order)
+        assert _materialised(prefix) == _materialised(expansions)
+        assert [s.top for s in prefix] == [6 * g.order]
 
 
 # ---------------------------------------------------------------------------

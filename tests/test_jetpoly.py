@@ -1036,6 +1036,61 @@ def test_exponent_fields_full_and_one_past_full(m, exponents, degree):
     _assert_matches_enumeration(p, exponents, Fraction(5, 2))
 
 
+def _directions_source(m: int) -> JetPoly:
+    """x1^2 - zeta*x2^2 + x1*x2[-1], a term along 1 - zeta and a constant:
+    coefficients along several primitive directions over several
+    denominators (at m = 4: (1, 0), (0, 1), (1, -1), and (1, 0) again for
+    the constant -7/2 zeta^2 = 7/2)."""
+    zeta = zeta_pow(m, 1)
+    x1, x2 = x(1, m=m), x(2, m=m)
+    return (
+        x1**2
+        - x2**2 * zeta
+        + x1 * x(2, -1, m=m)
+        + x(1, -1, m=m) * x2 * ((1 - zeta) * Fraction(1, 3))
+        + JetPoly.const(m, zeta_pow(m, 2) * Fraction(-7, 2))
+    )
+
+
+@pytest.mark.parametrize("exponents", [(), (1, 1), (1, 3), (2, 0), (3, 2)])
+@pytest.mark.parametrize("window", [0, Fraction(5, 4), 3])
+def test_kernel_sums_coefficients_along_several_directions(exponents, window):
+    # The kernel keeps one int multiplicity per primitive direction of a
+    # source coefficient and builds each code's coordinates from them once.
+    # In a caller's layout, wider than the source's own, the series
+    # materialises to the same terms; the constant is the code 0 at z^0.
+    m = 4
+    p = _directions_source(m)
+    _assert_matches_enumeration(p, exponents, window)
+    want = _substitute_by_enumeration(p, exponents, window)
+    top = floor(window * m)
+    for layout in ((2, 2, 4), (3, 5, 8)):
+        got = substitute_coded(p, exponents, top, layout)
+        assert got.layout == layout
+        assert got.materialise() == want
+        unit, zeta_part = got.terms[0][0]
+        assert (Fraction(unit, got.den), zeta_part) == (Fraction(7, 2), 0)
+
+
+def test_kernel_drops_a_code_whose_directions_cancel():
+    # At m = 3 the coefficients 1, zeta and zeta^2 = -1 - zeta lie along
+    # three directions and sum to zero: each of the three sources gives
+    # x1[-1]*x2[-1]*x3[-1] at z^2 with multiplicity 1, so that term is
+    # dropped, while each source's other terms at z^2 stay.
+    m = 3
+    x1, x2, x3 = x(1, m=m), x(2, m=m), x(3, m=m)
+    p = (
+        x(1, -1, m=m) * x2 * x3
+        + x1 * x(2, -1, m=m) * x3 * zeta_pow(m, 1)
+        + x1 * x2 * x(3, -1, m=m) * zeta_pow(m, 2)
+    )
+    _assert_matches_enumeration(p, (), 2)
+    at_two = substitute_jets(p, (), 2).coefficient(2)
+    cancelled = Monomial.of((jet_var(1, -1), 1), (jet_var(2, -1), 1), (jet_var(3, -1), 1))
+    assert cancelled not in {mon for mon, _ in at_two.terms}
+    assert len(at_two.terms) == 9
+
+
 def test_substitutions_share_their_output_monomials():
     # Each term of x1*x2 at z^2 is also one of x1*x2 + x1^2 there: each
     # monomial, and each of its variables, is one object, made once.

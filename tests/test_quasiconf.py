@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetva import quasiconf
 from jetva.jetpoly import JetPoly
 from jetva.jetscheme import DiagAutomorphism
 from jetva.quasiconf import L_op, Ltilde_op, check_commutators
@@ -65,6 +66,24 @@ def test_commutator_sweep(order, exponents):
     results = check_commutators(DiagAutomorphism(order, exponents), 3, 4)
     assert results
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_commutator_sweep_shifts_each_polynomial_once_per_family(monkeypatch):
+    # The brackets read L_b of each test vector and of its images many
+    # times; each family works out each distinct (b, p) once, and gives
+    # the results it gave without the memo.
+    g = DiagAutomorphism(4, (1, 1))
+    want = check_commutators(g, 2, 3)
+    shifts = []
+    real = quasiconf.shift_derivation
+
+    def counted(p, b, factor):
+        shifts.append((p, b, factor))
+        return real(p, b, factor)
+
+    monkeypatch.setattr(quasiconf, "shift_derivation", counted)
+    assert check_commutators(g, 2, 3) == want
+    assert shifts and len(set(shifts)) == len(shifts)
 
 
 def test_bracket_orientation_explicit():

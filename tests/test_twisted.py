@@ -953,7 +953,7 @@ def test_a_passing_descent_check_eliminates_nothing(eliminations):
     # A passing coefficient check certifies the span: every coefficient is
     # a multiple of one generator, so no span is eliminated.
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
-    jetscheme.coded_relations.cache_clear()
+    jetscheme._relation_expansions.cache_clear()
     for n in range(0, 3):
         assert all(r.passed for r in check_descent(spec, G2P, 1, n, 4 - n))
     assert eliminations == {"add": 0, "contains": 0}
@@ -980,7 +980,7 @@ def test_a_passing_descent_check_scales_nothing(monkeypatch):
 
     count(JetPoly, "scale")
     count(twisted, "binom")
-    jetscheme.coded_relations.cache_clear()
+    jetscheme._relation_expansions.cache_clear()
     for n in range(0, 3):
         assert all(r.passed for r in check_descent(spec, G2P, 1, n, 4 - n))
     assert calls == Counter()
@@ -1245,10 +1245,12 @@ def test_descent_basis_is_left_as_it_was_by_a_stray_monomial(monkeypatch):
     # of the cached generators without changing them, and a clean check
     # after it gives what fresh calls give.
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
-    jetscheme.coded_relations.cache_clear()
+    jetscheme._relation_expansions.cache_clear()
     fresh = check_descent(spec, G2P, 1, 1, 3)
     assert all(r.passed for r in fresh)
-    gens = jetscheme.coded_relations(spec, G2P, 8)  # weight 4 in units of 1/2
+    entry = jetscheme._relation_expansions(spec, G2P)
+    gens = tuple(entry)
+    assert [series.top for series in gens] == [8]  # weight 4 in units of 1/2
     with monkeypatch.context() as patch:
         _perturb_translate(patch, divided_t_power(spec.relations[0], 1), Fraction(1), y(2, -9))
         failures = _failures(check_descent(spec, G2P, 1, 1, 3))
@@ -1257,9 +1259,10 @@ def test_descent_basis_is_left_as_it_was_by_a_stray_monomial(monkeypatch):
         "descent span: rel 1, translate 1, coefficients in the twisted "
         "generator span": "coefficient at z^1",
     }
-    assert jetscheme.coded_relations(spec, G2P, 8) is gens
+    assert jetscheme._relation_expansions(spec, G2P) is entry
+    assert all(now is then for now, then in zip(entry, gens, strict=True))
     assert check_descent(spec, G2P, 1, 1, 3) == fresh
-    jetscheme.coded_relations.cache_clear()
+    jetscheme._relation_expansions.cache_clear()
     assert jetscheme.coded_relations(spec, G2P, 8) == gens
     assert check_descent(spec, G2P, 1, 1, 3) == fresh
 

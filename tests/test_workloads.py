@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import empty_caches
-from jetva import jetpoly, twisted
+from jetva import jetpoly, jetscheme, twisted
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,3 +55,25 @@ def test_descent_sweep_translates_each_polynomial_once(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "derivation_T", counted)
     job.job(inputs)
     assert calls and len(set(calls)) == len(calls)
+
+
+def test_descent_sweep_expands_each_relation_once_per_case(monkeypatch, tmp_path):
+    # A seed-7 descent-sweep job, from emptied caches, calls the int kernel
+    # 348 times: 280 translates, 56 relation expansions at the generator
+    # tables' weight 8, which the descent checks read as prefixes, and 12
+    # untwisted tables.  Expanding the relations again for the checks made
+    # 404 calls.
+    job = workloads.WORKLOADS["descent-sweep"]
+    inputs = job.setup(random.Random(7), tmp_path)
+    empty_caches()
+    calls = []
+    real = jetpoly.substitute_coded
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (jetpoly, jetscheme, twisted):
+        monkeypatch.setattr(module, "substitute_coded", counted)
+    job.job(inputs)
+    assert len(calls) == 348
