@@ -287,11 +287,15 @@ def cmd_check_twisted(args):
         for (la, a), (lb, b) in zip(sources, sources[1:] + sources[:1]):
             for c in check_twisted_axioms(a, b, g, W, spec):
                 yield f"[a = {la}, b = {lb}]", c
-        for (la, a), (lb, b) in itertools.product(sources, repeat=2):
-            ra, rb = eigen_index(a, g.exponents), eigen_index(b, g.exponents)
+        # each source with its mode indices, in the coset of its character
+        indexed = [
+            (la, a, _coset_indices(eigen_index(a, g.exponents), g.order, B))
+            for la, a in sources
+        ]
+        for (la, a, ms), (lb, b, ns) in itertools.product(indexed, repeat=2):
             for li in range(-B, B + 1):
-                for mi in _coset_indices(ra, g.order, B):
-                    for ni in _coset_indices(rb, g.order, B):
+                for mi in ms:
+                    for ni in ns:
                         c = check_twisted_borcherds(a, b, g, li, mi, ni, W, spec)
                         yield f"[a = {la}, b = {lb}]", c
 

@@ -1297,6 +1297,40 @@ def _coordinate_terms(by_direction: dict) -> dict:
     return terms
 
 
+def require_coordinates(a: JetPoly, exponents) -> tuple[int, ...]:
+    """The exponents of a's own coordinates x_1, ..., read by position, the
+    i-th acting on x_i; refuse the lowest coordinate that has no exponent."""
+    indices = {v.index for v in a.variables()}
+    missing = [i for i in indices if i > len(exponents)]
+    if missing:
+        raise ValueError(f"no exponent known for coordinate {min(missing)}")
+    return tuple(exponents[: max(indices, default=0)])
+
+
+# One entry per (source, exponents, layout) of a field or relation read,
+# whatever its window.  Per job at seed 7 (in-process, every bounded cache
+# emptied first) axioms-zeta4 makes 390 reads for 103 keys, descent-sweep
+# 336 for 56 and each coinv workload 6 for 6; at 64 entries they build
+# 112, 56 and 6 expansions, and at 48 descent-sweep builds 116.
+@lru_cache(maxsize=64)
+def _expansion_memo(p: JetPoly, exponents: tuple, layout: tuple | None) -> list:
+    """A key's entry: empty, then [p's widest expansion read so far]."""
+    return []
+
+
+def expansion(p: JetPoly, exponents: tuple, top: int, layout=None) -> CodedSeries:
+    """``substitute_coded(p, exponents, top, layout)`` from one bounded memo
+    keyed on (p, exponents, layout), the exponents of p's own coordinates
+    (``require_coordinates``).  An entry holds p's expansion at the widest
+    window read so far: a wider read replaces it, and a narrower one reads
+    its prefix (``CodedSeries.prefix``), over the wider denominator, which
+    readers cross-multiply or put in canonical form."""
+    entry = _expansion_memo(p, exponents, layout)
+    if not entry or entry[0].top < top:
+        entry[:] = [substitute_coded(p, exponents, top, layout)]
+    return entry[0].prefix(top)
+
+
 # The variables and monomials of substitutions, shared across calls: the
 # translates of a relation and its generators meet the same monomials, so
 # each is built, hashed and given its sort key once, and comparing the

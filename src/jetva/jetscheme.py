@@ -29,9 +29,10 @@ from .jetpoly import (
     _weight_units,
     apply_automorphism,
     exact_units,
+    expansion,
     floor_units,
     mul_into,
-    substitute_coded,
+    require_coordinates,
     substitute_jets,
     translation_series,
 )
@@ -92,7 +93,7 @@ class DiagAutomorphism(Value):
             raise ValueError("exponents must lie in 0..order-1")
         _set_auto_order(self, order)
         _set_exponents(self, exponents)
-        # Worked out once: the field, pair and relation caches hash it in
+        # Worked out once: the pair and preservation caches hash it in
         # every key.
         _set_auto_hash(self, hash((order, exponents)))
 
@@ -173,9 +174,9 @@ def require_fits(spec: SchemeSpec, g: DiagAutomorphism) -> None:
         raise ValueError("scheme and symmetry orders differ")
 
 
-# Keyed on (scheme, symmetry), bounded like ``_relation_expansions``: the
-# generator table and the descent checks of one case both require the test,
-# so its span is eliminated once per case, not once per caller.
+# Keyed on (scheme, symmetry), 64 entries like the memo ``jetpoly.expansion``:
+# every relation read of ``coded_relations`` requires the test, so its span
+# is eliminated once per case, not once per read.
 @lru_cache(maxsize=64)
 def preserves_ideal(spec: SchemeSpec, g: DiagAutomorphism) -> bool:
     """Does the diagonal action map span{P_1..P_r} into itself?"""
@@ -282,27 +283,10 @@ def twisted_generators(
     relations expanded along the twisted jet, for all lattice weights w in
     [0, max_weight] where a coefficient survives.  They are the expansions
     of ``coded_relations`` at that weight, materialised."""
-    require_preserved(spec, g)
     top = floor_units(max_weight, spec.order)
     return _expansion_generators(
         series.materialise() for series in coded_relations(spec, g, top)
     )
-
-
-# One entry per (scheme, symmetry), whatever the windows read from it: the
-# generator table and the descent checks of a case share it, a translate n
-# of a descent sweep at the window W - n reading it at W + n.  64 entries
-# hold every (order, curve, symmetry) case of a sweep over the acceptance
-# fixtures at orders 2-4.
-@lru_cache(maxsize=64)
-def _relation_expansions(spec: SchemeSpec, g: DiagAutomorphism) -> list[CodedSeries]:
-    """The entry that every ``coded_relations`` read of (spec, g) shares:
-    empty until the first read, then each relation's ``CodedSeries`` at the
-    widest window read so far, one per relation, in order.  A wider read
-    replaces the expansions in place.  The symmetry must preserve the
-    relation span."""
-    require_preserved(spec, g)
-    return []
 
 
 def coded_relations(
@@ -311,20 +295,13 @@ def coded_relations(
     """Each relation expanded along the twisted jet up to the window top/m
     by the int kernel ``substitute_coded``, one ``CodedSeries`` per
     relation, in order: the generators of ``twisted_generators`` at the
-    weight top/m before they are materialised.  The symmetry must
-    preserve the relation span, as there.
-
-    The relations of (spec, g) are expanded once, at the widest window
-    read so far, in the entry ``_relation_expansions(spec, g)``: a window
-    beyond it expands them again there, and a window within it reads the
-    prefix of each expansion (``CodedSeries.prefix``).  A prefix keeps the
-    wider expansion's denominator, which may be a multiple of the one a
-    fresh expansion at top would have: readers cross-multiply coordinates
-    or put them in canonical form, so the two read alike."""
-    expansions = _relation_expansions(spec, g)
-    if spec.relations and (not expansions or expansions[0].top < top):
-        expansions[:] = [substitute_coded(p, g.exponents, top) for p in spec.relations]
-    return tuple(series.prefix(top) for series in expansions)
+    weight top/m before they are materialised, each read from the memo
+    ``jetpoly.expansion``: a prefix of its widest read, over the wider
+    denominator.  The symmetry must preserve the relation span."""
+    require_preserved(spec, g)
+    return tuple(
+        expansion(p, require_coordinates(p, g.exponents), top) for p in spec.relations
+    )
 
 
 def twisted_jet_generators(

@@ -21,14 +21,17 @@ coefficients.
 
 The checkers read fields as the int kernel ``substitute_coded`` gives
 them, a ``CodedSeries``: each monomial one int code, each coefficient int
-coordinates over one denominator.  A check codes every field it compares
-in one layout (bits, k, unit), that of the product of its sources (see
-``_layout``): bits from the sum of their degrees, k and unit from the
-coordinates they use.  A monomial's code is the sum of its exponents
-shifted into fields of that many bits, so the code of a product of two
-monomials is the sum of their codes, and the sum cannot carry from one
-field into the next: no exponent of a product of the sources' fields
-exceeds the sum of their degrees, below 2^bits.  So products are sums of
+coordinates over one denominator, from the memo ``jetpoly.expansion``
+that relation expansions share: it keeps each (source, exponents,
+layout) at the widest window read so far, and a narrower read gets its
+prefix.  A check codes every field it compares in one layout (bits, k,
+unit), that of the product of its sources (see ``_layout``): bits from
+the sum of their degrees, k and unit from the coordinates they use.  A
+monomial's code is the sum of its exponents shifted into fields of that
+many bits, so the code of a product of two monomials is the sum of their
+codes, and the sum cannot carry from one field into the next: no exponent
+of a product of the sources' fields exceeds the sum of their degrees,
+below 2^bits.  So products are sums of
 codes, with coordinates multiplied in Z[zeta_m], and coefficients are
 equal when their codes are and their coordinates cross-multiply to equal
 ints.  A translation check codes Ta in a's layout, since T keeps each
@@ -57,8 +60,10 @@ from .jetpoly import (
     divided_t_power,
     eigen_index,
     exact_units,
+    expansion,
     floor_units,
     mul_rows,
+    require_coordinates,
     substitute_coded,
 )
 from .jetscheme import (
@@ -75,41 +80,15 @@ def _max_weight(a: JetPoly) -> Fraction:
     return max((mon.weight for mon, _ in a.terms), default=Fraction(0))
 
 
-def require_coordinates(a: JetPoly, exponents) -> tuple[int, ...]:
-    """The exponents of a's own coordinates x_1, ..., read by position, the
-    i-th acting on x_i; refuse the lowest coordinate that has no exponent."""
-    indices = {v.index for v in a.variables()}
-    missing = [i for i in indices if i > len(exponents)]
-    if missing:
-        raise ValueError(f"no exponent known for coordinate {min(missing)}")
-    return tuple(exponents[: max(indices, default=0)])
-
-
-# One entry per coded field; an unbounded cache keeps every one.  An
-# axioms-zeta4 job (in-process, every bounded cache emptied first) reads
-# 390 fields for 113 distinct keys at seeds 7-9 (111 at seed 101): 32
-# entries build 125 fields (118), 40 build 115 (113) and 48 build each
-# key once.  Its peak memory, bytecode precompiled as the benchmark does
-# (three child runs each, seed 7), reads 10.30, 10.40 and 10.47 MB at 32,
-# 40 and 48 entries, against 11.10 MB for the field cache before fields
-# were coded.  A descent check compares its translate on codes, outside
-# this cache.
-@lru_cache(maxsize=48)
-def _coded_field(
-    a: JetPoly, exponents: tuple[int, ...], top: int, layout: tuple | None
-) -> CodedSeries:
-    """The field of a, at its coordinates' exponents, up to top/m, coded in
-    the layout (its own when None)."""
-    if eigen_index(a, exponents) is None:
-        raise ValueError("twisted field source must be character-homogeneous")
-    return substitute_coded(a, exponents, top, layout)
-
-
 def _field(a: JetPoly, g: DiagAutomorphism, top: int, layout=None) -> CodedSeries:
-    """The coded field of a up to top, in units of 1/m, from the cache."""
+    """The coded field of a up to top, in units of 1/m, coded in the layout
+    (its own when None), from the memo ``expansion``."""
     if a.order != g.order:
         raise ValueError("source and symmetry orders differ")
-    return _coded_field(a, require_coordinates(a, g.exponents), top, layout)
+    exponents = require_coordinates(a, g.exponents)
+    if eigen_index(a, exponents) is None:
+        raise ValueError("twisted field source must be character-homogeneous")
+    return expansion(a, exponents, top, layout)
 
 
 def _layout(g: DiagAutomorphism, *sources: JetPoly) -> tuple[int, int, int]:
@@ -134,11 +113,11 @@ def twisted_field(
     a: JetPoly, g: DiagAutomorphism, window, spec: SchemeSpec | None = None
 ) -> PuiseuxSeries:
     """The field of a up to the window.  A given scheme must fit g (see
-    ``require_fits``); g's i-th exponent acts on x_i.  Fields are cached
-    coded, on the exponents of a's own coordinates and the window floored
-    to (1/m)Z, in units of 1/m, so every g that agrees there, at every
-    window with that floor, reads its codes, not rebuilds them; each call
-    materialises them."""
+    ``require_fits``); g's i-th exponent acts on x_i.  Fields are kept
+    coded by ``jetpoly.expansion``, keyed on the exponents of a's own
+    coordinates, so every g that agrees there reads one expansion, at the
+    widest window read so far; the window is floored to (1/m)Z, in units of
+    1/m, and each call materialises the codes up to it."""
     if spec is not None:
         require_fits(spec, g)
     return _field(a, g, floor_units(window, g.order)).materialise()
@@ -666,10 +645,10 @@ def check_descent(
 
     The first check runs on the int kernel of ``substitute_jets``,
     ``substitute_coded``: the translate, n = 0 included, freshly at the
-    window W, and every relation at W + n from ``jetscheme.coded_relations``,
-    a prefix of the one expansion of (scheme, symmetry) that the translates
-    of a sweep and the generator table share.  The prefix may keep a wider
-    expansion's denominator, which the cross-multiplication below absorbs.
+    window W, outside the memo ``jetpoly.expansion``, and every relation at
+    W + n from ``jetscheme.coded_relations``, a prefix of its widest read
+    in that memo, which the translates and the generator table share.  The
+    prefix may keep a wider denominator, which cross-multiplying absorbs.
     T^n keeps each monomial's coordinates and degree, so the translate's
     codes have its relation's layout, and a translate that does not is
     refused.  Each field exponent k, in units of 1/m, is

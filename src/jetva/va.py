@@ -21,6 +21,7 @@ from .jetpoly import (
     apply_automorphism,
     divided_t_power,
     floor_units,
+    require_coordinates,
 )
 from .jetscheme import DiagAutomorphism
 from .reports import CheckResult
@@ -31,7 +32,6 @@ from .twisted import (
     check_multiplicative,
     check_translation,
     check_vacuum,
-    require_coordinates,
     twisted_field,
 )
 
@@ -52,8 +52,9 @@ def _trivial_symmetry(*polys: JetPoly) -> DiagAutomorphism:
 
 def vertex_op(a: JetPoly, window) -> PuiseuxSeries:
     """Y(a, z) = sum_{n>=0} T^n(a)/n! z^n up to the window: the twisted
-    field at the trivial symmetry, read through the field cache.  Its
-    mode(n) is a windowed plain mode; ``translation_series`` is its oracle."""
+    field at the trivial symmetry, a prefix of its widest read in the memo
+    ``jetpoly.expansion``.  Its mode(n) is a windowed plain mode;
+    ``translation_series`` is its oracle."""
     _require_untwisted(a)
     return twisted_field(a, _trivial_symmetry(a), window)
 
@@ -94,8 +95,8 @@ def check_va_axioms(a: JetPoly, window, alpha=None, samples=None) -> list[CheckR
 
     out = [check_translation(a, g, W, "Y"), check_vacuum(g, W, "Y")]
 
-    # Y(a) up to W + 1, coded in a's layout, is in the field cache: the
-    # translation check built it.
+    # Y(a) up to W + 1, coded in a's layout, is in the expansion memo: the
+    # translation check read it.
     fa = _field(a, g, floor_units(W, g.order) + g.order, _layout(g, a))
     created = mode(a, -1)
     ok = next(iter(fa.terms), 0) >= 0 and created == a

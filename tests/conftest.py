@@ -109,19 +109,32 @@ def empty_caches():
         cached.cache_clear()
 
 
+def relation_entries(spec, g) -> list:
+    """The entries of the memo behind ``jetpoly.expansion`` that
+    ``coded_relations`` reads for (spec, g), one per relation: each a list
+    that holds the relation's widest expansion, empty before a read."""
+    return [
+        jetpoly._expansion_memo(p, jetpoly.require_coordinates(p, g.exponents), None)
+        for p in spec.relations
+    ]
+
+
 @pytest.fixture
 def substitutions(monkeypatch):
     """The caches emptied, and a list that gets (source, top) for every
-    substitution ``twisted`` makes from then on, top being the window in
-    units of 1/m."""
+    substitution made from then on, top being the window in units of 1/m:
+    the expansions of the memo ``jetpoly.expansion``, through the kernel
+    ``jetpoly.substitute_coded``, and the descent translates, through
+    ``twisted``'s name for it."""
     empty_caches()
     made = []
-    real = twisted.substitute_coded
+    real = jetpoly.substitute_coded
 
     def recorded(p, exponents, top, layout=None):
         made.append((p, top))
         return real(p, exponents, top, layout)
 
+    monkeypatch.setattr(jetpoly, "substitute_coded", recorded)
     monkeypatch.setattr(twisted, "substitute_coded", recorded)
     return made
 

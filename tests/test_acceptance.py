@@ -11,7 +11,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from jetva import jetscheme
+from conftest import relation_entries
+from jetva import jetpoly, jetscheme
 from jetva.coinv import OrbiSetup, coinvariant_dims, verify_fixed_ring
 from jetva.jetpoly import (
     JetPoly,
@@ -260,11 +261,13 @@ def test_descent_on_a_warm_basis_cache_matches_a_cold_one():
     def run():
         return [check_descent(spec, g, 1, n, 6 - n) for spec, g, n in sweep]
 
-    jetscheme._relation_expansions.cache_clear()
+    jetpoly._expansion_memo.cache_clear()
     cold = run()
-    hits = jetscheme._relation_expansions.cache_info().hits
+    before = jetpoly._expansion_memo.cache_info()
     warm = run()
-    assert jetscheme._relation_expansions.cache_info().hits == hits + len(sweep)
+    after = jetpoly._expansion_memo.cache_info()
+    reads = sum(len(spec.relations) for spec, _, _ in sweep)
+    assert (after.hits, after.misses) == (before.hits + reads, before.misses)
     assert warm == cold
     for spec, g, _ in sweep:
         cached = _materialised(jetscheme.coded_relations(spec, g, 6 * g.order))
@@ -276,7 +279,9 @@ def test_descent_on_a_warm_basis_cache_matches_a_cold_one():
             assert _materialised(prefix) == _materialised(
                 substitute_coded(p, g.exponents, top) for p in spec.relations
             )
-        assert [s.top for s in jetscheme._relation_expansions(spec, g)] == [6 * g.order]
+        assert [s.top for entry in relation_entries(spec, g) for s in entry] == [
+            6 * g.order
+        ]
 
 
 def test_descent_is_unchanged_by_a_wider_generator_table(monkeypatch):
@@ -288,20 +293,22 @@ def test_descent_is_unchanged_by_a_wider_generator_table(monkeypatch):
     def run():
         return [check_descent(spec, g, 1, n, 6 - n) for spec, g, n in sweep]
 
-    jetscheme._relation_expansions.cache_clear()
+    jetpoly._expansion_memo.cache_clear()
     before = run()
     narrow = {(spec, g): jetscheme.coded_relations(spec, g, 6 * g.order) for spec, g, _ in sweep}
     for spec, g in narrow:
         twisted_jet_generators(spec, g, 8)
-        assert [s.top for s in jetscheme._relation_expansions(spec, g)] == [8 * g.order]
+        assert [s.top for entry in relation_entries(spec, g) for s in entry] == [
+            8 * g.order
+        ]
     expanded = []
-    real = jetscheme.substitute_coded
+    real = jetpoly.substitute_coded
 
     def counted(*args):
         expanded.append(args)
         return real(*args)
 
-    monkeypatch.setattr(jetscheme, "substitute_coded", counted)
+    monkeypatch.setattr(jetpoly, "substitute_coded", counted)
     assert run() == before
     assert expanded == []
     for (spec, g), expansions in narrow.items():

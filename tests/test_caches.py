@@ -26,12 +26,11 @@ def test_only_the_per_order_tables_are_unbounded():
 
 def test_fraction_calls_empties_every_bounded_cache(fraction_calls):
     bounded = bounded_caches()
-    # the coded relation expansions that the descent checks compare with,
-    # the preservation tests they require, the divided translates and the
-    # coded slots of the kernel
-    for name in ("_relation_expansions", "preserves_ideal"):
-        assert f"jetva.jetscheme.{name}" in bounded
-    for name in ("_translate_chain", "_coded_slots"):
+    # the preservation tests that relation reads require, the one memo of
+    # field and relation expansions, the divided translates and the coded
+    # slots of the kernel
+    assert "jetva.jetscheme.preserves_ideal" in bounded
+    for name in ("_expansion_memo", "_translate_chain", "_coded_slots"):
         assert f"jetva.jetpoly.{name}" in bounded
     x1, x2 = JetPoly.var(2, 1), JetPoly.var(2, 2)
     spec = SchemeSpec.of(2, 2, [x1**2 - x2])

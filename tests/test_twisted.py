@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_caches
+from conftest import empty_caches, relation_entries
 from jetva import jetpoly, jetscheme, twisted, va
 from jetva.cyclo import zeta_pow
 from jetva.jetpoly import (
@@ -47,7 +47,7 @@ from jetva.twisted import (
     check_twisted_borcherds,
     twisted_field,
 )
-from jetva.va import check_borcherds
+from jetva.va import check_borcherds, check_va_axioms
 
 
 def y(i, level=0, m=2):
@@ -115,11 +115,11 @@ def test_an_off_lattice_window_is_kept_as_given():
 def test_windows_with_one_floor_share_a_field():
     # 5/2 and 7/3 both floor to 7/3 in (1/3)Z: one cache entry, one field,
     # which the second call reads.
-    twisted._coded_field.cache_clear()
+    jetpoly._expansion_memo.cache_clear()
     src, g = JetPoly.var(3, 1) ** 2, DiagAutomorphism(3, (1,))
     f = twisted_field(src, g, Fraction(5, 2))
     assert twisted_field(src, g, Fraction(7, 3)) == f
-    info = twisted._coded_field.cache_info()
+    info = jetpoly._expansion_memo.cache_info()
     assert (info.currsize, info.hits) == (1, 1)
 
 
@@ -191,20 +191,22 @@ def test_multiplicative_factors_are_padded_by_the_other_pole(
     monkeypatch, b, g, tops
 ):
     # Windows are int tops in units of 1/2, W = 4 being 8.  Y_g(x1[-1]) has
-    # a pole of order 1/2, so its partner is built to W + 1/2, not to
+    # a pole of order 1/2, so its partner is read to W + 1/2, not to
     # W + wt(a) + wt(b) + 1; a partner with no pole leaves it at W, and
     # Y_g(x1[-2])'s pole of order 3/2 takes it to W + 3/2.  The other
     # windows of x1[-1] are the coset check's W and the translation
-    # check's W + 1.
-    twisted._coded_field.cache_clear()
-    requested = []
-    real = twisted.substitute_coded
+    # check's W + 1.  Each distinct (source, window, layout) read of the
+    # memo is recorded once, in the order first met.
+    requested, seen = [], set()
+    real = twisted.expansion
 
     def recorded(p, exponents, top, layout=None):
-        requested.append((str(p), top))
+        if (p, top, layout) not in seen:
+            seen.add((p, top, layout))
+            requested.append((str(p), top))
         return real(p, exponents, top, layout)
 
-    monkeypatch.setattr(twisted, "substitute_coded", recorded)
+    monkeypatch.setattr(twisted, "expansion", recorded)
     assert all(r.passed for r in check_twisted_axioms(y(1, -1), b, g, 4))
     assert {p: [t for q, t in requested if q == p] for p in tops} == tops
 
@@ -280,23 +282,23 @@ def test_order_one_degenerates_to_plain_algebra():
 
 def _perturb_field(monkeypatch, source, exponent, extra):
     """Make every field of ``source`` carry ``extra`` on top of its z^exponent
-    coefficient; every other field is left as it is.  The one seam is
-    ``substitute_coded`` as ``twisted`` calls it: it builds every field that
-    the field cache holds, and the perturbed field is re-coded in the
-    layout asked for.  So that extra fits it, every check's layout is
-    widened to cover extra, as ``twisted._layout`` covers a source, and so
-    is the source's own layout, which ``twisted_field`` asks for.
-    Fields outlive a call in two caches, the field cache and the Borcherds
-    pair contexts, so the patch swaps in an empty one of each, dropped with
-    every perturbed field in it when the patch is undone: no field built
-    before the patch is read under it, and none built under it outlives it.
-    A descent translate is perturbed through its own seam,
-    ``_perturb_translate``."""
-    real_substitute, real_layout = twisted.substitute_coded, twisted._layout
-    for name in ("_coded_field", "_pair_context"):
-        cached = getattr(twisted, name)
+    coefficient; every other field is left as it is.  The one seam is the
+    kernel ``jetpoly.substitute_coded`` as the memo ``jetpoly.expansion``
+    calls it: it builds every field that the memo holds, and the perturbed
+    field is re-coded in the layout asked for.  So that extra fits it,
+    every check's layout is widened to cover extra, as ``twisted._layout``
+    covers a source, and so is the source's own layout, which
+    ``twisted_field`` asks for.  Fields outlive a call in two caches, the
+    expansion memo and the Borcherds pair contexts, so the patch swaps in
+    an empty one of each, dropped with every perturbed field in it when the
+    patch is undone: no field built before the patch is read under it, and
+    none built under it outlives it.  A descent translate is perturbed
+    through its own seam, ``_perturb_translate``."""
+    real_substitute, real_layout = jetpoly.substitute_coded, twisted._layout
+    for module, name in ((jetpoly, "_expansion_memo"), (twisted, "_pair_context")):
+        cached = getattr(module, name)
         fresh = functools.lru_cache(**cached.cache_parameters())(cached.__wrapped__)
-        monkeypatch.setattr(twisted, name, fresh)
+        monkeypatch.setattr(module, name, fresh)
 
     def covering(layout):
         # bits for a sum of degrees up to 2^bits - 1 plus extra's degree
@@ -316,7 +318,7 @@ def _perturb_field(monkeypatch, source, exponent, extra):
         coded = real_substitute(a, exponents, top, layout)
         return _recoded(_edited(coded.materialise(), exponent, lambda p: p + extra), coded)
 
-    monkeypatch.setattr(twisted, "substitute_coded", perturbed_substitute)
+    monkeypatch.setattr(jetpoly, "substitute_coded", perturbed_substitute)
     monkeypatch.setattr(twisted, "_layout", lambda g, *ps: covering(real_layout(g, *ps)))
 
 
@@ -352,8 +354,9 @@ def _change_translates(monkeypatch, change):
     """Make ``check_descent`` read the expansion of each source p in the
     dict ``change`` as change[p] of its field, re-coded in the kernel's
     layout.  The one seam is ``substitute_coded`` as ``twisted`` calls it,
-    which expands the translates and nothing else: the relations' cached
-    expansions are made in ``jetscheme`` and are never changed."""
+    which expands the translates and nothing else: the relations'
+    expansions are made by the memo ``jetpoly.expansion`` and are never
+    changed."""
     real = twisted.substitute_coded
 
     def changed(p, exponents, top):
@@ -658,6 +661,70 @@ def test_pair_memo_does_not_depend_on_call_order_or_cache_state(
     assert bool(failed) == perturbed
 
 
+@pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+def test_prefix_reads_of_a_warm_memo_match_a_cold_memo(monkeypatch, perturbed):
+    # The twisted axioms of the pair sweep's sources, the plain axioms of
+    # its plain ones and every Borcherds identity of the sweep, once from
+    # empty caches and once after the same checks at windows wider by 2
+    # have left the memo holding their fields wider than this run reads
+    # them: the second run reads prefixes, over the wider denominators, and
+    # must give every (name, passed, witness) the first gives.
+    if perturbed:
+        _perturb_field(monkeypatch, y(1), Fraction(1, 2), y(2))
+    plain = (JetPoly.var(1, 1) * JetPoly.var(1, 2), JetPoly.var(1, 2, -1))
+    axioms = [
+        (check_twisted_axioms, (a, b, G2, 4))
+        for a, b in itertools.product((y(1), y(1) ** 2), repeat=2)
+    ]
+    axioms += [(lambda a, W: check_va_axioms(a, W, samples=plain), (a, 4)) for a in plain]
+    cases = _pair_sweep_cases()
+
+    def run(widen):
+        out = [
+            (r.name, r.passed, r.witness)
+            for check, args in axioms
+            for r in check(*args[:-1], args[-1] + widen)
+        ]
+        return out + [_outcome(check, (*args[:-1], args[-1] + widen)) for check, args in cases]
+
+    empty_caches()
+    cold = run(0)
+    empty_caches()
+    run(2)
+    narrower = []
+    real_prefix = CodedSeries.prefix
+
+    def prefix(self, top):
+        if top < self.top:
+            narrower.append(top)
+        return real_prefix(self, top)
+
+    monkeypatch.setattr(CodedSeries, "prefix", prefix)
+    assert run(0) == cold
+    assert narrower
+    failed = [out for out in cold if out[0] != "TruncationError" and not out[1]]
+    assert bool(failed) == perturbed
+
+
+def test_a_narrower_field_read_materialises_as_a_cold_one():
+    # Y_g(x1[-2]/5 + x1/3) up to z^(-3/2) meets only the first term, whose
+    # pole reaches z^(-3/2): a fresh expansion there is over a denominator
+    # without the 3 of the second term, which the prefix of the expansion
+    # at W = 3 keeps.
+    src = y(1, -2).scale(Fraction(1, 5)) + y(1).scale(Fraction(1, 3))
+    low = Fraction(-3, 2)
+    jetpoly._expansion_memo.cache_clear()
+    cold = twisted_field(src, G2, low)
+    cold_den = twisted._field(src, G2, -3).den
+    jetpoly._expansion_memo.cache_clear()
+    wide = twisted_field(src, G2, 3)
+    warm = twisted_field(src, G2, low)
+    warm_den = twisted._field(src, G2, -3).den
+    assert warm_den != cold_den and warm_den % cold_den == 0
+    assert warm == cold and cold.support() == (low,)
+    assert warm.coefficient(low) == wide.coefficient(low)
+
+
 def test_pair_box_multiplies_each_product_of_two_modes_once(monkeypatch):
     # The whole index box of one pair.  The rhs term b_(l+n-i) a_(m+i) is
     # the product a_(m+i) b_(l+n-i), so it shares one memo entry with every
@@ -953,7 +1020,7 @@ def test_a_passing_descent_check_eliminates_nothing(eliminations):
     # A passing coefficient check certifies the span: every coefficient is
     # a multiple of one generator, so no span is eliminated.
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
-    jetscheme._relation_expansions.cache_clear()
+    jetpoly._expansion_memo.cache_clear()
     for n in range(0, 3):
         assert all(r.passed for r in check_descent(spec, G2P, 1, n, 4 - n))
     assert eliminations == {"add": 0, "contains": 0}
@@ -980,7 +1047,7 @@ def test_a_passing_descent_check_scales_nothing(monkeypatch):
 
     count(JetPoly, "scale")
     count(twisted, "binom")
-    jetscheme._relation_expansions.cache_clear()
+    jetpoly._expansion_memo.cache_clear()
     for n in range(0, 3):
         assert all(r.passed for r in check_descent(spec, G2P, 1, n, 4 - n))
     assert calls == Counter()
@@ -1245,10 +1312,10 @@ def test_descent_basis_is_left_as_it_was_by_a_stray_monomial(monkeypatch):
     # of the cached generators without changing them, and a clean check
     # after it gives what fresh calls give.
     spec = SchemeSpec.of(2, 2, [y(1, m=2) ** 2 - y(2, m=2)])
-    jetscheme._relation_expansions.cache_clear()
+    jetpoly._expansion_memo.cache_clear()
     fresh = check_descent(spec, G2P, 1, 1, 3)
     assert all(r.passed for r in fresh)
-    entry = jetscheme._relation_expansions(spec, G2P)
+    (entry,) = relation_entries(spec, G2P)
     gens = tuple(entry)
     assert [series.top for series in gens] == [8]  # weight 4 in units of 1/2
     with monkeypatch.context() as patch:
@@ -1259,10 +1326,10 @@ def test_descent_basis_is_left_as_it_was_by_a_stray_monomial(monkeypatch):
         "descent span: rel 1, translate 1, coefficients in the twisted "
         "generator span": "coefficient at z^1",
     }
-    assert jetscheme._relation_expansions(spec, G2P) is entry
+    assert relation_entries(spec, G2P)[0] is entry
     assert all(now is then for now, then in zip(entry, gens, strict=True))
     assert check_descent(spec, G2P, 1, 1, 3) == fresh
-    jetscheme._relation_expansions.cache_clear()
+    jetpoly._expansion_memo.cache_clear()
     assert jetscheme.coded_relations(spec, G2P, 8) == gens
     assert check_descent(spec, G2P, 1, 1, 3) == fresh
 

@@ -109,7 +109,7 @@ def test_translation_series_translates_floor_window_times(monkeypatch, window):
 def test_vertex_op_is_built_by_substitution(monkeypatch):
     # Y(a, z) is the twisted field at the trivial symmetry: no translate
     calls = _count_translations(monkeypatch)
-    twisted._coded_field.cache_clear()
+    jetpoly._expansion_memo.cache_clear()
     a = x(1) * x(2, -1)
     s = vertex_op(a, 4)
     assert calls == []
@@ -202,17 +202,17 @@ def test_axioms_refuse_a_coordinate_beyond_alpha(monkeypatch, a, samples):
 
 def test_plain_axioms_build_no_field_past_the_translation_window(monkeypatch):
     # At the trivial symmetry no field has a pole, so the multiplicative
-    # factors are built to W; only the translation check reads W + 1.
-    # At order 1 the int tops are the windows.
-    twisted._coded_field.cache_clear()
+    # factors are read to W; only the translation check reads W + 1.
+    # At order 1 the int tops are the windows.  The memo builds a field
+    # only at a window read, so none is built past W + 1.
     tops = []
-    real = twisted.substitute_coded
+    real = twisted.expansion
 
     def recorded(a, exponents, top, layout=None):
         tops.append(top)
         return real(a, exponents, top, layout)
 
-    monkeypatch.setattr(twisted, "substitute_coded", recorded)
+    monkeypatch.setattr(twisted, "expansion", recorded)
     sources = [x(1), x(2) ** 2, x(1) * x(2, -1) + x(1, -2)]
     for a in sources:
         assert all(r.passed for r in check_va_axioms(a, 4, samples=sources))

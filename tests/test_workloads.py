@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import empty_caches
-from jetva import jetpoly, jetscheme, twisted
+from jetva import jetpoly, twisted
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -73,7 +73,7 @@ def test_descent_sweep_expands_each_relation_once_per_case(monkeypatch, tmp_path
         calls.append(args)
         return real(*args)
 
-    for module in (jetpoly, jetscheme, twisted):
+    for module in (jetpoly, twisted):
         monkeypatch.setattr(module, "substitute_coded", counted)
     job.job(inputs)
     assert len(calls) == 348
