@@ -940,8 +940,9 @@ class CodedSeries(Value):
     exactly.  The dicts are shared with caches and never changed.
 
     Series of one layout multiply without a ``JetPoly``: ``at`` reads a
-    coefficient by the window rule of ``PuiseuxSeries.at``, and ``*`` and
-    ``differentiate`` keep the windows of the ``PuiseuxSeries`` operations.
+    coefficient by the window rule of ``PuiseuxSeries.at``, and ``*`` keeps
+    the window of ``PuiseuxSeries.__mul__``.  ``polynomial`` reads one
+    coefficient back as a ``JetPoly``, as a failing check's witness needs.
     """
 
     __slots__ = __match_args__ = ("order", "top", "den", "layout", "terms")
@@ -995,34 +996,30 @@ class CodedSeries(Value):
         terms = {k: row for k, row in self.terms.items() if k <= top}
         return CodedSeries(self.order, top, self.den, self.layout, terms)
 
-    def differentiate(self) -> CodedSeries:
-        """Formal d/dz; the window shrinks by one.  The factor k/order of
-        the coefficient at k scales its coordinates by k, over den*order."""
-        m = self.order
-        terms = {
-            k - m: {code: tuple([x * k for x in xs]) for code, xs in row.items()}
-            for k, row in self.terms.items()
-            if k
-        }
-        return CodedSeries(m, self.top - m, self.den * m, self.layout, terms)
+    def polynomial(self, k: int) -> JetPoly:
+        """The coefficient of z^(k/order) as a ``JetPoly``: each code read
+        once through ``_coded_monomial``, the coefficient put in canonical
+        form over ``den`` once, so it is the very ``CycScalar`` that summing
+        scalars would give, and the terms sorted as ``JetPoly`` keeps them,
+        by weight, degree and factors, on the int sort key that comes with
+        each code.  Beyond the window it raises TruncationError."""
+        row = self.at(k)
+        if row is None:
+            raise beyond_window(Fraction(k, self.order), self.top, self.order)
+        m, L = self.order, self.den
+        bits, q, unit = self.layout
+        rows = []
+        for code, acc in row.items():
+            mon, weight, degree, key = _coded_monomial(code, bits, q, unit)
+            rows.append(((weight, degree, key), mon, _canon(m, acc, L)))
+        rows.sort(key=itemgetter(0))
+        return JetPoly(m, tuple((mon, val) for _, mon, val in rows))
 
     def materialise(self) -> PuiseuxSeries:
-        """The series: each code read once through ``_coded_monomial``, each
-        coefficient put in canonical form over ``den`` once, so it is the
-        very ``CycScalar`` that summing scalars would give, and the terms
-        of a coefficient sorted as ``JetPoly`` keeps them, by weight, degree
-        and factors, on the int sort key that comes with each code."""
-        m, L = self.order, self.den
-        bits, k, unit = self.layout
-        coeffs = {}
-        for w, row in self.terms.items():
-            rows = []
-            for code, acc in row.items():
-                mon, weight, degree, key = _coded_monomial(code, bits, k, unit)
-                rows.append(((weight, degree, key), mon, _canon(m, acc, L)))
-            rows.sort(key=itemgetter(0))
-            coeffs[w] = JetPoly(m, tuple((mon, val) for _, mon, val in rows))
-        return PuiseuxSeries(m, coeffs, self.top)
+        """The series, one ``polynomial`` read per nonzero coefficient."""
+        return PuiseuxSeries(
+            self.order, {k: self.polynomial(k) for k in self.terms}, self.top
+        )
 
 
 (
@@ -1300,11 +1297,12 @@ def _coordinate_terms(by_direction: dict) -> dict:
 def require_coordinates(a: JetPoly, exponents) -> tuple[int, ...]:
     """The exponents of a's own coordinates x_1, ..., read by position, the
     i-th acting on x_i; refuse the lowest coordinate that has no exponent."""
-    indices = {v.index for v in a.variables()}
-    missing = [i for i in indices if i > len(exponents)]
-    if missing:
-        raise ValueError(f"no exponent known for coordinate {min(missing)}")
-    return tuple(exponents[: max(indices, default=0)])
+    indices = {v.index for mon, _ in a.terms for v, _ in mon.factors}
+    k = max(indices, default=0)
+    if k > len(exponents):
+        missing = min(i for i in indices if i > len(exponents))
+        raise ValueError(f"no exponent known for coordinate {missing}")
+    return tuple(exponents[:k])
 
 
 # One entry per (source, exponents, layout) of a field or relation read,

@@ -35,10 +35,15 @@ below 2^bits.  So products are sums of
 codes, with coordinates multiplied in Z[zeta_m], and coefficients are
 equal when their codes are and their coordinates cross-multiply to equal
 ints.  A translation check codes Ta in a's layout, since T keeps each
-monomial's coordinates and degree.  Only a failing check materialises
-its fields, once, and builds its witness from the ``PuiseuxSeries`` and
-``JetPoly`` values that ``twisted_field`` gives callers that want the
-series.
+monomial's coordinates and degree.
+
+Translation, multiplicativity and descent are one comparison,
+``_first_difference(f, h, n)``: f against (d/dz)^n h / n!, with n = 1
+against Y(a), n = 0 against Y(a)Y(b) and n against a relation's
+expansion.  A failing one builds its witness from the one coefficient of
+each side where they first differ (``_mismatch``), read back as a
+``JetPoly`` through ``CodedSeries.polynomial``.  Only descent's span
+check, after a failure, materialises whole series.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ from .jetscheme import (
     SpanBasis,
     coded_relations,
     require_fits,
+    require_preserved,
 )
 from .reports import CheckResult
 
@@ -137,10 +143,7 @@ def check_translation(a, g, W, symbol) -> CheckResult:
     top = floor_units(W, g.order)
     layout = _layout(g, a)
     lhs = _field(derivation_T(a), g, top, layout)
-    fa = _field(a, g, top + g.order, layout)
-    bad = None
-    if _first_difference(lhs, fa.differentiate()) is not None:
-        bad = lhs.materialise().first_mismatch(fa.materialise().differentiate())
+    bad = _mismatch(lhs, _field(a, g, top + g.order, layout), 1)
     name = f"translation: {symbol}(Ta,z) = d/dz {symbol}(a,z)"
     return CheckResult(name, bad is None, bad)
 
@@ -156,19 +159,52 @@ def check_vacuum(g, W, symbol) -> CheckResult:
     return CheckResult(f"vacuum: {symbol}(1,z) = id", ok, witness)
 
 
-def _first_difference(f: CodedSeries, h: CodedSeries) -> int | None:
+def _first_difference(f: CodedSeries, h: CodedSeries, n: int) -> int | None:
     """The lowest k, on the overlap of the windows of two coded series of
-    one layout, at which their coefficients differ, or None: where
-    ``PuiseuxSeries.first_mismatch`` finds a witness, on ints."""
+    one layout, at which f's coefficient of z^(k/m) differs from that of
+    (d/dz)^n h / n!, C(k/m + n, n) times h's at u = k + n*m; or None.
+    Equal coefficients have equal codes, and their coordinates
+    cross-multiply with ``binom_units(u, m, n)`` to equal ints."""
     if f.layout != h.layout:
         raise ValueError(f"mixed layouts {f.layout} and {h.layout}")
-    top = min(f.top, h.top)
-    for k in sorted(f.terms.keys() | h.terms.keys()):
+    m = f.order
+    shift = n * m
+    f_terms, h_terms = f.terms, h.terms
+    top = min(f.top, h.top - shift)
+    low = top + 1  # the lowest failing exponent among f's terms, past top if none
+    for k, lhs in f_terms.items():
         if k > top:
             break
-        if not _is_coded_multiple(f.at(k), f.den, h.at(k), h.den, 1, 1):
+        u = k + shift
+        base = h_terms.get(u)
+        num, den = binom_units(u, m, n)
+        left, right = h.den * den, num * f.den
+        if base is None or not num or lhs.keys() != base.keys() or any(
+            x * left != y * right for c, xs in lhs.items() for x, y in zip(xs, base[c])
+        ):
+            low = k
+            break
+    # Below it, h's terms that meet a zero of f differ unless C(u/m, n) = 0.
+    for u in h_terms:
+        k = u - shift
+        if k >= low:
+            break
+        if k not in f_terms and binom_units(u, m, n)[0]:
             return k
-    return None
+    return None if low > top else low
+
+
+def _mismatch(f: CodedSeries, h: CodedSeries, n: int) -> str | None:
+    """The witness "z^w: lhs - rhs" at the first difference of f and
+    (d/dz)^n h / n!, or None where ``_first_difference`` finds none: one
+    coefficient read from each side, h's scaled by C(w + n, n)."""
+    k = _first_difference(f, h, n)
+    if k is None:
+        return None
+    m = f.order
+    w = Fraction(k, m)
+    rhs = h.polynomial(k + n * m).scale(binom(w + n, n))
+    return f"z^{w}: {f.polynomial(k) - rhs}"
 
 
 def _low(fld: CodedSeries) -> int | None:
@@ -187,9 +223,7 @@ def check_multiplicative(a, b, g, W, symbol) -> CheckResult:
     poles = [-min(_low(_field(p, g, top, layout)) or 0, 0) for p in (a, b)]
     fa = _field(a, g, top + poles[1], layout)
     fb = _field(b, g, top + poles[0], layout)
-    bad = None
-    if _first_difference(prod, fa * fb) is not None:
-        bad = prod.materialise().first_mismatch(fa.materialise() * fb.materialise())
+    bad = _mismatch(prod, fa * fb, 0)
     name = f"multiplicative: {symbol}(ab,z) = {symbol}(a,z){symbol}(b,z)"
     return CheckResult(name, bad is None, bad)
 
@@ -602,24 +636,6 @@ def _borcherds_witness(a, b, g, l_idx: int, m_idx, n_idx, window) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _is_coded_multiple(
-    lhs, lhs_den: int, base, base_den: int, num: int, den: int
-) -> bool:
-    """Is lhs num/den times base?  Both are one coefficient of a coded
-    expansion of one layout, {code: coordinates} over lhs_den and base_den,
-    with no zero entry.  With num nonzero they must have the same codes,
-    and each coordinate x/lhs_den of lhs must equal base's y/base_den times
-    num/den: x*base_den*den = y*num*lhs_den, on ints."""
-    if not num or lhs.keys() != base.keys():
-        return False
-    left, right = base_den * den, num * lhs_den
-    for code, xs in lhs.items():
-        for x, y in zip(xs, base[code]):
-            if x * left != y * right:
-                return False
-    return True
-
-
 def check_descent(
     spec: SchemeSpec,
     g: DiagAutomorphism,
@@ -651,12 +667,13 @@ def check_descent(
     prefix may keep a wider denominator, which cross-multiplying absorbs.
     T^n keeps each monomial's coordinates and degree, so the translate's
     codes have its relation's layout, and a translate that does not is
-    refused.  Each field exponent k, in units of 1/m, is
-    compared with the relation's exponent u = k + n*m: the two must have
-    the same nonzero codes, and their coordinates are cross-multiplied
-    with ``binom_units(u, m, n)``.  A passing check builds no ``JetPoly``.
-    A failing one materialises the translate once, for the witness lhs -
-    rhs at the lowest failing exponent, and the generators, for the span.
+    refused.  The check is the translation identity taken n times,
+    ``_first_difference`` with n: the field's coefficient at z^(k/m) must
+    be that of (d/dz)^n Y_g(rel) / n!, C(k/m + n, n) times the relation's
+    at u = k + n*m.  A passing check builds no ``JetPoly``.  A failing one
+    reads one coefficient of each side at the lowest failing exponent, for
+    the witness lhs - rhs (``_mismatch``), and materialises the translate
+    and the generators once, for the span.
     """
     W = window if type(window) is int else Fraction(window)
     if isinstance(rel_index, bool) or not isinstance(rel_index, int):
@@ -669,12 +686,11 @@ def check_descent(
         raise ValueError(f"translate {n} must be >= 0")
     m = spec.order
     top = floor_units(W, m)  # the window in units of 1/m
-    shift = n * m
-    relations = coded_relations(spec, g, top + shift)
+    require_preserved(spec, g)
     rel = spec.relations[rel_index - 1]
     if eigen_index(rel, g.exponents) is None:
         raise ValueError("relation is not character-homogeneous for this symmetry")
-
+    relations = coded_relations(spec, g, top + n * m)
     coded = substitute_coded(divided_t_power(rel, n), g.exponents, top)
     expansion = relations[rel_index - 1]
     if coded.layout != expansion.layout:
@@ -682,37 +698,18 @@ def check_descent(
             f"translate {n} of relation {rel_index} is coded as {coded.layout}, "
             f"its relation as {expansion.layout}"
         )
-    # Every relation exponent u lies in [0, top + shift], so u - shift lies
-    # in [-shift, top].
-    pending = dict(expansion.terms)  # the exponents no coefficient met
-    fails = []  # exponents, in units of 1/m, where the check fails
-    for k, lhs in coded.terms.items():
-        u = k + shift
-        base = pending.pop(u, None)
-        if base is None or not _is_coded_multiple(
-            lhs, coded.den, base, expansion.den, *binom_units(u, m, n)
-        ):
-            fails.append(k)  # the lowest one of the field: stop here
-            break
-    # An exponent left pending lies above a failing exponent or meets a zero
-    # coefficient, which matches it only when C(u/m, n) = 0: when u/m is an
-    # integer in [0, n).
-    fails += [u - shift for u in pending if u % m or not 0 <= u < shift]
-    ok = not fails
-    witness = stray = None
-    if not ok:
+    witness = _mismatch(coded, expansion, n)
+    stray = None
+    if witness is not None:
         fld = coded.materialise()
-        gens = [series.materialise().terms for series in relations]
-        k = min(fails)
-        w = Fraction(k, m)
-        base = gens[rel_index - 1].get(k + shift, JetPoly.zero(m))
-        witness = f"z^{w}: {fld.coefficient(w) - base.scale(binom(w + n, n))}"
-        basis = SpanBasis(m, (p for terms in gens for p in terms.values()))
-        k = basis.first_outside(fld.terms.values())
+        gens = (p for series in relations for p in series.materialise().terms.values())
+        k = SpanBasis(m, gens).first_outside(fld.terms.values())
         stray = None if k is None else fld.support()[k]
     return [
         CheckResult(
-            f"descent coefficients: rel {rel_index}, translate {n}", ok, witness
+            f"descent coefficients: rel {rel_index}, translate {n}",
+            witness is None,
+            witness,
         ),
         CheckResult(
             f"descent span: rel {rel_index}, translate {n}, coefficients in "

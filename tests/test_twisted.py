@@ -1358,6 +1358,24 @@ def test_descent_raises_on_every_call_when_the_span_is_not_preserved():
             check_descent(spec, G2P, 1, 0, 3)
 
 
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        (SchemeSpec.of(2, 2, [y(1) ** 2, y(1) + y(2)]), IdealNotPreservedError),
+        (SchemeSpec.of(2, 2, [y(1) + y(2), y(1) - y(2)]), ValueError),
+    ],
+    ids=["span-not-preserved", "relation-not-homogeneous"],
+)
+def test_a_refused_descent_check_expands_nothing(spec, error):
+    # Both refusals come before any relation is expanded: the refused
+    # call leaves the expansion memo empty.  The second relation set
+    # spans a preserved space, but x1 + x2 is no eigenvector.
+    jetpoly._expansion_memo.cache_clear()
+    with pytest.raises(error):
+        check_descent(spec, G2P, 1, 0, 3)
+    assert jetpoly._expansion_memo.cache_info().currsize == 0
+
+
 def test_descent_rejects_bad_relation_index():
     spec = SchemeSpec.of(2, 1, [y(1) ** 2])
     with pytest.raises(ValueError):
@@ -1573,13 +1591,27 @@ def _homogeneous_source(data, m, exponents):
     return JetPoly(m, tuple(keep))
 
 
+def _series_mismatch(f, h, n):
+    """The oracle of ``twisted._mismatch``: the witness of
+    ``PuiseuxSeries.first_mismatch`` between f and (d/dz)^n h / n!, the
+    derivatives and the scaling by 1/n! taken on materialised series."""
+    rhs = h.materialise()
+    for _ in range(n):
+        rhs = rhs.differentiate()
+    c = Fraction(1, math.factorial(n))
+    rhs = PuiseuxSeries(h.order, {k: p.scale(c) for k, p in rhs.terms.items()}, rhs.top)
+    return f.materialise().first_mismatch(rhs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_coded_products_derivatives_and_comparisons_match_the_series(data):
     # The materialised route is the oracle: for two coded fields in the
-    # layout of their product, the coded product, d/dz and first difference
-    # agree with PuiseuxSeries.__mul__, differentiate and first_mismatch,
-    # windows and known zeros included.
+    # layout of their product, the coded product agrees with
+    # PuiseuxSeries.__mul__, and the first difference of f from
+    # (d/dz)^n h / n!, n = 0, 1, 2, and its witness agree with
+    # differentiate, a scaling by 1/n! and first_mismatch, windows and
+    # known zeros included.
     m = data.draw(st.sampled_from((1, 2, 3, 4)))
     g = DiagAutomorphism(m, tuple(data.draw(st.integers(0, m - 1)) for _ in "123"))
     a, b = (_homogeneous_source(data, m, g.exponents) for _ in "ab")
@@ -1587,24 +1619,33 @@ def test_coded_products_derivatives_and_comparisons_match_the_series(data):
     layout = twisted._layout(g, a, b)
     fa = jetpoly.substitute_coded(a, g.exponents, ta, layout)
     fb = jetpoly.substitute_coded(b, g.exponents, tb, layout)
-    sa, sb = fa.materialise(), fb.materialise()
-    assert (fa * fb).materialise() == sa * sb
-    assert fa.differentiate().materialise() == sa.differentiate()
+    assert (fa * fb).materialise() == fa.materialise() * fb.materialise()
     prod = jetpoly.substitute_coded(a * b, g.exponents, ta, layout)
-    for f, h in (
-        (fa, fb),
-        (fb, fa),
-        (prod, fa * fb),
-        (fa.differentiate(), fb),
-        (fa, jetpoly.substitute_coded(a, g.exponents, tb, layout)),
-    ):
-        k = twisted._first_difference(f, h)
-        witness = f.materialise().first_mismatch(h.materialise())
-        assert (k is None) == (witness is None)
-        if k is not None:
-            assert witness.startswith(f"z^{Fraction(k, m)}: ")
-    # the product of the fields is exact up to its window, as Y_g(ab) is
-    assert twisted._first_difference(prod, fa * fb) is None
+    wider = jetpoly.substitute_coded(a, g.exponents, tb + 2 * m, layout)
+    translates = [
+        jetpoly.substitute_coded(divided_t_power(a, n), g.exponents, ta, layout)
+        for n in (0, 1, 2)
+    ]
+    for n in (0, 1, 2):
+        for f, h in (
+            (fa, fb),
+            (fb, fa),
+            (prod, fa * fb),
+            (fa, wider),
+            (translates[n], wider),
+        ):
+            k = twisted._first_difference(f, h, n)
+            witness = _series_mismatch(f, h, n)
+            assert twisted._mismatch(f, h, n) == witness
+            if k is None:
+                assert witness is None
+            else:
+                assert witness.startswith(f"z^{Fraction(k, m)}: ")
+    # the product of the fields is exact up to its window, as Y_g(ab) is,
+    # and the field of T^n(a)/n! is (d/dz)^n Y_g(a) / n!
+    assert twisted._first_difference(prod, fa * fb, 0) is None
+    for n, translate in enumerate(translates):
+        assert twisted._first_difference(translate, wider, n) is None
     if fa.terms and m > 2:
         # one coefficient changed in its last coordinate alone, by zeta^(phi-1)
         k, row = next(iter(fa.terms.items()))
@@ -1612,23 +1653,28 @@ def test_coded_products_derivatives_and_comparisons_match_the_series(data):
         edited = dict(fa.terms)
         edited[k] = {**row, code: (*xs[:-1], xs[-1] + fa.den)}
         edited = CodedSeries(m, fa.top, fa.den, fa.layout, edited)
-        assert twisted._first_difference(fa, edited) == k
-        assert fa.materialise().first_mismatch(edited.materialise()).startswith(
-            f"z^{Fraction(k, m)}: "
-        )
+        assert twisted._first_difference(fa, edited, 0) == k
+        assert twisted._mismatch(fa, edited, 0) == _series_mismatch(fa, edited, 0)
 
 
 def test_passing_axiom_and_borcherds_checks_materialise_no_field(monkeypatch):
     # Every field these checks read is compared, multiplied and packed on
-    # codes: a passing check builds no JetPoly from a field.
-    calls = []
-    real = CodedSeries.materialise
+    # codes: a passing check builds no JetPoly from a field.  A failing
+    # translation or multiplicative check reads one coefficient of each
+    # side back, for its witness, and materialises no field.
+    calls = Counter()
+    real_materialise, real_polynomial = CodedSeries.materialise, CodedSeries.polynomial
 
     def materialise(self):
-        calls.append(self)
-        return real(self)
+        calls["materialise"] += 1
+        return real_materialise(self)
+
+    def polynomial(self, k):
+        calls["polynomial"] += 1
+        return real_polynomial(self, k)
 
     monkeypatch.setattr(CodedSeries, "materialise", materialise)
+    monkeypatch.setattr(CodedSeries, "polynomial", polynomial)
     twisted._pair_context.cache_clear()
     spec = SchemeSpec.of(2, 2, [y(1) ** 2 - y(2)])
     x1x2 = JetPoly.var(1, 1) * JetPoly.var(1, 2)
@@ -1649,7 +1695,32 @@ def test_passing_axiom_and_borcherds_checks_materialise_no_field(monkeypatch):
     ]
     assert len(results) == 5 + 5 + 15 + 80 + 64
     assert all(r.passed for r in results)
-    assert calls == []
+    assert calls == Counter()
+
+    def witness_reads(source, exponent, extra, check):
+        """The reads of a second run of a check failing on a perturbed
+        field; the first run builds the perturbed fields."""
+        with monkeypatch.context() as patch:
+            _perturb_field(patch, source, exponent, extra)
+            first = check()
+            calls.clear()
+            assert check() == first and not first.passed
+            return first.witness, Counter(calls)
+
+    a, b = JetPoly.var(4, 1), JetPoly.var(4, 2, -1)
+    assert witness_reads(
+        derivation_T(a),
+        Fraction(3, 4),
+        JetPoly.var(4, 2, -2),
+        lambda: twisted.check_translation(a, G4, 3, "Y_g"),
+    ) == ("z^3/4: x2[-2]", Counter({"polynomial": 2}))
+    extra = (JetPoly.var(4, 1, Fraction(-1, 4)) * b).scale(zeta_pow(4, 1) - 2)
+    assert witness_reads(
+        a * b,
+        Fraction(1, 2),
+        extra,
+        lambda: twisted.check_multiplicative(a, b, G4, 3, "Y_g"),
+    ) == ("z^1/2: (-2 + zeta)*x1[-1/4]*x2[-1]", Counter({"polynomial": 2}))
 
 
 def test_pair_packing_keeps_coordinates_that_overflow_their_fields():
