@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import re
 import sys
@@ -474,10 +475,14 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     report["checks"] = [c.to_dict() for c in checks]
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_text(report))
+    text = json.dumps(report, indent=2) if args.format == "json" else render_text(report)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (``| head``): send what is still buffered
+        # to devnull, so the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if all(c.passed for c in checks) else 1
 
 

@@ -55,7 +55,7 @@ linear generators, so phi kills I.
 drops those that become zero, so the higher relations would change no
 entry; ``coinvariant_dims`` does not build them.
 
-With three or more points (ROADMAP item 3) each section has an expansion
+With three or more points (ROADMAP item 2) each section has an expansion
 at every point, and the degree-1 sections need not reach every variable
 at each of them.  The relations of the higher sections are not shown to
 vanish there, so that case must build every section's expansion at every

@@ -655,13 +655,6 @@ def eigen_index(p: JetPoly, alpha):
 # ---------------------------------------------------------------------------
 
 
-# One zero per order, the known-zero coefficient every windowed read of a
-# series of that order returns; a JetPoly is immutable, so it is shared.
-@lru_cache(maxsize=16)
-def _zero(m: int) -> JetPoly:
-    return JetPoly.zero(m)
-
-
 def beyond_window(w, top: int, order: int) -> TruncationError:
     """The error of a read of the coefficient of z^w past the window top,
     in units of 1/order: the one message of both kinds of series."""
@@ -743,10 +736,6 @@ class PuiseuxSeries(Value):
     def support(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(k, self.order) for k in self.terms)
 
-    def min_support(self):
-        k = next(iter(self.terms), None)
-        return None if k is None else Fraction(k, self.order)
-
     def at(self, k: int) -> JetPoly | None:
         """The coefficient of z^(k/order), or None beyond the window: the
         one window rule every read goes through."""
@@ -755,7 +744,7 @@ class PuiseuxSeries(Value):
             return p
         if self.top is not None and k > self.top:
             return None
-        return _zero(self.order)
+        return JetPoly.zero(self.order)
 
     def coefficient(self, w) -> JetPoly:
         """The coefficient of z^w; beyond the window it raises."""
@@ -768,7 +757,7 @@ class PuiseuxSeries(Value):
         elif (
             self.top is None or w.numerator * self.order <= self.top * w.denominator
         ):
-            p = _zero(self.order)  # off the lattice, inside the window
+            p = JetPoly.zero(self.order)  # off the lattice, inside the window
         if p is None:
             raise beyond_window(w, self.top, self.order)
         return p
@@ -997,23 +986,12 @@ class CodedSeries(Value):
         return CodedSeries(self.order, top, self.den, self.layout, terms)
 
     def polynomial(self, k: int) -> JetPoly:
-        """The coefficient of z^(k/order) as a ``JetPoly``: each code read
-        once through ``_coded_monomial``, the coefficient put in canonical
-        form over ``den`` once, so it is the very ``CycScalar`` that summing
-        scalars would give, and the terms sorted as ``JetPoly`` keeps them,
-        by weight, degree and factors, on the int sort key that comes with
-        each code.  Beyond the window it raises TruncationError."""
+        """The coefficient of z^(k/order) as a ``JetPoly`` (see
+        ``coded_polynomial``); beyond the window it raises TruncationError."""
         row = self.at(k)
         if row is None:
             raise beyond_window(Fraction(k, self.order), self.top, self.order)
-        m, L = self.order, self.den
-        bits, q, unit = self.layout
-        rows = []
-        for code, acc in row.items():
-            mon, weight, degree, key = _coded_monomial(code, bits, q, unit)
-            rows.append(((weight, degree, key), mon, _canon(m, acc, L)))
-        rows.sort(key=itemgetter(0))
-        return JetPoly(m, tuple((mon, val) for _, mon, val in rows))
+        return coded_polynomial(self.order, row, self.den, self.layout)
 
     def materialise(self) -> PuiseuxSeries:
         """The series, one ``polynomial`` read per nonzero coefficient."""
@@ -1029,6 +1007,23 @@ class CodedSeries(Value):
     _set_layout,
     _set_coded_terms,
 ) = setters(CodedSeries)
+
+
+def coded_polynomial(m: int, row, den: int, layout: tuple) -> JetPoly:
+    """The ``JetPoly`` of a coded coefficient {code: coordinates} over den,
+    in the layout (bits, k, unit) of ``substitute_coded``: the one place a
+    kernel code becomes a monomial.  Each code is read once through
+    ``_coded_monomial``, each coefficient put in canonical form over den
+    once, so it is the very ``CycScalar`` that summing scalars would give,
+    and the terms are sorted as ``JetPoly`` keeps them, by weight, degree
+    and factors, on the int sort key that comes with each code.  Every
+    coordinate tuple must be nonzero."""
+    rows = []
+    for code, acc in row.items():
+        mon, weight, degree, key = _coded_monomial(code, *layout)
+        rows.append(((weight, degree, key), mon, _canon(m, acc, den)))
+    rows.sort(key=itemgetter(0))
+    return JetPoly(m, tuple((mon, val) for _, mon, val in rows))
 
 
 def mul_rows(acc: dict, left, right, m: int) -> None:

@@ -276,26 +276,13 @@ def jet_generators(
     return JetPresentation(_presentation_vars(spec, (), W), _expansion_generators(series))
 
 
-def twisted_generators(
-    spec: SchemeSpec, g: DiagAutomorphism, max_weight
-) -> tuple[JetGenerator, ...]:
-    """Generators of the g-twisted jet ideal: the t^w coefficients of the
-    relations expanded along the twisted jet, for all lattice weights w in
-    [0, max_weight] where a coefficient survives.  They are the expansions
-    of ``coded_relations`` at that weight, materialised."""
-    top = floor_units(max_weight, spec.order)
-    return _expansion_generators(
-        series.materialise() for series in coded_relations(spec, g, top)
-    )
-
-
 def coded_relations(
     spec: SchemeSpec, g: DiagAutomorphism, top: int
 ) -> tuple[CodedSeries, ...]:
     """Each relation expanded along the twisted jet up to the window top/m
     by the int kernel ``substitute_coded``, one ``CodedSeries`` per
-    relation, in order: the generators of ``twisted_generators`` at the
-    weight top/m before they are materialised, each read from the memo
+    relation, in order: the generators of ``twisted_jet_generators`` at
+    the weight top/m before they are materialised, each read from the memo
     ``jetpoly.expansion``: a prefix of its widest read, over the wider
     denominator.  The symmetry must preserve the relation span."""
     require_preserved(spec, g)
@@ -307,8 +294,15 @@ def coded_relations(
 def twisted_jet_generators(
     spec: SchemeSpec, g: DiagAutomorphism, max_weight
 ) -> JetPresentation:
-    """``twisted_generators`` with the jet variables they live in."""
-    gens = twisted_generators(spec, g, max_weight)
+    """Generators of the g-twisted jet ideal, with the jet variables they
+    live in: the t^w coefficients of the relations expanded along the
+    twisted jet, for all lattice weights w in [0, max_weight] where a
+    coefficient survives.  They are the expansions of ``coded_relations``
+    at that weight, materialised."""
+    top = floor_units(max_weight, spec.order)
+    gens = _expansion_generators(
+        series.materialise() for series in coded_relations(spec, g, top)
+    )
     W = Fraction(max_weight)
     return JetPresentation(_presentation_vars(spec, g.exponents, W), gens)
 
@@ -546,8 +540,6 @@ def graded_quotient_dims(
         if not g.variables() <= allowed:
             raise ValueError("ideal generator uses a variable outside the ambient set")
     images, others = eliminate_linear(order, ambient, gens)
-    if not images:
-        return _box_dims(order, ambient, [(g, D - g.max_degree()) for g in gens], W, D)
     pruned = []
     for g in others:
         sub = _substitute(g, images)

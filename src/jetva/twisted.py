@@ -52,15 +52,15 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import _canon, euler_phi
+from .cyclo import euler_phi
 from .jetpoly import (
     CodedSeries,
     JetPoly,
     PuiseuxSeries,
-    _coded_monomial,
     beyond_window,
     binom,
     binom_units,
+    coded_polynomial,
     derivation_T,
     divided_t_power,
     eigen_index,
@@ -335,7 +335,7 @@ class _PairContext:
     field into the next (see ``check_twisted_borcherds``): ``widen`` drops
     both packed memos, which refill at the new width as the checks read
     them.  The column map does not depend on B and stays.  Codes become
-    monomials, through ``_coded_monomial``, only in ``unpack``, for a
+    monomials, through ``coded_polynomial``, only in ``unpack``, for a
     failing check's witness.
     """
 
@@ -389,8 +389,8 @@ class _PairContext:
 
     def unpack(self, total: int, den: int) -> JetPoly:
         """The polynomial whose coordinates, over den, are the signed
-        B-bit fields of total, each in [-2^(B-1), 2^(B-1)); each code is
-        read as its monomial here, and only here."""
+        B-bit fields of total, each in [-2^(B-1), 2^(B-1)); the codes are
+        read as monomials by ``coded_polynomial``, here and only here."""
         bits, phi, m = self.bits, self._phi, self._order
         half, mask = 1 << (bits - 1), (1 << bits) - 1
         columns = list(self._columns)
@@ -405,13 +405,8 @@ class _PairContext:
                 found.setdefault(slot, [0] * phi)[j] = x
             total = (total - x) >> bits
             field += 1
-        return JetPoly._from_dict(
-            m,
-            {
-                _coded_monomial(columns[s], *self.layout)[0]: _canon(m, tuple(x), den)
-                for s, x in found.items()
-            },
-        )
+        row = {columns[s]: tuple(x) for s, x in found.items()}
+        return coded_polynomial(m, row, den, self.layout)
 
     def inner_field(self, k: int) -> CodedSeries | None:
         """The coded field of a_(-k-1) b, or None when that product is zero."""
@@ -585,7 +580,7 @@ def check_twisted_borcherds(
 
     The identity holds when total is zero; else the witness is lhs - rhs
     as a ``JetPoly``, read back from total over D, its codes read as
-    monomials through ``_coded_monomial``.  No Fraction is made:
+    monomials through ``coded_polynomial``.  No Fraction is made:
     the indices are ints in units of 1/m, and a Fraction index is built
     only to raise TruncationError.
     """

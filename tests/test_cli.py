@@ -413,6 +413,30 @@ def test_console_entry_point(spec_file, tmp_path):
     assert rep["command"] == "jet"
 
 
+def test_a_reader_that_closes_early_ends_the_report_quietly(spec_file):
+    # a ~320 KB report, far past a pipe's buffer: the reader takes one line
+    # and closes, so the child's print meets a broken pipe
+    path = spec_file(
+        {"m": 3, "variables": ["x1", "x2"], "relations": ["x1^3 - x2^2"],
+         "exponents": [2, 0]}
+    )
+    src = str(Path(jetva.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jetva.cli", "check-twisted", "--input", path,
+         "--index-bound", "2", "--random-samples", "3", "--window", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert proc.stdout.readline() == "command: check-twisted\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
 def test_axiom_sweep_reports_small_window():
     # the README example: a twisted Borcherds identity needs z^14/3, past
     # window 4, so the script must end with exit code 3, not a traceback

@@ -27,6 +27,7 @@ from jetva.jetpoly import (
     admissible_levels,
     apply_automorphism,
     binom,
+    coded_polynomial,
     derivation_T,
     divided_t_power,
     eigen_index,
@@ -37,7 +38,7 @@ from jetva.jetpoly import (
     substitute_jets,
     translation_series,
 )
-from jetva.cyclo import CycScalar, zeta_pow
+from jetva.cyclo import CycScalar, _canon, euler_phi, zeta_pow
 from jetva.jetscheme import DiagAutomorphism
 from jetva.quasiconf import L_op, Ltilde_op
 
@@ -198,14 +199,13 @@ def test_monomial_key_weight_is_an_int_when_integral(mon):
     assert type(key_weight) is (int if weight.denominator == 1 else Fraction)
 
 
-def test_known_zero_reads_share_one_zero_per_order():
+def test_known_zero_reads_are_the_zero_of_their_order():
     s = PuiseuxSeries.from_dict(3, {2: JetPoly.var(3, 1)}, Fraction(5, 2))
     t = PuiseuxSeries.from_dict(3, {}, 4)
-    zero = s.at(7)
-    assert zero == JetPoly.zero(3)
+    zero = JetPoly.zero(3)
     # z^(7/3), z^(5/3), z^0 of another series, and z^(1/2), off the lattice
-    assert s.at(5) is zero and t.at(0) is zero
-    assert s.coefficient(Fraction(1, 2)) is zero
+    assert s.at(7) == zero and s.at(5) == zero and t.at(0) == zero
+    assert s.coefficient(Fraction(1, 2)) == zero
     assert PuiseuxSeries.from_dict(2, {}, 1).at(0) == JetPoly.zero(2)
 
 
@@ -620,9 +620,7 @@ def _rational_product_window(a, ta, b, tb):
     def side(t, other, t_other):
         if t is None:
             return None
-        low = other.min_support()
-        if low is None:
-            low = t_other
+        low = min(other.support(), default=t_other)
         return None if low is None else t + low
 
     sides = [w for w in (side(ta, b, tb), side(tb, a, ta)) if w is not None]
@@ -1128,6 +1126,35 @@ def test_substitution_twisted_coefficients_frozen():
     )
     with pytest.raises(TruncationError):
         s.coefficient(3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_one_decoder_sorts_codes_as_jetpoly_sorts_monomials(data):
+    # Random rows {code: coordinates} in random layouts (bits, k, unit),
+    # twisted units and codes many 30-bit digits wide among them: read by
+    # coded_polynomial, on the int key of _coded_monomial, a row is the
+    # JetPoly that sorting its decoded monomials on Monomial.sort_key gives.
+    bits = data.draw(st.sampled_from((1, 3, 8, 13)), label="bits")
+    k = data.draw(st.integers(1, 3), label="k")
+    unit = data.draw(st.sampled_from((1, 2, 3, 4, 6)), label="unit")
+    m = data.draw(st.sampled_from((1, 3, 4)), label="m")
+    fields = st.dictionaries(
+        st.integers(0, 6 * k - 1), st.integers(1, (1 << bits) - 1), max_size=4
+    )
+    codes = fields.map(lambda fs: sum(e << bits * f for f, e in fs.items()))
+    coords = st.lists(
+        st.integers(-40, 40), min_size=euler_phi(m), max_size=euler_phi(m)
+    ).filter(any).map(tuple)
+    row = data.draw(st.dictionaries(codes, coords, min_size=1, max_size=8), label="row")
+    den = data.draw(st.integers(1, 12), label="den")
+    decoded = {
+        jetpoly._coded_monomial(code, bits, k, unit)[0]: _canon(m, xs, den)
+        for code, xs in row.items()
+    }
+    assert coded_polynomial(m, row, den, (bits, k, unit)) == JetPoly._from_dict(
+        m, decoded
+    )
 
 
 # ---------------------------------------------------------------------------
