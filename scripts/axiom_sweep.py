@@ -76,10 +76,10 @@ def main(argv=None) -> int:
                 return worst
             report = json.loads(buf.getvalue())
             counts = report["results"]["counts"]
-            print(f"{command}: {counts['total']} checks, {counts['failed']} failed")
+            cli.emit(f"{command}: {counts['total']} checks, {counts['failed']} failed")
             for c in report["checks"]:
                 if not c["pass"]:
-                    print(f"FAIL {c['name']} :: {c.get('witness')}")
+                    cli.emit(f"FAIL {c['name']} :: {c.get('witness')}")
     return worst
 
 

@@ -72,13 +72,13 @@ def main(argv=None) -> int:
             }
             row = [dims.get((0, d), 0) for d in range(args.max_degree + 1)]
             stray = sum(v for (w, _), v in dims.items() if w > 0)
-            print(
+            cli.emit(
                 f"{label:38} weight-0 dims {row}  positive-weight total {stray}"
                 f"  [{'ok' if status == 0 else 'MISMATCH'}] ({dt:.1f}s)"
             )
             for c in report["checks"]:
                 if not c["pass"]:
-                    print(f"    FAIL {c['name']}: {c.get('witness')}")
+                    cli.emit(f"    FAIL {c['name']}: {c.get('witness')}")
     return worst
 
 

@@ -476,14 +476,19 @@ def main(argv=None) -> int:
         return 2
     report["checks"] = [c.to_dict() for c in checks]
     text = json.dumps(report, indent=2) if args.format == "json" else render_text(report)
+    emit(text)
+    return 0 if all(c.passed for c in checks) else 1
+
+
+def emit(text: str) -> None:
+    """Print text and flush it.  When the reader has closed early (``| head``),
+    what is still buffered, and all later output, goes to devnull, so
+    neither a later print nor the flush at exit raises."""
     try:
         print(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed early (``| head``): send what is still buffered
-        # to devnull, so the flush at exit raises nothing either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if all(c.passed for c in checks) else 1
 
 
 if __name__ == "__main__":

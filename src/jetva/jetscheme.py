@@ -456,26 +456,24 @@ def eliminate_linear(order: int, ambient: tuple[JetVar, ...], gens):
 def _substitute(g: JetPoly, images) -> JetPoly:
     """``g`` with each variable of ``images`` replaced by its image.  A
     term with a variable whose image is zero is dropped before any product
-    is formed; the others are multiplied by an image once per unit of its
-    variable's exponent."""
+    is formed; the others start from the factors with no image, the term's
+    own monomial when it has no imaged variable, and are multiplied by an
+    image once per unit of its variable's exponent."""
     acc: dict[Monomial, CycScalar] = {}
     for mon, c in g.terms:
         if any(images.get(v) == [] for v, _ in mon.factors):
             continue
-        terms = [(Monomial.unit(), c)]
-        kept = []
+        kept = tuple((v, e) for v, e in mon.factors if v not in images)
+        terms = [(mon if len(kept) == len(mon.factors) else Monomial(kept), c)]
         for v, e in mon.factors:
             image = images.get(v)
             if image is None:
-                kept.append((v, e))
                 continue
             for _ in range(e):
                 prod: dict = {}
                 mul_into(prod, terms, image)
                 terms = prod.items()
-        rest = Monomial(tuple(kept))
         for m, a in terms:
-            m = m * rest
             cur = acc.get(m)
             acc[m] = a if cur is None else cur + a
     return JetPoly._from_dict(g.order, acc)

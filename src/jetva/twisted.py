@@ -44,6 +44,12 @@ expansion.  A failing one builds its witness from the one coefficient of
 each side where they first differ (``_mismatch``), read back as a
 ``JetPoly`` through ``CodedSeries.polynomial``.  Only descent's span
 check, after a failure, materialises whole series.
+
+The Borcherds check stays on codes too: its modes are coded coefficients
+as the fields give them, a product of two modes is ``mul_rows`` of the
+two, and lhs - rhs is summed code by code into int coordinates over one
+denominator.  A failing check reads that sum back as its witness through
+``coded_polynomial``.
 """
 
 from __future__ import annotations
@@ -289,22 +295,15 @@ def _dead_from(fld: CodedSeries, m: int) -> int:
     return max(-fld.top, 1 - low) - m
 
 
-# The field width a pair starts with, in bits.  Coded coordinates sit over
-# an unreduced series denominator (a product of two for a mode product), so
-# bounds run larger than over reduced scalars: the largest of an
-# axioms-zeta4 job (seeds 7-9) is 373,680, below 2^19 (below 2^17 over
-# reduced scalars), and none of its pairs widens.
-_START_BITS = 32
-
-
 class _PairContext:
     """What every Borcherds check of one pair (a, b) shares at one
     symmetry and window: the characters r_a and r_b, the coded fields fa
     and fb with the indices ``dead_a`` and ``dead_b``, in units of 1/m,
     from which each field's modes are all known and zero, the coded field
     of each inner product a_(-k-1) b = T^k(a)/k! * b, and two memos of
-    packed polynomials: the modes of the inner fields met so far, keyed on
-    (k, index), and the product of every two modes met so far.
+    coded rows (den, {code: coordinates}): the modes of the inner fields
+    met so far, keyed on (k, index), and the product of every two modes
+    met so far.  A zero mode or product is kept as None.
 
     Every field of the pair is coded in one layout, that of ab (see
     ``_layout``): bits from deg a + deg b, k and unit from the coordinates
@@ -313,7 +312,7 @@ class _PairContext:
     from one exponent field into the next, and an inner field, on the same
     coordinates and of the same degree as ab, has codes in that layout too.
     So a mode is its coded coefficient as it is, and a product of two
-    modes is worked out on codes and int coordinates, over fa.den * fb.den.
+    modes is ``mul_rows`` of the two, over fa.den * fb.den.
 
     The product memo is keyed on (i, j), for a's mode at i/m times b's at
     j/m.  The modes commute, so the identity's rhs term b_(l+n-i) a_(m+i)
@@ -322,21 +321,6 @@ class _PairContext:
     product enters the memo only once both factors are read: a zero factor
     settles it, while a mode beyond the window raises on every check that
     needs it.
-
-    A memo entry is a polynomial packed into one int, (den, packed, top).
-    The pair numbers every monomial code it meets, in the order met, by one
-    column map (code -> slot); each of the polynomial's phi(m) coordinates
-    at a code is an int over ``den``, the denominator of its field or of
-    the product, and coordinate j at slot s sits in the signed field of B
-    bits at offset B*(s*phi(m) + j) of ``packed``: packed is the sum of
-    coordinate * 2^offset.  ``top`` is the largest |coordinate|.  An
-    exactly zero polynomial is kept as None.  A pair starts at B =
-    ``_START_BITS`` and widens only when a check's sum could carry from one
-    field into the next (see ``check_twisted_borcherds``): ``widen`` drops
-    both packed memos, which refill at the new width as the checks read
-    them.  The column map does not depend on B and stays.  Codes become
-    monomials, through ``coded_polynomial``, only in ``unpack``, for a
-    failing check's witness.
     """
 
     def __init__(self, a, b, g, window):
@@ -353,60 +337,9 @@ class _PairContext:
         self.dead_b = _dead_from(self.fb, g.order)
         self._source = (a, b, g)
         self._order = g.order
-        self._phi = euler_phi(g.order)
-        self.bits = _START_BITS
-        self._columns: dict = {}  # code -> slot, in the order met
         self._inner: dict = {}  # k -> field of a_(-k-1) b, None when it is 0
-        self._modes: dict = {}  # (k, index) -> packed mode, None when 0
-        self._products: dict = {}  # (i, j) -> packed product, None when 0
-
-    def _pack(self, row, den: int):
-        """(den, packed, top) of a coded polynomial {code: coordinates} over
-        den, or None when every coordinate is zero."""
-        columns, phi, bits = self._columns, self._phi, self.bits
-        packed = top = 0
-        for code, xs in row.items():
-            slot = columns.get(code)
-            if slot is None:
-                slot = columns[code] = len(columns)
-            offset = slot * phi * bits
-            for x in xs:
-                if x:
-                    packed += x << offset
-                    if abs(x) > top:
-                        top = abs(x)
-                offset += bits
-        # top, not packed: coordinates wider than a field may sum to 0
-        return (den, packed, top) if top else None
-
-    def widen(self, bound: int) -> None:
-        """Make the fields wide enough for a sum of |values| up to bound:
-        B at least doubles, to above bound's bit length, and the packed
-        memos, made at the old width, are dropped."""
-        self.bits = max(2 * self.bits, bound.bit_length() + 1)
-        self._modes.clear()
-        self._products.clear()
-
-    def unpack(self, total: int, den: int) -> JetPoly:
-        """The polynomial whose coordinates, over den, are the signed
-        B-bit fields of total, each in [-2^(B-1), 2^(B-1)); the codes are
-        read as monomials by ``coded_polynomial``, here and only here."""
-        bits, phi, m = self.bits, self._phi, self._order
-        half, mask = 1 << (bits - 1), (1 << bits) - 1
-        columns = list(self._columns)
-        found: dict = {}  # slot -> coordinates
-        field = 0
-        while total:
-            x = total & mask
-            if x >= half:
-                x -= 1 << bits
-            if x:
-                slot, j = divmod(field, phi)
-                found.setdefault(slot, [0] * phi)[j] = x
-            total = (total - x) >> bits
-            field += 1
-        row = {columns[s]: tuple(x) for s, x in found.items()}
-        return coded_polynomial(m, row, den, self.layout)
+        self._modes: dict = {}  # (k, index) -> (den, row), None when 0
+        self._products: dict = {}  # (i, j) -> (den, row), None when 0
 
     def inner_field(self, k: int) -> CodedSeries | None:
         """The coded field of a_(-k-1) b, or None when that product is zero."""
@@ -419,22 +352,24 @@ class _PairContext:
         return self._inner[k]
 
     def inner_mode(self, k: int, index: int):
-        """The packed mode at index/m of the field of a_(-k-1) b, or None
-        when the product or the mode is zero; a mode beyond the window
-        raises TruncationError."""
+        """The mode at index/m of the field of a_(-k-1) b, as (den, row),
+        or None when the product or the mode is zero; a mode beyond the
+        window raises TruncationError."""
         key = (k, index)
         if key not in self._modes:
             fld = self.inner_field(k)
             if fld is not None:
-                fld = self._pack(_mode(fld, index, self._order), fld.den)
+                row = _mode(fld, index, self._order)
+                fld = (fld.den, row) if row else None
             self._modes[key] = fld
         return self._modes[key]
 
     def product(self, i: int, j: int):
-        """The packed product of a's mode at i/m and b's at j/m, or None
-        when it is zero.  A factor that is exactly zero settles the product
-        even when the other lies beyond the window.  Otherwise a mode
-        beyond the window raises TruncationError, a's before b's."""
+        """The product of a's mode at i/m and b's at j/m, as (den, row), or
+        None when a factor is zero: over Q(zeta_m) a product of two nonzero
+        modes is not zero.  A factor that is exactly zero settles the
+        product even when the other lies beyond the window.  Otherwise a
+        mode beyond the window raises TruncationError, a's before b's."""
         key = (i, j)
         if key not in self._products:
             m = self._order
@@ -447,7 +382,7 @@ class _PairContext:
                 q = _mode(fb, j, m) if q is None else q
                 acc: dict = {}
                 mul_rows(acc, p, q, m)
-                self._products[key] = self._pack(acc, fa.den * fb.den)
+                self._products[key] = (fa.den * fb.den, acc)
         return self._products[key]
 
 
@@ -458,7 +393,7 @@ _pair_context = lru_cache(maxsize=2)(_PairContext)
 
 
 def _borcherds_parts(pair: _PairContext, l_idx: int, L: int, M: int, N: int):
-    """The terms of lhs - rhs as (numerator, denominator, packed entry):
+    """The terms of lhs - rhs as (numerator, denominator, (den, row)):
     the lhs modes first, then the rhs products in the order of the sum, a's
     mode before b's within each, which is the order in which a mode beyond
     the window raises.  The indices are in units of 1/m, l's as L.  A
@@ -505,23 +440,6 @@ def _borcherds_parts(pair: _PairContext, l_idx: int, L: int, M: int, N: int):
     return parts
 
 
-def _packed_sum(parts) -> tuple[int, int, int]:
-    """(total, den, bound) for terms (num, d, (den_t, packed_t, top_t)):
-    over the lcm den of the d * den_t, each term's coefficient is the int
-    c_t = num * den / (d * den_t); total is the sum of c_t * packed_t and
-    bound the sum of |c_t| * top_t; an empty sum is (0, 1, 0)."""
-    if not parts:
-        return 0, 1, 0
-    dens = [d * entry[0] for _, d, entry in parts]
-    den = math.lcm(*dens)
-    total = bound = 0
-    for (num, _, (_, packed, top)), d in zip(parts, dens):
-        c = num * (den // d)
-        total += c * packed
-        bound += abs(c) * top
-    return total, den, bound
-
-
 def check_twisted_borcherds(
     a: JetPoly,
     b: JetPoly,
@@ -540,49 +458,28 @@ def check_twisted_borcherds(
     with l an integer and m, n in the cosets picked out by the characters
     of a and b.
 
-    Both sides are summed as one packed int, lhs minus rhs.  A
+    Both sides are summed as one coded row, lhs minus rhs.  A
     ``_PairContext``, per pair (a, b), symmetry and window, holds the
-    coded fields, all in the layout of ab, and two memos of polynomials
-    packed into ints at a field width of B bits: the lhs modes of the inner
-    fields, keyed on (k, index), and every product of two modes, read a's
-    mode first (b_(l+n-i) a_(m+i) as a_(m+i) b_(l+n-i)), multiplied out
-    once on codes and keyed on (a's index, b's index) in units of 1/m.  A
-    mode product's monomial codes are sums of its factors' codes, with no
-    carry, since the layout's bits cover deg a + deg b; each code gets a
-    slot of the pair's column map, so the two kinds of field do not mix:
-    exponent fields within a code, coordinate fields of B bits within a
-    packed int.  A product with a factor that is exactly zero
-    adds nothing, even when its other factor lies beyond the window;
-    otherwise a mode beyond the window raises TruncationError: the lhs
-    modes first, then the rhs products in the order of the sum, a's mode
-    before b's within each.
+    coded fields, all in the layout of ab, and two memos of coded rows:
+    the lhs modes of the inner fields, keyed on (k, index), and every
+    product of two modes, read a's mode first (b_(l+n-i) a_(m+i) as
+    a_(m+i) b_(l+n-i)), multiplied out once on codes and keyed on (a's
+    index, b's index) in units of 1/m.  A product with a factor that is
+    exactly zero adds nothing, even when its other factor lies beyond the
+    window; otherwise a mode beyond the window raises TruncationError: the
+    lhs modes first, then the rhs products in the order of the sum, a's
+    mode before b's within each.
 
-    Each term is an int numerator over an int denominator times a packed
-    entry (den_t, packed_t, top_t): C(m, i) is ``binom_units``' numerator
-    over order^i * i!, worked out from m*order on ints, and the rhs
+    Each term is an int numerator over an int denominator times a row over
+    its own denominator: C(m, i) is ``binom_units``' numerator over
+    order^i * i!, worked out from m*order on ints, and the rhs
     coefficients are ints.  Over the lcm D of the term denominators times
-    the entries' den_t, each term gets the int coefficient c_t, and
-
-        total = sum_t c_t * packed_t,   bound = sum_t |c_t| * top_t.
-
-    Why total decides the identity when bound < 2^(B-1): write packed_t as
-    the sum over fields f of x_tf * 2^(B*f), |x_tf| <= top_t.  Then total
-    is the sum of v_f * 2^(B*f) with v_f = sum_t c_t * x_tf, which is D
-    times the coordinate of lhs - rhs that field f stands for, and
-    |v_f| <= bound < 2^(B-1).  If some v_f were not zero, take the lowest
-    such f: total = v_f * 2^(B*f) + a multiple of 2^(B*(f+1)), and 2^B does
-    not divide v_f, as 0 < |v_f| < 2^B, so total would not be zero.  So
-    total == 0 exactly when every coefficient of lhs - rhs is, and when it
-    is not, each v_f is read back as the signed residue of its field.
-    When bound reaches 2^(B-1), the pair widens B past the bound, drops its
-    packed memos, and the check collects its terms again at the new width;
-    the bound does not depend on B, so it then holds.
-
-    The identity holds when total is zero; else the witness is lhs - rhs
-    as a ``JetPoly``, read back from total over D, its codes read as
-    monomials through ``coded_polynomial``.  No Fraction is made:
-    the indices are ints in units of 1/m, and a Fraction index is built
-    only to raise TruncationError.
+    the rows', each term gets an int coefficient, and the terms add up,
+    code by code, to int coordinates over D.  The identity holds when
+    every coordinate is zero; else the witness is lhs - rhs as a
+    ``JetPoly``, its codes read as monomials through ``coded_polynomial``.
+    No Fraction is made: the indices are ints in units of 1/m, and a
+    Fraction index is built only to raise TruncationError.
     """
     for label, idx in (("l", l_idx), ("m", m_idx), ("n", n_idx)):
         if isinstance(idx, bool):
@@ -604,7 +501,7 @@ def check_twisted_borcherds(
 
 
 def _borcherds_witness(a, b, g, l_idx: int, m_idx, n_idx, window) -> str | None:
-    """The packed sum of ``check_twisted_borcherds``, and of
+    """The coded sum of ``check_twisted_borcherds``, and of
     ``va.check_borcherds`` at the trivial symmetry, for l an int and m, n
     ints or Fractions: None when the identity holds, else the witness
     lhs - rhs.  An index m or n off its coset is refused."""
@@ -618,12 +515,23 @@ def _borcherds_witness(a, b, g, l_idx: int, m_idx, n_idx, window) -> str | None:
     N = exact_units(n_idx, order)
     if N is None or (N - pair.r_b) % order:
         raise ValueError(f"index n = {n_idx} must lie in {pair.r_b}/{order} + Z")
-    while True:
-        total, den, bound = _packed_sum(_borcherds_parts(pair, l_idx, L, M, N))
-        if bound < 1 << (pair.bits - 1):
-            break
-        pair.widen(bound)
-    return str(pair.unpack(total, den)) if total else None
+    parts = _borcherds_parts(pair, l_idx, L, M, N)
+    if not parts:
+        return None
+    dens = [d * den_t for _, d, (den_t, _) in parts]
+    den = math.lcm(*dens)
+    total: dict = {}  # code -> int coordinates over den
+    for (num, _, (_, row)), d in zip(parts, dens):
+        c = num * (den // d)
+        for code, xs in row.items():
+            cur = total.get(code)
+            if cur is None:
+                total[code] = [c * x for x in xs]
+            else:
+                for j, x in enumerate(xs):
+                    cur[j] += c * x
+    row = {code: tuple(xs) for code, xs in total.items() if any(xs)}
+    return str(coded_polynomial(order, row, den, pair.layout)) if row else None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import empty_caches
-from jetva import jetpoly
+from jetva import jetpoly, jetscheme
 from jetva.coinv import OrbiSetup
 from jetva.cyclo import CycScalar
 from jetva.jetpoly import JetPoly, Monomial, derivation_T, jet_var
@@ -480,6 +480,25 @@ def test_dims_insert_only_generator_multiples(monkeypatch):
     graded_quotient_dims(3, pres.variables, gens, W, D)
     assert multiples > 0
     assert len(calls) == multiples
+
+
+def test_substitution_with_no_image_keeps_each_term_without_a_product(monkeypatch):
+    # The cusp jet table at W=4 has no linear generator, so its image map is
+    # empty: every generator comes back as it is, with no Monomial product.
+    spec = SchemeSpec.of(3, 2, [x(1, m=3) ** 3 - x(2, m=3) ** 2])
+    pres = jet_generators(spec, 4)
+    gens = [g.poly for g in pres.generators]
+    assert jetscheme.eliminate_linear(3, pres.variables, gens) == ({}, gens)
+    products = []
+    real = Monomial.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Monomial, "__mul__", counted)
+    assert [jetscheme._substitute(g, {}) for g in gens] == gens
+    assert products == []
 
 
 @settings(max_examples=20, deadline=None)

@@ -1438,7 +1438,7 @@ def _borcherds_by_scalars(a, b, g, l, m_idx, n_idx, window):
     """(passed, witness) of the twisted Borcherds identity with lhs - rhs
     summed term by term as ``CycScalar``s: every mode read by ``mode`` at
     its Fraction index, every binomial a Fraction, every product a
-    ``JetPoly`` product.  It is the oracle of the packed sum; it reads a
+    ``JetPoly`` product.  It is the oracle of the coded sum; it reads a
     product's second factor only when its first is not zero, so it must
     not meet a mode beyond the window."""
     m = g.order
@@ -1493,12 +1493,11 @@ _HUGE_BOXES = {
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
 @pytest.mark.parametrize("order", [2, 4])
-def test_borcherds_huge_coefficients_widen_and_match_the_scalar_sum(
+def test_borcherds_huge_coefficients_match_the_scalar_sum(
     monkeypatch, order, perturbed
 ):
-    # Coefficients above 2^70 overflow the starting field width on the
-    # first nonzero sum, so the pair widens; every verdict and witness of
-    # the box is the term-by-term CycScalar sum's.
+    # Coefficients above 2^70, far past a machine word: every verdict and
+    # witness of the box is the term-by-term CycScalar sum's.
     g, a, b, (exponent, extra) = _HUGE_BOXES[order]
     if perturbed:
         _perturb_field(monkeypatch, a, exponent, extra)
@@ -1514,7 +1513,6 @@ def test_borcherds_huge_coefficients_widen_and_match_the_scalar_sum(
                 want = _borcherds_by_scalars(a, b, g, l, m_idx, n_idx, W)
                 assert (res.passed, res.witness) == want, res.name
                 results[res.name] = res.passed
-    assert twisted._pair_context(a, b, g, W).bits > twisted._START_BITS
     assert len(results) == 80
     assert (not all(results.values())) == perturbed
 
@@ -1658,7 +1656,7 @@ def test_coded_products_derivatives_and_comparisons_match_the_series(data):
 
 
 def test_passing_axiom_and_borcherds_checks_materialise_no_field(monkeypatch):
-    # Every field these checks read is compared, multiplied and packed on
+    # Every field these checks read is compared, multiplied and summed on
     # codes: a passing check builds no JetPoly from a field.  A failing
     # translation or multiplicative check reads one coefficient of each
     # side back, for its witness, and materialises no field.
@@ -1721,14 +1719,3 @@ def test_passing_axiom_and_borcherds_checks_materialise_no_field(monkeypatch):
         extra,
         lambda: twisted.check_multiplicative(a, b, G4, 3, "Y_g"),
     ) == ("z^1/2: (-2 + zeta)*x1[-1/4]*x2[-1]", Counter({"polynomial": 2}))
-
-
-def test_pair_packing_keeps_coordinates_that_overflow_their_fields():
-    # 2^B at one slot and -1 at the next pack to the int 0 at width B; the
-    # entry is still kept, with its top, so the bound sees it and widens.
-    pair = twisted._PairContext(y(1), y(1) ** 2, G2P, 2)
-    bits = pair.bits
-    p = y(1, -7).scale(2**bits) - y(1, -8)
-    row = {_code(mon, pair.layout): c.nums for mon, c in p.terms}
-    den, packed, top = pair._pack(row, 1)
-    assert (den, packed, top) == (1, 0, 2**bits)
